@@ -67,6 +67,7 @@ bench:
 # Short fuzz campaigns over the parsers and serializers.
 fuzz:
 	$(GO) test ./internal/dataset/ -fuzz FuzzReadAll -fuzztime 30s
+	$(GO) test ./internal/dataset/ -fuzz FuzzFileScan -fuzztime 30s
 	$(GO) test ./internal/dataset/ -fuzz FuzzReadBinary -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzReadArray -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzInsertMine -fuzztime 60s

@@ -25,8 +25,7 @@ type Builder struct {
 	opts    Options
 	f       *os.File
 	bw      *bufio.Writer
-	counts  dataset.Counts
-	seen    map[Item]struct{}
+	counter dataset.Counter
 	scratch [encoding.MaxVarintLen64]byte
 	done    bool
 }
@@ -40,11 +39,9 @@ func NewBuilder(opts Options, tempDir string) (*Builder, error) {
 		return nil, err
 	}
 	return &Builder{
-		opts:   opts,
-		f:      f,
-		bw:     bufio.NewWriterSize(f, 1<<16),
-		counts: dataset.Counts{Support: make(map[Item]uint64)},
-		seen:   make(map[Item]struct{}, 64),
+		opts: opts,
+		f:    f,
+		bw:   bufio.NewWriterSize(f, 1<<16),
 	}, nil
 }
 
@@ -53,26 +50,14 @@ func (b *Builder) Add(tx []Item) error {
 	if b.done {
 		return errors.New("cfpgrowth: Builder already finished")
 	}
-	b.counts.NumTx++
-	clear(b.seen)
-	for _, it := range tx {
-		if _, dup := b.seen[it]; !dup {
-			b.seen[it] = struct{}{}
-			b.counts.Support[it]++
-		}
-	}
+	distinct := b.counter.Add(tx)
 	// Spool: varint length + raw varint items (set-deduplicated, in
 	// arrival order; the replay re-encodes through the recoder anyway).
-	n := encoding.PutUvarint(b.scratch[:], uint64(len(b.seen)))
+	n := encoding.PutUvarint(b.scratch[:], uint64(len(distinct)))
 	if _, err := b.bw.Write(b.scratch[:n]); err != nil {
 		return err
 	}
-	clear(b.seen)
-	for _, it := range tx {
-		if _, dup := b.seen[it]; dup {
-			continue
-		}
-		b.seen[it] = struct{}{}
+	for _, it := range distinct {
 		n := encoding.PutUvarint(b.scratch[:], uint64(it))
 		if _, err := b.bw.Write(b.scratch[:n]); err != nil {
 			return err
@@ -82,7 +67,7 @@ func (b *Builder) Add(tx []Item) error {
 }
 
 // NumTx returns the number of transactions ingested so far.
-func (b *Builder) NumTx() uint64 { return b.counts.NumTx }
+func (b *Builder) NumTx() uint64 { return b.counter.NumTx() }
 
 // Finish builds the Index from everything added and releases the spool.
 func (b *Builder) Finish() (*Index, error) {
@@ -94,6 +79,7 @@ func (b *Builder) Finish() (*Index, error) {
 	if err := b.bw.Flush(); err != nil {
 		return nil, err
 	}
+	counts := b.counter.Counts()
 	var minSup uint64
 	switch {
 	case b.opts.MinSupport > 0 && b.opts.RelativeSupport > 0:
@@ -101,11 +87,11 @@ func (b *Builder) Finish() (*Index, error) {
 	case b.opts.MinSupport > 0:
 		minSup = b.opts.MinSupport
 	case b.opts.RelativeSupport > 0:
-		minSup = dataset.AbsoluteSupport(b.opts.RelativeSupport, b.counts.NumTx)
+		minSup = dataset.AbsoluteSupport(b.opts.RelativeSupport, counts.NumTx)
 	default:
 		return nil, errors.New("cfpgrowth: minimum support not set")
 	}
-	rec := dataset.NewRecoder(b.counts, minSup)
+	rec := dataset.NewRecoder(counts, minSup)
 	n := rec.NumFrequent()
 	names := make([]uint32, n)
 	sups := make([]uint64, n)
@@ -124,7 +110,7 @@ func (b *Builder) Finish() (*Index, error) {
 	br := bufio.NewReaderSize(b.f, 1<<16)
 	var tx []Item
 	var buf []uint32
-	for t := uint64(0); t < b.counts.NumTx; t++ {
+	for t := uint64(0); t < counts.NumTx; t++ {
 		l, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("cfpgrowth: corrupt spool: %w", err)
@@ -140,11 +126,7 @@ func (b *Builder) Finish() (*Index, error) {
 		buf = rec.Encode(tx, buf[:0])
 		tree.Insert(buf, 1)
 	}
-	return &Index{
-		arr:         core.Convert(tree),
-		BaseSupport: minSup,
-		NumTx:       b.counts.NumTx,
-	}, nil
+	return newIndex(core.Convert(tree), minSup, counts.NumTx), nil
 }
 
 // Discard abandons the build and releases the spool.

@@ -1,11 +1,10 @@
 package cfpgrowth
 
 import (
-	"sort"
-
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/core"
@@ -26,8 +25,24 @@ type Index struct {
 	BaseSupport uint64
 	// NumTx is the number of transactions in the source database.
 	NumTx uint64
-	// rankOf lazily maps external items to ranks for point queries.
+	// rankOf maps external items to ranks for point queries. It is
+	// built with the index and never written after, so concurrent
+	// readers are safe.
 	rankOf map[Item]uint32
+}
+
+// newIndex wraps a built or loaded CFP-array.
+func newIndex(arr *core.Array, baseSupport, numTx uint64) *Index {
+	ix := &Index{
+		arr:         arr,
+		BaseSupport: baseSupport,
+		NumTx:       numTx,
+		rankOf:      make(map[Item]uint32, arr.NumItems()),
+	}
+	for rk := 0; rk < arr.NumItems(); rk++ {
+		ix.rankOf[arr.ItemName(uint32(rk))] = uint32(rk)
+	}
+	return ix
 }
 
 // BuildIndex scans src twice and builds the index at the given options'
@@ -63,11 +78,7 @@ func BuildIndex(src Source, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{
-		arr:         core.Convert(tree),
-		BaseSupport: minSup,
-		NumTx:       counts.NumTx,
-	}, nil
+	return newIndex(core.Convert(tree), minSup, counts.NumTx), nil
 }
 
 // Bytes returns the index's in-memory footprint (triples + item index).
@@ -76,16 +87,11 @@ func (ix *Index) Bytes() int64 { return ix.arr.Bytes() }
 // SupportOf returns the exact support of a specific itemset — the
 // paper's §2.1 point query, answered straight from the compressed
 // structure without a mining run. Items absent from the index (below
-// its base support) yield 0.
+// its base support) yield 0. It only reads the index, so concurrent
+// callers are safe.
 func (ix *Index) SupportOf(items []Item) uint64 {
 	if len(items) == 0 {
 		return 0
-	}
-	if ix.rankOf == nil {
-		ix.rankOf = make(map[Item]uint32, ix.arr.NumItems())
-		for rk := 0; rk < ix.arr.NumItems(); rk++ {
-			ix.rankOf[ix.arr.ItemName(uint32(rk))] = uint32(rk)
-		}
 	}
 	ranks := make([]uint32, 0, len(items))
 	for _, it := range items {
@@ -95,7 +101,7 @@ func (ix *Index) SupportOf(items []Item) uint64 {
 		}
 		ranks = append(ranks, rk)
 	}
-	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
+	slices.Sort(ranks)
 	for i := 1; i < len(ranks); i++ {
 		if ranks[i] == ranks[i-1] {
 			return 0 // duplicate items: not a set
@@ -155,11 +161,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{
-		arr:         arr,
-		BaseSupport: getU64(hdr[0:]),
-		NumTx:       getU64(hdr[8:]),
-	}, nil
+	return newIndex(arr, getU64(hdr[0:]), getU64(hdr[8:])), nil
 }
 
 // SaveIndex writes the index to a file.

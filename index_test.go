@@ -2,9 +2,15 @@ package cfpgrowth
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
+
+	"cfpgrowth/internal/dataset"
 )
 
 func TestIndexBuildAndMine(t *testing.T) {
@@ -133,8 +139,8 @@ func TestIndexSupportOf(t *testing.T) {
 		{[]Item{1, 4}, 1},
 		{[]Item{3, 4}, 1},
 		{[]Item{1, 2, 3, 4}, 1},
-		{[]Item{99}, 0},      // unknown item
-		{[]Item{1, 1}, 0},    // duplicates: not a set
+		{[]Item{99}, 0},   // unknown item
+		{[]Item{1, 1}, 0}, // duplicates: not a set
 		{nil, 0},
 	}
 	for _, c := range cases {
@@ -159,5 +165,61 @@ func TestIndexSupportOfAfterReload(t *testing.T) {
 	}
 	if s := got.SupportOf([]Item{1, 2}); s != 3 {
 		t.Errorf("reloaded SupportOf(1,2) = %d, want 3", s)
+	}
+}
+
+// TestIndexSupportOfConcurrentReaders has eight goroutines query one
+// freshly loaded index, so under -race any write SupportOf makes to
+// shared state is caught; every answer must match a serial pass.
+func TestIndexSupportOfConcurrentReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	db := make(dataset.Slice, 2000)
+	for i := range db {
+		db[i] = make([]Item, 1+rng.Intn(8))
+		for j := range db[i] {
+			db[i][j] = Item(rng.Intn(60))
+		}
+	}
+	built, err := BuildIndex(db, Options{MinSupport: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([][]Item, 500)
+	want := make([]uint64, len(queries))
+	for i := range queries {
+		for k := 1 + rng.Intn(4); len(queries[i]) < k; {
+			if it := Item(rng.Intn(64)); !slices.Contains(queries[i], it) {
+				queries[i] = append(queries[i], it)
+			}
+		}
+		want[i] = built.SupportOf(queries[i])
+	}
+	var buf bytes.Buffer
+	if _, err := built.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := ReadIndex(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range queries {
+				q := (i + 61*g) % len(queries)
+				if got := ix.SupportOf(queries[q]); got != want[q] {
+					errs <- fmt.Sprintf("reader %d: SupportOf(%v) = %d, want %d", g, queries[q], got, want[q])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

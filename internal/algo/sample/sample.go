@@ -75,18 +75,10 @@ func (m Miner) mine(src dataset.Source, minSupport uint64, sink mine.Sink, certi
 	// Pass 1: exact singleton supports (needed for the level-1 border
 	// and to bound the universe) and the Bernoulli sample, in one scan.
 	rng := rand.New(rand.NewSource(m.Seed))
-	counts := dataset.Counts{Support: make(map[uint32]uint64)}
-	seen := make(map[uint32]struct{}, 64)
+	var counter dataset.Counter
 	var sampleDB dataset.Slice
 	err := src.Scan(func(tx []dataset.Item) error {
-		counts.NumTx++
-		clear(seen)
-		for _, it := range tx {
-			if _, dup := seen[it]; !dup {
-				seen[it] = struct{}{}
-				counts.Support[it]++
-			}
-		}
+		counter.Add(tx)
 		if rng.Float64() < frac {
 			cp := make([]dataset.Item, len(tx))
 			copy(cp, tx)
@@ -97,6 +89,7 @@ func (m Miner) mine(src dataset.Source, minSupport uint64, sink mine.Sink, certi
 	if err != nil {
 		return false, err
 	}
+	counts := counter.Counts()
 	if counts.NumTx == 0 {
 		return true, nil
 	}

@@ -6,9 +6,10 @@
 package dataset
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Item is an item identifier as it appears in the input data.
@@ -53,27 +54,115 @@ func (c Counts) ModelBytes() int64 { return int64(len(c.Support)) * 12 }
 // Duplicate occurrences of an item within one transaction are counted
 // once, matching the set semantics of the mining problem.
 func CountItems(src Source) (Counts, error) {
-	c := Counts{Support: make(map[Item]uint64)}
-	seen := make(map[Item]struct{}, 64)
+	var c Counter
 	err := src.Scan(func(tx []Item) error {
-		c.NumTx++
-		if len(tx) == 0 {
-			return nil
-		}
-		clear(seen)
-		for _, it := range tx {
-			if _, dup := seen[it]; dup {
-				continue
-			}
-			seen[it] = struct{}{}
-			c.Support[it]++
-		}
+		c.Add(tx)
 		return nil
 	})
 	if err != nil {
 		return Counts{}, err
 	}
-	return c, nil
+	return c.Counts(), nil
+}
+
+// denseLimit bounds the item identifiers that Counter and Recoder index
+// directly in a table; larger identifiers go through a map. Real item
+// universes are small and numbered from zero, so the tables stay as
+// short as the largest identifier seen.
+const denseLimit = 1 << 20
+
+// Counter is the first-pass counting kernel with set semantics: it
+// counts, for each distinct item, the transactions added that contain
+// it, counting repeats within one transaction once. Identifiers below
+// denseLimit are counted in a table and deduplicated with a per-item
+// stamp of the last transaction that counted them; larger ones fall
+// back to a map. The zero value is ready to use.
+type Counter struct {
+	numTx    uint64
+	dense    []uint64 // support by identifier, below denseLimit
+	stamp    []uint32 // transaction stamp that last counted each dense identifier
+	sparse   map[Item]sparseCount
+	cur      uint32 // stamp of the current transaction; 0 is never current
+	distinct []Item
+}
+
+type sparseCount struct {
+	n     uint64
+	stamp uint32
+}
+
+// Add counts one transaction and returns its distinct items in order
+// of first occurrence. The result is valid until the next Add.
+func (c *Counter) Add(tx []Item) []Item {
+	c.numTx++
+	if c.cur++; c.cur == 0 {
+		c.resetStamps()
+	}
+	out := c.distinct[:0]
+	for _, it := range tx {
+		if it < denseLimit {
+			if it >= Item(len(c.dense)) {
+				c.grow(it)
+			}
+			if c.stamp[it] == c.cur {
+				continue
+			}
+			c.stamp[it] = c.cur
+			c.dense[it]++
+		} else {
+			e := c.sparse[it]
+			if e.stamp == c.cur {
+				continue
+			}
+			if c.sparse == nil {
+				c.sparse = make(map[Item]sparseCount)
+			}
+			c.sparse[it] = sparseCount{n: e.n + 1, stamp: c.cur}
+		}
+		out = append(out, it)
+	}
+	c.distinct = out
+	return out
+}
+
+// grow extends the dense tables to cover it, at least doubling them.
+func (c *Counter) grow(it Item) {
+	n := min(max(int(it)+1, 2*len(c.dense), 1024), denseLimit)
+	c.dense = append(c.dense, make([]uint64, n-len(c.dense))...)
+	c.stamp = append(c.stamp, make([]uint32, n-len(c.stamp))...)
+}
+
+// resetStamps restarts the stamps when the transaction stamp wraps, so
+// no stale stamp can equal a current one.
+func (c *Counter) resetStamps() {
+	clear(c.stamp)
+	for it, e := range c.sparse {
+		c.sparse[it] = sparseCount{n: e.n}
+	}
+	c.cur = 1
+}
+
+// NumTx returns the number of transactions added.
+func (c *Counter) NumTx() uint64 { return c.numTx }
+
+// Counts returns the supports counted so far.
+func (c *Counter) Counts() Counts {
+	n := len(c.sparse)
+	for _, s := range c.dense {
+		if s > 0 {
+			n++
+		}
+	}
+	sup := make(map[Item]uint64, n)
+	for it, s := range c.dense {
+		if s > 0 {
+			sup[Item(it)] = s
+		}
+	}
+	for it, e := range c.sparse {
+		sup[it] = e.n
+	}
+	return Counts{Support: sup, NumTx: c.numTx}
 }
 
 // Recoder maps original item identifiers to dense ranks in descending
@@ -82,7 +171,8 @@ func CountItems(src Source) (Counts, error) {
 // prefix-tree miners in this repository operate on ranks; results are
 // translated back with Decode.
 type Recoder struct {
-	rank    map[Item]uint32
+	dense   []uint32        // rank+1 by identifier below denseLimit; 0 = infrequent
+	rank    map[Item]uint32 // ranks of frequent identifiers from denseLimit up
 	orig    []Item
 	support []uint64
 	numTx   uint64
@@ -97,27 +187,43 @@ func NewRecoder(c Counts, minSupport uint64) *Recoder {
 	if minSupport == 0 {
 		minSupport = 1
 	}
-	r := &Recoder{
-		rank:   make(map[Item]uint32),
-		numTx:  c.NumTx,
-		minSup: minSupport,
+	type entry struct {
+		it  Item
+		sup uint64
 	}
+	var freq []entry
+	denseLen := 0
 	for it, sup := range c.Support {
 		if sup >= minSupport {
-			r.orig = append(r.orig, it)
+			freq = append(freq, entry{it, sup})
+			if it < denseLimit {
+				denseLen = max(denseLen, int(it)+1)
+			}
 		}
 	}
-	sort.Slice(r.orig, func(i, j int) bool {
-		si, sj := c.Support[r.orig[i]], c.Support[r.orig[j]]
-		if si != sj {
-			return si > sj
+	slices.SortFunc(freq, func(a, b entry) int {
+		if a.sup != b.sup {
+			return cmp.Compare(b.sup, a.sup)
 		}
-		return r.orig[i] < r.orig[j]
+		return cmp.Compare(a.it, b.it)
 	})
-	r.support = make([]uint64, len(r.orig))
-	for rk, it := range r.orig {
-		r.rank[it] = uint32(rk)
-		r.support[rk] = c.Support[it]
+	r := &Recoder{
+		dense:   make([]uint32, denseLen),
+		orig:    make([]Item, len(freq)),
+		support: make([]uint64, len(freq)),
+		numTx:   c.NumTx,
+		minSup:  minSupport,
+	}
+	for rk, e := range freq {
+		r.orig[rk], r.support[rk] = e.it, e.sup
+		if e.it < denseLimit {
+			r.dense[e.it] = uint32(rk) + 1
+			continue
+		}
+		if r.rank == nil {
+			r.rank = make(map[Item]uint32)
+		}
+		r.rank[e.it] = uint32(rk)
 	}
 	return r
 }
@@ -144,7 +250,7 @@ func (r *Recoder) DecodeSet(ranks []uint32) []Item {
 	for i, rk := range ranks {
 		out[i] = r.orig[rk]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -155,20 +261,17 @@ func (r *Recoder) DecodeSet(ranks []uint32) []Item {
 func (r *Recoder) Encode(tx []Item, buf []uint32) []uint32 {
 	out := buf[:0]
 	for _, it := range tx {
-		if rk, ok := r.rank[it]; ok {
+		if it < Item(len(r.dense)) {
+			if rk := r.dense[it]; rk != 0 {
+				out = append(out, rk-1)
+			}
+		} else if rk, ok := r.rank[it]; ok {
 			out = append(out, rk)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	// Deduplicate in place (set semantics).
-	w := 0
-	for i, v := range out {
-		if i == 0 || v != out[w-1] {
-			out[w] = v
-			w++
-		}
-	}
-	return out[:w]
+	return slices.Compact(out)
 }
 
 // AbsoluteSupport converts a relative minimum support (fraction of

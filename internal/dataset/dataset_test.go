@@ -1,8 +1,11 @@
 package dataset
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -188,5 +191,154 @@ func TestEncodeSetSemantics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refCountItems is the map-only first pass, the reference for the dense
+// Counter.
+func refCountItems(db Slice) Counts {
+	c := Counts{Support: make(map[Item]uint64)}
+	for _, tx := range db {
+		c.NumTx++
+		seen := make(map[Item]bool)
+		for _, it := range tx {
+			if !seen[it] {
+				seen[it] = true
+				c.Support[it]++
+			}
+		}
+	}
+	return c
+}
+
+// refRecode is the map-only recoding: the frequent items in rank order,
+// and Encode as a map lookup, a sort and a dedupe.
+func refRecode(c Counts, minSup uint64) (orig []Item, encode func([]Item) []uint32) {
+	for it, sup := range c.Support {
+		if sup >= max(minSup, 1) {
+			orig = append(orig, it)
+		}
+	}
+	sort.Slice(orig, func(i, j int) bool {
+		si, sj := c.Support[orig[i]], c.Support[orig[j]]
+		if si != sj {
+			return si > sj
+		}
+		return orig[i] < orig[j]
+	})
+	rank := make(map[Item]uint32)
+	for rk, it := range orig {
+		rank[it] = uint32(rk)
+	}
+	return orig, func(tx []Item) []uint32 {
+		out := []uint32{}
+		for _, it := range tx {
+			if rk, ok := rank[it]; ok && !slices.Contains(out, rk) {
+				out = append(out, rk)
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+}
+
+// randomDB draws transactions with repeated items from ids.
+func randomDB(rng *rand.Rand, ids func() Item) Slice {
+	db := make(Slice, 300)
+	for i := range db {
+		db[i] = make([]Item, rng.Intn(12))
+		for j := range db[i] {
+			if j > 0 && rng.Intn(5) == 0 {
+				db[i][j] = db[i][rng.Intn(j)] // a duplicate within the transaction
+			} else {
+				db[i][j] = ids()
+			}
+		}
+	}
+	return db
+}
+
+func TestCountAndRecodeMatchMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	near := func(base Item, spread int) func() Item {
+		return func() Item { return base - Item(spread) + Item(rng.Intn(2*spread)) }
+	}
+	small := func() Item { return Item(rng.Intn(40)) }
+	atLimit := near(denseLimit, 4)
+	top := func() Item { return math.MaxUint32 - Item(rng.Intn(30)) }
+	regimes := map[string]func() Item{
+		"small":    small,
+		"at-limit": atLimit,
+		"near-max": top,
+		"mixed": func() Item {
+			return []func() Item{small, atLimit, top}[rng.Intn(3)]()
+		},
+	}
+	for name, ids := range regimes {
+		for trial := 0; trial < 5; trial++ {
+			db := randomDB(rng, ids)
+			got, err := CountItems(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refCountItems(db)
+			if got.NumTx != want.NumTx || !reflect.DeepEqual(got.Support, want.Support) {
+				t.Fatalf("%s: CountItems = %+v, want %+v", name, got, want)
+			}
+			if got.ModelBytes() != want.ModelBytes() {
+				t.Fatalf("%s: ModelBytes = %d, want %d", name, got.ModelBytes(), want.ModelBytes())
+			}
+			for _, minSup := range []uint64{0, 2, 5, 20} {
+				r := NewRecoder(got, minSup)
+				orig, encode := refRecode(want, minSup)
+				if r.NumFrequent() != len(orig) {
+					t.Fatalf("%s ξ=%d: %d frequent items, want %d", name, minSup, r.NumFrequent(), len(orig))
+				}
+				for rk, it := range orig {
+					if r.Decode(uint32(rk)) != it || r.Support(uint32(rk)) != want.Support[it] {
+						t.Fatalf("%s ξ=%d: rank %d is %d (support %d), want %d (support %d)", name, minSup, rk,
+							r.Decode(uint32(rk)), r.Support(uint32(rk)), it, want.Support[it])
+					}
+				}
+				var buf []uint32
+				for _, tx := range db {
+					buf = r.Encode(tx, buf)
+					if w := encode(tx); !slices.Equal(buf, w) {
+						t.Fatalf("%s ξ=%d: Encode(%v) = %v, want %v", name, minSup, tx, buf, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestCounterAddReturnsDistinctInArrivalOrder(t *testing.T) {
+	var c Counter
+	got := c.Add([]Item{7, denseLimit + 1, 7, 3, denseLimit + 1, 3, math.MaxUint32})
+	want := []Item{7, denseLimit + 1, 3, math.MaxUint32}
+	if !slices.Equal(got, want) {
+		t.Errorf("Add = %v, want %v", got, want)
+	}
+}
+
+// TestCounterStampWrap starts the transaction stamp just below its wrap
+// and checks that counting stays exact across it, for identifiers on
+// both sides of the dense limit. Without the reset, identifiers never
+// seen (stamp 0) or last counted at stamp 1 would be skipped after the
+// wrap.
+func TestCounterStampWrap(t *testing.T) {
+	var db Slice
+	big := Item(denseLimit + 9)
+	for i := 0; i < 12; i++ {
+		db = append(db, []Item{1, 2, 2, big, big, Item(10 + i), 5000})
+	}
+	var c Counter
+	c.Add(db[0]) // stamp 1 marks 1, 2, big, 10 and 5000
+	c.cur = math.MaxUint32 - 4
+	for _, tx := range db[1:] {
+		c.Add(tx)
+	}
+	if got, want := c.Counts(), refCountItems(db); !reflect.DeepEqual(got, want) {
+		t.Errorf("Counts across the stamp wrap = %+v, want %+v", got, want)
 	}
 }

@@ -2,9 +2,12 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 )
 
@@ -13,19 +16,27 @@ import (
 // empty transactions. Windows line endings are tolerated.
 func ReadAll(r io.Reader) (Slice, error) {
 	var db Slice
-	p := newParser(r)
+	var b batch
+	lr := newLineReader(r, 1<<16)
 	for {
-		tx, err := p.next(nil)
-		if err == io.EOF {
+		lr.next(&b)
+		if b.err != nil && b.err != io.EOF {
+			return nil, b.err
+		}
+		// One exactly sized slab per block backs its transactions.
+		slab := slices.Clone(b.items)
+		var start uint32
+		for _, end := range b.ends {
+			tx := slab[start:end:end]
+			if tx == nil {
+				tx = []Item{}
+			}
+			db = append(db, tx)
+			start = end
+		}
+		if b.err == io.EOF {
 			return db, nil
 		}
-		if err != nil {
-			return nil, err
-		}
-		if tx == nil {
-			tx = []Item{}
-		}
-		db = append(db, tx)
 	}
 }
 
@@ -79,12 +90,17 @@ func ReadFile(path string) (Slice, error) {
 // database never needs to fit in memory.
 type File struct {
 	Path string
-	// BufferSize is the size of each of the two input buffers; 0 means
-	// a 1 MiB default.
+	// BufferSize is the size of the block the reader goroutine reads at
+	// a time; 0 means a 256 KiB default. Each of the two parsed batches
+	// in flight holds one block's transactions, so the buffer size also
+	// bounds a batch. A line longer than the buffer grows it.
 	BufferSize int
 }
 
-// Scan implements Source.
+// Scan implements Source. It is the paper's asynchronous double
+// buffering (§4.1): a background goroutine reads and parses the next
+// block into one batch while fn consumes the other, so reading and
+// parsing overlap with counting and tree construction.
 func (f *File) Scan(fn func(tx []Item) error) error {
 	fh, err := os.Open(f.Path)
 	if err != nil {
@@ -93,173 +109,157 @@ func (f *File) Scan(fn func(tx []Item) error) error {
 	defer fh.Close()
 	size := f.BufferSize
 	if size <= 0 {
-		size = 1 << 20
+		// Larger blocks parse no faster, and the batches they fill
+		// raise the peak heap of the consumer.
+		size = 256 << 10
 	}
-	dr := newDoubleBuffered(fh, size)
-	defer dr.stop()
-	p := newParser(dr)
-	var buf []Item
-	for {
-		tx, err := p.next(buf[:0])
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		buf = tx
-		if err := fn(tx); err != nil {
-			return err
-		}
-	}
-}
-
-// parser incrementally tokenizes FIMI lines from an io.Reader.
-type parser struct {
-	br   *bufio.Reader
-	line int
-}
-
-func newParser(r io.Reader) *parser {
-	return &parser{br: bufio.NewReaderSize(r, 1<<16)}
-}
-
-// next parses one transaction, appending items to buf. It returns
-// io.EOF once the input is exhausted.
-func (p *parser) next(buf []Item) ([]Item, error) {
-	tx := buf
-	var val uint64
-	inNum := false
-	sawAny := false
-	for {
-		b, err := p.br.ReadByte()
-		if err == io.EOF {
-			if inNum {
-				tx = append(tx, Item(val))
-			}
-			if sawAny || len(tx) > 0 {
-				return tx, nil
-			}
-			return nil, io.EOF
-		}
-		if err != nil {
-			return nil, err
-		}
-		sawAny = true
-		switch {
-		case b >= '0' && b <= '9':
-			val = val*10 + uint64(b-'0')
-			if val > 1<<32-1 {
-				return nil, fmt.Errorf("dataset: line %d: item identifier exceeds 32 bits", p.line+1)
-			}
-			inNum = true
-		case b == ' ' || b == '\t' || b == '\r':
-			if inNum {
-				tx = append(tx, Item(val))
-				val, inNum = 0, false
-			}
-		case b == '\n':
-			if inNum {
-				tx = append(tx, Item(val))
-			}
-			p.line++
-			return tx, nil
-		default:
-			return nil, fmt.Errorf("dataset: line %d: unexpected byte %q", p.line+1, b)
-		}
-	}
-}
-
-// doubleBuffered implements the paper's asynchronous double buffering
-// (§4.1): a background goroutine fills one buffer from the underlying
-// reader while the consumer drains the other, overlapping I/O with
-// parsing and tree construction.
-type doubleBuffered struct {
-	full   chan block
-	free   chan []byte
-	cur    []byte // unread tail of curBuf
-	curBuf []byte // full buffer backing cur, recycled when drained
-	err    error
-	done   chan struct{}
-}
-
-type block struct {
-	data []byte
-	err  error
-}
-
-func newDoubleBuffered(r io.Reader, size int) *doubleBuffered {
-	d := &doubleBuffered{
-		full: make(chan block, 2),
-		free: make(chan []byte, 2),
-		done: make(chan struct{}),
-	}
-	d.free <- make([]byte, size)
-	d.free <- make([]byte, size)
+	// Two batches circulate: the reader fills one taken from free and
+	// hands it over on full. full holds both, so the reader never
+	// blocks on it.
+	free := make(chan *batch, 2)
+	full := make(chan *batch, 2)
+	done := make(chan struct{})
+	free <- new(batch)
+	free <- new(batch)
 	go func() {
-		defer close(d.full)
+		defer close(full)
+		lr := newLineReader(fh, size)
 		for {
-			var buf []byte
+			var b *batch
 			select {
-			case buf = <-d.free:
-			case <-d.done:
+			case b = <-free:
+			case <-done:
 				return
 			}
-			n, err := io.ReadFull(r, buf)
-			if n > 0 {
-				select {
-				case d.full <- block{data: buf[:n]}:
-				case <-d.done:
-					return
-				}
-			}
-			if err != nil {
-				if err == io.ErrUnexpectedEOF {
-					err = io.EOF
-				}
-				select {
-				case d.full <- block{err: err}:
-				case <-d.done:
-				}
+			lr.next(b)
+			full <- b
+			if b.err != nil {
 				return
 			}
 		}
 	}()
-	return d
-}
-
-// Read implements io.Reader.
-func (d *doubleBuffered) Read(p []byte) (int, error) {
-	for len(d.cur) == 0 {
-		if d.err != nil {
-			return 0, d.err
+	// Stop the reader and join it before fh is closed, whether the scan
+	// ends, fails, or fn aborts it.
+	defer func() {
+		close(done)
+		for range full {
 		}
-		blk, ok := <-d.full
-		if !ok {
-			return 0, io.EOF
-		}
-		if blk.err != nil {
-			d.err = blk.err
-			if len(blk.data) == 0 {
-				return 0, d.err
+	}()
+	for b := range full {
+		var start uint32
+		for _, end := range b.ends {
+			if err := fn(b.items[start:end:end]); err != nil {
+				return err
 			}
+			start = end
 		}
-		if d.curBuf != nil {
-			// Hand the drained buffer back to the producer.
-			select {
-			case d.free <- d.curBuf[:cap(d.curBuf)]:
-			default:
-			}
+		if b.err == io.EOF {
+			return nil
 		}
-		d.cur, d.curBuf = blk.data, blk.data
+		if b.err != nil {
+			return b.err
+		}
+		free <- b
 	}
-	n := copy(p, d.cur)
-	d.cur = d.cur[n:]
-	return n, nil
+	return nil
 }
 
-// stop terminates the background goroutine early (e.g. when the
-// consumer aborts mid-scan).
-func (d *doubleBuffered) stop() {
-	close(d.done)
+// batch is one parsed block: the items of its transactions back to
+// back, and where each transaction ends in items. err, when set, ends
+// the input after these transactions: io.EOF at a clean end, or the
+// read or parse error.
+type batch struct {
+	items []Item
+	ends  []uint32
+	err   error
+}
+
+// lineReader cuts a stream into blocks of whole lines and parses each
+// into a batch. The unfinished line at the end of a block is carried to
+// the front of the buffer and completed by the next read.
+type lineReader struct {
+	r    io.Reader
+	buf  []byte
+	tail int // length of the carried line at the front of buf
+	line int // lines parsed so far, for error messages
+}
+
+func newLineReader(r io.Reader, size int) *lineReader {
+	return &lineReader{r: r, buf: make([]byte, size)}
+}
+
+// next reads and parses the next block into b. b.err is set once the
+// input is exhausted or has failed; next must not be called after.
+func (lr *lineReader) next(b *batch) {
+	b.items, b.ends, b.err = b.items[:0], b.ends[:0], nil
+	for {
+		n, err := io.ReadFull(lr.r, lr.buf[lr.tail:])
+		data := lr.buf[:lr.tail+n]
+		cut := bytes.LastIndexByte(data, '\n') + 1
+		switch {
+		case err == io.EOF || err == io.ErrUnexpectedEOF:
+			// The last line needs no newline.
+			cut, err = len(data), io.EOF
+		case err != nil:
+			// Deliver the whole lines read before the failure.
+		case cut == 0:
+			// No line ends in the full buffer: grow it and read on.
+			lr.tail = len(data)
+			lr.buf = append(lr.buf, make([]byte, len(lr.buf))...)
+			continue
+		}
+		if lr.line, b.err = parseLines(data[:cut], b, lr.line); b.err == nil {
+			b.err = err
+		}
+		lr.tail = copy(lr.buf, data[cut:])
+		return
+	}
+}
+
+// parseLines appends the transactions of data, which holds whole lines
+// (the last one may lack its newline), to b. line is the number of
+// lines before data; the updated count is returned. On a malformed line
+// it stops with an error naming that line; the items parsed from the
+// line so far stay in b.items past the last end.
+func parseLines(data []byte, b *batch, line int) (int, error) {
+	// Size items for one id per four bytes up front: large slices grow
+	// by only 1.25x, and growing a batch from empty would allocate
+	// several times its final size.
+	items, ends := slices.Grow(b.items, len(data)/4), b.ends
+	var err error
+scan:
+	for i := 0; i < len(data); {
+		c := data[i]
+		if c-'0' <= 9 {
+			v := uint64(c - '0')
+			for i++; i < len(data); i++ {
+				d := data[i] - '0'
+				if d > 9 {
+					break
+				}
+				if v = v*10 + uint64(d); v > math.MaxUint32 {
+					err = fmt.Errorf("dataset: line %d: item identifier exceeds 32 bits", line+1)
+					break scan
+				}
+			}
+			items = append(items, Item(v))
+			continue
+		}
+		switch c {
+		case '\n':
+			ends = append(ends, uint32(len(items)))
+			line++
+		case ' ', '\t', '\r':
+		default:
+			err = fmt.Errorf("dataset: line %d: unexpected byte %q", line+1, c)
+			break scan
+		}
+		i++
+	}
+	if err == nil && len(data) > 0 && data[len(data)-1] != '\n' {
+		ends = append(ends, uint32(len(items)))
+		line++
+	}
+	b.items, b.ends = items, ends
+	return line, err
 }

@@ -1,11 +1,16 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -131,6 +136,215 @@ func TestFileScanEarlyAbort(t *testing.T) {
 	}
 	if n != 2 {
 		t.Errorf("visited %d transactions, want 2", n)
+	}
+}
+
+// scanAll collects every transaction File.Scan delivers before it
+// returns, copied, with the error it returns.
+func scanAll(path string, size int) (Slice, error) {
+	var got Slice
+	err := (&File{Path: path, BufferSize: size}).Scan(func(tx []Item) error {
+		got = append(got, append([]Item{}, tx...))
+		return nil
+	})
+	return got, err
+}
+
+func writeTemp(t testing.TB, data string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "data.fimi")
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// linesOf returns whole lines totalling exactly n bytes: an empty line
+// when n is odd, then "5" lines.
+func linesOf(n int) string {
+	return strings.Repeat("\n", n%2) + strings.Repeat("5\n", n/2)
+}
+
+func TestFileScanEveryBufferSize(t *testing.T) {
+	var long strings.Builder
+	var longTx []Item
+	for i := 1000; i < 1100; i++ {
+		fmt.Fprintf(&long, "%d ", i)
+		longTx = append(longTx, Item(i))
+	}
+	corpus := "1 2 3\r\n4\t5\n\n  6   7  \n\r\n" + long.String() + "\n\t\n4294967295 0 8 9"
+	want := Slice{{1, 2, 3}, {4, 5}, {}, {6, 7}, {}, longTx, {}, {4294967295, 0, 8, 9}}
+	path := writeTemp(t, corpus)
+	for size := 1; size <= 64; size++ {
+		got, err := scanAll(path, size)
+		if err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("size %d: Scan = %v, want %v", size, got, want)
+		}
+	}
+	if got, err := ReadAll(strings.NewReader(corpus)); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("ReadAll = %v, %v; want %v", got, err, want)
+	}
+}
+
+// TestFileScanErrorOnBlockBoundary puts a bad byte or a 33-bit id at
+// the first block boundary for every buffer size, and checks that the
+// lines before it are delivered and the error names its line.
+func TestFileScanErrorOnBlockBoundary(t *testing.T) {
+	const tooBig = "4294967296"
+	for size := 1; size <= 64; size++ {
+		cases := []struct {
+			prefix, rest, msg string
+		}{
+			{linesOf(size), "x\n1\n", "unexpected byte"},                                       // first byte of the second block
+			{linesOf(size - 1), "x\n", "unexpected byte"},                                      // last byte of the first read
+			{linesOf(size - 1), "7x\n", "unexpected byte"},                                     // after a number cut by the boundary
+			{linesOf(size), tooBig + " 1\n", "item identifier exceeds 32 bits"},                // id starts the second block
+			{linesOf(max(size-4, 0)), "1 " + tooBig + "\n", "item identifier exceeds 32 bits"}, // id straddles it
+		}
+		for _, c := range cases {
+			path := writeTemp(t, c.prefix+c.rest)
+			prefix, err := ReadAll(strings.NewReader(c.prefix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := scanAll(path, size)
+			line := strings.Count(c.prefix, "\n") + 1
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("line %d: %s", line, c.msg)) {
+				t.Fatalf("size %d, %q: error %v, want line %d: %s", size, c.prefix+c.rest, err, line, c.msg)
+			}
+			if len(got) != len(prefix) || (len(got) > 0 && !reflect.DeepEqual(got, prefix)) {
+				t.Fatalf("size %d, %q: delivered %v before the error, want %v", size, c.prefix+c.rest, got, prefix)
+			}
+			if _, rerr := ReadAll(strings.NewReader(c.prefix + c.rest)); rerr == nil || rerr.Error() != err.Error() {
+				t.Fatalf("size %d: ReadAll error %v, Scan error %v", size, rerr, err)
+			}
+		}
+	}
+}
+
+func TestReadAllManyBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	db := make(Slice, 30000)
+	for i := range db {
+		db[i] = make([]Item, rng.Intn(12))
+		for j := range db[i] {
+			db[i][j] = Item(rng.Int63n(1 << 32))
+		}
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, db); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() < 4<<16 {
+		t.Fatalf("input of %d bytes spans too few blocks", buf.Len())
+	}
+	got, err := ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, db) {
+		t.Fatal("ReadAll across blocks differs from the written database")
+	}
+}
+
+// TestFileScanAbortJoinsReader checks that Scan has joined its reader
+// goroutine by the time it returns, whether fn aborts it or the input
+// is malformed.
+func TestFileScanAbortJoinsReader(t *testing.T) {
+	path := writeTemp(t, strings.Repeat("1 2 3\n", 20000)+"x\n")
+	errStop := errors.New("stop")
+	for _, stopAt := range []int{1, 3, 500, -1} {
+		n := 0
+		err := (&File{Path: path, BufferSize: 64}).Scan(func([]Item) error {
+			if n++; n == stopAt {
+				return errStop
+			}
+			return nil
+		})
+		if (stopAt > 0 && err != errStop) || (stopAt < 0 && err == nil) {
+			t.Fatalf("stop at %d: Scan error %v", stopAt, err)
+		}
+		if n := readerGoroutines(); n != 0 {
+			t.Fatalf("stop at %d: %d reader goroutines still running after Scan", stopAt, n)
+		}
+	}
+}
+
+// readerGoroutines counts the goroutines running File.Scan's reader.
+func readerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("dataset.(*File).Scan.func"))
+}
+
+// byteParser is the byte-at-a-time FIMI parser the block parser
+// replaced, kept as the reference the block parser is checked against.
+type byteParser struct {
+	br   *bufio.Reader
+	line int
+}
+
+// oracleParse parses data with byteParser. It returns the transactions
+// before the first malformed line, and that line's error.
+func oracleParse(data []byte) (Slice, error) {
+	p := &byteParser{br: bufio.NewReader(bytes.NewReader(data))}
+	var db Slice
+	for {
+		tx, err := p.next(nil)
+		if err == io.EOF {
+			return db, nil
+		}
+		if err != nil {
+			return db, err
+		}
+		db = append(db, append([]Item{}, tx...))
+	}
+}
+
+func (p *byteParser) next(buf []Item) ([]Item, error) {
+	tx := buf
+	var val uint64
+	inNum := false
+	sawAny := false
+	for {
+		b, err := p.br.ReadByte()
+		if err == io.EOF {
+			if inNum {
+				tx = append(tx, Item(val))
+			}
+			if sawAny || len(tx) > 0 {
+				return tx, nil
+			}
+			return nil, io.EOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		sawAny = true
+		switch {
+		case b >= '0' && b <= '9':
+			val = val*10 + uint64(b-'0')
+			if val > 1<<32-1 {
+				return nil, fmt.Errorf("dataset: line %d: item identifier exceeds 32 bits", p.line+1)
+			}
+			inNum = true
+		case b == ' ' || b == '\t' || b == '\r':
+			if inNum {
+				tx = append(tx, Item(val))
+				val, inNum = 0, false
+			}
+		case b == '\n':
+			if inNum {
+				tx = append(tx, Item(val))
+			}
+			p.line++
+			return tx, nil
+		default:
+			return nil, fmt.Errorf("dataset: line %d: unexpected byte %q", p.line+1, b)
+		}
 	}
 }
 

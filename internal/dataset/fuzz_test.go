@@ -2,6 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -33,6 +36,48 @@ func FuzzReadAll(f *testing.F) {
 			t.Fatalf("round trip changed transaction count: %d -> %d", len(db), len(db2))
 		}
 	})
+}
+
+// FuzzFileScan checks File.Scan at a fuzzed buffer size (1..256)
+// against ReadAll and against the byte-at-a-time reference parser: the
+// same transactions before the same error.
+func FuzzFileScan(f *testing.F) {
+	f.Add([]byte("1 2 3\n4 5\n"), uint8(0))
+	f.Add([]byte(""), uint8(3))
+	f.Add([]byte("\n\n\n"), uint8(1))
+	f.Add([]byte("1  2\t3\r\n\r\n7"), uint8(2))
+	f.Add([]byte("4294967295 1\n4294967296\n"), uint8(5))
+	f.Add([]byte("1 2\n3 x\n4\n"), uint8(4))
+	f.Add([]byte("10 20 30 40 50 60 70 80 90 100\n1"), uint8(7))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte, size uint8) {
+		want, wantErr := oracleParse(data)
+		path := filepath.Join(dir, "input.fimi")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := scanAll(path, int(size)+1)
+		if errString(err) != errString(wantErr) {
+			t.Fatalf("Scan error %v, reference %v", err, wantErr)
+		}
+		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("Scan = %v, reference %v", got, want)
+		}
+		all, err := ReadAll(bytes.NewReader(data))
+		if errString(err) != errString(wantErr) {
+			t.Fatalf("ReadAll error %v, reference %v", err, wantErr)
+		}
+		if err == nil && (len(all) != len(want) || (len(all) > 0 && !reflect.DeepEqual(all, want))) {
+			t.Fatalf("ReadAll = %v, reference %v", all, want)
+		}
+	})
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // FuzzReadBinary checks that arbitrary bytes never panic the binary

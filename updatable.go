@@ -2,7 +2,7 @@ package cfpgrowth
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/core"
@@ -66,15 +66,8 @@ func (u *UpdatableIndex) Add(tx []Item) {
 		}
 		u.rankBuf = append(u.rankBuf, rk)
 	}
-	sort.Slice(u.rankBuf, func(i, j int) bool { return u.rankBuf[i] < u.rankBuf[j] })
-	w := 0
-	for i, rk := range u.rankBuf {
-		if i == 0 || rk != u.rankBuf[w-1] {
-			u.rankBuf[w] = rk
-			w++
-		}
-	}
-	u.rankBuf = u.rankBuf[:w]
+	slices.Sort(u.rankBuf)
+	u.rankBuf = slices.Compact(u.rankBuf)
 	for _, rk := range u.rankBuf {
 		u.counts[rk]++
 	}
