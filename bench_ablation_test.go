@@ -38,13 +38,7 @@ func benchTreeConfig(b *testing.B, cfg core.Config) {
 	}
 	minSup := dataset.AbsoluteSupport(0.10, counts.NumTx)
 	rec := dataset.NewRecoder(counts, minSup)
-	n := rec.NumFrequent()
-	names := make([]uint32, n)
-	sups := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		names[i] = rec.Decode(uint32(i))
-		sups[i] = rec.Support(uint32(i))
-	}
+	names, sups := rec.Frequent()
 	a := arena.New()
 	var avg float64
 	b.ResetTimer()

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 
-	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/core"
 	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/encoding"
@@ -80,53 +79,26 @@ func (b *Builder) Finish() (*Index, error) {
 		return nil, err
 	}
 	counts := b.counter.Counts()
-	var minSup uint64
-	switch {
-	case b.opts.MinSupport > 0 && b.opts.RelativeSupport > 0:
-		return nil, errors.New("cfpgrowth: set only one of MinSupport and RelativeSupport")
-	case b.opts.MinSupport > 0:
-		minSup = b.opts.MinSupport
-	case b.opts.RelativeSupport > 0:
-		minSup = dataset.AbsoluteSupport(b.opts.RelativeSupport, counts.NumTx)
-	default:
-		return nil, errors.New("cfpgrowth: minimum support not set")
-	}
-	rec := dataset.NewRecoder(counts, minSup)
-	n := rec.NumFrequent()
-	names := make([]uint32, n)
-	sups := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		names[i] = rec.Decode(uint32(i))
-		sups[i] = rec.Support(uint32(i))
-	}
-	tree := core.NewTree(arena.New(), core.Config{
-		MaxChainLen:   b.opts.Tree.MaxChainLen,
-		DisableChains: b.opts.Tree.DisableChains,
-		DisableEmbed:  b.opts.Tree.DisableEmbed,
-	}, names, sups)
-	if _, err := b.f.Seek(0, io.SeekStart); err != nil {
+	minSup, err := b.opts.support(func() (uint64, error) { return counts.NumTx, nil })
+	if err != nil {
 		return nil, err
 	}
-	br := bufio.NewReaderSize(b.f, 1<<16)
-	var tx []Item
-	var buf []uint32
-	for t := uint64(0); t < counts.NumTx; t++ {
-		l, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("cfpgrowth: corrupt spool: %w", err)
-		}
-		tx = tx[:0]
-		for i := uint64(0); i < l; i++ {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("cfpgrowth: corrupt spool: %w", err)
-			}
-			tx = append(tx, Item(v))
-		}
-		buf = rec.Encode(tx, buf[:0])
-		tree.Insert(buf, 1)
+	ctl, track, release, err := b.opts.buildRun()
+	if err != nil {
+		return nil, err
 	}
-	return newIndex(core.Convert(tree), minSup, counts.NumTx), nil
+	defer release()
+	// Pass 1 ran in Add; the spool replay is pass 2.
+	rec := dataset.NewRecoder(counts, minSup)
+	tree, err := core.BuildRecoded(spool{f: b.f, numTx: counts.NumTx}, rec, b.opts.Tree.config(), ctl, track, b.opts.Observe)
+	if err != nil {
+		return nil, err
+	}
+	arr, err := b.opts.convert(tree, ctl, track)
+	if err != nil {
+		return nil, err
+	}
+	return newIndex(arr, minSup, counts.NumTx), nil
 }
 
 // Discard abandons the build and releases the spool.
@@ -141,4 +113,38 @@ func (b *Builder) cleanup() {
 	name := b.f.Name()
 	_ = b.f.Close()
 	_ = os.Remove(name)
+}
+
+// spool is a Builder's spool file as a Source: numTx transactions, each
+// a varint length followed by that many varint items.
+type spool struct {
+	f     *os.File
+	numTx uint64
+}
+
+// Scan implements Source, replaying the spool from its start.
+func (s spool) Scan(fn func(tx []Item) error) error {
+	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	br := bufio.NewReaderSize(s.f, 1<<16)
+	var tx []Item
+	for t := uint64(0); t < s.numTx; t++ {
+		l, err := binary.ReadUvarint(br)
+		if err != nil {
+			return fmt.Errorf("cfpgrowth: corrupt spool: %w", err)
+		}
+		tx = tx[:0]
+		for i := uint64(0); i < l; i++ {
+			v, err := binary.ReadUvarint(br)
+			if err != nil {
+				return fmt.Errorf("cfpgrowth: corrupt spool: %w", err)
+			}
+			tx = append(tx, Item(v))
+		}
+		if err := fn(tx); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -155,3 +155,78 @@ func TestAnalyzeCompressionCanceled(t *testing.T) {
 		t.Errorf("AnalyzeCompression err = %v, want ErrCanceled", err)
 	}
 }
+
+// buildIndexVia builds db into an Index with BuildIndex or a Builder,
+// the two entry points that share the CFP build stage.
+var buildIndexVia = map[string]func(db Transactions, opts Options) (*Index, error){
+	"BuildIndex": func(db Transactions, opts Options) (*Index, error) { return BuildIndex(db, opts) },
+	"Builder": func(db Transactions, opts Options) (*Index, error) {
+		b, err := NewBuilder(opts, "")
+		if err != nil {
+			return nil, err
+		}
+		for _, tx := range db {
+			if err := b.Add(tx); err != nil {
+				b.Discard()
+				return nil, err
+			}
+		}
+		return b.Finish()
+	},
+}
+
+func TestBuildIndexCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, build := range buildIndexVia {
+		if _, err := build(exampleDB, Options{MinSupport: 2, Context: ctx}); !errors.Is(err, ErrCanceled) {
+			t.Errorf("%s err = %v, want ErrCanceled", name, err)
+		}
+	}
+}
+
+func TestBuildIndexMaxBytes(t *testing.T) {
+	// Over 1024 transactions, so the build's periodic probe of the
+	// growing tree runs: the build stops before conversion starts.
+	db := randomDB(8, 3000, 20)
+	for name, build := range buildIndexVia {
+		rec := NewRecorder(nil)
+		if _, err := build(db, Options{MinSupport: 2, MaxBytes: 1, Observe: rec}); !errors.Is(err, ErrBudgetExceeded) {
+			t.Errorf("%s err = %v, want ErrBudgetExceeded", name, err)
+		}
+		if n := rec.Snapshot().Phases["convert"].Count; n != 0 {
+			t.Errorf("%s: over-budget build went on to convert (%d convert spans)", name, n)
+		}
+		// A generous budget must not trip.
+		if _, err := build(db, Options{MinSupport: 2, MaxBytes: 1 << 30}); err != nil {
+			t.Errorf("%s: 1 GiB budget tripped: %v", name, err)
+		}
+	}
+}
+
+func TestBuildIndexObserve(t *testing.T) {
+	db := randomDB(9, 300, 20)
+	for name, build := range buildIndexVia {
+		rec := NewRecorder(nil)
+		if _, err := build(db, Options{MinSupport: 2, Observe: rec}); err != nil {
+			t.Fatal(err)
+		}
+		phases := rec.Snapshot().Phases
+		for _, want := range []string{"pass2-build", "convert"} {
+			if phases[want].Count != 1 {
+				t.Errorf("%s: phase %q recorded %d times, want once", name, want, phases[want].Count)
+			}
+		}
+		if rec.Snapshot().CurBytes != 0 {
+			t.Errorf("%s: %d bytes still charged after the build", name, rec.Snapshot().CurBytes)
+		}
+	}
+	// Only BuildIndex counts; a Builder counted while Add ran.
+	rec := NewRecorder(nil)
+	if _, err := BuildIndex(db, Options{MinSupport: 2, Observe: rec}); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Snapshot().Phases["pass1"].Count != 1 {
+		t.Error("BuildIndex recorded no pass1 span")
+	}
+}

@@ -34,7 +34,6 @@ import (
 	"io"
 
 	"cfpgrowth/internal/algo"
-	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/core"
 	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/fptree"
@@ -169,7 +168,18 @@ type Options struct {
 // Algorithms lists the available algorithm names.
 func Algorithms() []string { return algo.Names() }
 
+// minSupport resolves the run's absolute support threshold over src,
+// counting it once more only for a RelativeSupport.
 func (o Options) minSupport(src Source) (uint64, error) {
+	return o.support(func() (uint64, error) {
+		c, err := dataset.CountItems(src)
+		return c.NumTx, err
+	})
+}
+
+// support resolves the absolute support threshold; numTx, the database
+// size, is only called for a RelativeSupport.
+func (o Options) support(numTx func() (uint64, error)) (uint64, error) {
 	switch {
 	case o.MinSupport > 0 && o.RelativeSupport > 0:
 		return 0, errors.New("cfpgrowth: set only one of MinSupport and RelativeSupport")
@@ -179,13 +189,22 @@ func (o Options) minSupport(src Source) (uint64, error) {
 		if o.RelativeSupport > 1 {
 			return 0, fmt.Errorf("cfpgrowth: RelativeSupport %v > 1", o.RelativeSupport)
 		}
-		c, err := dataset.CountItems(src)
+		n, err := numTx()
 		if err != nil {
 			return 0, err
 		}
-		return dataset.AbsoluteSupport(o.RelativeSupport, c.NumTx), nil
+		return dataset.AbsoluteSupport(o.RelativeSupport, n), nil
 	default:
 		return 0, errors.New("cfpgrowth: minimum support not set")
+	}
+}
+
+// config is the CFP-tree configuration t selects.
+func (t TreeConfig) config() core.Config {
+	return core.Config{
+		MaxChainLen:   t.MaxChainLen,
+		DisableChains: t.DisableChains,
+		DisableEmbed:  t.DisableEmbed,
 	}
 }
 
@@ -196,11 +215,7 @@ func (o Options) miner(track mine.MemTracker, ctl *mine.Control) (mine.Miner, er
 	}
 	switch name {
 	case "cfpgrowth":
-		cfg := core.Config{
-			MaxChainLen:   o.Tree.MaxChainLen,
-			DisableChains: o.Tree.DisableChains,
-			DisableEmbed:  o.Tree.DisableEmbed,
-		}
+		cfg := o.Tree.config()
 		if o.Parallel > 0 {
 			return core.ParallelGrowth{
 				Config:  cfg,
@@ -220,10 +235,53 @@ func (o Options) miner(track mine.MemTracker, ctl *mine.Control) (mine.Miner, er
 	return algo.NewObserved(name, track, ctl, o.Observe)
 }
 
-// controlled reports whether the run needs a cancellation/budget
-// control at all; uncontrolled runs skip the wrappers entirely.
-func (o Options) controlled() bool {
-	return o.Context != nil || o.MaxBytes > 0 || o.MaxItemsets > 0
+// control arms the run's Control from Context and MaxBytes and returns
+// the function that disarms it when the run ends. A run that sets none
+// of Context, MaxBytes and MaxItemsets gets a nil Control and skips the
+// wrappers entirely. An already-canceled Context fails synchronously:
+// nothing is scanned or emitted.
+func (o Options) control() (*mine.Control, func(), error) {
+	var ctl *mine.Control
+	if o.Context != nil {
+		if err := o.Context.Err(); err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrCanceled, err)
+		}
+	}
+	if o.Context != nil || o.MaxBytes > 0 || o.MaxItemsets > 0 {
+		ctl = &mine.Control{MaxBytes: o.MaxBytes}
+	}
+	return ctl, ctl.Watch(o.Context), nil
+}
+
+// budget charges track's allocations (track may be nil) against ctl's
+// byte budget when MaxBytes sets one.
+func (o Options) budget(track mine.MemTracker, ctl *mine.Control) mine.MemTracker {
+	if o.MaxBytes > 0 {
+		return &mine.BudgetTracker{Inner: track, Ctl: ctl}
+	}
+	return track
+}
+
+// buildRun arms the run contract of an entry point that builds but
+// does not mine (BuildIndex, Builder, AnalyzeCompression): the Control
+// as control arms it, and the byte ledger that charges its budget and
+// feeds Observe. Call release when the run ends.
+func (o Options) buildRun() (ctl *mine.Control, track mine.MemTracker, release func(), err error) {
+	ctl, release, err = o.control()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return ctl, core.ObservedTracker(o.budget(nil, ctl), o.Observe), release, nil
+}
+
+// convert turns a built tree into its CFP-array inside the convert
+// span, polling ctl, and releases the tree's ledger charge.
+func (o Options) convert(tree *core.Tree, ctl *mine.Control, track mine.MemTracker) (*core.Array, error) {
+	sp := o.Observe.Start(obs.PhaseConvert)
+	defer sp.End()
+	arr, err := core.ConvertCtl(tree, ctl)
+	track.Free(tree.Extent())
+	return arr, err
 }
 
 // run executes one controlled mining run of src into sink: it resolves
@@ -234,17 +292,12 @@ func (o Options) run(src Source, sink mine.Sink) error {
 	if err != nil {
 		return err
 	}
-	var ctl *mine.Control
-	if o.controlled() {
-		ctl = &mine.Control{MaxBytes: o.MaxBytes}
-		if o.Context != nil {
-			if err := o.Context.Err(); err != nil {
-				// Fail synchronously: nothing is scanned or emitted.
-				return fmt.Errorf("%w: %v", ErrCanceled, err)
-			}
-			release := ctl.Watch(o.Context)
-			defer release()
-		}
+	ctl, release, err := o.control()
+	if err != nil {
+		return err
+	}
+	defer release()
+	if ctl != nil {
 		// The ControlSink sits next to the caller's sink: it gates and
 		// counts exactly the itemsets the handler would receive, and a
 		// handler error stops every phase and worker of the run.
@@ -256,10 +309,7 @@ func (o Options) run(src Source, sink mine.Sink) error {
 		peak = &mine.PeakTracker{}
 		track = peak
 	}
-	if o.MaxBytes > 0 {
-		track = &mine.BudgetTracker{Inner: track, Ctl: ctl}
-	}
-	m, err := o.miner(track, ctl)
+	m, err := o.miner(o.budget(track, ctl), ctl)
 	if err != nil {
 		return err
 	}
@@ -343,58 +393,24 @@ type CompressionStats struct {
 
 // AnalyzeCompression builds the CFP-tree and CFP-array for src at the
 // given options and reports their sizes against the FP-tree baseline.
-// Options.Context and MaxBytes bound the analysis like they bound Mine.
+// Options.Context, MaxBytes and Observe bound and observe the analysis
+// like they do Mine.
 func AnalyzeCompression(src Source, opts Options) (CompressionStats, error) {
 	minSup, err := opts.minSupport(src)
 	if err != nil {
 		return CompressionStats{}, err
 	}
-	var ctl *mine.Control
-	if opts.controlled() {
-		ctl = &mine.Control{MaxBytes: opts.MaxBytes}
-		if opts.Context != nil {
-			if err := opts.Context.Err(); err != nil {
-				return CompressionStats{}, fmt.Errorf("%w: %v", ErrCanceled, err)
-			}
-			release := ctl.Watch(opts.Context)
-			defer release()
-		}
-	}
-	counts, err := dataset.CountItems(src)
+	ctl, track, release, err := opts.buildRun()
 	if err != nil {
 		return CompressionStats{}, err
 	}
-	rec := dataset.NewRecoder(counts, minSup)
-	n := rec.NumFrequent()
-	names := make([]uint32, n)
-	sups := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		names[i] = rec.Decode(uint32(i))
-		sups[i] = rec.Support(uint32(i))
-	}
-	tree := core.NewTree(arena.New(), core.Config{
-		MaxChainLen:   opts.Tree.MaxChainLen,
-		DisableChains: opts.Tree.DisableChains,
-		DisableEmbed:  opts.Tree.DisableEmbed,
-	}, names, sups)
-	var buf []uint32
-	var txn int
-	err = src.Scan(func(tx []uint32) error {
-		if err := ctl.Err(); err != nil {
-			return err
-		}
-		buf = rec.Encode(tx, buf[:0])
-		tree.Insert(buf, 1)
-		if txn++; txn&1023 == 0 {
-			ctl.Probe(tree.Extent())
-		}
-		return nil
-	})
+	defer release()
+	tree, _, err := core.Build(src, minSup, opts.Tree.config(), ctl, track, opts.Observe)
 	if err != nil {
 		return CompressionStats{}, err
 	}
 	ts := tree.Stats()
-	arr, err := core.ConvertCtl(tree, ctl)
+	arr, err := opts.convert(tree, ctl, track)
 	if err != nil {
 		return CompressionStats{}, err
 	}

@@ -6,9 +6,7 @@ import (
 	"os"
 	"slices"
 
-	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/core"
-	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/mine"
 )
 
@@ -46,39 +44,27 @@ func newIndex(arr *core.Array, baseSupport, numTx uint64) *Index {
 }
 
 // BuildIndex scans src twice and builds the index at the given options'
-// support threshold (the base support).
+// support threshold (the base support). Options.Context and MaxBytes
+// bound the build like they bound Mine, and Observe records its phases.
 func BuildIndex(src Source, opts Options) (*Index, error) {
 	minSup, err := opts.minSupport(src)
 	if err != nil {
 		return nil, err
 	}
-	counts, err := dataset.CountItems(src)
+	ctl, track, release, err := opts.buildRun()
 	if err != nil {
 		return nil, err
 	}
-	rec := dataset.NewRecoder(counts, minSup)
-	n := rec.NumFrequent()
-	names := make([]uint32, n)
-	sups := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		names[i] = rec.Decode(uint32(i))
-		sups[i] = rec.Support(uint32(i))
-	}
-	tree := core.NewTree(arena.New(), core.Config{
-		MaxChainLen:   opts.Tree.MaxChainLen,
-		DisableChains: opts.Tree.DisableChains,
-		DisableEmbed:  opts.Tree.DisableEmbed,
-	}, names, sups)
-	var buf []uint32
-	err = src.Scan(func(tx []Item) error {
-		buf = rec.Encode(tx, buf[:0])
-		tree.Insert(buf, 1)
-		return nil
-	})
+	defer release()
+	tree, numTx, err := core.Build(src, minSup, opts.Tree.config(), ctl, track, opts.Observe)
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(core.Convert(tree), minSup, counts.NumTx), nil
+	arr, err := opts.convert(tree, ctl, track)
+	if err != nil {
+		return nil, err
+	}
+	return newIndex(arr, minSup, numTx), nil
 }
 
 // Bytes returns the index's in-memory footprint (triples + item index).
@@ -121,7 +107,7 @@ func (ix *Index) Mine(minSupport uint64, fn Handler) error {
 		return fmt.Errorf("cfpgrowth: index built at support %d cannot mine at %d",
 			ix.BaseSupport, minSupport)
 	}
-	return core.MineArray(ix.arr, core.Config{}, minSupport, handlerSink{fn: fn}, nil, 0, nil)
+	return mineArray(ix.arr, core.Config{}, minSupport, handlerSink{fn: fn})
 }
 
 // MineAll materializes every itemset at minSupport.
@@ -131,11 +117,21 @@ func (ix *Index) MineAll(minSupport uint64) ([]Itemset, error) {
 		return nil, fmt.Errorf("cfpgrowth: index built at support %d cannot mine at %d",
 			ix.BaseSupport, minSupport)
 	}
-	if err := core.MineArray(ix.arr, core.Config{}, minSupport, &sink, nil, 0, nil); err != nil {
+	if err := mineArray(ix.arr, core.Config{}, minSupport, &sink); err != nil {
 		return nil, err
 	}
 	mine.Canonicalize(sink.Sets)
 	return sink.Sets, nil
+}
+
+// mineArray mines every item of arr at minSupport, least frequent
+// first: the order CFP-growth's own top level mines in.
+func mineArray(arr *core.Array, cfg core.Config, minSupport uint64, sink mine.Sink) error {
+	ranks := make([]uint32, arr.NumItems())
+	for i := range ranks {
+		ranks[i] = uint32(len(ranks) - 1 - i)
+	}
+	return core.MineArrayItems(arr, cfg, minSupport, sink, nil, 0, ranks, nil, nil)
 }
 
 // WriteTo serializes the index (the CFP-array plus a small header) with

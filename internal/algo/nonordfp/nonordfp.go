@@ -84,12 +84,7 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	if track == nil {
 		track = mine.NullTracker{}
 	}
-	itemName := make([]uint32, n)
-	itemCount := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		itemName[i] = rec.Decode(uint32(i))
-		itemCount[i] = rec.Support(uint32(i))
-	}
+	itemName, itemCount := rec.Frequent()
 	tree := fptree.New(itemName, itemCount)
 	var buf []uint32
 	err = src.Scan(func(tx []uint32) error {

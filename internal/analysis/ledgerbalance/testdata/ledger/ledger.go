@@ -84,6 +84,38 @@ func crossBalanced(t mine.MemTracker, ok bool) error {
 	return nil
 }
 
+// An acquire that can fail charges only when it succeeds.
+func acquireOrFail(t mine.MemTracker, ok bool) (*big, error) {
+	if !ok {
+		return nil, errBoom
+	}
+	return acquireBuf(t), nil
+}
+
+// Returning the acquire's own error leaks nothing: on that branch the
+// acquire charged nothing.
+func failedAcquire(t mine.MemTracker, ok bool) error {
+	b, err := acquireOrFail(t, ok)
+	if err != nil {
+		return err
+	}
+	releaseBuf(t, b)
+	return nil
+}
+
+// Any other early return still skips the release.
+func leakAfterAcquire(t mine.MemTracker, ok, more bool) error {
+	b, err := acquireOrFail(t, ok) // want `ledger charge acquired by acquireOrFail\(t, ok\) is not released on every return path`
+	if err != nil {
+		return err
+	}
+	if !more {
+		return errBoom
+	}
+	releaseBuf(t, b)
+	return nil
+}
+
 // --- span attribution (the PR-6 bug class) ---
 
 // The charge runs after the span ended: its bytes vanish from the

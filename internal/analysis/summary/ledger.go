@@ -51,6 +51,11 @@ type Token struct {
 	// FromCallee marks a token pushed by a ChargesNet callee summary
 	// rather than a direct charge.
 	FromCallee bool
+	// Err, for a callee-acquired token, is the variable the call's error
+	// result is assigned to: by the (value, error) convention a failed
+	// acquire charged nothing, so the token is dropped on the branch
+	// where Err is known non-nil.
+	Err types.Object
 }
 
 // A Leak is a token still outstanding at scope exit on some path.
@@ -232,7 +237,30 @@ func (p *ledgerProblem) Equal(a, b ledgerState) bool {
 	return true
 }
 
-func (p *ledgerProblem) Refine(s ledgerState, cond ast.Expr, taken bool) ledgerState { return s }
+// Refine drops callee-acquired tokens on the branch where their
+// acquiring call's error result is known non-nil (err != nil taken, or
+// err == nil not taken).
+func (p *ledgerProblem) Refine(s ledgerState, cond ast.Expr, taken bool) ledgerState {
+	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok || (be.Op != token.NEQ && be.Op != token.EQL) || (be.Op == token.NEQ) != taken {
+		return s
+	}
+	x := be.X
+	if p.info.Types[x].IsNil() {
+		x = be.Y
+	} else if !p.info.Types[be.Y].IsNil() {
+		return s
+	}
+	if obj := identObj(p.info, x); obj != nil {
+		for pos, tok := range s.may {
+			if tok.Err == obj {
+				delete(s.may, pos)
+				delete(s.must, pos)
+			}
+		}
+	}
+	return s
+}
 
 // Transfer mutates and returns s (the solver hands it a private copy).
 func (p *ledgerProblem) Transfer(s ledgerState, n ast.Node) ledgerState {
@@ -244,6 +272,9 @@ func (p *ledgerProblem) Transfer(s ledgerState, n ast.Node) ledgerState {
 				lhs = n.Lhs[i]
 			}
 			p.expr(s, rhs, lhs)
+		}
+		if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
+			p.bindResults(s, n.Rhs[0], n.Lhs)
 		}
 		// A span variable overwritten by a non-Start value stops being
 		// open (it can no longer be ended).
@@ -289,6 +320,26 @@ func (p *ledgerProblem) walk(s ledgerState, n ast.Node) {
 		}
 		return true
 	})
+}
+
+// bindResults ties the token a multi-value acquiring call just pushed
+// to its first result, the acquired value, and records the variable its
+// error result is assigned to as the token's Err guard.
+func (p *ledgerProblem) bindResults(s ledgerState, rhs ast.Expr, lhs []ast.Expr) {
+	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	tok := s.may[call.Pos()]
+	if tok == nil || !tok.FromCallee {
+		return
+	}
+	if obj := identObj(p.info, lhs[0]); obj != nil {
+		tok.Objs[obj] = true
+	}
+	if obj := identObj(p.info, lhs[len(lhs)-1]); obj != nil && types.Identical(obj.Type(), types.Universe.Lookup("error").Type()) {
+		tok.Err = obj
+	}
 }
 
 // expr applies one RHS expression, binding acquired tokens to lhs.

@@ -3,9 +3,93 @@ package core
 import (
 	"math"
 
+	"cfpgrowth/internal/arena"
+	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/encoding"
+	"cfpgrowth/internal/mine"
 	"cfpgrowth/internal/obs"
 )
+
+// Build is the CFP-tree build stage every miner and index shares: the
+// paper's two database passes (§3.3, §4.1). Pass 1 counts item supports
+// and recodes items to frequency ranks; pass 2 (BuildRecoded) inserts
+// every recoded transaction into a fresh CFP-tree in its own arena. A
+// minSupport of 0 means 1. It returns the tree and the number of
+// transactions counted.
+//
+// Build owns the stage's run contract. The count table is charged to
+// track inside the pass1 span and released once recoded; track must be
+// non-nil. ctl (nil = never stopped) and rec (nil = unobserved) are
+// threaded through pass 2 as BuildRecoded documents.
+func Build(src dataset.Source, minSupport uint64, cfg Config, ctl *mine.Control, track mine.MemTracker, rec *obs.Recorder) (*Tree, uint64, error) {
+	sp := rec.Start(obs.PhasePass1)
+	counts, err := dataset.CountItems(src)
+	if err != nil {
+		sp.End()
+		return nil, 0, err
+	}
+	// The count table is the pass's output structure; charging it
+	// inside the span makes pass1's bytes_delta its footprint.
+	countBytes := counts.ModelBytes()
+	track.Alloc(countBytes)
+	sp.End()
+	r := dataset.NewRecoder(counts, minSupport)
+	// The count table is consumed by the recoder; it is dead from here.
+	track.Free(countBytes)
+	t, err := BuildRecoded(src, r, cfg, ctl, track, rec)
+	return t, r.NumTx(), err
+}
+
+// BuildRecoded is Build's second pass, for callers that counted the
+// database themselves: it inserts src's transactions, recoded by r, into
+// a fresh CFP-tree over r's frequent items. Inside the pass2-build span
+// it polls ctl per transaction and probes the growing tree's extent
+// against ctl's byte budget every 1024 transactions. The returned tree's
+// extent is charged to track inside that span; the caller releases it
+// (Free of t.Extent()) when it retires the tree. When nothing is
+// frequent the tree is empty and src is not scanned.
+func BuildRecoded(src dataset.Source, r *dataset.Recoder, cfg Config, ctl *mine.Control, track mine.MemTracker, rec *obs.Recorder) (*Tree, error) {
+	names, sups := r.Frequent()
+	if debugChecks {
+		assertf(len(names) <= math.MaxUint32, "core: frequent item count %d overflows rank space", len(names))
+	}
+	t := NewTree(arena.New(), cfg, names, sups)
+	t.Observe(rec)
+	sp := rec.Start(obs.PhaseBuild)
+	if len(names) == 0 {
+		// Nothing is frequent: every transaction would recode to the
+		// empty set, so the tree stays empty and the scan is skipped.
+		track.Alloc(t.Extent())
+		sp.End()
+		return t, nil
+	}
+	var buf []uint32
+	var txn int
+	err := src.Scan(func(tx []uint32) error {
+		if err := ctl.Err(); err != nil {
+			return err
+		}
+		buf = r.Encode(tx, buf[:0])
+		t.Insert(buf, 1)
+		// The tree grows throughout the build; probe its extent against
+		// the byte budget periodically so a runaway build is stopped
+		// long before its one-shot Alloc at phase end.
+		if txn++; txn&1023 == 0 {
+			ctl.Probe(t.Extent())
+		}
+		return nil
+	})
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
+	FoldTreeCounters(rec, t)
+	// Charge the finished tree inside the span: pass2-build's
+	// bytes_delta is the initial CFP-tree footprint.
+	track.Alloc(t.Extent())
+	sp.End()
+	return t, nil
+}
 
 // Insert adds a transaction given as strictly increasing item ranks
 // with multiplicity weight. Per the CFP-tree's partial-count semantics

@@ -28,13 +28,8 @@ func TestSupportOfMatchesMining(t *testing.T) {
 		// representable.
 		counts, _ := dataset.CountItems(db)
 		rec := dataset.NewRecoder(counts, 1)
-		n := rec.NumFrequent()
-		names := make([]uint32, n)
-		sups := make([]uint64, n)
-		for i := 0; i < n; i++ {
-			names[i] = rec.Decode(uint32(i))
-			sups[i] = rec.Support(uint32(i))
-		}
+		names, _ := rec.Frequent()
+		n := len(names)
 		tree := newTestTree(Config{}, n)
 		var buf []uint32
 		_ = db.Scan(func(tx []uint32) error {

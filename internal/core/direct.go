@@ -34,45 +34,13 @@ func (DirectGrowth) Name() string { return "cfpgrowth-direct" }
 
 // Mine implements mine.Miner.
 func (g DirectGrowth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error {
-	counts, err := dataset.CountItems(src)
+	// The build is unobserved here: mine charges every tree it walks,
+	// the initial one included, for as long as the walk needs it.
+	tree, _, err := Build(src, minSupport, g.Config, g.Ctl, mine.NullTracker{}, nil)
 	if err != nil {
 		return err
 	}
-	if minSupport == 0 {
-		minSupport = 1
-	}
-	rec := dataset.NewRecoder(counts, minSupport)
-	n := rec.NumFrequent()
-	if n == 0 {
-		return nil
-	}
-	if debugChecks {
-		assertf(n <= math.MaxUint32, "core: frequent item count %d overflows rank space", n)
-	}
-	itemName := make([]uint32, n)
-	itemCount := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		itemName[i] = rec.Decode(uint32(i))
-		itemCount[i] = rec.Support(uint32(i))
-	}
-	track := g.Track
-	if track == nil {
-		track = mine.NullTracker{}
-	}
-	m := &directGrower{cfg: g.Config, minSup: minSupport, maxLen: g.MaxLen, sink: sink, track: track, ctl: g.Ctl}
-	tree := NewTree(arena.New(), g.Config, itemName, itemCount)
-	var buf []uint32
-	err = src.Scan(func(tx []uint32) error {
-		if err := g.Ctl.Err(); err != nil {
-			return err
-		}
-		buf = rec.Encode(tx, buf[:0])
-		tree.Insert(buf, 1)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
+	m := &directGrower{cfg: g.Config, minSup: max(minSupport, 1), maxLen: g.MaxLen, sink: sink, track: ObservedTracker(g.Track, nil), ctl: g.Ctl}
 	return m.mine(tree, nil)
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/mine"
 	"cfpgrowth/internal/quest"
@@ -249,27 +248,7 @@ func TestSupportOfAgreesWithMinedSupports(t *testing.T) {
 // the mining threshold the cross-check runs at.
 func buildArrayFor(t *testing.T, db dataset.Slice) *Array {
 	t.Helper()
-	counts, err := dataset.CountItems(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := dataset.NewRecoder(counts, 4)
-	n := rec.NumFrequent()
-	itemName := make([]uint32, n)
-	itemCount := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		itemName[i] = rec.Decode(uint32(i))
-		itemCount[i] = rec.Support(uint32(i))
-	}
-	tree := NewTree(arena.New(), Config{}, itemName, itemCount)
-	var buf []uint32
-	err = db.Scan(func(tx []dataset.Item) error {
-		buf = rec.Encode(tx, buf[:0])
-		if len(buf) > 0 {
-			tree.Insert(buf, 1)
-		}
-		return nil
-	})
+	tree, _, err := Build(db, 4, Config{}, nil, mine.NullTracker{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

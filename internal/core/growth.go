@@ -47,81 +47,27 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 		// (time.Now() binds at the defer, covering every return path).
 		defer g.Rec.ObserveSince(obs.HistQuery, time.Now())
 	}
-	track := observedTracker(g.Track, g.Rec)
-	sp := g.Rec.Start(obs.PhasePass1)
-	counts, err := dataset.CountItems(src)
+	track := ObservedTracker(g.Track, g.Rec)
+	tree, _, err := Build(src, minSupport, g.Config, g.Ctl, track, g.Rec)
 	if err != nil {
-		sp.End()
 		return err
-	}
-	// The count table is the pass's output structure; charging it
-	// inside the span makes pass1's bytes_delta its footprint.
-	countBytes := counts.ModelBytes()
-	track.Alloc(countBytes)
-	sp.End()
-	if minSupport == 0 {
-		minSupport = 1
-	}
-	rec := dataset.NewRecoder(counts, minSupport)
-	n := rec.NumFrequent()
-	// The count table is consumed by the recoder; it is dead from here.
-	track.Free(countBytes)
-	if n == 0 {
-		return nil
-	}
-	if debugChecks {
-		assertf(n <= math.MaxUint32, "core: frequent item count %d overflows rank space", n)
-	}
-	itemName := make([]uint32, n)
-	itemCount := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		itemName[i] = rec.Decode(uint32(i))
-		itemCount[i] = rec.Support(uint32(i))
 	}
 	m := &cfpGrower{
 		cfg:       g.Config,
-		minSup:    minSupport,
+		minSup:    max(minSupport, 1),
 		maxLen:    g.MaxLen,
 		sink:      sink,
 		track:     track,
 		ctl:       g.Ctl,
 		rec:       g.Rec,
-		treeArena: arena.New(),
+		treeArena: tree.arena,
 	}
-	tree := NewTree(m.treeArena, g.Config, itemName, itemCount)
-	tree.Observe(g.Rec)
-	var buf []uint32
-	var txn int
-	sp = g.Rec.Start(obs.PhaseBuild)
-	err = src.Scan(func(tx []uint32) error {
-		if err := g.Ctl.Err(); err != nil {
-			return err
-		}
-		buf = rec.Encode(tx, buf[:0])
-		tree.Insert(buf, 1)
-		// The tree grows throughout the build; probe its extent against
-		// the byte budget periodically so a runaway build is stopped
-		// long before its one-shot Alloc at phase end.
-		if txn++; txn&1023 == 0 {
-			g.Ctl.Probe(tree.Extent())
-		}
-		return nil
-	})
-	if err != nil {
-		sp.End()
-		return err
-	}
-	foldTreeCounters(g.Rec, tree)
-	// Charge the finished tree inside the span: pass2-build's
-	// bytes_delta is the initial CFP-tree footprint.
-	m.track.Alloc(tree.Extent())
-	sp.End()
 	return m.mineRoot(tree)
 }
 
-// foldTreeCounters folds a finished tree's composition into the run
+// FoldTreeCounters folds a finished tree's composition into the run
 // counters before it is converted and recycled; four atomic adds.
-func foldTreeCounters(rec *obs.Recorder, t *Tree) {
+func FoldTreeCounters(rec *obs.Recorder, t *Tree) {
 	if rec == nil {
 		return
 	}
@@ -132,10 +78,10 @@ func foldTreeCounters(rec *obs.Recorder, t *Tree) {
 	rec.Add(obs.CtrLogicalNodes, int64(t.NumNodes()))
 }
 
-// observedTracker composes a miner's caller-supplied tracker with its
+// ObservedTracker composes a caller-supplied tracker with an
 // observability recorder so one allocation stream feeds both; either
-// side may be nil.
-func observedTracker(track mine.MemTracker, rec *obs.Recorder) mine.MemTracker {
+// side may be nil, and the result never is.
+func ObservedTracker(track mine.MemTracker, rec *obs.Recorder) mine.MemTracker {
 	switch {
 	case rec == nil && track == nil:
 		return mine.NullTracker{}
@@ -148,40 +94,21 @@ func observedTracker(track mine.MemTracker, rec *obs.Recorder) mine.MemTracker {
 	}
 }
 
-// MineArray mines an already-materialized CFP-array (e.g. one
-// deserialized with ReadArray) at any minimum support not below the
-// support the array was built with. This is the persistent-index entry
-// point: the build phase is skipped entirely. ctl, when non-nil, makes
-// the recursion abort promptly once stopped.
-func MineArray(a *Array, cfg Config, minSupport uint64, sink mine.Sink, track mine.MemTracker, maxLen int, ctl *mine.Control) error {
-	if minSupport == 0 {
-		minSupport = 1
-	}
-	if track == nil {
-		track = mine.NullTracker{}
-	}
-	m := &cfpGrower{
-		cfg:       cfg,
-		minSup:    minSupport,
-		maxLen:    maxLen,
-		sink:      sink,
-		track:     track,
-		ctl:       ctl,
-		treeArena: arena.New(),
-	}
-	track.Alloc(a.Bytes())
-	defer track.Free(a.Bytes())
-	return m.mineArray(a, nil)
-}
-
-// MineArrayItems mines only the given top-level item ranks of a
-// CFP-array: for each rank it emits the singleton and recurses into its
-// conditional subproblem. This is the building block of partitioned
-// mining (PFP-style group-dependent shards): an itemset's support in a
-// shard is exact precisely when its least frequent item belongs to the
-// shard's group, so each shard mines exactly its group's ranks.
-// rec, when non-nil, receives the recursion's counters and byte
-// gauges; pass track and rec separately (they are teed internally).
+// MineArrayItems mines the given top-level item ranks of an
+// already-materialized CFP-array (built, or deserialized with
+// ReadArray) at any minimum support not below the one the array was
+// built with: for each rank it emits the singleton and recurses into
+// its conditional subproblem. Passing every rank, least frequent first,
+// mines the whole array in the order CFP-growth's own top level does;
+// this is the persistent-index entry point, with the build phase
+// skipped entirely. Passing a subset is the building block of
+// partitioned mining (PFP-style group-dependent shards): an itemset's
+// support in a shard is exact precisely when its least frequent item
+// belongs to the shard's group, so each shard mines exactly its group's
+// ranks. ctl, when non-nil, makes the recursion abort promptly once
+// stopped. rec, when non-nil, receives the recursion's counters and
+// byte gauges; pass track and rec separately (they are teed
+// internally).
 func MineArrayItems(a *Array, cfg Config, minSupport uint64, sink mine.Sink, track mine.MemTracker, maxLen int, ranks []uint32, ctl *mine.Control, rec *obs.Recorder) error {
 	if minSupport == 0 {
 		minSupport = 1
@@ -191,7 +118,7 @@ func MineArrayItems(a *Array, cfg Config, minSupport uint64, sink mine.Sink, tra
 		minSup:    minSupport,
 		maxLen:    maxLen,
 		sink:      sink,
-		track:     observedTracker(track, rec),
+		track:     ObservedTracker(track, rec),
 		ctl:       ctl,
 		rec:       rec,
 		treeArena: arena.New(),
@@ -304,6 +231,11 @@ func (m *cfpGrower) emit(prefix []uint32, support uint64) error {
 // the structures the phase materializes and retires.
 func (m *cfpGrower) mineRoot(t *Tree) error {
 	treeBytes := t.Extent()
+	if t.NumItems() == 0 {
+		// Nothing is frequent: retire the empty tree, nothing to mine.
+		m.track.Free(treeBytes)
+		return nil
+	}
 	if path, ok := t.SinglePath(); ok {
 		sp := m.rec.Start(obs.PhaseMine)
 		m.treeArena.Reset()
@@ -341,7 +273,7 @@ func (m *cfpGrower) mineTree(t *Tree, prefix []uint32) error {
 		// into the per-conditional-mine latency histogram. The deferred
 		// sample covers error returns too; a disabled recorder pays
 		// exactly this one nil check.
-		foldTreeCounters(m.rec, t)
+		FoldTreeCounters(m.rec, t)
 		m.rec.Add(obs.CtrCondTrees, 1)
 		m.rec.ObserveDepth(len(prefix))
 		defer m.rec.ObserveSince(obs.HistCondMine, time.Now())

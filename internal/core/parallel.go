@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"runtime"
 	"time"
 
@@ -79,70 +78,25 @@ func (g ParallelGrowth) Mine(src dataset.Source, minSupport uint64, sink mine.Si
 	}
 	// The caller's tracker needs a mutex under concurrent workers; the
 	// recorder is atomic and is teed in unsynchronized.
-	var track mine.MemTracker = mine.NullTracker{}
+	var track mine.MemTracker
 	if g.Track != nil {
 		track = &mine.SyncTracker{Inner: g.Track}
 	}
-	if g.Rec != nil {
-		track = &mine.TeeTracker{A: track, B: g.Rec}
-	}
-	sp := g.Rec.Start(obs.PhasePass1)
-	counts, err := dataset.CountItems(src)
+	track = ObservedTracker(track, g.Rec)
+	tree, _, err := Build(src, minSupport, g.Config, ctl, track, g.Rec)
 	if err != nil {
-		sp.End()
 		return err
 	}
-	countBytes := counts.ModelBytes()
-	track.Alloc(countBytes)
-	sp.End()
-	if minSupport == 0 {
-		minSupport = 1
-	}
-	rec := dataset.NewRecoder(counts, minSupport)
-	n := rec.NumFrequent()
-	track.Free(countBytes)
+	n := tree.NumItems()
 	if n == 0 {
+		// Nothing is frequent: retire the empty tree, nothing to mine.
+		track.Free(tree.Extent())
 		return nil
 	}
-	if debugChecks {
-		assertf(n <= math.MaxUint32, "core: frequent item count %d overflows rank space", n)
-	}
-	itemName := make([]uint32, n)
-	itemCount := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		itemName[i] = rec.Decode(uint32(i))
-		itemCount[i] = rec.Support(uint32(i))
-	}
-	buildArena := arena.New()
-	tree := NewTree(buildArena, g.Config, itemName, itemCount)
-	tree.Observe(g.Rec)
-	var buf []uint32
-	var txn int
-	sp = g.Rec.Start(obs.PhaseBuild)
-	err = src.Scan(func(tx []uint32) error {
-		if err := ctl.Err(); err != nil {
-			return err
-		}
-		buf = rec.Encode(tx, buf[:0])
-		tree.Insert(buf, 1)
-		if txn++; txn&1023 == 0 {
-			ctl.Probe(tree.Extent())
-		}
-		return nil
-	})
-	if err != nil {
-		sp.End()
-		return err
-	}
-	foldTreeCounters(g.Rec, tree)
 	treeBytes := tree.Extent()
-	// Charged inside the span: pass2-build's bytes_delta is the
-	// initial CFP-tree footprint.
-	track.Alloc(treeBytes)
-	sp.End()
-	sp = g.Rec.Start(obs.PhaseConvert)
+	sp := g.Rec.Start(obs.PhaseConvert)
 	arr, err := ConvertCtl(tree, ctl)
-	buildArena.Reset()
+	tree.arena.Reset()
 	track.Free(treeBytes)
 	if err != nil {
 		sp.End()
@@ -197,7 +151,7 @@ func (g ParallelGrowth) Mine(src dataset.Source, minSupport uint64, sink mine.Si
 	for w := range growers {
 		growers[w] = &cfpGrower{
 			cfg:       g.Config,
-			minSup:    minSupport,
+			minSup:    max(minSupport, 1),
 			maxLen:    g.MaxLen,
 			sink:      ssink,
 			track:     track,
@@ -257,13 +211,13 @@ func (g ParallelGrowth) Mine(src dataset.Source, minSupport uint64, sink mine.Si
 	for _, sr := range shardRecs {
 		g.Rec.Merge(sr)
 	}
-	foldPoolMetrics(g.Rec, pool)
+	FoldPoolMetrics(g.Rec, pool)
 	return err
 }
 
-// foldPoolMetrics converts a drained pool's accounting into the
+// FoldPoolMetrics converts a drained pool's accounting into the
 // recorder's mine-pool stats; nil recorder or pool is a no-op.
-func foldPoolMetrics(rec *obs.Recorder, pool *mine.ShardMetrics) {
+func FoldPoolMetrics(rec *obs.Recorder, pool *mine.ShardMetrics) {
 	if rec == nil || pool == nil {
 		return
 	}

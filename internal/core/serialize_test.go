@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/mine"
 )
@@ -206,24 +205,12 @@ func TestMineDeserializedArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build the array manually (as Growth does), serialize, reload,
-	// and mine via MineArray.
-	counts, _ := dataset.CountItems(db)
-	rec := dataset.NewRecoder(counts, minSup)
-	n := rec.NumFrequent()
-	names := make([]uint32, n)
-	sups := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		names[i] = rec.Decode(uint32(i))
-		sups[i] = rec.Support(uint32(i))
+	// Build the array with Growth's build stage, serialize, reload, and
+	// mine every rank via MineArrayItems.
+	tree, _, err := Build(db, minSup, Config{}, nil, mine.NullTracker{}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tree := NewTree(arena.New(), Config{}, names, sups)
-	var buf []uint32
-	_ = db.Scan(func(tx []uint32) error {
-		buf = rec.Encode(tx, buf[:0])
-		tree.Insert(buf, 1)
-		return nil
-	})
 	var ser bytes.Buffer
 	if _, err := Convert(tree).WriteTo(&ser); err != nil {
 		t.Fatal(err)
@@ -233,7 +220,7 @@ func TestMineDeserializedArray(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink mine.CollectSink
-	if err := MineArray(arr, Config{}, minSup, &sink, nil, 0, nil); err != nil {
+	if err := MineArrayItems(arr, Config{}, minSup, &sink, nil, 0, allRanks(arr), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	mine.Canonicalize(sink.Sets)
@@ -242,7 +229,7 @@ func TestMineDeserializedArray(t *testing.T) {
 	}
 	// Mining at a higher support from the same index must also agree.
 	var sink2 mine.CollectSink
-	if err := MineArray(arr, Config{}, minSup+2, &sink2, nil, 0, nil); err != nil {
+	if err := MineArrayItems(arr, Config{}, minSup+2, &sink2, nil, 0, allRanks(arr), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	mine.Canonicalize(sink2.Sets)
@@ -253,4 +240,14 @@ func TestMineDeserializedArray(t *testing.T) {
 	if d := mine.Diff("minearray+2", sink2.Sets, "growth+2", want2); d != "" {
 		t.Errorf("higher-support mining differs:\n%s", d)
 	}
+}
+
+// allRanks lists every rank of a, least frequent first: the order
+// CFP-growth's top level mines in.
+func allRanks(a *Array) []uint32 {
+	ranks := make([]uint32, a.NumItems())
+	for i := range ranks {
+		ranks[i] = uint32(len(ranks) - 1 - i)
+	}
+	return ranks
 }

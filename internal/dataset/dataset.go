@@ -240,6 +240,13 @@ func (r *Recoder) MinSupport() uint64 { return r.minSup }
 // Support returns the support of the item with the given rank.
 func (r *Recoder) Support(rank uint32) uint64 { return r.support[rank] }
 
+// Frequent returns the frequent items' original identifiers and
+// supports, indexed by rank: the item metadata a prefix tree over the
+// rank space is built with. Both slices are fresh copies.
+func (r *Recoder) Frequent() (names []Item, sups []uint64) {
+	return slices.Clone(r.orig), slices.Clone(r.support)
+}
+
 // Decode maps a rank back to the original item identifier.
 func (r *Recoder) Decode(rank uint32) Item { return r.orig[rank] }
 

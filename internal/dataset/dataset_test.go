@@ -52,6 +52,21 @@ func TestRecoderRanksByDescendingSupport(t *testing.T) {
 	}
 }
 
+func TestRecoderFrequent(t *testing.T) {
+	db := Slice{{10, 20, 30, 40}, {10, 20, 30}, {10, 20}, {10}}
+	c, _ := CountItems(db)
+	r := NewRecoder(c, 2)
+	names, sups := r.Frequent()
+	if !reflect.DeepEqual(names, []Item{10, 20, 30}) || !reflect.DeepEqual(sups, []uint64{4, 3, 2}) {
+		t.Fatalf("Frequent = %v, %v; want [10 20 30], [4 3 2]", names, sups)
+	}
+	// Fresh copies: the caller may keep or modify them.
+	names[0], sups[0] = 99, 99
+	if r.Decode(0) != 10 || r.Support(0) != 4 {
+		t.Error("Frequent aliases the recoder's tables")
+	}
+}
+
 func TestRecoderTieBreakDeterministic(t *testing.T) {
 	db := Slice{{5, 3, 9}, {5, 3, 9}}
 	c, _ := CountItems(db)

@@ -117,13 +117,7 @@ func buildBoth(db dataset.Slice, minSup uint64, ctl *mine.Control) (buildResult,
 		return r, err
 	}
 	rec := dataset.NewRecoder(counts, minSup)
-	n := rec.NumFrequent()
-	names := make([]uint32, n)
-	sups := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		names[i] = rec.Decode(uint32(i))
-		sups[i] = rec.Support(uint32(i))
-	}
+	names, sups := rec.Frequent()
 	// Raw scan time (encode only).
 	t0 := time.Now()
 	var buf []uint32

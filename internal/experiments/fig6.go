@@ -64,13 +64,7 @@ func (c Config) Fig6() ([]Fig6Row, error) {
 				minSup = 2
 			}
 			rec := dataset.NewRecoder(counts, minSup)
-			n := rec.NumFrequent()
-			names := make([]uint32, n)
-			sups := make([]uint64, n)
-			for i := 0; i < n; i++ {
-				names[i] = rec.Decode(uint32(i))
-				sups[i] = rec.Support(uint32(i))
-			}
+			names, sups := rec.Frequent()
 			tree := core.NewTree(arena.New(), core.Config{}, names, sups)
 			var buf []uint32
 			err = db.Scan(func(tx []uint32) error {

@@ -93,13 +93,7 @@ func (c Config) webdocsTrees() (*fptree.Tree, *core.Tree, error) {
 	}
 	minSup := dataset.AbsoluteSupport(0.10, counts.NumTx)
 	rec := dataset.NewRecoder(counts, minSup)
-	n := rec.NumFrequent()
-	names := make([]uint32, n)
-	sups := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		names[i] = rec.Decode(uint32(i))
-		sups[i] = rec.Support(uint32(i))
-	}
+	names, sups := rec.Frequent()
 	fp := fptree.New(names, sups)
 	cfp := core.NewTree(arena.New(), core.Config{}, names, sups)
 	var buf []uint32

@@ -49,12 +49,7 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 	if n == 0 {
 		return nil
 	}
-	itemName := make([]uint32, n)
-	itemCount := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		itemName[i] = rec.Decode(uint32(i))
-		itemCount[i] = rec.Support(uint32(i))
-	}
+	itemName, itemCount := rec.Frequent()
 	tree := New(itemName, itemCount)
 	var buf []uint32
 	sp = g.Rec.Start(obs.PhaseBuild)

@@ -16,13 +16,7 @@ func buildFrom(t *testing.T, db dataset.Slice, minSup uint64) *Tree {
 		t.Fatal(err)
 	}
 	rec := dataset.NewRecoder(counts, minSup)
-	n := rec.NumFrequent()
-	itemName := make([]uint32, n)
-	itemCount := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		itemName[i] = rec.Decode(uint32(i))
-		itemCount[i] = rec.Support(uint32(i))
-	}
+	itemName, itemCount := rec.Frequent()
 	tree := New(itemName, itemCount)
 	var buf []uint32
 	_ = db.Scan(func(tx []uint32) error {

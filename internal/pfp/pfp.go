@@ -137,21 +137,14 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 
 	// Mining pass: per shard, build a CFP-tree over the global rank
 	// space, convert, and mine only the group's ranks.
-	itemName := make([]uint32, n)
-	itemCount := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		itemName[i] = rec.Decode(uint32(i))
-		itemCount[i] = rec.Support(uint32(i))
-	}
+	itemName, itemCount := rec.Frequent()
 	// The caller's tracker needs a mutex under concurrent workers; the
 	// recorder's gauges are atomic and are teed in unsynchronized.
-	var track mine.MemTracker = mine.NullTracker{}
+	var track mine.MemTracker
 	if m.Track != nil {
 		track = &mine.SyncTracker{Inner: m.Track}
 	}
-	if m.Rec != nil {
-		track = &mine.TeeTracker{A: track, B: m.Rec}
-	}
+	track = core.ObservedTracker(track, m.Rec)
 	workers := m.Workers
 	if workers <= 0 {
 		workers = 1
@@ -199,37 +192,8 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 		}
 		return m.mineShard(shards[g].path, g, groups, n, itemName, itemCount, minSupport, ssink, track, arenas[worker], ctl)
 	})
-	foldPoolMetrics(m.Rec, pool)
+	core.FoldPoolMetrics(m.Rec, pool)
 	return err
-}
-
-// foldPoolMetrics converts a drained pool's accounting into the
-// recorder's mine-pool stats; nil recorder or pool is a no-op.
-func foldPoolMetrics(rec *obs.Recorder, pool *mine.ShardMetrics) {
-	if rec == nil || pool == nil {
-		return
-	}
-	shards := make([]obs.ShardStat, len(pool.Shards))
-	for i := range pool.Shards {
-		sc := &pool.Shards[i]
-		shards[i] = obs.ShardStat{
-			Queue:      sc.Queue,
-			Jobs:       sc.Jobs.Load(),
-			Steals:     sc.Steals.Load(),
-			StealFails: sc.StealFails.Load(),
-			BusyNanos:  sc.BusyNanos.Load(),
-		}
-	}
-	workers := make([]obs.WorkerStat, len(pool.Workers))
-	for i, wc := range pool.Workers {
-		workers[i] = obs.WorkerStat{
-			Jobs:      wc.Jobs,
-			Steals:    wc.Steals,
-			BusyNanos: wc.BusyNanos,
-			IdleNanos: wc.IdleNanos,
-		}
-	}
-	rec.SetMinePool(shards, workers)
 }
 
 // mineShard reads one shard file, builds its CFP structures, and mines
@@ -250,13 +214,7 @@ func (m Miner) mineShard(path string, group, groups, numItems int, itemName []ui
 	if tree.NumNodes() == 0 {
 		return nil
 	}
-	if m.Rec != nil {
-		std, chains, embedded := tree.PhysNodes()
-		m.Rec.Add(obs.CtrStdNodes, int64(std))
-		m.Rec.Add(obs.CtrChainNodes, int64(chains))
-		m.Rec.Add(obs.CtrEmbeddedLeaves, int64(embedded))
-		m.Rec.Add(obs.CtrLogicalNodes, int64(tree.NumNodes()))
-	}
+	core.FoldTreeCounters(m.Rec, tree)
 	track.Alloc(tree.Extent())
 	arr, err := core.ConvertCtl(tree, ctl)
 	if err != nil {

@@ -16,13 +16,7 @@ func buildTree(t *testing.T, db dataset.Slice, minSup uint64) *fptree.Tree {
 		t.Fatal(err)
 	}
 	rec := dataset.NewRecoder(counts, minSup)
-	n := rec.NumFrequent()
-	names := make([]uint32, n)
-	sups := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		names[i] = rec.Decode(uint32(i))
-		sups[i] = rec.Support(uint32(i))
-	}
+	names, sups := rec.Frequent()
 	tree := fptree.New(names, sups)
 	var buf []uint32
 	_ = db.Scan(func(tx []uint32) error {

@@ -34,11 +34,7 @@ type UpdatableIndex struct {
 
 // NewUpdatableIndex returns an empty updatable index.
 func NewUpdatableIndex(tree TreeConfig) *UpdatableIndex {
-	cfg := core.Config{
-		MaxChainLen:   tree.MaxChainLen,
-		DisableChains: tree.DisableChains,
-		DisableEmbed:  tree.DisableEmbed,
-	}
+	cfg := tree.config()
 	u := &UpdatableIndex{
 		cfg:   cfg,
 		arena: arena.New(),
@@ -101,7 +97,7 @@ func (u *UpdatableIndex) Mine(minSupport uint64, fn Handler) error {
 	if u.arr == nil {
 		u.arr = core.Convert(u.tree)
 	}
-	return core.MineArray(u.arr, u.cfg, minSupport, handlerSink{fn: fn}, nil, 0, nil)
+	return mineArray(u.arr, u.cfg, minSupport, handlerSink{fn: fn})
 }
 
 // MineAll materializes the result at minSupport.
