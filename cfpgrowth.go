@@ -215,20 +215,9 @@ func (o Options) miner(track mine.MemTracker, ctl *mine.Control) (mine.Miner, er
 	}
 	switch name {
 	case "cfpgrowth":
-		cfg := o.Tree.config()
-		if o.Parallel > 0 {
-			return core.ParallelGrowth{
-				Config:  cfg,
-				Workers: o.Parallel,
-				Track:   track,
-				MaxLen:  o.MaxLen,
-				Ctl:     ctl,
-				Rec:     o.Observe,
-			}, nil
-		}
 		// The CFP-growth and FP-growth miners prune the search itself
 		// at MaxLen; the other algorithms filter at the sink.
-		return core.Growth{Config: cfg, Track: track, MaxLen: o.MaxLen, Ctl: ctl, Rec: o.Observe}, nil
+		return core.Growth{Config: o.Tree.config(), Workers: o.Parallel, Track: track, MaxLen: o.MaxLen, Ctl: ctl, Rec: o.Observe}, nil
 	case "fpgrowth":
 		return fptree.Growth{Track: track, MaxLen: o.MaxLen, Ctl: ctl, Rec: o.Observe}, nil
 	}

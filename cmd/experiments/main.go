@@ -209,7 +209,7 @@ func main() {
 		// Regression gate: every fresh record must hold the line
 		// against its committed counterpart.
 		for _, r := range recs {
-			base, err := experiments.ValidateBenchJSON(
+			base, err := experiments.ReadBenchJSON(
 				filepath.Join(*baseline, fmt.Sprintf("BENCH_%s.json", r.Dataset)))
 			if err != nil {
 				return err

@@ -73,5 +73,5 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	if err != nil {
 		return err
 	}
-	return fptree.MineTreeCtl(tree, minSupport, sink, m.Track, NodeBytes, 0, m.Ctl)
+	return fptree.MineTree(tree, minSupport, sink, m.Track, NodeBytes, m.Ctl)
 }

@@ -5,6 +5,7 @@ package algo
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"cfpgrowth/internal/algo/afopt"
@@ -33,7 +34,7 @@ var factories = map[string]func(mine.MemTracker, *mine.Control, *obs.Recorder) m
 		return core.Growth{Track: t, Ctl: c, Rec: r}
 	},
 	"cfpgrowth-par": func(t mine.MemTracker, c *mine.Control, r *obs.Recorder) mine.Miner {
-		return core.ParallelGrowth{Track: t, Ctl: c, Rec: r}
+		return core.Growth{Workers: runtime.GOMAXPROCS(0), Track: t, Ctl: c, Rec: r}
 	},
 	"pfp": func(t mine.MemTracker, c *mine.Control, r *obs.Recorder) mine.Miner {
 		return pfp.Miner{Track: t, Ctl: c, Rec: r}

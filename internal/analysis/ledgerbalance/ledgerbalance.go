@@ -13,7 +13,7 @@
 //     (summary.AnalyzeLedger). A call to an acquiring helper
 //     (ChargesNet — acquireDecode and friends) pushes a token tied to
 //     the assigned variable; a call to a releasing helper (Releases —
-//     releaseDecode, mineRoot) pops the tokens tied to its arguments;
+//     releaseDecode) pops the tokens tied to its arguments;
 //     deferred frees apply at every exit. A token outstanding on only
 //     SOME exit paths is a missing release on the others and is
 //     reported at the charge. A token outstanding on ALL paths is a

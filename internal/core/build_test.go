@@ -28,7 +28,7 @@ func TestBuildPhaseBytes(t *testing.T) {
 	}
 	for _, miner := range []func(rec *obs.Recorder) mine.Miner{
 		func(rec *obs.Recorder) mine.Miner { return Growth{Rec: rec} },
-		func(rec *obs.Recorder) mine.Miner { return ParallelGrowth{Workers: 2, Rec: rec} },
+		func(rec *obs.Recorder) mine.Miner { return Growth{Workers: 2, Rec: rec} },
 	} {
 		rec := obs.New(nil)
 		m := miner(rec)
@@ -68,7 +68,7 @@ func TestBuildNothingFrequent(t *testing.T) {
 	}
 	for _, miner := range []func(rec *obs.Recorder) mine.Miner{
 		func(rec *obs.Recorder) mine.Miner { return Growth{Rec: rec} },
-		func(rec *obs.Recorder) mine.Miner { return ParallelGrowth{Workers: 2, Rec: rec} },
+		func(rec *obs.Recorder) mine.Miner { return Growth{Workers: 2, Rec: rec} },
 		func(rec *obs.Recorder) mine.Miner { return DirectGrowth{Track: rec} },
 	} {
 		rec := obs.New(nil)

@@ -35,10 +35,10 @@ func minerPaths(workers int) []struct {
 			return Growth{}
 		}},
 		{"sharded-parallel", func() mine.Miner {
-			return ParallelGrowth{Workers: workers, Shards: 2 * workers}
+			return Growth{Workers: workers, Shards: 2 * workers}
 		}},
 		{"sharded-parallel-legacy", func() mine.Miner {
-			return ParallelGrowth{
+			return Growth{
 				Config:  Config{DisableFlatDecode: true},
 				Workers: workers,
 				Shards:  2 * workers,
@@ -121,7 +121,7 @@ func TestFlatDecodeDifferentialMaxLen(t *testing.T) {
 		for _, got := range []func() ([]mine.Itemset, error){
 			func() ([]mine.Itemset, error) { return mine.Run(Growth{MaxLen: maxLen}, db, 4) },
 			func() ([]mine.Itemset, error) {
-				return mine.Run(ParallelGrowth{Workers: 3, MaxLen: maxLen}, db, 4)
+				return mine.Run(Growth{Workers: 3, MaxLen: maxLen}, db, 4)
 			},
 		} {
 			sets, err := got()
@@ -150,9 +150,6 @@ func TestFlatDecodeMaxItemsets(t *testing.T) {
 			var m mine.Miner
 			switch g := p.mk().(type) {
 			case Growth:
-				g.Ctl = ctl
-				m = g
-			case ParallelGrowth:
 				g.Ctl = ctl
 				m = g
 			}
@@ -189,9 +186,6 @@ func TestFlatDecodeCancellationMidMine(t *testing.T) {
 		var m mine.Miner
 		switch g := p.mk().(type) {
 		case Growth:
-			g.Ctl = ctl
-			m = g
-		case ParallelGrowth:
 			g.Ctl = ctl
 			m = g
 		}

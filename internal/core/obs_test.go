@@ -37,7 +37,7 @@ func TestObsItemsetCounterMatchesSink(t *testing.T) {
 		miner func(rec *obs.Recorder) mine.Miner
 	}{
 		{"serial", func(rec *obs.Recorder) mine.Miner { return Growth{Rec: rec} }},
-		{"parallel", func(rec *obs.Recorder) mine.Miner { return ParallelGrowth{Workers: 4, Rec: rec} }},
+		{"parallel", func(rec *obs.Recorder) mine.Miner { return Growth{Workers: 4, Rec: rec} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := obs.New(nil)
@@ -100,7 +100,7 @@ func TestObsItemsetCounterUnderCancellation(t *testing.T) {
 			return Growth{Rec: rec, Ctl: ctl}
 		}},
 		{"parallel", func(rec *obs.Recorder, ctl *mine.Control) mine.Miner {
-			return ParallelGrowth{Workers: 4, Rec: rec, Ctl: ctl}
+			return Growth{Workers: 4, Rec: rec, Ctl: ctl}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -154,7 +154,7 @@ func TestObsPeakMatchesControl(t *testing.T) {
 			return Growth{Rec: rec, Ctl: ctl, Track: track}
 		}},
 		{"parallel", func(rec *obs.Recorder, ctl *mine.Control, track mine.MemTracker) mine.Miner {
-			return ParallelGrowth{Workers: 4, Rec: rec, Ctl: ctl, Track: track}
+			return Growth{Workers: 4, Rec: rec, Ctl: ctl, Track: track}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -207,7 +207,7 @@ func TestObsSerialParallelAgree(t *testing.T) {
 	if err := (Growth{Rec: recS}).Mine(db, 10, &s1); err != nil {
 		t.Fatal(err)
 	}
-	if err := (ParallelGrowth{Workers: 4, Rec: recP}).Mine(db, 10, &s2); err != nil {
+	if err := (Growth{Workers: 4, Rec: recP}).Mine(db, 10, &s2); err != nil {
 		t.Fatal(err)
 	}
 	if recS.Count(obs.CtrItemsets) != recP.Count(obs.CtrItemsets) {
@@ -228,7 +228,7 @@ func TestObsMineHistograms(t *testing.T) {
 	if err := (Growth{Rec: recS}).Mine(db, 10, &s1); err != nil {
 		t.Fatal(err)
 	}
-	if err := (ParallelGrowth{Workers: 4, Shards: 8, Rec: recP}).Mine(db, 10, &s2); err != nil {
+	if err := (Growth{Workers: 4, Shards: 8, Rec: recP}).Mine(db, 10, &s2); err != nil {
 		t.Fatal(err)
 	}
 	for name, rec := range map[string]*obs.Recorder{"serial": recS, "parallel": recP} {
@@ -252,7 +252,7 @@ func TestObsMinePoolStats(t *testing.T) {
 	db := obsDB(300, 8, 30)
 	rec := obs.New(nil)
 	var sink mine.CountSink
-	if err := (ParallelGrowth{Workers: 4, Shards: 4, Rec: rec}).Mine(db, 10, &sink); err != nil {
+	if err := (Growth{Workers: 4, Shards: 4, Rec: rec}).Mine(db, 10, &sink); err != nil {
 		t.Fatal(err)
 	}
 	shards, workers := rec.MinePool()
@@ -291,7 +291,7 @@ func TestObsParallelTraceChildren(t *testing.T) {
 	tr := obs.NewTrace(4, 1<<12)
 	rec.AttachTrace(tr)
 	var sink mine.CountSink
-	if err := (ParallelGrowth{Workers: 4, Shards: 4, Rec: rec}).Mine(db, 10, &sink); err != nil {
+	if err := (Growth{Workers: 4, Shards: 4, Rec: rec}).Mine(db, 10, &sink); err != nil {
 		t.Fatal(err)
 	}
 	evs, dropped := tr.Events()

@@ -29,7 +29,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := mine.Run(ParallelGrowth{Workers: workers}, db, minSup)
+				got, err := mine.Run(Growth{Workers: workers}, db, minSup)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -43,7 +43,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestParallelEmptyDatabase(t *testing.T) {
 	var sink mine.CountSink
-	if err := (ParallelGrowth{}).Mine(dataset.Slice{}, 1, &sink); err != nil {
+	if err := (Growth{Workers: 2}).Mine(dataset.Slice{}, 1, &sink); err != nil {
 		t.Fatal(err)
 	}
 	if sink.N != 0 {
@@ -54,7 +54,7 @@ func TestParallelEmptyDatabase(t *testing.T) {
 func TestParallelSinkErrorPropagates(t *testing.T) {
 	db := dataset.Slice{{1, 2, 3}, {1, 2}, {2, 3}, {1, 3}}
 	s := &stopSink{}
-	err := (ParallelGrowth{Workers: 2}).Mine(db, 1, &mine.SyncSink{Inner: s})
+	err := (Growth{Workers: 2}).Mine(db, 1, &mine.SyncSink{Inner: s})
 	if err == nil {
 		t.Fatal("sink error not propagated")
 	}
@@ -105,7 +105,7 @@ func TestParallelFirstSinkErrorWinsNoLaterEmissions(t *testing.T) {
 	for _, failAt := range []uint64{1, 2, 7, 25} {
 		for _, workers := range []int{2, 4, 8} {
 			s := &failNSink{n: failAt}
-			err := (ParallelGrowth{Workers: workers}).Mine(db, 2, &mine.SyncSink{Inner: s})
+			err := (Growth{Workers: workers}).Mine(db, 2, &mine.SyncSink{Inner: s})
 			if err == nil {
 				t.Fatalf("failAt=%d workers=%d: sink error not propagated", failAt, workers)
 			}
@@ -124,7 +124,7 @@ func TestParallelFirstSinkErrorWinsNoLaterEmissions(t *testing.T) {
 func TestParallelMemTracking(t *testing.T) {
 	db := dataset.Slice{{1, 2, 3}, {1, 2}, {2, 3}, {1, 3}, {1, 2, 3}}
 	var tr mine.PeakTracker
-	if err := (ParallelGrowth{Workers: 3, Track: &tr}).Mine(db, 2, &mine.CountSink{}); err != nil {
+	if err := (Growth{Workers: 3, Track: &tr}).Mine(db, 2, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Peak <= 0 {
@@ -139,7 +139,7 @@ func TestParallelMaxLen(t *testing.T) {
 	db := dataset.Slice{{1, 2, 3, 4}, {1, 2, 3, 4}, {1, 2, 3, 4}}
 	var sink mine.CollectSink
 	ss := &mine.SyncSink{Inner: &sink}
-	if err := (ParallelGrowth{Workers: 2, MaxLen: 2}).Mine(db, 2, ss); err != nil {
+	if err := (Growth{Workers: 2, MaxLen: 2}).Mine(db, 2, ss); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range sink.Sets {
@@ -155,7 +155,7 @@ func TestParallelMaxLen(t *testing.T) {
 
 func TestParallelMoreWorkersThanItems(t *testing.T) {
 	db := dataset.Slice{{1}, {1}, {2}, {2}}
-	got, err := mine.Run(ParallelGrowth{Workers: 16}, db, 2)
+	got, err := mine.Run(Growth{Workers: 16}, db, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func BenchmarkParallelVsSerial(b *testing.B) {
 	b.Run("parallel4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sink := &mine.SyncSink{Inner: &mine.CountSink{}}
-			if err := (ParallelGrowth{Workers: 4}).Mine(db, 30, sink); err != nil {
+			if err := (Growth{Workers: 4}).Mine(db, 30, sink); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -177,7 +177,7 @@ func (c Config) BenchOne(name string, db dataset.Slice, relSup float64) (BenchRe
 	// run even when the harness shares a Control across experiments.
 	ctl := &mine.Control{}
 	rec := obs.New(nil)
-	g := core.ParallelGrowth{
+	g := core.Growth{
 		Workers: benchWorkers,
 		Shards:  benchShards,
 		Track:   &mine.BudgetTracker{Ctl: ctl},
@@ -282,8 +282,27 @@ func (c Config) WriteBenchJSON(dir string) ([]string, error) {
 
 // ValidateBenchJSON parses and validates one BENCH_*.json file,
 // returning the record on success. It is the check CI's bench-smoke
-// job runs over freshly generated records.
+// job runs over freshly generated records: ReadBenchJSON's checks plus
+// the percentile invariant that a query's p99 — one sample per mine
+// call — cannot exceed the record's wall time.
 func ValidateBenchJSON(path string) (BenchRecord, error) {
+	r, err := ReadBenchJSON(path)
+	if err != nil {
+		return BenchRecord{}, err
+	}
+	if h, ok := r.Hists[obs.HistQuery.String()]; ok && h.P99Millis > r.WallMillis {
+		return BenchRecord{}, fmt.Errorf("%s: bench: %s p99 %.3f ms exceeds wall %.3f ms",
+			path, obs.HistQuery, h.P99Millis, r.WallMillis)
+	}
+	return r, nil
+}
+
+// ReadBenchJSON parses one BENCH_*.json file and checks its internal
+// consistency (ValidateBenchRecord). The regression gate reads its
+// committed baselines with it: records written before histogram
+// quantiles were clamped to the observed range may carry a query p99
+// above their wall time, and the gate never compares that field.
+func ReadBenchJSON(path string) (BenchRecord, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return BenchRecord{}, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -277,6 +278,40 @@ func TestCompareBenchRecordsV2Gates(t *testing.T) {
 	r.MinePool.BusyImbalance = 2.6
 	if err := CompareBenchRecords(r, base); err == nil || !strings.Contains(err.Error(), "imbalance") {
 		t.Errorf("imbalance err = %v, want imbalance gate", err)
+	}
+}
+
+// TestValidateBenchJSONQueryWithinWall: the query histogram holds one
+// sample per mine call, so its p99 above the record's wall time means
+// the percentile is fabricated. ValidateBenchJSON rejects such a
+// record; ReadBenchJSON, which the regression gate loads committed
+// baselines with, still accepts it.
+func TestValidateBenchJSONQueryWithinWall(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, r BenchRecord) string {
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	ok := mkBenchV2()
+	if _, err := ValidateBenchJSON(write("ok.json", ok)); err != nil {
+		t.Fatalf("record with query p99 = wall rejected: %v", err)
+	}
+	bad := mkBenchV2()
+	bad.Hists[obs.HistQuery.String()] = BenchHist{Count: 1, P50Millis: 4294.97, P95Millis: 4294.97, P99Millis: 4294.97}
+	bad.WallMillis = 2399.6
+	p := write("bad.json", bad)
+	if _, err := ValidateBenchJSON(p); err == nil || !strings.Contains(err.Error(), "exceeds wall") {
+		t.Errorf("query p99 above wall: err = %v, want an \"exceeds wall\" rejection", err)
+	}
+	if _, err := ReadBenchJSON(p); err != nil {
+		t.Errorf("ReadBenchJSON rejected a structurally valid record: %v", err)
 	}
 }
 

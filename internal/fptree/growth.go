@@ -75,7 +75,7 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 		}
 	}
 	sp = g.Rec.Start(obs.PhaseMine)
-	err = mineTreeCtl(tree, minSupport, sink, track, 0, g.MaxLen, g.Ctl, g.Rec)
+	err = mineTree(tree, minSupport, sink, track, 0, g.MaxLen, g.Ctl, g.Rec)
 	sp.End()
 	return err
 }
@@ -86,26 +86,14 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 // memory cost reported to track (0 means BaselineNodeSize, the 40-byte
 // node of the implementations the paper compares against); variant
 // algorithms with different physical layouts reuse the recursion with
-// their own cost model.
-func MineTree(tree *Tree, minSupport uint64, sink mine.Sink, track mine.MemTracker, nodeBytes int64) error {
-	return MineTreeMaxLen(tree, minSupport, sink, track, nodeBytes, 0)
+// their own cost model. ctl, when non-nil, is threaded through the
+// recursion: every emission sits behind a ctl stop-check, so variant
+// algorithms inherit the no-emission-after-stop invariant.
+func MineTree(tree *Tree, minSupport uint64, sink mine.Sink, track mine.MemTracker, nodeBytes int64, ctl *mine.Control) error {
+	return mineTree(tree, minSupport, sink, track, nodeBytes, 0, ctl, nil)
 }
 
-// MineTreeMaxLen is MineTree with the search pruned at itemsets of
-// maxLen items (0 = unlimited).
-func MineTreeMaxLen(tree *Tree, minSupport uint64, sink mine.Sink, track mine.MemTracker, nodeBytes int64, maxLen int) error {
-	return mineTreeCtl(tree, minSupport, sink, track, nodeBytes, maxLen, nil, nil)
-}
-
-// MineTreeCtl is MineTreeMaxLen with a cancellation/budget control
-// threaded through the recursion: every emission sits behind a ctl
-// stop-check, so variant algorithms reusing this recursion inherit the
-// no-emission-after-stop invariant. A nil ctl never stops.
-func MineTreeCtl(tree *Tree, minSupport uint64, sink mine.Sink, track mine.MemTracker, nodeBytes int64, maxLen int, ctl *mine.Control) error {
-	return mineTreeCtl(tree, minSupport, sink, track, nodeBytes, maxLen, ctl, nil)
-}
-
-func mineTreeCtl(tree *Tree, minSupport uint64, sink mine.Sink, track mine.MemTracker, nodeBytes int64, maxLen int, ctl *mine.Control, rec *obs.Recorder) error {
+func mineTree(tree *Tree, minSupport uint64, sink mine.Sink, track mine.MemTracker, nodeBytes int64, maxLen int, ctl *mine.Control, rec *obs.Recorder) error {
 	if track == nil {
 		track = mine.NullTracker{}
 	}

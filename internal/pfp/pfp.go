@@ -60,7 +60,7 @@ type Miner struct {
 func (Miner) Name() string { return "pfp" }
 
 // Mine implements mine.Miner. Emission order is nondeterministic when
-// Workers > 1. As in core.ParallelGrowth, the first failure stops
+// Workers > 1. As in core.Growth's worker pool, the first failure stops
 // every worker before its next shard and before its next emission, and
 // is the error returned.
 func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error {
@@ -171,7 +171,7 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	for w := range arenas {
 		arenas[w] = arena.New()
 	}
-	// One mine span covers the whole worker pool, as in ParallelGrowth;
+	// One mine span covers the whole worker pool, as in core.Growth's pool;
 	// pool accounting (jobs, whole-group steals, busy/idle) is collected
 	// whenever a recorder is attached, and when a trace buffer is also
 	// attached each group's mine becomes one child span under it.

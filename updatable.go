@@ -97,7 +97,7 @@ func (u *UpdatableIndex) Mine(minSupport uint64, fn Handler) error {
 	if u.arr == nil {
 		u.arr = core.Convert(u.tree)
 	}
-	return mineArray(u.arr, u.cfg, minSupport, handlerSink{fn: fn})
+	return core.MineArrayItems(u.arr, u.cfg, minSupport, handlerSink{fn: fn}, nil, 0, core.AllRanks(u.arr), nil, nil)
 }
 
 // MineAll materializes the result at minSupport.
