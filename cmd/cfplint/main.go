@@ -1,26 +1,24 @@
 // Command cfplint is the repo-specific static-analysis driver: a
 // multichecker over the analyzers in internal/analysis/... that guard
-// the byte-level invariants of the CFP-tree/CFP-array layouts
-// (ptr40safe, varintbounds), the no-emission-after-stop concurrency
-// invariant (sinkguard), memory-ledger balance (ledgerbalance),
-// pool-object return discipline (poolreturn), goroutine join
-// discipline (goroutinesafe), shared-state read-only discipline in
-// sharded workers (sharedro), span hygiene (obsguard), sentinel-error
-// hygiene (errsentinel), atomic-field discipline (atomicfield),
-// lock-order discipline (lockorder), hot-path allocation discipline
-// (allochot), the numeric layer: packed-width proofs (intwidth),
-// loop-progress proofs (loopprogress), and in-range certification of
-// index/slice expressions (boundscertain, reporting-free — it
-// publishes the Certified fact varintbounds consumes to drop taint
-// findings the interval engine has proven safe), and the heap layer:
-// serving-artifact immutability (frozenro), arena/pool release safety
-// (arenaescape), and hot-path noalias discipline (aliasburden). Three
-// reporting-free phases feed the rest: summary publishes the
-// per-function Effects facts the interprocedural analyzers consume,
-// rangefacts (pulled in as a requirement of the numeric analyzers)
-// publishes per-function result ranges, and pointsto publishes the
-// points-to/lifetime-region facts the heap-layer analyzers and the
-// rewired poolreturn consume.
+// the varint triples of the CFP-array (varintbounds), the
+// no-emission-after-stop concurrency invariant (sinkguard), goroutine
+// join discipline (goroutinesafe), span hygiene (obsguard),
+// atomic-field discipline (atomicfield), lock-order discipline
+// (lockorder), hot-path allocation discipline (allochot), and the
+// numeric layer: packed-width proofs (intwidth), loop-progress proofs
+// (loopprogress), and in-range certification of index/slice
+// expressions (boundscertain, reporting-free — it publishes the
+// Certified fact varintbounds consumes to drop taint findings the
+// interval engine has proven safe). Two reporting-free phases feed the
+// rest: summary publishes the per-function Effects facts (unchecked
+// index slots, sink emissions) that varintbounds, sinkguard and
+// lockorder consume, and rangefacts (pulled in as a requirement of the
+// numeric analyzers) publishes per-function result ranges.
+//
+// Every reporting analyzer here survived a mutation audit (DESIGN.md
+// §5b): a bug of its class planted in product code passed every test,
+// -race included. An analyzer whose planted bug a test catches
+// duplicates that test and does not belong in the suite.
 //
 // Usage:
 //
@@ -50,9 +48,8 @@
 // internal/fptree, internal/algo/...), obsguard to the packages
 // instrumented with obs spans, lockorder to the synchronized layers
 // (internal/obs, internal/core — mine.SyncSink deliberately holds its
-// mutex across Inner.Emit and is out of scope), ptr40safe everywhere
-// except internal/encoding (which owns the raw layout), the rest
-// module-wide.
+// mutex across Inner.Emit and is out of scope), intwidth to the
+// layers that own or feed the packed formats, the rest module-wide.
 //
 // Packages are analyzed in dependency order sharing one fact store, so
 // facts exported while analyzing a dependency (say, a stop-check
@@ -71,23 +68,14 @@ import (
 	"time"
 
 	"cfpgrowth/internal/analysis"
-	"cfpgrowth/internal/analysis/aliasburden"
 	"cfpgrowth/internal/analysis/allochot"
-	"cfpgrowth/internal/analysis/arenaescape"
 	"cfpgrowth/internal/analysis/atomicfield"
 	"cfpgrowth/internal/analysis/boundscertain"
-	"cfpgrowth/internal/analysis/errsentinel"
-	"cfpgrowth/internal/analysis/frozenro"
-	"cfpgrowth/internal/analysis/intwidth"
-	"cfpgrowth/internal/analysis/loopprogress"
 	"cfpgrowth/internal/analysis/goroutinesafe"
-	"cfpgrowth/internal/analysis/ledgerbalance"
+	"cfpgrowth/internal/analysis/intwidth"
 	"cfpgrowth/internal/analysis/lockorder"
+	"cfpgrowth/internal/analysis/loopprogress"
 	"cfpgrowth/internal/analysis/obsguard"
-	"cfpgrowth/internal/analysis/pointsto"
-	"cfpgrowth/internal/analysis/poolreturn"
-	"cfpgrowth/internal/analysis/ptr40safe"
-	"cfpgrowth/internal/analysis/sharedro"
 	"cfpgrowth/internal/analysis/sinkguard"
 	"cfpgrowth/internal/analysis/summary"
 	"cfpgrowth/internal/analysis/varintbounds"
@@ -119,18 +107,6 @@ var suite = []scoped{
 	// consumes, and packages are visited in dependency order, so a
 	// callee's summary always exists before its callers are analyzed.
 	{summary.Analyzer, everywhere},
-	{ptr40safe.Analyzer, func(path string) bool {
-		return path != "cfpgrowth/internal/encoding"
-	}},
-	{ledgerbalance.Analyzer, anyPrefix(
-		"cfpgrowth/internal/core",
-		"cfpgrowth/internal/pfp",
-		"cfpgrowth/internal/fptree",
-		"cfpgrowth/internal/algo",
-		"cfpgrowth/internal/vm",
-		"cfpgrowth/internal/synth",
-		"cfpgrowth/internal/stats",
-	)},
 	{goroutinesafe.Analyzer, anyPrefix(
 		"cfpgrowth/internal/mine",
 		"cfpgrowth/internal/core",
@@ -140,20 +116,6 @@ var suite = []scoped{
 		"cfpgrowth/internal/synth",
 		"cfpgrowth/internal/stats",
 		"cfpgrowth/cmd",
-	)},
-	{poolreturn.Analyzer, anyPrefix(
-		"cfpgrowth/internal/core",
-		"cfpgrowth/internal/pfp",
-		"cfpgrowth/internal/fptree",
-		"cfpgrowth/internal/algo",
-		"cfpgrowth/internal/vm",
-		"cfpgrowth/internal/synth",
-		"cfpgrowth/internal/stats",
-		"cfpgrowth/cmd",
-	)},
-	{sharedro.Analyzer, anyPrefix(
-		"cfpgrowth/internal/core",
-		"cfpgrowth/internal/pfp",
 	)},
 	{sinkguard.Analyzer, anyPrefix(
 		"cfpgrowth/internal/core",
@@ -175,7 +137,6 @@ var suite = []scoped{
 		"cfpgrowth/internal/obs",
 		"cfpgrowth/internal/core",
 	)},
-	{errsentinel.Analyzer, everywhere},
 	// boundscertain runs wherever varintbounds does (it is also in its
 	// Requires); the explicit entry keeps it in -list and the timing
 	// report even if the consumer is ever rescoped.
@@ -202,51 +163,6 @@ var suite = []scoped{
 	{loopprogress.Analyzer, func(path string) bool {
 		return !strings.HasPrefix(path, "cfpgrowth/internal/analysis")
 	}},
-	// pointsto is the heap layer's fact phase: reporting-free, it
-	// solves the per-package points-to constraints, tags allocation
-	// sites with lifetime regions (arena/pool/frozen/ring), and
-	// publishes the Points/Escapes facts frozenro, arenaescape,
-	// aliasburden, and the rewired poolreturn consume. It runs
-	// everywhere outside the analysis framework itself (same
-	// self-analysis exclusion as loopprogress): the consumers below are
-	// scoped tighter, but the facts of every dependency — arena
-	// accessors, encoding helpers, obs recorders — must exist before
-	// their importers are analyzed.
-	{pointsto.Analyzer, func(path string) bool {
-		return !strings.HasPrefix(path, "cfpgrowth/internal/analysis")
-	}},
-	// frozenro guards the serving artifact: no write may reach memory
-	// behind a //cfplint:freezes result (core.Convert, core.ReadArray)
-	// after it returns. Scoped to the packages that build or consume
-	// the CFP-array.
-	{frozenro.Analyzer, anyPrefix(
-		"cfpgrowth/internal/core",
-		"cfpgrowth/internal/pfp",
-		"cfpgrowth/internal/mine",
-		"cfpgrowth/internal/algo",
-		"cfpgrowth/cmd",
-	)},
-	// arenaescape guards recycled memory: no pointer derived from an
-	// arena buffer or pooled object may escape the function that
-	// Resets/Puts it. Scoped to the layers that run those lifecycles.
-	{arenaescape.Analyzer, anyPrefix(
-		"cfpgrowth/internal/core",
-		"cfpgrowth/internal/pfp",
-		"cfpgrowth/internal/fptree",
-		"cfpgrowth/internal/algo",
-		"cfpgrowth/internal/mine",
-		"cfpgrowth/internal/arena",
-	)},
-	// aliasburden keeps //cfplint:hot callees free of aliasing argument
-	// pairs; scoped to the packages that declare hot functions (the
-	// marker is a doc comment, so callers in other packages cannot see
-	// it anyway).
-	{aliasburden.Analyzer, anyPrefix(
-		"cfpgrowth/internal/core",
-		"cfpgrowth/internal/fptree",
-		"cfpgrowth/internal/mine",
-		"cfpgrowth/internal/obs",
-	)},
 }
 
 // jsonFinding is the -json serialization of one finding.
@@ -357,7 +273,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		report := jsonReport{Findings: jfs, TimingsMS: map[string]float64{}}
 		for name, d := range timings {
 			// Full float precision, not truncated microseconds: a fast
-			// fact-only phase (pointsto on a leaf package) must serialize
+			// fact-only phase (summary on a leaf package) must serialize
 			// as its real sub-millisecond cost, never as 0 — a zero entry
 			// is indistinguishable from a phase that never ran.
 			report.TimingsMS[name] = d.Seconds() * 1000

@@ -44,10 +44,10 @@ func TestList(t *testing.T) {
 		t.Fatalf("exit = %d, want 0; stderr: %s", code, stderr.String())
 	}
 	for _, name := range []string{
-		"summary", "ptr40safe", "ledgerbalance", "goroutinesafe",
-		"poolreturn", "sharedro", "sinkguard", "obsguard", "lockorder",
-		"errsentinel", "varintbounds", "atomicfield", "allochot",
-		"pointsto", "frozenro", "arenaescape", "aliasburden",
+		"summary", "goroutinesafe", "sinkguard",
+		"obsguard", "lockorder", "varintbounds",
+		"atomicfield", "allochot", "intwidth", "loopprogress",
+		"boundscertain",
 	} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing analyzer %s", name)
@@ -65,8 +65,8 @@ func TestFindingsAndJSON(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; stderr: %s", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "[errsentinel]") {
-		t.Errorf("stdout = %q, want an errsentinel finding", stdout.String())
+	if !strings.Contains(stdout.String(), "[varintbounds]") {
+		t.Errorf("stdout = %q, want a varintbounds finding", stdout.String())
 	}
 	data, err := os.ReadFile(artifact)
 	if err != nil {
@@ -77,17 +77,17 @@ func TestFindingsAndJSON(t *testing.T) {
 		t.Fatalf("artifact does not parse: %v\n%s", err, data)
 	}
 	if len(report.Findings) == 0 {
-		t.Fatal("artifact has no findings, want the errsentinel finding")
+		t.Fatal("artifact has no findings, want the varintbounds finding")
 	}
 	f := report.Findings[0]
-	if f.Analyzer != "errsentinel" || f.Line == 0 || !strings.Contains(f.Message, "errors.Is") {
+	if f.Analyzer != "varintbounds" || f.Line == 0 || !strings.Contains(f.Message, "discarded") {
 		t.Errorf("unexpected finding in artifact: %+v", f)
 	}
 	if len(report.TimingsMS) == 0 {
 		t.Error("artifact has no timings_ms, want per-analyzer wall time")
 	}
-	if _, ok := report.TimingsMS["errsentinel"]; !ok {
-		t.Errorf("timings_ms missing errsentinel: %v", report.TimingsMS)
+	if _, ok := report.TimingsMS["varintbounds"]; !ok {
+		t.Errorf("timings_ms missing varintbounds: %v", report.TimingsMS)
 	}
 }
 
@@ -123,17 +123,18 @@ func TestCleanJSONHasEmptyFindings(t *testing.T) {
 // TestTimingsOnlyForPhasesThatRan pins the timings contract for
 // scoped and fact-only phases: a subset run must emit a timings_ms
 // entry for every phase that actually ran on the subset — including
-// reporting-free fact phases like pointsto, at full sub-millisecond
-// precision, never truncated to 0 — and no entry at all for analyzers
-// the subset scoped out. A zero or missing entry for a phase that ran
-// (or a phantom entry for one that did not) would make the budget gate
-// and the CI cost history lie about what the suite executed.
+// reporting-free fact phases like summary and rangefacts, at full
+// sub-millisecond precision, never truncated to 0 — and no entry at
+// all for analyzers the subset scoped out. A zero or missing entry for
+// a phase that ran (or a phantom entry for one that did not) would make
+// the budget gate and the CI cost history lie about what the suite
+// executed.
 func TestTimingsOnlyForPhasesThatRan(t *testing.T) {
 	artifact := filepath.Join(t.TempDir(), "report.json")
 	var stdout, stderr bytes.Buffer
-	// internal/encoding is in scope for the pointsto fact phase but out
-	// of scope for its reporting consumers (frozenro, arenaescape,
-	// aliasburden) and for poolreturn.
+	// internal/encoding is in scope for the summary and rangefacts fact
+	// phases but out of scope for the mining-layer analyzers
+	// (sinkguard, obsguard, lockorder, goroutinesafe).
 	code := run([]string{"-json", artifact, "../../internal/encoding"}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0; stderr: %s", code, stderr.String())
@@ -146,10 +147,12 @@ func TestTimingsOnlyForPhasesThatRan(t *testing.T) {
 	if err := json.Unmarshal(data, &report); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := report.TimingsMS["pointsto"]; !ok || v <= 0 {
-		t.Errorf("pointsto ran on the subset but timings_ms[pointsto] = %v, %v", v, ok)
+	for _, name := range []string{"summary", "rangefacts"} {
+		if v, ok := report.TimingsMS[name]; !ok || v <= 0 {
+			t.Errorf("%s ran on the subset but timings_ms[%s] = %v, %v", name, name, v, ok)
+		}
 	}
-	for _, name := range []string{"frozenro", "arenaescape", "aliasburden", "poolreturn"} {
+	for _, name := range []string{"sinkguard", "obsguard", "lockorder", "goroutinesafe"} {
 		if v, ok := report.TimingsMS[name]; ok {
 			t.Errorf("timings_ms has %s = %v, but the subset scopes it out; entries must exist only for phases that ran", name, v)
 		}

@@ -3,6 +3,7 @@ package cfpgrowth
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand/v2"
 	"os"
@@ -130,30 +131,55 @@ func (ix *Index) mine(minSupport uint64, sink mine.Sink) error {
 	return core.MineArrayItems(ix.arr, core.Config{}, minSupport, sink, nil, 0, core.AllRanks(ix.arr), nil, nil)
 }
 
-// WriteTo serializes the index (the CFP-array plus a small header) with
-// a checksum. It implements io.WriterTo.
+// Index header: magic "CFPI" | version u8 | baseSupport u64le |
+// numTx u64le | crc32(IEEE) of the preceding bytes u32le. The array
+// blob that follows carries its own checksum; the header's covers the
+// two counts, so a flipped bit in BaseSupport cannot make Mine accept
+// supports the array cannot answer.
+var indexMagic = [4]byte{'C', 'F', 'P', 'I'}
+
+const (
+	indexVersion   = 1
+	indexHeaderLen = 4 + 1 + 8 + 8 + 4
+)
+
+// WriteTo serializes the index (a checksummed header, then the
+// checksummed CFP-array). It implements io.WriterTo.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], ix.BaseSupport)
-	binary.LittleEndian.PutUint64(hdr[8:], ix.NumTx)
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := append(make([]byte, 0, indexHeaderLen), indexMagic[:]...)
+	hdr = append(hdr, indexVersion)
+	hdr = binary.LittleEndian.AppendUint64(hdr, ix.BaseSupport)
+	hdr = binary.LittleEndian.AppendUint64(hdr, ix.NumTx)
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+	if _, err := w.Write(hdr); err != nil {
 		return 0, err
 	}
 	n, err := ix.arr.WriteTo(w)
-	return n + 16, err
+	return n + indexHeaderLen, err
 }
 
-// ReadIndex deserializes an index written by WriteTo.
+// ReadIndex deserializes an index written by WriteTo. A header with a
+// bad magic, version or checksum is rejected before the array is read.
 func ReadIndex(r io.Reader) (*Index, error) {
-	var hdr [16]byte
+	var hdr [indexHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("cfpgrowth: truncated index header: %w", err)
+		return nil, fmt.Errorf("%w: truncated index header: %w", core.ErrBadFormat, err)
+	}
+	if [4]byte(hdr[:4]) != indexMagic {
+		return nil, fmt.Errorf("%w: bad index magic", core.ErrBadFormat)
+	}
+	if hdr[4] != indexVersion {
+		return nil, fmt.Errorf("%w: unsupported index version %d", core.ErrBadFormat, hdr[4])
+	}
+	body, sum := hdr[:indexHeaderLen-4], binary.LittleEndian.Uint32(hdr[indexHeaderLen-4:])
+	if crc32.ChecksumIEEE(body) != sum {
+		return nil, fmt.Errorf("%w: index header checksum mismatch", core.ErrBadFormat)
 	}
 	arr, err := core.ReadArray(r)
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(arr, binary.LittleEndian.Uint64(hdr[0:]), binary.LittleEndian.Uint64(hdr[8:])), nil
+	return newIndex(arr, binary.LittleEndian.Uint64(hdr[5:]), binary.LittleEndian.Uint64(hdr[13:])), nil
 }
 
 // SaveIndex writes the index to a file. It writes a temporary file in

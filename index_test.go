@@ -90,6 +90,60 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIndexHeaderBitFlips: the header's checksum covers BaseSupport
+// and NumTx, so flipping any single header bit — magic, version, the
+// counts or the checksum itself — must make ReadIndex fail. Before the
+// header was checksummed, a flip that lowered BaseSupport loaded
+// cleanly and let Mine silently return too few itemsets.
+func TestIndexHeaderBitFlips(t *testing.T) {
+	ix, err := BuildIndex(exampleDB, Options{MinSupport: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for bit := 0; bit < indexHeaderLen*8; bit++ {
+		flipped := slices.Clone(data)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		if got, err := ReadIndex(bytes.NewReader(flipped)); err == nil {
+			t.Errorf("header bit %d flipped: loaded (base support %d, %d transactions)", bit, got.BaseSupport, got.NumTx)
+		}
+	}
+}
+
+// FuzzReadIndex: arbitrary bytes never panic ReadIndex, and whatever it
+// accepts re-serializes to exactly the bytes it read: a prefix of the
+// input, since bytes after the array's checksum are not part of it.
+func FuzzReadIndex(f *testing.F) {
+	ix, err := BuildIndex(exampleDB, Options{MinSupport: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:indexHeaderLen])
+	f.Add([]byte("CFPI"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadIndex(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := got.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("accepted %d input bytes but re-serialized %d bytes that are not a prefix of them", len(data), out.Len())
+		}
+	})
+}
+
 func TestIndexSaveLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.cfpa")
 	ix, err := BuildIndex(exampleDB, Options{MinSupport: 2})
@@ -343,9 +397,12 @@ func TestIndexSaveFileMode(t *testing.T) {
 	}
 }
 
-// TestIndexMineConcurrentReaders has eight goroutines mine one loaded
-// index at once, so under -race any write Mine makes to shared state is
-// caught; every result must equal MineAll's.
+// TestIndexMineConcurrentReaders has eight goroutines mine and query
+// one loaded index at once, so under -race any write Mine, MineAll or
+// SupportOf makes to shared state is caught; every result must equal a
+// serial MineAll's. The index must also re-serialize to the same bytes
+// afterwards, which catches a value-changing write to the frozen array
+// even on a path only one reader takes.
 func TestIndexMineConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	db := make(dataset.Slice, 1500)
@@ -375,6 +432,14 @@ func TestIndexMineConcurrentReaders(t *testing.T) {
 	if len(want) < 100 {
 		t.Fatalf("degenerate workload: %d itemsets", len(want))
 	}
+	serialize := func() []byte {
+		var b bytes.Buffer
+		if _, err := ix.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	before := serialize()
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 8; g++ {
@@ -382,10 +447,15 @@ func TestIndexMineConcurrentReaders(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			var got []Itemset
-			err := ix.Mine(minSup, func(items []Item, support uint64) error {
-				got = append(got, Itemset{Items: slices.Clone(items), Support: support})
-				return nil
-			})
+			var err error
+			if g%2 == 0 {
+				err = ix.Mine(minSup, func(items []Item, support uint64) error {
+					got = append(got, Itemset{Items: slices.Clone(items), Support: support})
+					return nil
+				})
+			} else {
+				got, err = ix.MineAll(minSup)
+			}
 			if err != nil {
 				errs <- fmt.Sprintf("reader %d: %v", g, err)
 				return
@@ -393,6 +463,13 @@ func TestIndexMineConcurrentReaders(t *testing.T) {
 			mine.Canonicalize(got)
 			if !reflect.DeepEqual(got, want) {
 				errs <- fmt.Sprintf("reader %d: %d itemsets differ from MineAll's %d", g, len(got), len(want))
+				return
+			}
+			for i := g; i < len(want); i += 8 {
+				if s := ix.SupportOf(want[i].Items); s != want[i].Support {
+					errs <- fmt.Sprintf("reader %d: SupportOf(%v) = %d, want %d", g, want[i].Items, s, want[i].Support)
+					return
+				}
 			}
 		}(g)
 	}
@@ -400,5 +477,8 @@ func TestIndexMineConcurrentReaders(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+	if !bytes.Equal(serialize(), before) {
+		t.Error("index bytes changed under concurrent readers")
 	}
 }

@@ -74,20 +74,27 @@ func TestScanErrorOnLaterPass(t *testing.T) {
 	}
 }
 
-// TestTrackerBalancedOnError: after an aborted run, trackers must not
-// report leaked memory (Free matched every Alloc that happened).
+// TestTrackerBalancedOnError: after a run aborted on any scan pass,
+// every miner's ledger must be back at zero — each Alloc matched by a
+// Free on the error path too. A pass the miner never reaches leaves
+// the run successful, and a successful run must balance as well.
 func TestTrackerBalancedOnError(t *testing.T) {
 	db := dataset.Slice{{1, 2, 3}, {1, 2}, {2, 3}, {1, 3}}
 	for _, name := range Names() {
-		var tr mine.PeakTracker
-		m, err := New(name, &tr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := &faultySource{db: db, failPass: 2, failTx: 2}
-		_ = m.Mine(src, 1, &mine.CountSink{})
-		if tr.Cur < 0 {
-			t.Errorf("%s: negative live memory %d after aborted run", name, tr.Cur)
+		for _, failPass := range []int{1, 2, 3} {
+			var tr mine.PeakTracker
+			m, err := New(name, &tr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &faultySource{db: db, failPass: failPass, failTx: 2}
+			err = m.Mine(src, 1, &mine.CountSink{})
+			if err != nil && !errors.Is(err, errInjected) {
+				t.Errorf("%s pass %d: unexpected error %v", name, failPass, err)
+			}
+			if tr.Cur != 0 {
+				t.Errorf("%s pass %d: %d bytes still charged after the run (err = %v)", name, failPass, tr.Cur, err)
+			}
 		}
 	}
 }

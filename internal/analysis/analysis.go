@@ -87,44 +87,11 @@ func Uses(info *types.Info, e ast.Expr) types.Object {
 	return nil
 }
 
-// IsPkgObj reports whether e refers to the package-level object
-// pkgPath.name.
-func IsPkgObj(info *types.Info, e ast.Expr, pkgPath, name string) bool {
-	obj := Uses(info, e)
-	return obj != nil && obj.Name() == name &&
-		obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
-
 // Callee returns the called function or method of call, or nil for
 // calls through function values, built-ins, and conversions.
 func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	fn, _ := Uses(info, call.Fun).(*types.Func)
 	return fn
-}
-
-// IsByteSlice reports whether the type of e is []byte (possibly through
-// a named type).
-func IsByteSlice(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	sl, ok := tv.Type.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := sl.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
-}
-
-// IsByte reports whether the type of e is byte/uint8 (possibly named).
-func IsByte(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
 }
 
 // WalkStack traverses root in depth-first order, invoking fn with each

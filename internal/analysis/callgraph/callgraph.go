@@ -2,12 +2,10 @@
 // package: one node per function declaration, one edge per call site
 // whose callee go/types can resolve statically (package functions and
 // methods on concrete receiver types). It deliberately does not chase
-// interface dispatch or function values — the mining packages call
-// through interfaces in exactly two shapes (sinks and trackers) and
-// both are handled by shape-matching in the consumers — so an
-// unresolvable call site is recorded on its caller as a Dynamic mark
-// (⊤) instead of a fabricated edge set. Consumers that need soundness
-// treat a ⊤-marked caller conservatively.
+// interface dispatch or function values: a call through a function
+// value records nothing, and an interface method call is kept with
+// Interface set, so shape-matchers (sink detection) still see it, but
+// adds no edge.
 //
 // The graph also exposes its strongly connected components in
 // bottom-up topological order (callees before callers), the order in
@@ -17,7 +15,6 @@ package callgraph
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"cfpgrowth/internal/analysis"
@@ -44,20 +41,14 @@ type Node struct {
 	// inside nested function literals (marked InLit: they execute when
 	// the literal runs, not necessarily when Fn does).
 	Calls []Call
-	// Dynamic lists the positions of call sites with no static callee:
-	// calls through function values and interface method dispatch. Each
-	// is a ⊤ for effect propagation.
-	Dynamic []token.Pos
 }
 
 // A Call is one statically resolved call site.
 type Call struct {
 	// Site is the call expression.
 	Site *ast.CallExpr
-	// Callee is the resolved function or concrete method. For interface
-	// methods the site is recorded under Node.Dynamic instead, except
-	// that the interface method object itself is kept here with
-	// Interface set so shape-matchers (sink detection) still see it.
+	// Callee is the resolved function or concrete method; for an
+	// interface method call, the interface's method object.
 	Callee *types.Func
 	// Interface marks a call dispatched through an interface method:
 	// Callee is the interface's method object, not the implementation.
@@ -133,16 +124,9 @@ func classify(n *Node, info *types.Info, call *ast.CallExpr, inLit bool) {
 	}
 	fn := analysis.Callee(info, call)
 	if fn == nil {
-		n.Dynamic = append(n.Dynamic, call.Pos())
-		return
+		return // a call through a function value
 	}
-	iface := isInterfaceMethod(fn)
-	if iface {
-		// Dispatch target unknown: ⊤ for effects, but keep the site so
-		// shape-matchers can still recognize e.g. Sink.Emit.
-		n.Dynamic = append(n.Dynamic, call.Pos())
-	}
-	n.Calls = append(n.Calls, Call{Site: call, Callee: fn, Interface: iface, InLit: inLit})
+	n.Calls = append(n.Calls, Call{Site: call, Callee: fn, Interface: isInterfaceMethod(fn), InLit: inLit})
 }
 
 // isInterfaceMethod reports whether fn is declared on an interface
@@ -197,77 +181,6 @@ func (g *Graph) succs(n *Node) []*Node {
 		}
 	}
 	return out
-}
-
-// SCCInts computes the strongly connected components of a directed
-// graph over the integer nodes [0, n) with successor function succ,
-// returned in reverse topological order of the condensation (a
-// component appears before every component with an edge into it).
-// It is the same Tarjan core that orders the call graph, exposed as a
-// plain-integer variant so other fixpoint layers can reuse it — the
-// points-to solver (internal/analysis/pointsto) collapses
-// constraint-graph copy cycles with it, processing the emitted list
-// back-to-front to visit sources before destinations.
-func SCCInts(n int, succ func(int) []int) [][]int {
-	t := &intTarjan{
-		succ:    succ,
-		index:   make([]int, n),
-		lowlink: make([]int, n),
-		onstack: make([]bool, n),
-	}
-	for i := range t.index {
-		t.index[i] = -1
-	}
-	for v := 0; v < n; v++ {
-		if t.index[v] < 0 {
-			t.connect(v)
-		}
-	}
-	return t.out
-}
-
-// intTarjan mirrors tarjan over integer nodes. The constraint graphs
-// it serves are wide, not deep (copy chains through a few assignment
-// hops), so recursion is fine there too.
-type intTarjan struct {
-	succ    func(int) []int
-	counter int
-	index   []int
-	lowlink []int
-	onstack []bool
-	stack   []int
-	out     [][]int
-}
-
-func (t *intTarjan) connect(v int) {
-	t.index[v] = t.counter
-	t.lowlink[v] = t.counter
-	t.counter++
-	t.stack = append(t.stack, v)
-	t.onstack[v] = true
-	for _, w := range t.succ(v) {
-		if t.index[w] < 0 {
-			t.connect(w)
-			if t.lowlink[w] < t.lowlink[v] {
-				t.lowlink[v] = t.lowlink[w]
-			}
-		} else if t.onstack[w] && t.index[w] < t.lowlink[v] {
-			t.lowlink[v] = t.index[w]
-		}
-	}
-	if t.lowlink[v] == t.index[v] {
-		var comp []int
-		for {
-			w := t.stack[len(t.stack)-1]
-			t.stack = t.stack[:len(t.stack)-1]
-			t.onstack[w] = false
-			comp = append(comp, w)
-			if w == v {
-				break
-			}
-		}
-		t.out = append(t.out, comp)
-	}
 }
 
 // tarjan is the classic iterative-enough recursion; package call

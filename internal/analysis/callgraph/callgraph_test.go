@@ -93,18 +93,21 @@ func TestEdges(t *testing.T) {
 			t.Fatalf("mid calls %v, want %v", got, want)
 		}
 	}
-	if len(mid.Dynamic) != 0 {
-		t.Fatalf("mid has %d dynamic sites, want 0", len(mid.Dynamic))
+	for _, c := range mid.Calls {
+		if c.Interface {
+			t.Fatalf("mid has an interface call to %s, want none", c.Callee.Name())
+		}
 	}
 }
 
 func TestDynamicAndLits(t *testing.T) {
 	_, byName := load(t)
 	top := byName["top"]
-	// d.Do() and f() are dynamic; d.Do() additionally keeps its
-	// interface-method call for shape matchers.
-	if len(top.Dynamic) != 2 {
-		t.Fatalf("top has %d dynamic sites, want 2", len(top.Dynamic))
+	// f() has no static callee and records nothing; d.Do() keeps its
+	// interface-method call for shape matchers. The other two calls are
+	// leaf (in the literal) and mid.
+	if len(top.Calls) != 3 {
+		t.Fatalf("top records %d calls, want 3 (Do, leaf, mid)", len(top.Calls))
 	}
 	var iface int
 	for _, c := range top.Calls {

@@ -10,25 +10,15 @@
 // packages resolve through the fact store — the driver analyzes
 // packages in dependency order, so a callee's summary is present
 // before any caller is reached. Unresolved dynamic calls (function
-// values, interface dispatch) are ⊤: the summary records their
-// presence in Dynamic and otherwise assumes them effect-free, a
-// documented unsoundness that keeps the mining code's two interface
-// shapes (sinks, trackers) from drowning every caller in noise — both
-// shapes are matched structurally instead.
+// values, interface dispatch) are assumed effect-free, a documented
+// unsoundness that keeps interface-typed sinks from drowning every
+// caller in noise — sink emissions are matched structurally instead.
 //
 // Effect domains, chosen for the analyzers that consume them:
 //
-//   - ledger effects (ledgerbalance): does the function hand its
-//     caller a net modeled-byte charge (ChargesNet: acquire helpers,
-//     tracker wrappers), balance a caller-held charge (Releases), or
-//     perform a charge no obs span of its own covers (Charges — the
-//     obligation a span-using caller must wrap, the PR-6 bug class)?
-//   - pool effects (poolreturn): does it hand out a pooled value
-//     (GetsPooled) or return parameter slots to a pool (PutsParams)?
-//   - concurrency effects (goroutinesafe): does it spawn goroutines?
-//   - escape effects (sharedro, varintbounds): which parameter slots
-//     may it write through (WritesParams), which integer slots does it
-//     use as an index or size without a bound check (UnboundedIndex)?
+//   - index effects (varintbounds): which integer parameter slots does
+//     it use as an index or slice bound without a bound check
+//     (UnboundedIndex)?
 //   - sink effects (sinkguard, lockorder): may it emit a result
 //     (EmitsSink), directly or through a helper?
 //
@@ -40,7 +30,6 @@ package summary
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -50,73 +39,26 @@ import (
 
 // Effects is the per-function summary fact.
 type Effects struct {
-	// ChargesNet: every return path (or the returned-resource paths)
-	// leaves a positive ledger charge for the caller to balance.
-	ChargesNet bool
-	// Releases: performs a ledger free that matches no charge of its
-	// own — it balances a token held by the caller.
-	Releases bool
-	// Charges: performs a positive charge not covered by an obs span
-	// the function itself opened; span-using callers must cover the
-	// call site.
-	Charges bool
-	// GetsPooled: returns a value obtained from a sync.Pool.
-	GetsPooled bool
-	// PutsParams: bit i set when parameter slot i is handed to a
-	// sync.Pool.Put (directly or via a callee).
-	PutsParams uint32
-	// WritesParams: bit i set when memory reachable from parameter
-	// slot i may be written (field/element/pointee stores, transitive).
-	WritesParams uint32
 	// UnboundedIndex: bit i set when integer parameter slot i is used
-	// as an index, slice bound, or make size with no comparison
-	// guarding it in the function.
+	// as an index or slice bound, directly or via a callee, with no
+	// comparison guarding it in the function.
 	UnboundedIndex uint32
-	// Spawns: starts a goroutine, directly or via a callee.
-	Spawns bool
 	// EmitsSink: may call a result-sink Emit, directly or via a callee.
 	EmitsSink bool
-	// Dynamic: contains unresolved dynamic call sites (⊤); consumers
-	// needing soundness treat the function as unknown.
-	Dynamic bool
 }
 
 // AFact marks Effects as a fact type.
 func (*Effects) AFact() {}
 
-// String renders the set effects compactly ("chargesNet charges
-// writes(0x1)"), or "none"; used by tests and -debug output.
+// String renders the set effects compactly ("unbounded(0x2)
+// emitsSink"), or "none"; used by tests.
 func (e *Effects) String() string {
 	var parts []string
-	if e.ChargesNet {
-		parts = append(parts, "chargesNet")
-	}
-	if e.Releases {
-		parts = append(parts, "releases")
-	}
-	if e.Charges {
-		parts = append(parts, "charges")
-	}
-	if e.GetsPooled {
-		parts = append(parts, "getsPooled")
-	}
-	if e.PutsParams != 0 {
-		parts = append(parts, fmt.Sprintf("puts(%#x)", e.PutsParams))
-	}
-	if e.WritesParams != 0 {
-		parts = append(parts, fmt.Sprintf("writes(%#x)", e.WritesParams))
-	}
 	if e.UnboundedIndex != 0 {
 		parts = append(parts, fmt.Sprintf("unbounded(%#x)", e.UnboundedIndex))
 	}
-	if e.Spawns {
-		parts = append(parts, "spawns")
-	}
 	if e.EmitsSink {
 		parts = append(parts, "emitsSink")
-	}
-	if e.Dynamic {
-		parts = append(parts, "dynamic")
 	}
 	if len(parts) == 0 {
 		return "none"
@@ -128,12 +70,9 @@ func (e *Effects) String() string {
 // the package. It reports nothing; it exists to be required.
 var Analyzer = &analysis.Analyzer{
 	Name: "summary",
-	Doc: `computes per-function effect summaries (ledger delta, pool
-balance, goroutine spawns, parameter writes, sink emissions) bottom-up
-over the package call graph and publishes them as facts for the
-interprocedural analyzers (ledgerbalance, poolreturn, goroutinesafe,
-sharedro) and the summary-consuming rewirings of sinkguard, lockorder
-and varintbounds`,
+	Doc: `computes per-function effect summaries (unchecked index slots,
+sink emissions) bottom-up over the package call graph and publishes
+them as facts for varintbounds, sinkguard and lockorder`,
 	FactTypes: []analysis.Fact{new(Effects)},
 	Run:       run,
 }
@@ -191,84 +130,31 @@ func Lookuper(pass *analysis.Pass) Lookup {
 	}
 }
 
+// Lookup resolves a callee's summary; nil when none is known.
+type Lookup func(*types.Func) *Effects
+
 // compute derives the effects of one declaration given the current
 // summaries of everything it calls.
 func compute(pass *analysis.Pass, n *callgraph.Node, lookup Lookup) *Effects {
 	info := pass.TypesInfo
 	eff := &Effects{}
-
-	// Interface dispatch whose shape the framework recognizes (ledger
-	// ops, sink emissions) is modeled, not ⊤; only truly unknown call
-	// sites make the function Dynamic.
-	modeled := map[token.Pos]bool{}
-	for _, c := range n.Calls {
-		if !c.Interface {
-			continue
-		}
-		if op, _ := ledgerOp(info, c.Site); op != opNone || isSinkEmit(c.Callee) {
-			modeled[c.Site.Pos()] = true
-		}
-	}
-	for _, pos := range n.Dynamic {
-		if !modeled[pos] {
-			eff.Dynamic = true
-		}
-	}
-
-	li := AnalyzeLedger(info, n.Decl.Body, lookup)
-	eff.Charges = li.Charges
-	eff.Releases = li.Releases
-	for _, l := range li.Leaks {
-		if l.AllPaths || l.Returned {
-			eff.ChargesNet = true
-		}
-	}
-
 	slots := paramSlots(info, n.Decl)
 
-	// Spawns: any go statement in the body (literals included — the
-	// spawn happens within this function's machinery) or a spawning
-	// callee.
-	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-		if _, ok := m.(*ast.GoStmt); ok {
-			eff.Spawns = true
-		}
-		return !eff.Spawns
-	})
-
-	// Direct writes through parameters and unbounded index uses.
+	// Direct unbounded index uses.
 	bounded := comparedObjs(info, n.Decl.Body)
+	unbounded := func(e ast.Expr) {
+		if slot, ok := paramSlot(info, slots, e); ok && !bounded[identObj(info, e)] {
+			eff.UnboundedIndex |= 1 << slot
+		}
+	}
 	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
 		switch m := m.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range m.Lhs {
-				if slot, ok := writeTarget(info, slots, lhs); ok {
-					eff.WritesParams |= 1 << slot
-				}
-			}
-		case *ast.IncDecStmt:
-			if slot, ok := writeTarget(info, slots, m.X); ok {
-				eff.WritesParams |= 1 << slot
-			}
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(m.Fun).(*ast.Ident); ok && len(m.Args) > 0 {
-				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "copy" {
-					if slot, ok := rootSlot(info, slots, m.Args[0], true); ok {
-						eff.WritesParams |= 1 << slot
-					}
-				}
-			}
 		case *ast.IndexExpr:
-			if slot, ok := rootSlot(info, slots, m.Index, false); ok && !bounded[identObj(info, m.Index)] {
-				eff.UnboundedIndex |= 1 << slot
-			}
+			unbounded(m.Index)
 		case *ast.SliceExpr:
 			for _, b := range []ast.Expr{m.Low, m.High, m.Max} {
-				if b == nil {
-					continue
-				}
-				if slot, ok := rootSlot(info, slots, b, false); ok && !bounded[identObj(info, b)] {
-					eff.UnboundedIndex |= 1 << slot
+				if b != nil {
+					unbounded(b)
 				}
 			}
 		}
@@ -284,43 +170,19 @@ func compute(pass *analysis.Pass, n *callgraph.Node, lookup Lookup) *Effects {
 		if c.Interface {
 			continue
 		}
-		args := ArgExprs(c.Site, fn)
-		if isPoolMethod(fn, "Put") && len(c.Site.Args) == 1 {
-			if slot, ok := rootSlot(info, slots, c.Site.Args[0], false); ok {
-				eff.PutsParams |= 1 << slot
-			}
-		}
 		ce := lookup(fn)
 		if ce == nil {
 			continue
 		}
-		if ce.Spawns {
-			eff.Spawns = true
-		}
 		if ce.EmitsSink {
 			eff.EmitsSink = true
 		}
-		for i, a := range args {
-			if a == nil || i >= maxSlots {
-				continue
-			}
-			slot, ok := rootSlot(info, slots, a, false)
-			if !ok {
-				continue
-			}
-			if ce.WritesParams&(1<<i) != 0 {
-				eff.WritesParams |= 1 << slot
-			}
-			if ce.PutsParams&(1<<i) != 0 {
-				eff.PutsParams |= 1 << slot
-			}
-			if ce.UnboundedIndex&(1<<i) != 0 && !bounded[identObj(info, a)] {
-				eff.UnboundedIndex |= 1 << slot
+		for i, a := range ArgExprs(c.Site, fn) {
+			if a != nil && i < maxSlots && ce.UnboundedIndex&(1<<i) != 0 {
+				unbounded(a)
 			}
 		}
 	}
-
-	eff.GetsPooled = returnsPooled(info, n, lookup)
 	return eff
 }
 
@@ -367,61 +229,14 @@ func ArgExprs(call *ast.CallExpr, fn *types.Func) []ast.Expr {
 	return append(out, call.Args...)
 }
 
-// writeTarget reports the parameter slot written through by an
-// assignment to lhs: a field, element, or pointee rooted at a
-// parameter. A plain rebind of the parameter variable itself is not a
-// write through it.
-func writeTarget(info *types.Info, slots map[types.Object]int, lhs ast.Expr) (int, bool) {
-	if _, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+// paramSlot resolves a bare identifier naming a parameter to its slot.
+func paramSlot(info *types.Info, slots map[types.Object]int, e ast.Expr) (int, bool) {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
 		return 0, false
 	}
-	return rootSlot(info, slots, lhs, true)
-}
-
-// rootSlot resolves the base variable of an expression to its
-// parameter slot. With chase set, selector/index/star/paren chains are
-// followed to their root; otherwise only a bare identifier matches.
-func rootSlot(info *types.Info, slots map[types.Object]int, e ast.Expr, chase bool) (int, bool) {
-	for {
-		e = ast.Unparen(e)
-		switch x := e.(type) {
-		case *ast.Ident:
-			obj := info.Uses[x]
-			if obj == nil {
-				return 0, false
-			}
-			slot, ok := slots[obj]
-			return slot, ok
-		case *ast.SelectorExpr:
-			if !chase {
-				return 0, false
-			}
-			// A package-qualified name has no root variable.
-			if id, ok := x.X.(*ast.Ident); ok {
-				if _, isPkg := info.Uses[id].(*types.PkgName); isPkg {
-					return 0, false
-				}
-			}
-			e = x.X
-		case *ast.IndexExpr:
-			if !chase {
-				return 0, false
-			}
-			e = x.X
-		case *ast.StarExpr:
-			if !chase {
-				return 0, false
-			}
-			e = x.X
-		case *ast.UnaryExpr:
-			if !chase {
-				return 0, false
-			}
-			e = x.X
-		default:
-			return 0, false
-		}
-	}
+	slot, ok := slots[info.Uses[id]]
+	return slot, ok
 }
 
 // comparedObjs collects every variable appearing in a comparison —
@@ -445,69 +260,6 @@ func comparedObjs(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 		return true
 	})
 	return out
-}
-
-// returnsPooled reports whether some return path hands out a value
-// obtained from a sync.Pool (directly, through a type assertion, or
-// via a GetsPooled callee).
-func returnsPooled(info *types.Info, n *callgraph.Node, lookup Lookup) bool {
-	pooled := map[types.Object]bool{}
-	isGet := func(e ast.Expr) bool {
-		call, ok := ast.Unparen(e).(*ast.CallExpr)
-		if !ok {
-			if ta, ok := ast.Unparen(e).(*ast.TypeAssertExpr); ok {
-				call, ok = ast.Unparen(ta.X).(*ast.CallExpr)
-				if !ok {
-					return false
-				}
-			} else {
-				return false
-			}
-		}
-		fn := analysis.Callee(info, call)
-		if fn == nil {
-			return false
-		}
-		if isPoolMethod(fn, "Get") {
-			return true
-		}
-		ce := lookup(fn)
-		return ce != nil && ce.GetsPooled
-	}
-	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-		if as, ok := m.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
-			for i, rhs := range as.Rhs {
-				if isGet(rhs) {
-					if obj := identObj(info, as.Lhs[i]); obj != nil {
-						pooled[obj] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	found := false
-	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-		ret, ok := m.(*ast.ReturnStmt)
-		if !ok {
-			return !found
-		}
-		for _, r := range ret.Results {
-			if isGet(r) {
-				found = true
-			}
-			if obj := identObj(info, r); obj != nil && pooled[obj] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// isPoolMethod reports whether fn is (*sync.Pool).name.
-func isPoolMethod(fn *types.Func, name string) bool {
-	return fn != nil && fn.Name() == name && hasRecv(fn, "sync", "Pool")
 }
 
 // isSinkEmit reports whether fn is a result-sink emission: a method
@@ -535,4 +287,19 @@ func isSinkEmit(fn *types.Func) bool {
 	}
 	named, ok := sig.Results().At(0).Type().(*types.Named)
 	return ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil
+}
+
+// identObj resolves e to the variable object it names, or nil.
+func identObj(info *types.Info, e ast.Expr) types.Object {
+	if e == nil {
+		return nil
+	}
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if obj := info.Uses[id]; obj != nil {
+		return obj
+	}
+	return info.Defs[id]
 }

@@ -20,11 +20,11 @@ import (
 // pattern that keeps conversion cheap even under memory pressure.
 //
 // The returned array is the serving artifact: frozen from the moment
-// Convert returns. frozenro enforces that machine-checked — no write
-// anywhere in the mining layers may reach memory transitively pointed
-// to by the result.
-//
-//cfplint:freezes
+// Convert returns, so no write anywhere in the mining layers may reach
+// memory it points to. TestIndexMineConcurrentReaders and
+// TestIndexSupportOfConcurrentReaders (package cfpgrowth) enforce it:
+// concurrent readers under -race, plus a byte comparison of the
+// re-serialized index before and after.
 func Convert(t *Tree) *Array {
 	a, _ := ConvertCtl(t, nil)
 	return a
@@ -35,9 +35,8 @@ func Convert(t *Tree) *Array {
 // and the conversion is abandoned with ctl's stop cause as soon as it
 // fires, so a canceled or over-budget run never pays for a full
 // conversion of a large tree. A nil ctl makes it equivalent to Convert.
-// Like Convert, the returned array is frozen (frozenro enforces it).
-//
-//cfplint:freezes
+// Like Convert, the returned array is frozen (the same tests enforce
+// it).
 func ConvertCtl(t *Tree, ctl *mine.Control) (*Array, error) {
 	numItems := t.NumItems()
 	a := &Array{

@@ -108,11 +108,11 @@ func (a *Array) writeBody(w io.Writer) (int64, error) {
 // ReadArray deserializes an array written by WriteTo and verifies the
 // checksum (by recomputing it over a re-serialization, which doubles as
 // a round-trip self-check). The returned array is the serving artifact,
-// frozen from the moment ReadArray returns (frozenro enforces it) —
-// cfpserve's generation swap relies on deserialized arrays being
-// immutable while concurrent readers hold them.
-//
-//cfplint:freezes
+// frozen from the moment ReadArray returns — cfpserve's generation swap
+// relies on deserialized arrays being immutable while concurrent
+// readers hold them. TestIndexMineConcurrentReaders and
+// TestIndexSupportOfConcurrentReaders (package cfpgrowth) enforce it on
+// a loaded index.
 func ReadArray(r io.Reader) (*Array, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [5]byte

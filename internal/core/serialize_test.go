@@ -136,6 +136,33 @@ func TestSerializeNodeCountMismatch(t *testing.T) {
 	}
 }
 
+// TestReadArrayRejectsWideItemName: item names are uint32 in memory
+// but uvarints on disk, so a hostile writer can spell a name of 2^32.
+// ReadArray checks the CRC over its own re-serialization of what it
+// parsed, so the forged file below, which carries the checksum of the
+// array whose item 0 is named 0, is CRC-valid exactly when the name is
+// silently truncated. ReadArray must reject it instead.
+func TestReadArrayRejectsWideItemName(t *testing.T) {
+	a := buildArrayFrom([][]uint32{{0}}, 1)
+	var buf bytes.Buffer
+	if _, err := a.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// Layout: magic(4) version(1) numItems numNodes dataLen, then item
+	// 0's name, every uvarint one byte here: the name sits at offset 8.
+	const nameOff = 8
+	if a.NumItems() != 1 || a.ItemName(0) != 0 || data[nameOff] != 0 {
+		t.Fatalf("layout changed: name byte %#x", data[nameOff])
+	}
+	var wide [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(wide[:], 1<<32)
+	forged := append(append(append([]byte(nil), data[:nameOff]...), wide[:n]...), data[nameOff+1:]...)
+	if _, err := ReadArray(bytes.NewReader(forged)); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("item name 2^32 accepted: err = %v", err)
+	}
+}
+
 // TestReadArrayRejectsHostileTriples: the CRC only catches accidental
 // damage — a hostile writer serializes corrupt triples with a perfectly
 // consistent checksum. ReadArray is the trust boundary, so it must

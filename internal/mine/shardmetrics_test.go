@@ -130,13 +130,14 @@ func TestShardMetricsStealFailCounted(t *testing.T) {
 func TestShardMetricsUndersizedDisabled(t *testing.T) {
 	shards := [][]int{{1}, {2}, {3}}
 	m := NewShardMetrics(1, shards[:1]) // too few shards and workers
-	ran := 0
+	// Two workers run jobs concurrently, so the count is atomic.
+	var ran atomic.Int32
 	err := RunShardedObserved(2, shards, nil, m, func(worker, shard, job int) error {
-		ran++
+		ran.Add(1)
 		return nil
 	})
-	if err != nil || ran != 3 {
-		t.Fatalf("err = %v, ran = %d, want nil and 3", err, ran)
+	if err != nil || ran.Load() != 3 {
+		t.Fatalf("err = %v, ran = %d, want nil and 3", err, ran.Load())
 	}
 	if m.Shards[0].Jobs.Load() != 0 {
 		t.Error("undersized metrics were written to; must be discarded whole")
