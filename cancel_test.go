@@ -7,6 +7,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cfpgrowth/internal/core"
+	"cfpgrowth/internal/dataset"
+	"cfpgrowth/internal/mine"
+	"cfpgrowth/internal/quest"
 )
 
 // randomDB builds a database large enough that mining it takes many
@@ -104,6 +109,40 @@ func TestMineMaxBytes(t *testing.T) {
 	if err := Mine(db, Options{MinSupport: 2, MaxBytes: 1 << 30},
 		func([]Item, uint64) error { return nil }); err != nil {
 		t.Errorf("1 GiB budget tripped: %v", err)
+	}
+}
+
+// TestMineMaxBytesFitsPaperLayout sets a byte budget of 1.5x the
+// modeled peak of the paper's own mine-phase layout (the CFP-array
+// with byte-chased pattern bases, Config.DisableFlatDecode) on Quest1
+// data, whose thousands of frequent items put the flat decoding in its
+// wide 8-byte layout. A decoding that would not fit the headroom must
+// not fail the run: that array is mined by the byte chase, and the
+// result is the unbudgeted one.
+func TestMineMaxBytesFitsPaperLayout(t *testing.T) {
+	db := quest.Generate(quest.Quest1(8000))
+	minSup := dataset.AbsoluteSupport(0.012, uint64(len(db)))
+	paper := &mine.PeakTracker{}
+	var n mine.CountSink
+	if err := (core.Growth{Config: core.Config{DisableFlatDecode: true}, Track: paper}).Mine(db, minSup, &n); err != nil {
+		t.Fatal(err)
+	}
+	want, err := MineAll(db, Options{MinSupport: minSup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := paper.Peak * 3 / 2
+	got, err := MineAll(db, Options{MinSupport: minSup, MaxBytes: budget})
+	if err != nil {
+		t.Fatalf("MaxBytes %d (1.5x the paper layout's %d B peak): %v", budget, paper.Peak, err)
+	}
+	if uint64(len(want)) != n.N {
+		t.Fatalf("flat mine found %d itemsets, byte chase %d", len(want), n.N)
+	}
+	mine.Canonicalize(want)
+	mine.Canonicalize(got)
+	if d := mine.Diff("budgeted", got, "unbudgeted", want); d != "" {
+		t.Fatal(d)
 	}
 }
 

@@ -51,7 +51,7 @@ func Build(src dataset.Source, minSupport uint64, cfg Config, ctl *mine.Control,
 func BuildRecoded(src dataset.Source, r *dataset.Recoder, cfg Config, ctl *mine.Control, track mine.MemTracker, rec *obs.Recorder) (*Tree, error) {
 	names, sups := r.Frequent()
 	if debugChecks {
-		assertf(len(names) <= math.MaxUint32, "core: frequent item count %d overflows rank space", len(names))
+		assertf(int64(len(names)) <= math.MaxUint32, "core: frequent item count %d overflows rank space", len(names))
 	}
 	t := NewTree(arena.New(), cfg, names, sups)
 	t.Observe(rec)

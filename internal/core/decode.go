@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"unsafe"
 
 	"cfpgrowth/internal/encoding"
 )
@@ -11,25 +12,27 @@ import (
 // conditional pattern base), and the byte-at-a-time ScanItem/PathTo
 // traversal re-decodes the same parent triples once per descendant per
 // pass — profiling shows the varint decoder dominating the whole mine
-// phase. Batch decoding expands every per-item triple run into a flat
-// array exactly once per CFP-array, in one sequential varint sweep per
-// subarray, and resolves parent positions to element indexes; after
-// that, a path walk is an index chase through a dense array instead of
-// a varint chase through the byte region. This is the flat-array
-// mining layout of Grahne–Zhu's FPgrowth*, grafted onto the paper's
-// compressed array: the array stays the compact, serializable artifact
-// and the decode is transient scratch, charged to the run's modeled
-// memory while it is live.
+// phase. Batch decoding resolves every element's parent to an element
+// index exactly once per CFP-array; after that, a path walk is an
+// index chase through a dense array instead of a varint chase through
+// the byte region. This is the flat-array mining layout of Grahne–Zhu's
+// FPgrowth*, grafted onto the paper's compressed array: the array stays
+// the compact, serializable artifact and the decode is transient
+// scratch, charged to the run's modeled memory while it is live.
 //
-// The chase array's byte size is the whole game: ancestor walks are
-// random accesses, so every extra byte per element is paid in cache
-// and TLB misses on every step (a naive 16-byte struct layout walked
-// ~5x slower than the packed form on the quest benchmarks — slower
-// even than re-decoding varints from the ~4x-smaller byte region).
-// Each element therefore packs its two walk fields into one machine
-// word — parent index and item rank — and the supports, which only the
-// owning run reads and always sequentially, live in a separate array
-// that the walk never touches.
+// The chase array's byte size is the whole game, twice over: ancestor
+// walks are random accesses, so every extra byte per element is paid in
+// cache and TLB misses on every step (a naive 16-byte struct layout
+// walked ~5x slower than the packed form on the quest benchmarks), and
+// the decode is the largest structure of the mine phase, so every byte
+// per element is paid in the run's modeled peak. A decoding therefore
+// holds nothing but one packed walk word per element — parent index and
+// item rank — and the per-rank start table. Supports are not stored:
+// only the run that owns them reads them, once and sequentially, so the
+// miner decodes them from the run's own triples when it builds that
+// run's conditional (Array.runCounts). Parent resolution needs each
+// element's local byte offset, but only while From runs, so the offsets
+// live in the walk slots themselves until the final words replace them.
 
 // smallRoot and wideRoot are the packed parent-index sentinels marking
 // an element that hangs off the virtual root, one per walk layout.
@@ -38,11 +41,11 @@ const (
 	wideRoot  = 1<<32 - 1
 )
 
-// Decode is a reusable flat decoding of one CFP-array: all triple runs
-// expanded into dense arrays, in storage order (subarrays ascending by
-// rank, elements in subarray order, so parents always precede
-// children). The zero value is ready; From fills it, reusing the
-// buffers of any previous decoding.
+// Decode is a reusable flat decoding of one CFP-array: every element's
+// packed walk word, in storage order (subarrays ascending by rank,
+// elements in subarray order, so parents always precede children). The
+// zero value is ready; From fills it, reusing the buffers of any
+// previous decoding.
 //
 // Ownership rules (DESIGN.md §5d): a Decode is written only by From
 // and is immutable until the next From; concurrent readers (parallel
@@ -54,25 +57,17 @@ type Decode struct {
 	// parent<<8 | rank, 4 bytes per element, for arrays under 2^24-1
 	// elements over at most 256 items. Wide: walkW[i] = parent<<32 |
 	// rank, 8 bytes per element, for anything larger (up to the 2^31-1
-	// flat index space).
+	// flat index space). The layout not in use is empty.
 	wide  bool
 	walk  []uint32
 	walkW []uint64
-	// sup[i] is element i's support (full FP-tree count). Only run
-	// [lo,hi) owners read it, sequentially; it is deliberately outside
-	// the walk words so ancestor chases never drag it through cache.
-	sup []uint32
 	// start[rk] is the index of rank rk's first element; len
 	// NumItems+1, mirroring Array.starts.
 	start []int32
-	// offs[i] is element i's local byte offset within its subarray,
-	// strictly increasing per rank segment; used only during From to
-	// resolve parent (rank, local) pairs to indexes by binary search.
-	offs []uint32
 }
 
 // NumElems returns the number of decoded elements.
-func (d *Decode) NumElems() int { return len(d.sup) }
+func (d *Decode) NumElems() int { return len(d.walk) + len(d.walkW) }
 
 // Run returns the element index range [lo, hi) of rank rk's subarray.
 func (d *Decode) Run(rk uint32) (lo, hi int32) {
@@ -80,14 +75,25 @@ func (d *Decode) Run(rk uint32) (lo, hi int32) {
 }
 
 // Bytes returns the modeled footprint of the decoding: the walk words
-// plus the support and offset arrays, and the start table. Charged
-// against the run's memory ledger while the decode is live.
+// and the start table. Charged against the run's memory ledger while
+// the decode is live.
 func (d *Decode) Bytes() int64 {
-	per := int64(12) // walk 4 + sup 4 + offs 4
-	if d.wide {
-		per = 16
+	return decodeBytes(d.NumElems(), len(d.start)-1)
+}
+
+// wideLayout reports whether a decoding of n elements over numItems
+// ranks needs the wide walk word: the small word holds 24 parent bits
+// and 8 rank bits.
+func wideLayout(n, numItems int) bool { return n >= smallRoot || numItems > 256 }
+
+// decodeBytes is the modeled footprint of a decoding of n elements over
+// numItems ranks, known before From runs.
+func decodeBytes(n, numItems int) int64 {
+	per := int64(4)
+	if wideLayout(n, numItems) {
+		per = 8
 	}
-	return int64(d.NumElems())*per + int64(len(d.start))*4
+	return int64(n)*per + int64(numItems+1)*4
 }
 
 // From fills d with the flat decoding of a, reusing d's buffers. It
@@ -95,129 +101,255 @@ func (d *Decode) Bytes() int64 {
 // index space (more than 2^31-1 elements, a subarray past 4 GiB of
 // triple bytes, or an element count past 32 bits); callers fall back
 // to the byte-chasing traversal. Triples are validated at their trust
-// boundaries (Convert, ReadArray), so the sweep runs unchecked like
+// boundaries (Convert, ReadArray), so the sweeps run unchecked like
 // Array.decode; debugchecks builds re-assert the invariants.
-//
-//cfplint:hot
 func (d *Decode) From(a *Array) bool {
 	n := a.NumNodes()
 	numItems := a.NumItems()
 	if n > math.MaxInt32 || a.DataBytes() > math.MaxUint32 {
 		return false
 	}
-	// Ranks are stored as uint32; a rank count past 32 bits cannot
-	// occur, but the explicit bound is what proves the rank packing
-	// below.
-	if numItems > math.MaxUint32 {
-		return false
+	d.wide = wideLayout(n, numItems)
+	if cap(d.start) < numItems+1 {
+		d.start = make([]int32, numItems+1)
 	}
-	d.wide = n >= smallRoot || numItems > 256
-	if cap(d.sup) < n {
-		d.sup = make([]uint32, n)
-		d.offs = make([]uint32, n)
-	}
-	d.sup = d.sup[:n]
-	d.offs = d.offs[:n]
+	d.start = d.start[:numItems+1]
 	if d.wide {
 		if cap(d.walkW) < n {
 			d.walkW = make([]uint64, n)
 		}
 		d.walkW = d.walkW[:n]
 		d.walk = d.walk[:0]
-	} else {
-		if cap(d.walk) < n {
-			d.walk = make([]uint32, n)
-		}
-		d.walk = d.walk[:n]
-		d.walkW = d.walkW[:0]
+		return decodeFlat(a, d.walkW, d.start)
 	}
-	if cap(d.start) < numItems+1 {
-		d.start = make([]int32, numItems+1)
+	if cap(d.walk) < n {
+		d.walk = make([]uint32, n)
 	}
-	d.start = d.start[:numItems+1]
+	d.walk = d.walk[:n]
+	d.walkW = d.walkW[:0]
+	return decodeFlat(a, d.walk, d.start)
+}
+
+// decodeFlat is From's body for one walk layout. Each element's parent
+// is found among the local byte offsets of the parent's rank, which the
+// walk slots hold until their final words replace them, so no offset
+// array is allocated. A parent's rank is always lower than its child's
+// (Δitem ≥ 1). The small word has no room for an offset beside the
+// parent index, so the small layout takes two sweeps: pass 1, ascending
+// ranks, writes each element's offset into its slot; pass 2,
+// descending ranks, resolves parents and overwrites the slots, so a
+// rank's offsets stay in place until every rank that can point into it
+// is done. The wide word holds both, so the wide layout resolves in one
+// ascending sweep that keeps each element's own offset in the low half
+// of its word, and a last sequential sweep swaps the offsets for ranks.
+//
+//cfplint:hot
+func decodeFlat[W walkWord](a *Array, walk []W, start []int32) bool {
+	rankBits := uint(8)
+	if unsafe.Sizeof(W(0)) == 8 {
+		rankBits = 32
+	}
+	numItems := int64(len(start) - 1)
+	// Ranks are stored as uint32; a rank count past 32 bits cannot
+	// occur, but the explicit bound is what proves the rank packing
+	// below.
+	if numItems > math.MaxUint32 {
+		return false
+	}
+	// cur[pr] is the last element of rank pr that resolved a parent
+	// lookup: the hint findParent gallops forward from.
+	cur := make([]int32, len(start)-1)
 	idx := int32(0)
-	for rk := 0; rk < numItems; rk++ {
-		d.start[rk] = idx
-		b := a.data[a.starts[rk]:a.starts[rk+1]]
-		pos := 0
-		for pos < len(b) {
-			delta, n1 := encoding.Uvarint(b[pos:])
-			if debugChecks {
-				assertf(n1 > 0, "core: truncated CFP-array triple at rank %d offset %d", rk, pos)
-				assertf(delta >= 1, "core: zero Δitem at rank %d offset %d", rk, pos)
-			}
-			z, n2 := encoding.Uvarint(b[pos+n1:])
-			if debugChecks {
-				assertf(n2 > 0, "core: truncated CFP-array triple at rank %d offset %d", rk, pos)
-			}
-			c, n3 := encoding.Uvarint(b[pos+n1+n2:])
-			if debugChecks {
-				assertf(n3 > 0, "core: truncated CFP-array triple at rank %d offset %d", rk, pos)
-				assertf(c > 0, "core: zero count at rank %d offset %d", rk, pos)
-			}
-			if c > math.MaxUint32 {
+	if rankBits == 32 {
+		for rk := int64(0); rk < numItems; rk++ {
+			start[rk] = idx
+			var ok bool
+			if idx, ok = resolveRun(a, walk, start, cur, uint32(rk), idx); !ok {
 				return false
 			}
-			parent := int32(-1)
-			if delta <= uint64(rk) {
-				pr := uint32(rk) - uint32(delta)
-				pl := int64(pos) - encoding.Unzigzag(z)
-				if debugChecks {
-					assertf(pl >= 0 && pl <= math.MaxUint32, "core: parent local offset out of range at rank %d offset %d", rk, pos)
-				}
-				plocal := uint32(pl)
-				parent = d.find(pr, plocal)
-				if debugChecks {
-					assertf(parent >= 0, "core: unresolved parent (rank %d local %d) of rank %d offset %d", pr, plocal, rk, pos)
-				}
+		}
+		start[numItems] = idx
+		for rk := int64(0); rk < numItems; rk++ {
+			run := walk[start[rk]:start[rk+1]]
+			for i := range run {
+				run[i] = run[i]>>rankBits<<rankBits | W(rk)
 			}
-			if d.wide {
-				p := uint64(wideRoot)
-				if parent >= 0 {
-					p = uint64(parent)
-				}
-				d.walkW[idx] = p<<32 | uint64(rk)
-			} else {
-				p := uint32(smallRoot)
-				if parent >= 0 {
-					p = uint32(parent)
-				}
-				d.walk[idx] = p<<8 | uint32(rk)
+		}
+		return true
+	}
+	for rk := int64(0); rk < numItems; rk++ {
+		start[rk] = idx
+		b := a.data[a.starts[rk]:a.starts[rk+1]]
+		// Triple boundaries without decoding: every byte below 0x80
+		// ends a varint, and every third varint ends a triple.
+		pos, ends := 0, 0
+		for i, c := range b {
+			if c >= 0x80 {
+				continue
 			}
-			if debugChecks {
-				assertf(pos <= math.MaxUint32, "core: triple offset overflows 32 bits at rank %d", rk)
+			if ends++; ends == 3 {
+				walk[idx] = W(pos)
+				idx++
+				pos, ends = i+1, 0
 			}
-			d.sup[idx] = uint32(c)
-			d.offs[idx] = uint32(pos)
-			idx++
-			pos += n1 + n2 + n3
+		}
+		if debugChecks {
+			assertf(ends == 0, "core: truncated CFP-array triple at rank %d offset %d", rk, pos)
 		}
 	}
-	d.start[numItems] = idx
+	start[numItems] = idx
+	for rk := numItems - 1; rk >= 0; rk-- {
+		if _, ok := resolveRun(a, walk, start, cur, uint32(rk), start[rk]); !ok {
+			return false
+		}
+	}
 	return true
 }
 
-// find resolves a parent's (rank, local byte offset) pair to its
-// element index by binary search over the rank's offset segment; the
-// parent's subarray is always fully decoded before any child refers to
-// it (Δitem ≥ 1). Offsets are strictly increasing within a segment.
+// resolveRun decodes rank rk's triples, whose elements start at walk
+// index idx, finds each one's parent, and writes its word: parent index
+// above the rank in the small layout, above the element's own offset
+// in the wide one. It returns the index past the run, and false when a
+// count passes 32 bits.
 //
 //cfplint:hot
-func (d *Decode) find(rk uint32, local uint32) int32 {
-	lo, hi := d.start[rk], d.start[rk+1]
+func resolveRun[W walkWord](a *Array, walk []W, start, cur []int32, rk uint32, idx int32) (int32, bool) {
+	rankBits, root := uint(8), W(smallRoot)
+	if unsafe.Sizeof(root) == 8 {
+		rankBits, root = 32, W(uint64(wideRoot))
+	}
+	b := a.data[a.starts[rk]:a.starts[rk+1]]
+	pos := 0
+	for pos < len(b) {
+		delta, n1 := encoding.Uvarint(b[pos:])
+		if debugChecks {
+			assertf(n1 > 0, "core: truncated CFP-array triple at rank %d offset %d", rk, pos)
+			assertf(delta >= 1, "core: zero Δitem at rank %d offset %d", rk, pos)
+		}
+		z, n2 := encoding.Uvarint(b[pos+n1:])
+		if debugChecks {
+			assertf(n2 > 0, "core: truncated CFP-array triple at rank %d offset %d", rk, pos)
+		}
+		c, n3 := encoding.Uvarint(b[pos+n1+n2:])
+		if debugChecks {
+			assertf(n3 > 0, "core: truncated CFP-array triple at rank %d offset %d", rk, pos)
+			assertf(c > 0, "core: zero count at rank %d offset %d", rk, pos)
+			assertf(int64(pos) <= math.MaxUint32, "core: triple offset overflows 32 bits at rank %d", rk)
+		}
+		// Counts are decoded per run into uint32 (Array.runCounts); a
+		// wider one sends the whole array to the byte chase.
+		if c > math.MaxUint32 {
+			return idx, false
+		}
+		p := root
+		if delta <= uint64(rk) {
+			pr := rk - uint32(delta)
+			pl := int64(pos) - encoding.Unzigzag(z)
+			if debugChecks {
+				assertf(pl >= 0 && pl <= math.MaxUint32, "core: parent local offset out of range at rank %d offset %d", rk, pos)
+			}
+			j := findParent(walk, start, cur, pr, uint32(pl))
+			if debugChecks {
+				assertf(j >= 0, "core: unresolved parent (rank %d local %d) of rank %d offset %d", pr, pl, rk, pos)
+			}
+			if j >= 0 {
+				p = W(j)
+			}
+		}
+		low := W(rk)
+		if rankBits == 32 {
+			low = W(pos)
+		}
+		walk[idx] = p<<rankBits | low
+		idx++
+		pos += n1 + n2 + n3
+	}
+	return idx, true
+}
+
+// findParent resolves a parent's (rank, local byte offset) pair to its
+// element index by searching rank pr's segment of walk while the low 32
+// bits of its slots still hold their strictly increasing offsets. Convert writes triples
+// depth-first, so the children of one rank meet their parents of one
+// rank in ascending order: the lookup gallops forward from the last
+// hit cur[pr] and narrows the binary search to the bracket it finds.
+// Any other order (ReadArray accepts every order in which parents
+// resolve) takes the binary search below the hint.
+//
+//cfplint:hot
+func findParent[W walkWord](walk []W, start, cur []int32, pr uint32, local uint32) int32 {
+	lo, hi := start[pr], start[pr+1]
+	if c := cur[pr]; c >= lo && c < hi {
+		switch v := uint32(walk[c]); {
+		case v == local:
+			return c
+		case v > local:
+			hi = c
+		default:
+			// Gallop: probe c+1, c+3, c+7, … until a probe reaches
+			// local, then search the bracket after the last probe
+			// below it.
+			lo = c + 1
+			end, step := int64(hi), int64(1)
+			for p := int64(lo); p < end; p += step {
+				if uint32(walk[p]) >= local {
+					hi = int32(p + 1)
+					break
+				}
+				lo = int32(p + 1)
+				if step < 1<<30 {
+					step += step
+				}
+			}
+		}
+	}
 	for lo < hi {
 		//cfplint:ignore intwidth overflow-safe midpoint: the int32 sum may wrap, and the uint32 reinterpretation before the shift is the algorithm
 		mid := int32(uint32(lo+hi) >> 1)
-		if d.offs[mid] < local {
+		if uint32(walk[mid]) < local {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < d.start[rk+1] && d.offs[lo] == local {
+	if lo < start[pr+1] && uint32(walk[lo]) == local {
+		cur[pr] = lo
 		return lo
 	}
 	return -1
+}
+
+// runCounts decodes the counts of rank rk's run into buf, reusing its
+// capacity, in one sequential sweep that skips Δitem and Δpos; buf[k]
+// is the count of the run's k-th element. Decode.From has checked that
+// every count fits 32 bits.
+//
+//cfplint:hot
+func (a *Array) runCounts(rk uint32, buf []uint32) []uint32 {
+	if cap(buf) < a.nodes[rk] {
+		buf = make([]uint32, 0, a.nodes[rk])
+	}
+	buf = buf[:0]
+	b := a.data[a.starts[rk]:a.starts[rk+1]]
+	pos := 0
+	for pos < len(b) {
+		n1 := encoding.SkipUvarint(b[pos:])
+		if debugChecks {
+			assertf(n1 > 0, "core: truncated CFP-array triple at rank %d offset %d", rk, pos)
+		}
+		n2 := encoding.SkipUvarint(b[pos+n1:])
+		if debugChecks {
+			assertf(n2 > 0, "core: truncated CFP-array triple at rank %d offset %d", rk, pos)
+		}
+		c, n3 := encoding.Uvarint(b[pos+n1+n2:])
+		if debugChecks {
+			assertf(n3 > 0, "core: truncated CFP-array triple at rank %d offset %d", rk, pos)
+			assertf(c > 0 && c <= math.MaxUint32, "core: count out of range at rank %d offset %d", rk, pos)
+		}
+		buf = append(buf, uint32(c&math.MaxUint32))
+		pos += n1 + n2 + n3
+	}
+	return buf
 }
 
 // AppendRun batch-decodes rank rk's whole triple run into buf in one

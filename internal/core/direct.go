@@ -61,7 +61,7 @@ func (m *directGrower) mine(t *Tree, prefix []uint32) error {
 	itemSup := make([]uint64, t.NumItems())
 	sv := &supportVisitor{counts: cp.counts, itemSup: itemSup}
 	t.Walk(sv)
-	ni := t.NumItems()
+	ni := int64(t.NumItems())
 	if debugChecks {
 		assertf(ni <= math.MaxUint32, "core: item count %d overflows rank space", ni)
 	}

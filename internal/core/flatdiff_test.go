@@ -1,12 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/dataset"
+	"cfpgrowth/internal/encoding"
 	"cfpgrowth/internal/mine"
 	"cfpgrowth/internal/quest"
 )
@@ -51,33 +56,42 @@ func minerPaths(workers int) []struct {
 // configuration plus deliberately hostile variants — near-total
 // pattern corruption (long sparse noise paths), and heavy correlation
 // with long patterns (deep shared prefixes that stress the chain and
-// embed machinery the decoder flattens).
+// embed machinery the decoder flattens) — and one with more than 256
+// frequent items at every tested support, whose decodings take the
+// wide walk layout (wide).
 func questFixtures() []struct {
 	name string
 	db   dataset.Slice
+	wide bool
 } {
 	return []struct {
 		name string
 		db   dataset.Slice
+		wide bool
 	}{
 		{"quest-small", quest.Generate(quest.Config{
 			NumTx: 1200, AvgTxLen: 10, NumItems: 250, Seed: 7,
-		})},
+		}), false},
 		{"quest-corrupted", quest.Generate(quest.Config{
 			NumTx: 1000, AvgTxLen: 8, NumItems: 150,
 			CorruptionMean: 0.95, Seed: 11,
-		})},
+		}), false},
 		{"quest-correlated-deep", quest.Generate(quest.Config{
 			NumTx: 800, AvgTxLen: 12, NumItems: 120,
 			AvgPatternLen: 9, Correlation: 0.9, Seed: 13,
-		})},
+		}), false},
+		{"quest-wide", quest.Generate(quest.Config{
+			NumTx: 1500, AvgTxLen: 10, NumItems: 400, Seed: 17,
+		}), true},
 	}
 }
 
 // TestFlatDecodeDifferential requires the legacy, flat-decode, and
 // sharded parallel miners to emit exactly the same itemsets with the
 // same supports on every fixture, across support thresholds that span
-// dense and sparse result sets.
+// dense and sparse result sets, and checks that each fixture's
+// top-level decoding takes the walk layout the fixture is meant to
+// cover.
 func TestFlatDecodeDifferential(t *testing.T) {
 	for _, fx := range questFixtures() {
 		minSups := []uint64{5, 24}
@@ -87,6 +101,10 @@ func TestFlatDecodeDifferential(t *testing.T) {
 			minSups = append(minSups, 2)
 		}
 		for _, minSup := range minSups {
+			var d Decode
+			if !d.From(buildArrayAt(t, fx.db, minSup)) || d.wide != fx.wide {
+				t.Fatalf("%s minSup %d: decode wide = %v, want %v", fx.name, minSup, d.wide, fx.wide)
+			}
 			var want []mine.Itemset
 			for i, p := range minerPaths(4) {
 				got, err := mine.Run(p.mk(), fx.db, minSup)
@@ -242,11 +260,197 @@ func TestSupportOfAgreesWithMinedSupports(t *testing.T) {
 // the mining threshold the cross-check runs at.
 func buildArrayFor(t *testing.T, db dataset.Slice) *Array {
 	t.Helper()
-	tree, _, err := Build(db, 4, Config{}, nil, mine.NullTracker{}, nil)
+	return buildArrayAt(t, db, 4)
+}
+
+// buildArrayAt builds db's CFP-array at the given minimum support.
+func buildArrayAt(t *testing.T, db dataset.Slice, minSup uint64) *Array {
+	t.Helper()
+	tree, _, err := Build(db, minSup, Config{}, nil, mine.NullTracker{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return Convert(tree)
+}
+
+// TestDecodeBytes pins the modeled footprint of a flat decoding: one
+// walk word per element, 4 bytes in the small layout and 8 in the
+// wide one, plus the 4-byte start table over NumItems+1 ranks; no
+// per-element support or offset array.
+func TestDecodeBytes(t *testing.T) {
+	for _, fx := range []int{0, 3} {
+		f := questFixtures()[fx]
+		a := buildArrayAt(t, f.db, 5)
+		var d Decode
+		if !d.From(a) {
+			t.Fatalf("%s: From failed", f.name)
+		}
+		n, items := int64(a.NumNodes()), int64(a.NumItems())
+		word := int64(4)
+		if f.wide {
+			word = 8
+		}
+		if d.wide != f.wide || d.NumElems() != a.NumNodes() {
+			t.Fatalf("%s: wide %v with %d elements, want wide %v with %d", f.name, d.wide, d.NumElems(), f.wide, n)
+		}
+		if got, want := d.Bytes(), word*n+4*(items+1); got != want {
+			t.Errorf("%s: Bytes() = %d, want %d·%d + 4·(%d+1) = %d", f.name, got, word, n, items, want)
+		}
+	}
+	var zero Decode
+	if b := zero.Bytes(); b != 0 {
+		t.Errorf("zero Decode: Bytes() = %d, want 0", b)
+	}
+}
+
+// shuffledArray re-encodes a with the elements of every subarray in a
+// seeded random order and loads the result through ReadArray, the
+// trust boundary that accepts any order in which parents resolve. The
+// tree is unchanged, but children no longer meet their parents in the
+// depth-first order Convert writes.
+func shuffledArray(t *testing.T, a *Array) *Array {
+	t.Helper()
+	type node struct {
+		pr, pj int // parent rank and index within its subarray; pj < 0 at the root
+		delta  uint64
+		count  uint64
+	}
+	numItems := a.NumItems()
+	nodes := make([][]node, numItems)
+	index := make([]map[uint64]int, numItems)
+	for rk := range nodes {
+		index[rk] = map[uint64]int{}
+		a.ScanItem(uint32(rk), func(e Element) bool {
+			nd := node{pj: -1, delta: uint64(e.Delta), count: e.Count}
+			if e.HasParent() {
+				nd.pr = int(e.ParentRank())
+				nd.pj = index[nd.pr][e.ParentLocal()]
+			}
+			index[rk][e.Local] = len(nodes[rk])
+			nodes[rk] = append(nodes[rk], nd)
+			return true
+		})
+	}
+	out := &Array{
+		itemName: a.itemName,
+		support:  a.support,
+		nodes:    a.nodes,
+		numNodes: a.numNodes,
+		starts:   make([]uint64, numItems+1),
+	}
+	locals := make([][]uint64, numItems)
+	var tmp [3 * encoding.MaxVarintLen64]byte
+	rng := rand.New(rand.NewSource(1))
+	for rk, ns := range nodes {
+		base := len(out.data)
+		out.starts[rk] = uint64(base)
+		locals[rk] = make([]uint64, len(ns))
+		for _, j := range rng.Perm(len(ns)) {
+			nd := ns[j]
+			local := uint64(len(out.data) - base)
+			locals[rk][j] = local
+			var dpos int64
+			if nd.pj >= 0 {
+				dpos = int64(local) - int64(locals[nd.pr][nd.pj])
+			}
+			k := encoding.PutUvarint(tmp[:], nd.delta)
+			k += encoding.PutUvarint(tmp[k:], encoding.Zigzag(dpos))
+			k += encoding.PutUvarint(tmp[k:], nd.count)
+			out.data = append(out.data, tmp[:k]...)
+		}
+	}
+	out.starts[numItems] = uint64(len(out.data))
+	var buf bytes.Buffer
+	if _, err := out.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rev, err := ReadArray(&buf)
+	if err != nil {
+		t.Fatalf("ReadArray rejected the reordered array: %v", err)
+	}
+	return rev
+}
+
+// parentDescents counts the elements whose parent lies before the
+// parent of the previous element of the same rank with a parent of the
+// same rank: each is a lookup the forward-only cursor cannot serve,
+// so Decode.From resolves it by the fallback search.
+func parentDescents(a *Array) int {
+	n := 0
+	for rk := 0; rk < a.NumItems(); rk++ {
+		last := map[uint32]uint64{}
+		a.ScanItem(uint32(rk), func(e Element) bool {
+			if !e.HasParent() {
+				return true
+			}
+			pr, pl := e.ParentRank(), e.ParentLocal()
+			if prev, ok := last[pr]; ok && pl < prev {
+				n++
+			}
+			last[pr] = pl
+			return true
+		})
+	}
+	return n
+}
+
+// treeDump is a canonical rendering of a CFP-tree: its depth-first
+// Enter/Leave sequence, siblings ascending.
+type treeDump []int64
+
+func (d *treeDump) Enter(rank uint32, pcount uint32) {
+	*d = append(*d, int64(rank), int64(pcount))
+}
+func (d *treeDump) Leave() { *d = append(*d, -1) }
+
+// TestFlatDecodeOutOfOrderParents loads arrays whose children are not
+// in depth-first order, in both walk layouts, and requires
+// conditionalFlat over their decoding to build, for every rank, the
+// same conditional tree as the byte-chasing conditionalScan, and the
+// whole mine to match the original array's.
+func TestFlatDecodeOutOfOrderParents(t *testing.T) {
+	const minSup = 5
+	for _, fx := range []int{0, 3} {
+		f := questFixtures()[fx]
+		orig := buildArrayAt(t, f.db, minSup)
+		a := shuffledArray(t, orig)
+		if parentDescents(a) == 0 {
+			t.Fatalf("%s: reordered array has no out-of-order parent", f.name)
+		}
+		var d Decode
+		if !d.From(a) || d.wide != f.wide {
+			t.Fatalf("%s: From = false or wide %v, want wide %v", f.name, d.wide, f.wide)
+		}
+		flat := &cfpGrower{minSup: minSup, track: mine.NullTracker{}, treeArena: arena.New()}
+		scan := &cfpGrower{minSup: minSup, track: mine.NullTracker{}, treeArena: arena.New()}
+		for rk := uint32(0); rk < uint32(a.NumItems()); rk++ {
+			ft, st := flat.conditionalFlat(a, &d, rk), scan.conditionalScan(a, rk)
+			if (ft == nil) != (st == nil) {
+				t.Fatalf("%s rank %d: flat tree nil %v, scan tree nil %v", f.name, rk, ft == nil, st == nil)
+			}
+			if ft == nil {
+				continue
+			}
+			var fd, sd treeDump
+			ft.Walk(&fd)
+			st.Walk(&sd)
+			if !slices.Equal(fd, sd) {
+				t.Fatalf("%s rank %d: conditional trees differ", f.name, rk)
+			}
+		}
+		var want, got mine.CollectSink
+		if err := MineArrayItems(orig, Config{}, minSup, &want, nil, 0, AllRanks(orig), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := MineArrayItems(a, Config{}, minSup, &got, nil, 0, AllRanks(a), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		mine.Canonicalize(want.Sets)
+		mine.Canonicalize(got.Sets)
+		if diff := mine.Diff("reordered", got.Sets, "original", want.Sets); diff != "" {
+			t.Fatalf("%s:\n%s", f.name, diff)
+		}
+	}
 }
 
 func rankIndex(a *Array) map[uint32]uint32 {

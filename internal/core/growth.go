@@ -264,6 +264,9 @@ type cfpGrower struct {
 	// laneBufs are the per-lane path accumulators of the interleaved
 	// ancestor walk (one per in-flight chase).
 	laneBufs [walkLanes][]uint32
+	// runSup holds the counts of the run whose conditional is being
+	// built (Array.runCounts); the flat decoding stores none.
+	runSup []uint32
 }
 
 // walkLanes is the number of independent ancestor chases the pattern
@@ -277,11 +280,16 @@ type cfpGrower struct {
 const walkLanes = 8
 
 // acquireDecode returns a flat decoding of a charged against the byte
-// ledger, or nil when flat decoding is disabled (Config ablation) or
-// the array exceeds the flat index space; a nil decode makes the
-// growers below fall back to byte-at-a-time traversal.
+// ledger, or nil when flat decoding is disabled (Config ablation), the
+// array exceeds the flat index space, or the decoding would not fit
+// the byte budget's headroom; a nil decode makes the growers below
+// fall back to byte-at-a-time traversal, which needs no memory beyond
+// the array itself.
 func (m *cfpGrower) acquireDecode(a *Array) *Decode {
 	if m.cfg.DisableFlatDecode {
+		return nil
+	}
+	if c := m.ctl; c != nil && c.MaxBytes > 0 && c.Bytes()+decodeBytes(a.NumNodes(), a.NumItems()) > c.MaxBytes {
 		return nil
 	}
 	var d *Decode
@@ -412,7 +420,7 @@ func (m *cfpGrower) minePath(t *Tree, path []PathNode, prefix []uint32) error {
 //cfplint:hot
 func (m *cfpGrower) mineArray(a *Array, prefix []uint32) error {
 	d := m.acquireDecode(a)
-	ni := a.NumItems()
+	ni := int64(a.NumItems())
 	if debugChecks {
 		assertf(ni <= math.MaxUint32, "core: item count %d overflows rank space", ni)
 	}
@@ -488,16 +496,22 @@ func (m *cfpGrower) anyFrequent(condCount []uint64) bool {
 // collects each element's already-filtered path and inserts it into
 // the conditional tree at lane completion. Infrequent ranks (the
 // common case at low supports, and the owners of the deepest pattern
-// bases) pay for exactly one bare chase and materialize nothing.
+// bases) pay for exactly one bare chase and materialize nothing. The
+// run's counts are decoded once up front into the grower's runSup,
+// charged to the ledger until the conditional is built.
 //
 //cfplint:hot
 func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32) *Tree {
+	m.runSup = a.runCounts(rank, m.runSup)
+	supBytes := int64(len(m.runSup)) * 4
+	m.track.Alloc(supBytes)
+	defer m.track.Free(supBytes)
 	condCount := make([]uint64, rank)
 	lo, hi := d.Run(rank)
 	if d.wide {
-		condCounts(d.walkW, d.sup, lo, hi, condCount)
+		condCounts(d.walkW, m.runSup, lo, hi, condCount)
 	} else {
-		condCounts(d.walk, d.sup, lo, hi, condCount)
+		condCounts(d.walk, m.runSup, lo, hi, condCount)
 	}
 	if !m.anyFrequent(condCount) {
 		return nil
@@ -515,9 +529,9 @@ func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32) *Tree {
 	cond := NewTree(m.treeArena, m.cfg, a.itemName[:rank], condCount)
 	cond.Observe(m.rec)
 	if d.wide {
-		insertBase(m, d.walkW, d.sup, lo, hi, condCount, cond)
+		insertBase(m, d.walkW, m.runSup, lo, hi, condCount, cond)
 	} else {
-		insertBase(m, d.walk, d.sup, lo, hi, condCount, cond)
+		insertBase(m, d.walk, m.runSup, lo, hi, condCount, cond)
 	}
 	if cond.NumNodes() == 0 {
 		return nil
@@ -533,8 +547,8 @@ func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32) *Tree {
 type walkWord interface{ uint32 | uint64 }
 
 // condCounts accumulates the conditional item supports of the pattern
-// base in run [lo, hi) of walk: for every element of the run, every
-// ancestor's rank receives the element's count.
+// base in run [lo, hi) of walk: for every element i of the run, every
+// ancestor's rank receives the element's count sup[i-lo].
 //
 // The chase keeps walkLanes independent walks in flight: each lane
 // owns one element, advances one ancestor step per round, and on
@@ -571,7 +585,7 @@ func condCounts[W walkWord](walk []W, sup []uint32, lo, hi int32, condCount []ui
 				}
 				if i < hi {
 					cur[l] = walk[i] >> rankBits
-					cnt[l] = uint64(sup[i])
+					cnt[l] = uint64(sup[i-lo])
 					i++
 					alive = true
 				} else {
@@ -591,7 +605,8 @@ func condCounts[W walkWord](walk []W, sup []uint32, lo, hi int32, condCount []ui
 }
 
 // insertBase re-walks the pattern base in run [lo, hi) of walk and
-// inserts every non-empty conditionally-frequent path into cond. Lanes
+// inserts every non-empty conditionally-frequent path into cond, with
+// counts sup indexed from lo as in condCounts. Lanes
 // accumulate already-filtered ancestor ranks nearest-first; a completed
 // lane reverses its path root-first into the shared path buffer and
 // inserts it with the owning element's count, then takes the next
@@ -629,7 +644,7 @@ func insertBase[W walkWord](m *cfpGrower, walk []W, sup []uint32, lo, hi int32, 
 						buf = append(buf, seg[j])
 					}
 					m.pathBuf = buf
-					cond.Insert(buf, sup[own[l]])
+					cond.Insert(buf, sup[own[l]-lo])
 				}
 				if i < hi {
 					cur[l] = walk[i] >> rankBits

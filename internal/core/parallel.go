@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/mine"
 	"cfpgrowth/internal/obs"
@@ -75,7 +77,7 @@ func (m *cfpGrower) minePool(a *Array, d *Decode, ranks []uint32, workers, numSh
 		// executing worker's ring. Without a trace the span is inert.
 		csp := m.rec.StartChild(sp, "mine-item").WithWorker(worker).
 			With("shard", int64(shard)).With("rank", int64(rank))
-		err := g.mineRank(a, d, uint32(rank&0xffffffff), nil)
+		err := g.mineRank(a, d, uint32(int64(rank)&math.MaxUint32), nil)
 		csp.End()
 		return err
 	})

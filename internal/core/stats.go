@@ -113,11 +113,11 @@ func (a *Array) Stats() ArrayStats {
 		IndexBytes: int64(a.NumItems()) * IndexEntrySize,
 	}
 	s.TotalBytes = s.DataBytes + s.IndexBytes
-	ni := a.NumItems()
+	ni := int64(a.NumItems())
 	if debugChecks {
 		assertf(ni <= math.MaxUint32, "core: item count %d overflows rank space", ni)
 	}
-	for rk := 0; rk < ni; rk++ {
+	for rk := int64(0); rk < ni; rk++ {
 		a.ScanItem(uint32(rk), func(e Element) bool {
 			s.DeltaItemBytes += int64(encoding.UvarintLen(uint64(e.Delta)))
 			s.DposBytes += int64(encoding.UvarintLen(encoding.Zigzag(e.Dpos)))

@@ -95,6 +95,11 @@ type File struct {
 	// in flight holds one block's transactions, so the buffer size also
 	// bounds a batch. A line longer than the buffer grows it.
 	BufferSize int
+
+	// readerExit, when set, receives one value from each Scan's reader
+	// goroutine as its last act, before Scan can return: the join
+	// signal tests wait on.
+	readerExit chan<- struct{}
 }
 
 // Scan implements Source. It is the paper's asynchronous double
@@ -123,6 +128,9 @@ func (f *File) Scan(fn func(tx []Item) error) error {
 	free <- new(batch)
 	go func() {
 		defer close(full)
+		if f.readerExit != nil {
+			defer func() { f.readerExit <- struct{}{} }()
+		}
 		lr := newLineReader(fh, size)
 		for {
 			var b *batch

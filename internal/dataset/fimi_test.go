@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -252,13 +251,16 @@ func TestReadAllManyBlocks(t *testing.T) {
 
 // TestFileScanAbortJoinsReader checks that Scan has joined its reader
 // goroutine by the time it returns, whether fn aborts it or the input
-// is malformed.
+// is malformed: the reader's exit signal must already be waiting when
+// Scan returns. The signal belongs to this File alone, so scans running
+// concurrently elsewhere cannot disturb the count.
 func TestFileScanAbortJoinsReader(t *testing.T) {
 	path := writeTemp(t, strings.Repeat("1 2 3\n", 20000)+"x\n")
 	errStop := errors.New("stop")
 	for _, stopAt := range []int{1, 3, 500, -1} {
+		exited := make(chan struct{}, 1)
 		n := 0
-		err := (&File{Path: path, BufferSize: 64}).Scan(func([]Item) error {
+		err := (&File{Path: path, BufferSize: 64, readerExit: exited}).Scan(func([]Item) error {
 			if n++; n == stopAt {
 				return errStop
 			}
@@ -267,17 +269,10 @@ func TestFileScanAbortJoinsReader(t *testing.T) {
 		if (stopAt > 0 && err != errStop) || (stopAt < 0 && err == nil) {
 			t.Fatalf("stop at %d: Scan error %v", stopAt, err)
 		}
-		if n := readerGoroutines(); n != 0 {
-			t.Fatalf("stop at %d: %d reader goroutines still running after Scan", stopAt, n)
+		if got := len(exited); got != 1 {
+			t.Fatalf("stop at %d: %d reader exits signaled when Scan returned, want 1", stopAt, got)
 		}
 	}
-}
-
-// readerGoroutines counts the goroutines running File.Scan's reader.
-func readerGoroutines() int {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	return bytes.Count(buf, []byte("dataset.(*File).Scan.func"))
 }
 
 // byteParser is the byte-at-a-time FIMI parser the block parser
