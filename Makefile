@@ -13,14 +13,13 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific analyzers (internal/analysis, driven by cmd/cfplint):
-# goroutinesafe, sinkguard, obsguard, lockorder, varintbounds,
-# atomicfield, allochot, and the numeric layer intwidth, loopprogress,
-# boundscertain — preceded by reporting-free summary and rangefacts
-# phases that publish per-function Effects and result-range facts in
-# package dependency order. Each survived a mutation audit (DESIGN.md
-# §5b): a planted bug of its class passes every test.
-# Suppress a finding with
-# `//cfplint:ignore <analyzer> <reason>` on or above the line.
+# goroutinesafe, sinkguard, obsguard, lockorder, atomicfield and
+# allochot — preceded by a reporting-free summary phase that publishes
+# per-function Effects facts in package dependency order. Each survived
+# a mutation audit (DESIGN.md §5b): a planted bug of its class passes
+# every test. Suppress a finding with
+# `//cfplint:ignore <analyzer> <reason>` on or above the line; a
+# directive naming no analyzer of the suite is itself a finding.
 lint:
 	$(GO) run ./cmd/cfplint ./...
 

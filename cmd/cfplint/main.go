@@ -1,19 +1,11 @@
 // Command cfplint is the repo-specific static-analysis driver: a
 // multichecker over the analyzers in internal/analysis/... that guard
-// the varint triples of the CFP-array (varintbounds), the
-// no-emission-after-stop concurrency invariant (sinkguard), goroutine
-// join discipline (goroutinesafe), span hygiene (obsguard),
+// the no-emission-after-stop concurrency invariant (sinkguard),
+// goroutine join discipline (goroutinesafe), span hygiene (obsguard),
 // atomic-field discipline (atomicfield), lock-order discipline
-// (lockorder), hot-path allocation discipline (allochot), and the
-// numeric layer: packed-width proofs (intwidth), loop-progress proofs
-// (loopprogress), and in-range certification of index/slice
-// expressions (boundscertain, reporting-free — it publishes the
-// Certified fact varintbounds consumes to drop taint findings the
-// interval engine has proven safe). Two reporting-free phases feed the
-// rest: summary publishes the per-function Effects facts (unchecked
-// index slots, sink emissions) that varintbounds, sinkguard and
-// lockorder consume, and rangefacts (pulled in as a requirement of the
-// numeric analyzers) publishes per-function result ranges.
+// (lockorder) and hot-path allocation discipline (allochot). The
+// reporting-free summary phase runs first and publishes the
+// per-function EmitsSink facts that sinkguard and lockorder consume.
 //
 // Every reporting analyzer here survived a mutation audit (DESIGN.md
 // §5b): a bug of its class planted in product code passed every test,
@@ -31,10 +23,10 @@
 // packages. -budget reads a committed baseline file (analyzer →
 // milliseconds) and fails the run when any analyzer exceeds twice its
 // baseline, ran without a baseline entry, or has a baseline entry but
-// never ran — so a solver regression (say, interval iteration falling
-// off its fixpoint fast path) fails CI instead of silently tripling
-// lint wall time, and the baseline file cannot drift out of sync with
-// the suite. The exit status is 1 when any finding survives or the
+// never ran — so a solver regression (say, a dataflow fixpoint that
+// stops converging) fails CI instead of silently tripling lint wall
+// time, and the baseline file cannot drift out of sync with the suite.
+// The exit status is 1 when any finding survives or the
 // budget check fails, 2 when loading fails, the patterns match no
 // packages, or the artifact cannot be written — an empty match or a
 // lost artifact is a misconfiguration, not a clean run. Individual
@@ -43,13 +35,14 @@
 //
 //	//cfplint:ignore <analyzer> <reason>
 //
+// A directive that names no analyzer of the suite is itself a finding.
+//
 // Each analyzer runs over a scope matching its invariant: sinkguard
 // only applies to the mining packages (internal/core, internal/pfp,
 // internal/fptree, internal/algo/...), obsguard to the packages
 // instrumented with obs spans, lockorder to the synchronized layers
 // (internal/obs, internal/core — mine.SyncSink deliberately holds its
-// mutex across Inner.Emit and is out of scope), intwidth to the
-// layers that own or feed the packed formats, the rest module-wide.
+// mutex across Inner.Emit and is out of scope), the rest module-wide.
 //
 // Packages are analyzed in dependency order sharing one fact store, so
 // facts exported while analyzing a dependency (say, a stop-check
@@ -70,15 +63,11 @@ import (
 	"cfpgrowth/internal/analysis"
 	"cfpgrowth/internal/analysis/allochot"
 	"cfpgrowth/internal/analysis/atomicfield"
-	"cfpgrowth/internal/analysis/boundscertain"
 	"cfpgrowth/internal/analysis/goroutinesafe"
-	"cfpgrowth/internal/analysis/intwidth"
 	"cfpgrowth/internal/analysis/lockorder"
-	"cfpgrowth/internal/analysis/loopprogress"
 	"cfpgrowth/internal/analysis/obsguard"
 	"cfpgrowth/internal/analysis/sinkguard"
 	"cfpgrowth/internal/analysis/summary"
-	"cfpgrowth/internal/analysis/varintbounds"
 )
 
 // scoped pairs an analyzer with the package scope its invariant lives
@@ -137,32 +126,8 @@ var suite = []scoped{
 		"cfpgrowth/internal/obs",
 		"cfpgrowth/internal/core",
 	)},
-	// boundscertain runs wherever varintbounds does (it is also in its
-	// Requires); the explicit entry keeps it in -list and the timing
-	// report even if the consumer is ever rescoped.
-	{boundscertain.Analyzer, everywhere},
-	{varintbounds.Analyzer, everywhere},
 	{atomicfield.Analyzer, everywhere},
 	{allochot.Analyzer, everywhere},
-	// intwidth audits the layers that own or feed the packed formats —
-	// 40-bit arena pointers, suppressed-zero count words, varint
-	// triples. Outside them (baseline algorithms, experiment scripts,
-	// the public API) a uint32(len(...)) is ordinary Go, not a
-	// field-boundary invariant, and flagging it would bury the signal.
-	{intwidth.Analyzer, anyPrefix(
-		"cfpgrowth/internal/encoding",
-		"cfpgrowth/internal/core",
-		"cfpgrowth/internal/arena",
-		"cfpgrowth/internal/mine",
-	)},
-	// loopprogress scopes itself to hot-marked functions and loops
-	// that call the varint decoders; package-wise it runs everywhere
-	// untrusted decoded structures are traversed. The analysis
-	// framework has neither, so it is out of scope (self-analysis
-	// would dominate lint wall time).
-	{loopprogress.Analyzer, func(path string) bool {
-		return !strings.HasPrefix(path, "cfpgrowth/internal/analysis")
-	}},
 }
 
 // jsonFinding is the -json serialization of one finding.
@@ -227,7 +192,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var all []analysis.Finding
 	timings := map[string]time.Duration{}
 	store := analysis.NewFactStore()
+	everyAnalyzer := make([]*analysis.Analyzer, len(suite))
+	for i, s := range suite {
+		everyAnalyzer[i] = s.analyzer
+	}
 	for _, pkg := range topoOrder(pkgs) {
+		unknown, err := analysis.UnknownDirectives(pkg, everyAnalyzer)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
+		all = append(all, unknown...)
 		var active []*analysis.Analyzer
 		for _, s := range suite {
 			if s.applies(pkg.ImportPath) {

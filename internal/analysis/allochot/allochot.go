@@ -92,8 +92,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, hot string) {
 	if fn != nil && strings.HasPrefix(fn.Name(), "assert") {
 		// The debugchecks assertion layer: assert* calls sit behind a
 		// constant-false gate in default builds, so the compiler
-		// eliminates them, boxing and all. Same accommodation as
-		// varintbounds' audit rule.
+		// eliminates them, boxing and all.
 		return
 	}
 	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {

@@ -112,8 +112,8 @@ func WalkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
 }
 
 // FuncDecls yields every function declaration with a body in the pass,
-// the granularity at which path-sensitive rules (sinkguard,
-// varintbounds) approximate "on the same path": a check anywhere
+// the granularity at which path-sensitive rules (sinkguard)
+// approximate "on the same path": a check anywhere
 // earlier in the same declaration, including inside nested function
 // literals, satisfies them.
 func (p *Pass) FuncDecls() []*ast.FuncDecl {

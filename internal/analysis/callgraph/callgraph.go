@@ -45,8 +45,6 @@ type Node struct {
 
 // A Call is one statically resolved call site.
 type Call struct {
-	// Site is the call expression.
-	Site *ast.CallExpr
 	// Callee is the resolved function or concrete method; for an
 	// interface method call, the interface's method object.
 	Callee *types.Func
@@ -126,7 +124,7 @@ func classify(n *Node, info *types.Info, call *ast.CallExpr, inLit bool) {
 	if fn == nil {
 		return // a call through a function value
 	}
-	n.Calls = append(n.Calls, Call{Site: call, Callee: fn, Interface: isInterfaceMethod(fn), InLit: inLit})
+	n.Calls = append(n.Calls, Call{Callee: fn, Interface: isInterfaceMethod(fn), InLit: inLit})
 }
 
 // isInterfaceMethod reports whether fn is declared on an interface

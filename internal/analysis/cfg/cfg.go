@@ -1,6 +1,6 @@
 // Package cfg builds per-function control-flow graphs over go/ast
 // bodies, the substrate of the path-sensitive analyzers in
-// internal/analysis/... (sinkguard, obsguard, varintbounds, lockorder).
+// internal/analysis/... (sinkguard, obsguard, goroutinesafe, lockorder).
 //
 // The graph is deliberately small: basic blocks hold leaf statements
 // and condition expressions in evaluation order; composite statements

@@ -108,8 +108,8 @@ func TestMustAnalysisJoins(t *testing.T) {
 }
 
 // bounded is a branch-refined may-analysis over a single variable
-// named "n": it is "bounded" after the true edge of `n < lim`. The
-// skeleton of varintbounds' sanitizer edges.
+// named "n": it is "bounded" after the true edge of `n < lim`, the
+// shape of a sanitizer edge.
 type bounded struct{}
 
 func (bounded) Entry() bool                      { return false }

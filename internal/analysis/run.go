@@ -168,6 +168,41 @@ func expand(analyzers []*Analyzer) ([]*Analyzer, error) {
 	return out, nil
 }
 
+// UnknownDirectives reports, as findings of the pseudo-analyzer
+// "cfplint", every name in pkg's //cfplint:ignore directives that names
+// no analyzer of suite or of its Requires closure. Run leaves a
+// directive for an analyzer it did not run alone, since that analyzer
+// may be scoped out of the package; a name no suite analyzer has
+// suppresses nothing anywhere, so drivers report it here.
+func UnknownDirectives(pkg *Package, suite []*Analyzer) ([]Finding, error) {
+	all, err := expand(suite)
+	if err != nil {
+		return nil, err
+	}
+	known := make(map[string]bool, len(all))
+	for _, a := range all {
+		known[a.Name] = true
+	}
+	var out []Finding
+	for _, d := range collectDirectives(pkg) {
+		names := make([]string, 0, len(d.names))
+		for n := range d.names {
+			if !known[n] {
+				names = append(names, n)
+			}
+		}
+		sort.Strings(names)
+		for _, n := range names {
+			out = append(out, Finding{
+				Analyzer: "cfplint",
+				Pos:      d.pos,
+				Message:  fmt.Sprintf("//cfplint:ignore names %s, which is not an analyzer of the suite", n),
+			})
+		}
+	}
+	return out, nil
+}
+
 // anyKnown reports whether the directive names at least one analyzer of
 // the current run; directives for analyzers that did not run are left
 // alone rather than flagged as stale.

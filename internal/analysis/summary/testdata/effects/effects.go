@@ -18,25 +18,6 @@ func dyn(f func()) { // want `effects: none$`
 	f()
 }
 
-func idx(b []byte, i int) byte { // want `effects: unbounded\(0x2\)$`
-	return b[i]
-}
-
-func idxChecked(b []byte, i int) byte { // want `effects: none$`
-	if i < len(b) {
-		return b[i]
-	}
-	return 0
-}
-
-func idxVia(b []byte, i int) byte { // want `effects: unbounded\(0x2\)$`
-	return idx(b, i)
-}
-
-func sliceHi(b []byte, n int) []byte { // want `effects: unbounded\(0x2\)$`
-	return b[:n]
-}
-
 // Mutual recursion converges to the union of both bodies' effects.
 func pingPong(s mine.Sink, depth int) error { // want `effects: emitsSink$`
 	if depth == 0 {

@@ -3,8 +3,11 @@
 package core
 
 import (
+	"fmt"
+	"runtime/metrics"
 	"strings"
 	"testing"
+	"time"
 
 	"cfpgrowth/internal/encoding"
 )
@@ -83,6 +86,50 @@ func TestParentFieldsAssertOnCorruption(t *testing.T) {
 	mustPanicContaining(t, "truncated CFP-array triple", func() {
 		a.ParentFields(0, 0)
 	})
+}
+
+// TestAppendRunStopsOnTruncatedRun: a run of one continuation byte
+// decodes with length 0, so without the assertions AppendRun's loop
+// never advances and appends forever. The call runs in a goroutine
+// that must panic within the deadline. A spinning goroutine cannot be
+// stopped, so a missed deadline, or a heap that grows past 256 MiB
+// while waiting, aborts the whole test binary rather than leaving it
+// eating memory.
+func TestAppendRunStopsOnTruncatedRun(t *testing.T) {
+	a := &Array{
+		data:     []byte{0x80},
+		starts:   []uint64{0, 1},
+		support:  []uint64{1},
+		nodes:    []int{1},
+		itemName: []uint32{0},
+		numNodes: 1,
+	}
+	done := make(chan any)
+	go func() {
+		defer func() { done <- recover() }()
+		a.AppendRun(0, nil)
+	}()
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	base := sample[0].Value.Uint64()
+	deadline := time.Now().Add(10 * time.Second)
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case r := <-done:
+			msg, _ := r.(string)
+			if !strings.Contains(msg, "truncated CFP-array triple") {
+				t.Fatalf("AppendRun returned or panicked with %v, want the truncated-triple assertion", r)
+			}
+			return
+		case <-tick.C:
+		}
+		metrics.Read(sample)
+		if grown := sample[0].Value.Uint64() - base; grown > 256<<20 || time.Now().After(deadline) {
+			panic(fmt.Sprintf("AppendRun over a truncated run is still looping (heap grew %d bytes)", grown))
+		}
+	}
 }
 
 func TestWriteSlotAsserts(t *testing.T) {

@@ -98,11 +98,11 @@ func decodeBytes(n, numItems int) int64 {
 
 // From fills d with the flat decoding of a, reusing d's buffers. It
 // reports false — leaving d unusable — when the array exceeds the flat
-// index space (more than 2^31-1 elements, a subarray past 4 GiB of
-// triple bytes, or an element count past 32 bits); callers fall back
-// to the byte-chasing traversal. Triples are validated at their trust
-// boundaries (Convert, ReadArray), so the sweeps run unchecked like
-// Array.decode; debugchecks builds re-assert the invariants.
+// index space (more than 2^31-1 elements or a subarray past 4 GiB of
+// triple bytes); callers fall back to the byte-chasing traversal.
+// Triples are validated at their trust boundaries (Convert, ReadArray),
+// so the sweeps run unchecked like Array.decode; debugchecks builds
+// re-assert the invariants.
 func (d *Decode) From(a *Array) bool {
 	n := a.NumNodes()
 	numItems := a.NumItems()
@@ -120,14 +120,16 @@ func (d *Decode) From(a *Array) bool {
 		}
 		d.walkW = d.walkW[:n]
 		d.walk = d.walk[:0]
-		return decodeFlat(a, d.walkW, d.start)
+		decodeFlat(a, d.walkW, d.start)
+		return true
 	}
 	if cap(d.walk) < n {
 		d.walk = make([]uint32, n)
 	}
 	d.walk = d.walk[:n]
 	d.walkW = d.walkW[:0]
-	return decodeFlat(a, d.walk, d.start)
+	decodeFlat(a, d.walk, d.start)
+	return true
 }
 
 // decodeFlat is From's body for one walk layout. Each element's parent
@@ -144,18 +146,12 @@ func (d *Decode) From(a *Array) bool {
 // of its word, and a last sequential sweep swaps the offsets for ranks.
 //
 //cfplint:hot
-func decodeFlat[W walkWord](a *Array, walk []W, start []int32) bool {
+func decodeFlat[W walkWord](a *Array, walk []W, start []int32) {
 	rankBits := uint(8)
 	if unsafe.Sizeof(W(0)) == 8 {
 		rankBits = 32
 	}
 	numItems := int64(len(start) - 1)
-	// Ranks are stored as uint32; a rank count past 32 bits cannot
-	// occur, but the explicit bound is what proves the rank packing
-	// below.
-	if numItems > math.MaxUint32 {
-		return false
-	}
 	// cur[pr] is the last element of rank pr that resolved a parent
 	// lookup: the hint findParent gallops forward from.
 	cur := make([]int32, len(start)-1)
@@ -163,10 +159,7 @@ func decodeFlat[W walkWord](a *Array, walk []W, start []int32) bool {
 	if rankBits == 32 {
 		for rk := int64(0); rk < numItems; rk++ {
 			start[rk] = idx
-			var ok bool
-			if idx, ok = resolveRun(a, walk, start, cur, uint32(rk), idx); !ok {
-				return false
-			}
+			idx = resolveRun(a, walk, start, cur, uint32(rk), idx)
 		}
 		start[numItems] = idx
 		for rk := int64(0); rk < numItems; rk++ {
@@ -175,7 +168,7 @@ func decodeFlat[W walkWord](a *Array, walk []W, start []int32) bool {
 				run[i] = run[i]>>rankBits<<rankBits | W(rk)
 			}
 		}
-		return true
+		return
 	}
 	for rk := int64(0); rk < numItems; rk++ {
 		start[rk] = idx
@@ -199,21 +192,17 @@ func decodeFlat[W walkWord](a *Array, walk []W, start []int32) bool {
 	}
 	start[numItems] = idx
 	for rk := numItems - 1; rk >= 0; rk-- {
-		if _, ok := resolveRun(a, walk, start, cur, uint32(rk), start[rk]); !ok {
-			return false
-		}
+		resolveRun(a, walk, start, cur, uint32(rk), start[rk])
 	}
-	return true
 }
 
 // resolveRun decodes rank rk's triples, whose elements start at walk
 // index idx, finds each one's parent, and writes its word: parent index
 // above the rank in the small layout, above the element's own offset
-// in the wide one. It returns the index past the run, and false when a
-// count passes 32 bits.
+// in the wide one. It returns the index past the run.
 //
 //cfplint:hot
-func resolveRun[W walkWord](a *Array, walk []W, start, cur []int32, rk uint32, idx int32) (int32, bool) {
+func resolveRun[W walkWord](a *Array, walk []W, start, cur []int32, rk uint32, idx int32) int32 {
 	rankBits, root := uint(8), W(smallRoot)
 	if unsafe.Sizeof(root) == 8 {
 		rankBits, root = 32, W(uint64(wideRoot))
@@ -234,12 +223,8 @@ func resolveRun[W walkWord](a *Array, walk []W, start, cur []int32, rk uint32, i
 		if debugChecks {
 			assertf(n3 > 0, "core: truncated CFP-array triple at rank %d offset %d", rk, pos)
 			assertf(c > 0, "core: zero count at rank %d offset %d", rk, pos)
+			assertf(c <= math.MaxUint32, "core: count %d overflows uint32 at rank %d offset %d", c, rk, pos)
 			assertf(int64(pos) <= math.MaxUint32, "core: triple offset overflows 32 bits at rank %d", rk)
-		}
-		// Counts are decoded per run into uint32 (Array.runCounts); a
-		// wider one sends the whole array to the byte chase.
-		if c > math.MaxUint32 {
-			return idx, false
 		}
 		p := root
 		if delta <= uint64(rk) {
@@ -264,7 +249,7 @@ func resolveRun[W walkWord](a *Array, walk []W, start, cur []int32, rk uint32, i
 		idx++
 		pos += n1 + n2 + n3
 	}
-	return idx, true
+	return idx
 }
 
 // findParent resolves a parent's (rank, local byte offset) pair to its
@@ -304,7 +289,6 @@ func findParent[W walkWord](walk []W, start, cur []int32, pr uint32, local uint3
 		}
 	}
 	for lo < hi {
-		//cfplint:ignore intwidth overflow-safe midpoint: the int32 sum may wrap, and the uint32 reinterpretation before the shift is the algorithm
 		mid := int32(uint32(lo+hi) >> 1)
 		if uint32(walk[mid]) < local {
 			lo = mid + 1
@@ -321,8 +305,9 @@ func findParent[W walkWord](walk []W, start, cur []int32, pr uint32, local uint3
 
 // runCounts decodes the counts of rank rk's run into buf, reusing its
 // capacity, in one sequential sweep that skips Δitem and Δpos; buf[k]
-// is the count of the run's k-th element. Decode.From has checked that
-// every count fits 32 bits.
+// is the count of the run's k-th element. Every count fits 32 bits:
+// Convert builds from 32-bit tree counts, and ReadArray rejects wider
+// ones.
 //
 //cfplint:hot
 func (a *Array) runCounts(rk uint32, buf []uint32) []uint32 {

@@ -106,17 +106,19 @@ func (a *Array) writeBody(w io.Writer) (int64, error) {
 }
 
 // ReadArray deserializes an array written by WriteTo and verifies the
-// checksum (by recomputing it over a re-serialization, which doubles as
-// a round-trip self-check). The returned array is the serving artifact,
-// frozen from the moment ReadArray returns — cfpserve's generation swap
-// relies on deserialized arrays being immutable while concurrent
-// readers hold them. TestIndexMineConcurrentReaders and
+// checksum over the bytes exactly as read. Every header varint must be
+// minimal, so an accepted file is the one WriteTo would write for the
+// array it loads, byte for byte. The returned array is the serving
+// artifact, frozen from the moment ReadArray returns — cfpserve's
+// generation swap relies on deserialized arrays being immutable while
+// concurrent readers hold them. TestIndexMineConcurrentReaders and
 // TestIndexSupportOfConcurrentReaders (package cfpgrowth) enforce it on
 // a loaded index.
 func ReadArray(r io.Reader) (*Array, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
+	cr := &crcReader{r: br}
 	var hdr [5]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	if [4]byte(hdr[:4]) != arrayMagic {
@@ -126,9 +128,13 @@ func ReadArray(r io.Reader) (*Array, error) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, hdr[4])
 	}
 	uv := func() (uint64, error) {
-		v, err := binary.ReadUvarint(br)
+		cr.n = 0
+		v, err := binary.ReadUvarint(cr)
 		if err != nil {
 			return 0, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		}
+		if cr.n != encoding.UvarintLen(v) {
+			return 0, fmt.Errorf("%w: non-minimal varint for %d", ErrBadFormat, v)
 		}
 		return v, nil
 	}
@@ -206,7 +212,7 @@ func ReadArray(r io.Reader) (*Array, error) {
 		chunk := min(remaining, 1<<20)
 		start := uint64(len(a.data))
 		a.data = append(a.data, make([]byte, chunk)...)
-		if _, err := io.ReadFull(br, a.data[start:]); err != nil {
+		if _, err := io.ReadFull(cr, a.data[start:]); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 		}
 		remaining -= chunk
@@ -215,11 +221,7 @@ func ReadArray(r io.Reader) (*Array, error) {
 	if _, err := io.ReadFull(br, sum[:]); err != nil {
 		return nil, fmt.Errorf("%w: missing checksum", ErrBadFormat)
 	}
-	crc := crc32.NewIEEE()
-	if _, err := a.writeBody(crc); err != nil {
-		return nil, err
-	}
-	if crc.Sum32() != binary.LittleEndian.Uint32(sum[:]) {
+	if cr.sum != binary.LittleEndian.Uint32(sum[:]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadFormat)
 	}
 	if err := a.validate(); err != nil {
@@ -237,9 +239,11 @@ func ReadArray(r io.Reader) (*Array, error) {
 // (the checksum catches accidental damage, not a consistent hostile
 // writer). So every triple is parsed exactly once here: varints intact,
 // counts positive, Δitem in range, and each parent reference landing
-// exactly on a triple boundary of the parent's subarray. Parents have
-// strictly smaller ranks, so walking subarrays in ascending rank order
-// has every referenced offset list already built.
+// exactly on a triple boundary of the parent's subarray. Counts and
+// each rank's summed support must fit 32 bits: conditional CFP-trees
+// store counts in 32 bits, so a wider one would mine wrong supports.
+// Parents have strictly smaller ranks, so walking subarrays in
+// ascending rank order has every referenced offset list already built.
 func (a *Array) validate() error {
 	numItems := len(a.itemName)
 	offs := make([][]uint64, numItems)
@@ -269,6 +273,9 @@ func (a *Array) validate() error {
 			if c == 0 {
 				return fmt.Errorf("%w: zero count at rank %d local %d", ErrBadFormat, rk, local)
 			}
+			if c > math.MaxUint32 {
+				return fmt.Errorf("%w: count %d overflows uint32 at rank %d local %d", ErrBadFormat, c, rk, local)
+			}
 			dpos := encoding.Unzigzag(z)
 			if d <= uint64(rk) {
 				// Real parent: the reference must resolve, via the same
@@ -287,7 +294,9 @@ func (a *Array) validate() error {
 			} else if dpos != 0 {
 				return fmt.Errorf("%w: parentless element with nonzero Δpos at rank %d local %d", ErrBadFormat, rk, local)
 			}
-			sup += c
+			if sup += c; sup > math.MaxUint32 {
+				return fmt.Errorf("%w: rank %d support overflows uint32", ErrBadFormat, rk)
+			}
 			pos += uint64(n1 + n2 + n3)
 		}
 		if len(locals) != a.nodes[rk] {
@@ -299,6 +308,33 @@ func (a *Array) validate() error {
 		offs[rk] = locals
 	}
 	return nil
+}
+
+// crcReader folds every byte read through it into sum and counts the
+// bytes since n was last reset, so ReadArray checksums the input as
+// read and can measure each varint.
+type crcReader struct {
+	r   *bufio.Reader
+	sum uint32
+	n   int
+	one [1]byte
+}
+
+func (c *crcReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
+	c.n += n
+	return n, err
+}
+
+func (c *crcReader) ReadByte() (byte, error) {
+	b, err := c.r.ReadByte()
+	if err == nil {
+		c.one[0] = b
+		c.sum = crc32.Update(c.sum, crc32.IEEETable, c.one[:])
+		c.n++
+	}
+	return b, err
 }
 
 type countingWriter struct {

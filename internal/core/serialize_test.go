@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -107,8 +108,8 @@ func TestSerializeBadMagicAndVersion(t *testing.T) {
 
 // TestSerializeNodeCountMismatch: the header's total node count is
 // redundant with the per-item counts. A forged file where they disagree
-// can carry a self-consistent CRC (the checksum is recomputed from the
-// parsed fields), so ReadArray must cross-validate the counts.
+// can carry a self-consistent CRC, so ReadArray must cross-validate the
+// counts.
 func TestSerializeNodeCountMismatch(t *testing.T) {
 	a := buildArrayFrom([][]uint32{{0, 1}, {0, 1, 2}, {1, 2}}, 3)
 	var buf bytes.Buffer
@@ -128,9 +129,7 @@ func TestSerializeNodeCountMismatch(t *testing.T) {
 		t.Fatal("forged count not a single-byte uvarint")
 	}
 	data[6] = forged
-	body := data[:len(data)-4]
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
-	_, err := ReadArray(bytes.NewReader(data))
+	_, err := ReadArray(bytes.NewReader(recrc(data)))
 	if !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("forged node count accepted: err = %v", err)
 	}
@@ -138,10 +137,8 @@ func TestSerializeNodeCountMismatch(t *testing.T) {
 
 // TestReadArrayRejectsWideItemName: item names are uint32 in memory
 // but uvarints on disk, so a hostile writer can spell a name of 2^32.
-// ReadArray checks the CRC over its own re-serialization of what it
-// parsed, so the forged file below, which carries the checksum of the
-// array whose item 0 is named 0, is CRC-valid exactly when the name is
-// silently truncated. ReadArray must reject it instead.
+// The forged file carries a valid CRC, so only the width check can
+// reject it; without that check the name truncates to 0.
 func TestReadArrayRejectsWideItemName(t *testing.T) {
 	a := buildArrayFrom([][]uint32{{0}}, 1)
 	var buf bytes.Buffer
@@ -158,8 +155,130 @@ func TestReadArrayRejectsWideItemName(t *testing.T) {
 	var wide [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(wide[:], 1<<32)
 	forged := append(append(append([]byte(nil), data[:nameOff]...), wide[:n]...), data[nameOff+1:]...)
-	if _, err := ReadArray(bytes.NewReader(forged)); !errors.Is(err, ErrBadFormat) {
+	if _, err := ReadArray(bytes.NewReader(recrc(forged))); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("item name 2^32 accepted: err = %v", err)
+	}
+}
+
+// recrc rewrites the CRC trailer of a serialized array to match the
+// bytes above it, so a forged file passes the checksum and only
+// structural validation can reject it. It modifies data in place.
+func recrc(data []byte) []byte {
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
+	return data
+}
+
+// handBuiltArray serializes, with a valid CRC, an array whose ranks
+// hold the given raw triple bytes, support and element count; item i
+// is named 10+i. Nothing is validated, so it can spell any triple.
+func handBuiltArray(runs [][]byte, support []uint64, nodes []int) []byte {
+	a := &Array{starts: []uint64{0}, support: support, nodes: nodes}
+	for i, run := range runs {
+		a.data = append(a.data, run...)
+		a.starts = append(a.starts, uint64(len(a.data)))
+		a.itemName = append(a.itemName, uint32(10+i))
+		a.numNodes += nodes[i]
+	}
+	var buf bytes.Buffer
+	if _, err := a.WriteTo(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// uvarint returns the minimal uvarint encoding of v.
+func uvarint(v uint64) []byte {
+	return binary.AppendUvarint(nil, v)
+}
+
+// overlongDposArray is a one-element array whose Δpos varint runs to
+// 11 bytes, one past the longest valid uvarint: the decoder reports it
+// with a negative length.
+func overlongDposArray() []byte {
+	triple := []byte{0x01}
+	triple = append(triple, bytes.Repeat([]byte{0x80}, 10)...)
+	triple = append(triple, 0x00, 0x01)
+	return handBuiltArray([][]byte{triple}, []uint64{1}, []int{1})
+}
+
+// wideCountArray is the two-item array {10: c, 11: c under 10}.
+func wideCountArray(c uint64) []byte {
+	root := append([]byte{0x01, 0x00}, uvarint(c)...)
+	child := append([]byte{0x01, 0x00}, uvarint(c)...)
+	return handBuiltArray([][]byte{root, child}, []uint64{c, c}, []int{1, 1})
+}
+
+// nonMinimalHeaderArray is a valid array whose item-count varint is
+// rewritten in two bytes (0x83 0x00 for 3). With keepCRC it carries the
+// original file's checksum, which a reader that checksums its own
+// re-serialization accepts; otherwise the CRC matches the bytes.
+func nonMinimalHeaderArray(keepCRC bool) []byte {
+	a := buildArrayFrom([][]uint32{{0, 1, 2}, {1, 2}}, 3)
+	var buf bytes.Buffer
+	if _, err := a.WriteTo(&buf); err != nil {
+		panic(err)
+	}
+	data := buf.Bytes()
+	// Layout: magic(4) version(1), then numItems = 3 in one byte.
+	const countOff = 5
+	if data[countOff] != 3 {
+		panic("layout changed")
+	}
+	forged := append(append(append([]byte(nil), data[:countOff]...), 0x83, 0x00), data[countOff+1:]...)
+	if keepCRC {
+		return forged
+	}
+	return recrc(forged)
+}
+
+// TestReadArrayRejectsOverlongVarint: a Δpos varint of 11 bytes makes
+// the decoder report a negative length. validate must reject the
+// triple rather than slice with that length, which panics.
+func TestReadArrayRejectsOverlongVarint(t *testing.T) {
+	if _, err := ReadArray(bytes.NewReader(overlongDposArray())); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("11-byte Δpos varint accepted: err = %v", err)
+	}
+}
+
+// TestReadArrayRejectsWideCount: conditional CFP-trees store counts in
+// 32 bits, so an array with a count or a rank support past 2^32-1
+// mines wrong supports ({10: 2^32+5, 11: 2^32+5 under 10} would mine
+// {10,11} with support 5). ReadArray must reject it; a count of
+// exactly 2^32-1 still loads.
+func TestReadArrayRejectsWideCount(t *testing.T) {
+	const wide = 1<<32 + 5
+	if _, err := ReadArray(bytes.NewReader(wideCountArray(wide))); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("count 2^32+5 accepted: err = %v", err)
+	}
+	// Two parentless elements of one rank, each count in range, whose
+	// sum is not.
+	half := uint64(1) << 31
+	elem := append([]byte{0x01, 0x00}, uvarint(half)...)
+	sum := handBuiltArray([][]byte{append(append([]byte(nil), elem...), elem...)}, []uint64{2 * half}, []int{2})
+	if _, err := ReadArray(bytes.NewReader(sum)); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("rank support 2^32 accepted: err = %v", err)
+	}
+	a, err := ReadArray(bytes.NewReader(wideCountArray(math.MaxUint32)))
+	if err != nil {
+		t.Fatalf("count 2^32-1 rejected: %v", err)
+	}
+	if s := a.Support(1); s != math.MaxUint32 {
+		t.Errorf("support of rank 1 = %d, want 2^32-1", s)
+	}
+}
+
+// TestReadArrayRejectsNonMinimalHeader: the CRC covers the bytes as
+// read, and header varints must be minimal. A two-byte spelling of the
+// item count fails under the original checksum (the bytes changed)
+// and under a matching one (the spelling is not minimal); either way
+// the persisted bytes could otherwise change without the load noticing.
+func TestReadArrayRejectsNonMinimalHeader(t *testing.T) {
+	for _, keepCRC := range []bool{true, false} {
+		_, err := ReadArray(bytes.NewReader(nonMinimalHeaderArray(keepCRC)))
+		if !errors.Is(err, ErrBadFormat) {
+			t.Errorf("keepCRC=%v: non-minimal item count accepted: err = %v", keepCRC, err)
+		}
 	}
 }
 

@@ -87,7 +87,6 @@ func SkipUvarint(buf []byte) int {
 // magnitude (of either sign) encode into few bytes: 0→0, -1→1, 1→2,
 // -2→3, ...
 func Zigzag(v int64) uint64 {
-	//cfplint:ignore intwidth zigzag is two's-complement wrap by definition: the lossy conversion is the algorithm
 	return uint64(v<<1) ^ uint64(v>>63)
 }
 

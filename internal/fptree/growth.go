@@ -224,10 +224,11 @@ func (m *grower) minePath(t *Tree, path []uint32, prefix []uint32) error {
 func (m *grower) conditional(t *Tree, rk uint32) *Tree {
 	// Pass 1 over the nodelink chain: conditional item supports.
 	condCount := make([]uint64, rk)
-	//cfplint:ignore loopprogress nodelink chains are acyclic by construction: addNode links each new node at the head, so every hop visits a strictly earlier-allocated index
+	// These walks end: addNode links each new node at the head of its
+	// nodelink chain, and parents are allocated before their children,
+	// so every hop visits a strictly earlier-allocated index.
 	for n := t.Heads[rk]; n != 0; n = t.Nodes[n].Nodelink {
 		w := uint64(t.Nodes[n].Count)
-		//cfplint:ignore loopprogress parent indices strictly decrease: parents are allocated before children, a relational variant outside the interval domain
 		for p := t.Nodes[n].Parent; p != 0; p = t.Nodes[p].Parent {
 			condCount[t.Nodes[p].Item] += w
 		}
@@ -247,11 +248,9 @@ func (m *grower) conditional(t *Tree, rk uint32) *Tree {
 	// prefix path holds distinct ranks below rk, so rk bounds its
 	// length: one allocation covers every iteration.
 	path := make([]uint32, 0, rk)
-	//cfplint:ignore loopprogress nodelink chains are acyclic by construction: addNode links each new node at the head, so every hop visits a strictly earlier-allocated index
 	for n := t.Heads[rk]; n != 0; n = t.Nodes[n].Nodelink {
 		w := t.Nodes[n].Count
 		path = path[:0]
-		//cfplint:ignore loopprogress parent indices strictly decrease: parents are allocated before children, a relational variant outside the interval domain
 		for p := t.Nodes[n].Parent; p != 0; p = t.Nodes[p].Parent {
 			it := t.Nodes[p].Item
 			if condCount[it] >= m.minSup {
