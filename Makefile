@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-fix-check test test-race test-debug test-short check bench fuzz experiments examples clean
+.PHONY: all build vet lint lint-json lint-fix-check test test-race test-debug test-short check bench bench-pairs fuzz experiments examples clean
 
 all: build check
 
@@ -61,6 +61,18 @@ check: vet lint lint-fix-check
 # One benchmark per paper table/figure plus the ablations.
 bench:
 	$(GO) test -bench . -benchmem ./...
+
+# The repository benchmark (bench/, BENCHMARK.json) on one workload,
+# alternating fresh runs of a base revision (checked out into a
+# temporary git worktree) and the working tree, which side goes first
+# flipping on each pair; prints every run's JSON line, then per-metric
+# medians and each side's wins. Example:
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=quest-mine PAIRS=5
+BASE ?= HEAD
+WORKLOAD ?= quest-mine
+PAIRS ?= 5
+bench-pairs:
+	$(GO) run ./cmd/benchpairs -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # Short fuzz campaigns over the parsers and serializers.
 fuzz:

@@ -26,20 +26,45 @@ import (
 // walked ~5x slower than the packed form on the quest benchmarks), and
 // the decode is the largest structure of the mine phase, so every byte
 // per element is paid in the run's modeled peak. A decoding therefore
-// holds nothing but one packed walk word per element — parent index and
-// item rank — and the per-rank start table. Supports are not stored:
+// holds nothing but one packed 4-byte walk word per element (8 bytes
+// only past 4,095 items or 2^20 elements of one rank) that locates its
+// parent, and the per-rank start table. Supports are not stored:
 // only the run that owns them reads them, once and sequentially, so the
 // miner decodes them from the run's own triples when it builds that
 // run's conditional (Array.runCounts). Parent resolution needs each
 // element's local byte offset, but only while From runs, so the offsets
 // live in the walk slots themselves until the final words replace them.
 
-// smallRoot and wideRoot are the packed parent-index sentinels marking
-// an element that hangs off the virtual root, one per walk layout.
+// walkLayout selects a Decode's walk word, one of three:
+//
+//   - layoutSmall: walk[i] = parent<<8 | rank, 4 bytes, the parent's
+//     global element index beside the element's own rank. It needs
+//     fewer than 2^24-1 elements over at most 256 items.
+//   - layoutLocal4: walk[i] = parentRank<<20 | parentLocal, 4 bytes,
+//     where parentLocal is the parent's index inside its own rank's run;
+//     a chase step finds the parent at start[parentRank] + parentLocal.
+//     It needs at most 4,095 items and every run shorter than 2^20.
+//   - layoutLocal8: the same rank-local word in 64 bits (32/32), for
+//     anything larger (up to the 2^31-1 flat index space).
+//
+// Where the small word fits it stays: its chase step is one load, the
+// rank-local step two (the start entry, then the parent), and the
+// extra load shows on cache-resident pattern bases. Past 256 items the
+// rank-local word is the only 4-byte word: a global parent index and a
+// rank together need more than 32 bits. In the small layout the root
+// is parent index smallRoot; in the rank-local layouts it is the
+// all-ones word, whose rank field names no rank.
+type walkLayout uint8
+
 const (
-	smallRoot = 1<<24 - 1
-	wideRoot  = 1<<32 - 1
+	layoutSmall walkLayout = iota
+	layoutLocal4
+	layoutLocal8
 )
+
+// smallRoot is the small layout's parent-index sentinel marking an
+// element that hangs off the virtual root.
+const smallRoot = 1<<24 - 1
 
 // Decode is a reusable flat decoding of one CFP-array: every element's
 // packed walk word, in storage order (subarrays ascending by rank,
@@ -53,17 +78,19 @@ const (
 // level of the miner owns a private Decode from a per-grower free
 // list, so a level's buffer is never touched by its subproblems.
 type Decode struct {
-	// wide selects the walk layout. Small (the common case): walk[i] =
-	// parent<<8 | rank, 4 bytes per element, for arrays under 2^24-1
-	// elements over at most 256 items. Wide: walkW[i] = parent<<32 |
-	// rank, 8 bytes per element, for anything larger (up to the 2^31-1
-	// flat index space). The layout not in use is empty.
-	wide  bool
-	walk  []uint32
-	walkW []uint64
+	// layout selects the walk word (walkLayout): walk holds the 4-byte
+	// words of layoutSmall and layoutLocal4, walkW the 8-byte words of
+	// layoutLocal8. The slice not in use is empty.
+	layout walkLayout
+	walk   []uint32
+	walkW  []uint64
 	// start[rk] is the index of rank rk's first element; len
 	// NumItems+1, mirroring Array.starts.
 	start []int32
+	// cur is From's scratch, the per-rank findParent cursors: kept only
+	// so that the next From reuses it, dead outside From, and not part
+	// of the modeled footprint.
+	cur []int32
 }
 
 // NumElems returns the number of decoded elements.
@@ -78,22 +105,44 @@ func (d *Decode) Run(rk uint32) (lo, hi int32) {
 // and the start table. Charged against the run's memory ledger while
 // the decode is live.
 func (d *Decode) Bytes() int64 {
-	return decodeBytes(d.NumElems(), len(d.start)-1)
+	return 4*int64(len(d.walk)) + 8*int64(len(d.walkW)) + 4*int64(len(d.start))
 }
 
-// wideLayout reports whether a decoding of n elements over numItems
-// ranks needs the wide walk word: the small word holds 24 parent bits
-// and 8 rank bits.
-func wideLayout(n, numItems int) bool { return n >= smallRoot || numItems > 256 }
+// layoutOf returns the walk layout a decoding of a takes. It reads
+// only the array's element counts, so it is known before From runs.
+func layoutOf(a *Array) walkLayout {
+	numItems := a.NumItems()
+	if a.NumNodes() < smallRoot && numItems <= 256 {
+		return layoutSmall
+	}
+	if numItems >= 1<<12 {
+		return layoutLocal8
+	}
+	for _, k := range a.nodes {
+		if k >= 1<<20 {
+			return layoutLocal8
+		}
+	}
+	return layoutLocal4
+}
 
-// decodeBytes is the modeled footprint of a decoding of n elements over
-// numItems ranks, known before From runs.
-func decodeBytes(n, numItems int) int64 {
+// localShift is the width of the parent-local field of a rank-local
+// walk word of type W; the parent's rank sits above it.
+func localShift[W walkWord]() uint {
+	if unsafe.Sizeof(W(0)) == 8 {
+		return 32
+	}
+	return 20
+}
+
+// decodeBytes is the modeled footprint of a's decoding, known before
+// From runs: Bytes() once From has filled it.
+func decodeBytes(a *Array) int64 {
 	per := int64(4)
-	if wideLayout(n, numItems) {
+	if layoutOf(a) == layoutLocal8 {
 		per = 8
 	}
-	return int64(n)*per + int64(numItems+1)*4
+	return int64(a.NumNodes())*per + int64(a.NumItems()+1)*4
 }
 
 // From fills d with the flat decoding of a, reusing d's buffers. It
@@ -109,67 +158,46 @@ func (d *Decode) From(a *Array) bool {
 	if n > math.MaxInt32 || a.DataBytes() > math.MaxUint32 {
 		return false
 	}
-	d.wide = wideLayout(n, numItems)
-	if cap(d.start) < numItems+1 {
-		d.start = make([]int32, numItems+1)
-	}
-	d.start = d.start[:numItems+1]
-	if d.wide {
-		if cap(d.walkW) < n {
-			d.walkW = make([]uint64, n)
-		}
-		d.walkW = d.walkW[:n]
+	d.layout = layoutOf(a)
+	d.start = resize(d.start, numItems+1)
+	d.cur = resize(d.cur, numItems)
+	clear(d.cur)
+	if d.layout == layoutLocal8 {
+		d.walkW = resize(d.walkW, n)
 		d.walk = d.walk[:0]
-		decodeFlat(a, d.walkW, d.start)
+		decodeFlat(a, d.walkW, d.start, d.cur, false)
 		return true
 	}
-	if cap(d.walk) < n {
-		d.walk = make([]uint32, n)
-	}
-	d.walk = d.walk[:n]
+	d.walk = resize(d.walk, n)
 	d.walkW = d.walkW[:0]
-	decodeFlat(a, d.walk, d.start)
+	decodeFlat(a, d.walk, d.start, d.cur, d.layout == layoutSmall)
 	return true
 }
 
-// decodeFlat is From's body for one walk layout. Each element's parent
-// is found among the local byte offsets of the parent's rank, which the
-// walk slots hold until their final words replace them, so no offset
-// array is allocated. A parent's rank is always lower than its child's
-// (Δitem ≥ 1). The small word has no room for an offset beside the
-// parent index, so the small layout takes two sweeps: pass 1, ascending
-// ranks, writes each element's offset into its slot; pass 2,
-// descending ranks, resolves parents and overwrites the slots, so a
+// resize returns buf with length n, reusing its capacity when it
+// suffices; the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// decodeFlat is From's body, in two sweeps for every layout. Each
+// element's parent is found among the local byte offsets of the
+// parent's rank, which the walk slots hold until their final words
+// replace them, so no offset array is allocated. A parent's rank is
+// always lower than its child's (Δitem ≥ 1). Pass 1, ascending ranks,
+// writes each element's offset into its slot; pass 2, descending ranks,
+// resolves parents and overwrites the slots with their words (small
+// selects layoutSmall's word, the rank-local one otherwise), so a
 // rank's offsets stay in place until every rank that can point into it
-// is done. The wide word holds both, so the wide layout resolves in one
-// ascending sweep that keeps each element's own offset in the low half
-// of its word, and a last sequential sweep swaps the offsets for ranks.
+// is done. cur holds the findParent cursors and must arrive zeroed.
 //
 //cfplint:hot
-func decodeFlat[W walkWord](a *Array, walk []W, start []int32) {
-	rankBits := uint(8)
-	if unsafe.Sizeof(W(0)) == 8 {
-		rankBits = 32
-	}
+func decodeFlat[W walkWord](a *Array, walk []W, start, cur []int32, small bool) {
 	numItems := int64(len(start) - 1)
-	// cur[pr] is the last element of rank pr that resolved a parent
-	// lookup: the hint findParent gallops forward from.
-	cur := make([]int32, len(start)-1)
 	idx := int32(0)
-	if rankBits == 32 {
-		for rk := int64(0); rk < numItems; rk++ {
-			start[rk] = idx
-			idx = resolveRun(a, walk, start, cur, uint32(rk), idx)
-		}
-		start[numItems] = idx
-		for rk := int64(0); rk < numItems; rk++ {
-			run := walk[start[rk]:start[rk+1]]
-			for i := range run {
-				run[i] = run[i]>>rankBits<<rankBits | W(rk)
-			}
-		}
-		return
-	}
 	for rk := int64(0); rk < numItems; rk++ {
 		start[rk] = idx
 		b := a.data[a.starts[rk]:a.starts[rk+1]]
@@ -192,22 +220,20 @@ func decodeFlat[W walkWord](a *Array, walk []W, start []int32) {
 	}
 	start[numItems] = idx
 	for rk := numItems - 1; rk >= 0; rk-- {
-		resolveRun(a, walk, start, cur, uint32(rk), start[rk])
+		resolveRun(a, walk, start, cur, uint32(rk), small)
 	}
 }
 
-// resolveRun decodes rank rk's triples, whose elements start at walk
-// index idx, finds each one's parent, and writes its word: parent index
-// above the rank in the small layout, above the element's own offset
-// in the wide one. It returns the index past the run.
+// resolveRun decodes rank rk's triples, finds each one's parent, and
+// overwrites each element's slot with its walk word: parent index above
+// the rank when small, the parent's rank above its index in that rank's
+// run otherwise.
 //
 //cfplint:hot
-func resolveRun[W walkWord](a *Array, walk []W, start, cur []int32, rk uint32, idx int32) int32 {
-	rankBits, root := uint(8), W(smallRoot)
-	if unsafe.Sizeof(root) == 8 {
-		rankBits, root = 32, W(uint64(wideRoot))
-	}
+func resolveRun[W walkWord](a *Array, walk []W, start, cur []int32, rk uint32, small bool) {
+	shift := localShift[W]()
 	b := a.data[a.starts[rk]:a.starts[rk+1]]
+	idx := start[rk]
 	pos := 0
 	for pos < len(b) {
 		delta, n1 := encoding.Uvarint(b[pos:])
@@ -226,7 +252,10 @@ func resolveRun[W walkWord](a *Array, walk []W, start, cur []int32, rk uint32, i
 			assertf(c <= math.MaxUint32, "core: count %d overflows uint32 at rank %d offset %d", c, rk, pos)
 			assertf(int64(pos) <= math.MaxUint32, "core: triple offset overflows 32 bits at rank %d", rk)
 		}
-		p := root
+		w := ^W(0)
+		if small {
+			w = smallRoot<<8 | W(rk)
+		}
 		if delta <= uint64(rk) {
 			pr := rk - uint32(delta)
 			pl := int64(pos) - encoding.Unzigzag(z)
@@ -237,24 +266,23 @@ func resolveRun[W walkWord](a *Array, walk []W, start, cur []int32, rk uint32, i
 			if debugChecks {
 				assertf(j >= 0, "core: unresolved parent (rank %d local %d) of rank %d offset %d", pr, pl, rk, pos)
 			}
-			if j >= 0 {
-				p = W(j)
+			switch {
+			case j < 0:
+			case small:
+				w = W(j)<<8 | W(rk)
+			default:
+				w = W(pr)<<shift | W(j-start[pr])
 			}
 		}
-		low := W(rk)
-		if rankBits == 32 {
-			low = W(pos)
-		}
-		walk[idx] = p<<rankBits | low
+		walk[idx] = w
 		idx++
 		pos += n1 + n2 + n3
 	}
-	return idx
 }
 
 // findParent resolves a parent's (rank, local byte offset) pair to its
-// element index by searching rank pr's segment of walk while the low 32
-// bits of its slots still hold their strictly increasing offsets. Convert writes triples
+// element index by searching rank pr's segment of walk while its slots
+// still hold their strictly increasing offsets. Convert writes triples
 // depth-first, so the children of one rank meet their parents of one
 // rank in ascending order: the lookup gallops forward from the last
 // hit cur[pr] and narrows the binary search to the bracket it finds.

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/dataset"
@@ -52,38 +53,72 @@ func minerPaths(workers int) []struct {
 	}
 }
 
+// questFixture is one workload of the flat-decode tests: the database,
+// the supports TestFlatDecodeDifferential mines it at, and the walk
+// layout its top-level decoding takes at every one of them.
+type questFixture struct {
+	name    string
+	db      dataset.Slice
+	minSups []uint64
+	layout  walkLayout
+}
+
 // questFixtures are laptop-scale Quest workloads: the plain generator
 // configuration plus deliberately hostile variants — near-total
 // pattern corruption (long sparse noise paths), and heavy correlation
 // with long patterns (deep shared prefixes that stress the chain and
-// embed machinery the decoder flattens) — and one with more than 256
-// frequent items at every tested support, whose decodings take the
-// wide walk layout (wide).
-func questFixtures() []struct {
-	name string
-	db   dataset.Slice
-	wide bool
-} {
-	return []struct {
-		name string
-		db   dataset.Slice
-		wide bool
-	}{
+// embed machinery the decoder flattens) — one with more than 256
+// frequent items, whose decodings take the 4-byte rank-local word, and
+// one with more than 4,095, whose decodings take the 8-byte one.
+// Support 2, the deep-recursion regime with dense result sets that
+// reach every branch of the conditional machinery, is skipped under
+// -short.
+func questFixtures() []questFixture {
+	wide := quest.Generate(quest.Config{
+		NumTx: 1500, AvgTxLen: 10, NumItems: 400, Seed: 17,
+	})
+	return []questFixture{
 		{"quest-small", quest.Generate(quest.Config{
 			NumTx: 1200, AvgTxLen: 10, NumItems: 250, Seed: 7,
-		}), false},
+		}), []uint64{2, 5, 24}, layoutSmall},
 		{"quest-corrupted", quest.Generate(quest.Config{
 			NumTx: 1000, AvgTxLen: 8, NumItems: 150,
 			CorruptionMean: 0.95, Seed: 11,
-		}), false},
+		}), []uint64{2, 5, 24}, layoutSmall},
 		{"quest-correlated-deep", quest.Generate(quest.Config{
 			NumTx: 800, AvgTxLen: 12, NumItems: 120,
 			AvgPatternLen: 9, Correlation: 0.9, Seed: 13,
-		}), false},
-		{"quest-wide", quest.Generate(quest.Config{
-			NumTx: 1500, AvgTxLen: 10, NumItems: 400, Seed: 17,
-		}), true},
+		}), []uint64{2, 5, 24}, layoutSmall},
+		{"quest-wide", wide, []uint64{2, 5, 24}, layoutLocal4},
+		// At support 2 the tail's pairs make the mine ~10x slower, so
+		// this fixture stops at 5; the chases are the ones quest-wide
+		// runs at 2, over 8-byte words.
+		{"quest-wide-tail", withTail(wide, 4200, 6), []uint64{5, 6}, layoutLocal8},
 	}
+}
+
+// withTail returns db with numTail extra items, each added to per
+// distinct transactions picked at random (seeded): items frequent at
+// supports up to per that push the item count past the 4-byte
+// rank-local word and hang long runs of rare ranks below the Quest
+// paths.
+func withTail(db dataset.Slice, numTail, per int) dataset.Slice {
+	out := make(dataset.Slice, len(db))
+	for i, tx := range db {
+		out[i] = slices.Clone(tx)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for f := 0; f < numTail; f++ {
+		item := dataset.Item(1<<20 + f)
+		for k := 0; k < per; {
+			t := rng.Intn(len(out))
+			if !slices.Contains(out[t], item) {
+				out[t] = append(out[t], item)
+				k++
+			}
+		}
+	}
+	return out
 }
 
 // TestFlatDecodeDifferential requires the legacy, flat-decode, and
@@ -94,16 +129,13 @@ func questFixtures() []struct {
 // cover.
 func TestFlatDecodeDifferential(t *testing.T) {
 	for _, fx := range questFixtures() {
-		minSups := []uint64{5, 24}
-		if !testing.Short() {
-			// The deep-recursion regime: dense result sets that reach
-			// every branch of the conditional machinery.
-			minSups = append(minSups, 2)
-		}
-		for _, minSup := range minSups {
+		for _, minSup := range fx.minSups {
+			if minSup == 2 && testing.Short() {
+				continue
+			}
 			var d Decode
-			if !d.From(buildArrayAt(t, fx.db, minSup)) || d.wide != fx.wide {
-				t.Fatalf("%s minSup %d: decode wide = %v, want %v", fx.name, minSup, d.wide, fx.wide)
+			if !d.From(buildArrayAt(t, fx.db, minSup)) || d.layout != fx.layout {
+				t.Fatalf("%s minSup %d: decode layout = %d, want %d", fx.name, minSup, d.layout, fx.layout)
 			}
 			var want []mine.Itemset
 			for i, p := range minerPaths(4) {
@@ -273,12 +305,14 @@ func buildArrayAt(t *testing.T, db dataset.Slice, minSup uint64) *Array {
 	return Convert(tree)
 }
 
-// TestDecodeBytes pins the modeled footprint of a flat decoding: one
-// walk word per element, 4 bytes in the small layout and 8 in the
-// wide one, plus the 4-byte start table over NumItems+1 ranks; no
-// per-element support or offset array.
+// TestDecodeBytes pins the modeled footprint of a flat decoding, in
+// every layout, to the structure From builds: one walk word per element,
+// 4 bytes in the small and 4-byte rank-local layouts and 8 in the
+// 8-byte one, plus the 4-byte start table over NumItems+1 ranks; no
+// per-element support or offset array. decodeBytes, the admission
+// charge known before From, must equal it.
 func TestDecodeBytes(t *testing.T) {
-	for _, fx := range []int{0, 3} {
+	for _, fx := range []int{0, 3, 4} {
 		f := questFixtures()[fx]
 		a := buildArrayAt(t, f.db, 5)
 		var d Decode
@@ -287,19 +321,62 @@ func TestDecodeBytes(t *testing.T) {
 		}
 		n, items := int64(a.NumNodes()), int64(a.NumItems())
 		word := int64(4)
-		if f.wide {
+		if f.layout == layoutLocal8 {
 			word = 8
 		}
-		if d.wide != f.wide || d.NumElems() != a.NumNodes() {
-			t.Fatalf("%s: wide %v with %d elements, want wide %v with %d", f.name, d.wide, d.NumElems(), f.wide, n)
+		if d.layout != f.layout || d.NumElems() != a.NumNodes() {
+			t.Fatalf("%s: layout %d with %d elements, want layout %d with %d", f.name, d.layout, d.NumElems(), f.layout, n)
 		}
-		if got, want := d.Bytes(), word*n+4*(items+1); got != want {
-			t.Errorf("%s: Bytes() = %d, want %d·%d + 4·(%d+1) = %d", f.name, got, word, n, items, want)
+		held := int64(len(d.walk))*int64(unsafe.Sizeof(d.walk[0])) +
+			int64(len(d.walkW))*int64(unsafe.Sizeof(d.walkW[0])) +
+			int64(len(d.start))*int64(unsafe.Sizeof(d.start[0]))
+		if got, want := d.Bytes(), word*n+4*(items+1); got != want || got != held {
+			t.Errorf("%s: Bytes() = %d, want %d·%d + 4·(%d+1) = %d, the held slices %d", f.name, got, word, n, items, want, held)
+		}
+		if got := decodeBytes(a); got != d.Bytes() {
+			t.Errorf("%s: decodeBytes = %d, Bytes() after From = %d", f.name, got, d.Bytes())
 		}
 	}
 	var zero Decode
 	if b := zero.Bytes(); b != 0 {
 		t.Errorf("zero Decode: Bytes() = %d, want 0", b)
+	}
+}
+
+// TestWalkLayoutLimits checks layoutOf at the edges of each walk word:
+// the small word's 256 items and 2^24-2 elements, and the 4-byte
+// rank-local word's 4,095 items and runs of 2^20-1 elements.
+func TestWalkLayoutLimits(t *testing.T) {
+	arr := func(runs ...int) *Array {
+		a := &Array{nodes: runs, itemName: make([]uint32, len(runs))}
+		for _, k := range runs {
+			a.numNodes += k
+		}
+		return a
+	}
+	items := func(k int) *Array { return arr(make([]int, k)...) }
+	short := make([]int, 17)
+	for i := range short {
+		short[i] = 1<<20 - 1
+	}
+	for _, c := range []struct {
+		name string
+		a    *Array
+		want walkLayout
+	}{
+		{"256 items", items(256), layoutSmall},
+		{"257 items", items(257), layoutLocal4},
+		{"4095 items", items(4095), layoutLocal4},
+		{"4096 items", items(4096), layoutLocal8},
+		{"2^24-2 elements", arr(smallRoot - 1), layoutSmall},
+		{"2^24-1 elements", arr(smallRoot), layoutLocal8},
+		{"2^24-1 elements in short runs", arr(short...), layoutLocal4},
+		{"257 items, a run of 2^20-1", arr(append([]int{1<<20 - 1}, make([]int, 256)...)...), layoutLocal4},
+		{"257 items, a run of 2^20", arr(append([]int{1 << 20}, make([]int, 256)...)...), layoutLocal8},
+	} {
+		if got := layoutOf(c.a); got != c.want {
+			t.Errorf("%s: layoutOf = %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 
@@ -404,13 +481,13 @@ func (d *treeDump) Enter(rank uint32, pcount uint32) {
 func (d *treeDump) Leave() { *d = append(*d, -1) }
 
 // TestFlatDecodeOutOfOrderParents loads arrays whose children are not
-// in depth-first order, in both walk layouts, and requires
+// in depth-first order, in every walk layout, and requires
 // conditionalFlat over their decoding to build, for every rank, the
 // same conditional tree as the byte-chasing conditionalScan, and the
 // whole mine to match the original array's.
 func TestFlatDecodeOutOfOrderParents(t *testing.T) {
 	const minSup = 5
-	for _, fx := range []int{0, 3} {
+	for _, fx := range []int{0, 3, 4} {
 		f := questFixtures()[fx]
 		orig := buildArrayAt(t, f.db, minSup)
 		a := shuffledArray(t, orig)
@@ -418,8 +495,8 @@ func TestFlatDecodeOutOfOrderParents(t *testing.T) {
 			t.Fatalf("%s: reordered array has no out-of-order parent", f.name)
 		}
 		var d Decode
-		if !d.From(a) || d.wide != f.wide {
-			t.Fatalf("%s: From = false or wide %v, want wide %v", f.name, d.wide, f.wide)
+		if !d.From(a) || d.layout != f.layout {
+			t.Fatalf("%s: From = false or layout %d, want %d", f.name, d.layout, f.layout)
 		}
 		flat := &cfpGrower{minSup: minSup, track: mine.NullTracker{}, treeArena: arena.New()}
 		scan := &cfpGrower{minSup: minSup, track: mine.NullTracker{}, treeArena: arena.New()}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"time"
-	"unsafe"
 
 	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/dataset"
@@ -267,6 +266,11 @@ type cfpGrower struct {
 	// runSup holds the counts of the run whose conditional is being
 	// built (Array.runCounts); the flat decoding stores none.
 	runSup []uint32
+	// condBuf backs the conditional item supports of the rank being
+	// mined (condCount). The conditional tree built from them retains
+	// the slice, but every tree is converted or path-enumerated, and so
+	// dead, before the next conditional at any level reuses the buffer.
+	condBuf []uint64
 }
 
 // walkLanes is the number of independent ancestor chases the pattern
@@ -289,7 +293,7 @@ func (m *cfpGrower) acquireDecode(a *Array) *Decode {
 	if m.cfg.DisableFlatDecode {
 		return nil
 	}
-	if c := m.ctl; c != nil && c.MaxBytes > 0 && c.Bytes()+decodeBytes(a.NumNodes(), a.NumItems()) > c.MaxBytes {
+	if c := m.ctl; c != nil && c.MaxBytes > 0 && c.Bytes()+decodeBytes(a) > c.MaxBytes {
 		return nil
 	}
 	var d *Decode
@@ -478,6 +482,14 @@ func (m *cfpGrower) conditional(a *Array, d *Decode, rank uint32) *Tree {
 	return m.conditionalFlat(a, d, rank)
 }
 
+// condCounts returns the grower's zeroed conditional-support buffer
+// for the ranks below rank.
+func (m *cfpGrower) condCounts(rank uint32) []uint64 {
+	m.condBuf = resize(m.condBuf, int(rank))
+	clear(m.condBuf)
+	return m.condBuf
+}
+
 // anyFrequent reports whether some conditional support reaches the
 // minimum support, i.e. whether a conditional tree is worth building.
 func (m *cfpGrower) anyFrequent(condCount []uint64) bool {
@@ -506,12 +518,15 @@ func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32) *Tree {
 	supBytes := int64(len(m.runSup)) * 4
 	m.track.Alloc(supBytes)
 	defer m.track.Free(supBytes)
-	condCount := make([]uint64, rank)
+	condCount := m.condCounts(rank)
 	lo, hi := d.Run(rank)
-	if d.wide {
-		condCounts(d.walkW, m.runSup, lo, hi, condCount)
-	} else {
-		condCounts(d.walk, m.runSup, lo, hi, condCount)
+	switch d.layout {
+	case layoutSmall:
+		countSmall(d.walk, m.runSup, lo, hi, condCount)
+	case layoutLocal4:
+		countLocal(d.walk, d.start, m.runSup, lo, hi, condCount)
+	default:
+		countLocal(d.walkW, d.start, m.runSup, lo, hi, condCount)
 	}
 	if !m.anyFrequent(condCount) {
 		return nil
@@ -528,10 +543,13 @@ func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32) *Tree {
 	m.treeArena.Reserve(uint64(rn)*16 + 64)
 	cond := NewTree(m.treeArena, m.cfg, a.itemName[:rank], condCount)
 	cond.Observe(m.rec)
-	if d.wide {
-		insertBase(m, d.walkW, m.runSup, lo, hi, condCount, cond)
-	} else {
-		insertBase(m, d.walk, m.runSup, lo, hi, condCount, cond)
+	switch d.layout {
+	case layoutSmall:
+		insertSmall(m, d.walk, m.runSup, lo, hi, condCount, cond)
+	case layoutLocal4:
+		insertLocal(m, d.walk, d.start, m.runSup, lo, hi, condCount, cond)
+	default:
+		insertLocal(m, d.walkW, d.start, m.runSup, lo, hi, condCount, cond)
 	}
 	if cond.NumNodes() == 0 {
 		return nil
@@ -539,16 +557,16 @@ func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32) *Tree {
 	return cond
 }
 
-// walkWord is a packed walk element of a Decode: the parent index in
-// the high bits above the item rank — uint32 with 8 rank bits for the
-// small layout, uint64 with 32 for the wide one. The chases below
-// derive the rank width and root sentinel from W's size, so both fold
-// to constants in each instantiation.
+// walkWord is a packed walk element of a Decode (walkLayout): uint32
+// for the small and 4-byte rank-local words, uint64 for the 8-byte
+// rank-local one. The rank-local chases derive the field split from W's
+// size, so it folds to a constant in each instantiation.
 type walkWord interface{ uint32 | uint64 }
 
-// condCounts accumulates the conditional item supports of the pattern
-// base in run [lo, hi) of walk: for every element i of the run, every
-// ancestor's rank receives the element's count sup[i-lo].
+// countSmall accumulates the conditional item supports of the pattern
+// base in run [lo, hi) of a layoutSmall walk: for every element i of
+// the run, every ancestor's rank receives the element's count
+// sup[i-lo].
 //
 // The chase keeps walkLanes independent walks in flight: each lane
 // owns one element, advances one ancestor step per round, and on
@@ -559,43 +577,38 @@ type walkWord interface{ uint32 | uint64 }
 // saturates the machine's miss-level parallelism (~10 outstanding
 // misses on current cores — measured ~11x with 8 lanes on the quest
 // pattern bases). A lane's current pointer doubles as its state: a
-// real index mid-chase, the layout's root sentinel between elements,
-// one past it once the run is exhausted.
+// real index mid-chase, smallRoot between elements, one past it once
+// the run is exhausted.
 //
 //cfplint:hot
-func condCounts[W walkWord](walk []W, sup []uint32, lo, hi int32, condCount []uint64) {
-	rankBits, root := uint(8), W(smallRoot)
-	if unsafe.Sizeof(root) == 8 {
-		rankBits, root = 32, W(uint64(wideRoot))
-	}
-	rankMask := W(1)<<rankBits - 1
-	var cur [walkLanes]W
+func countSmall(walk []uint32, sup []uint32, lo, hi int32, condCount []uint64) {
+	var cur [walkLanes]uint32
 	var cnt [walkLanes]uint64
 	for l := range cur {
-		cur[l] = root
+		cur[l] = smallRoot
 	}
 	i := lo
 	for {
 		alive := false
 		for l := 0; l < walkLanes; l++ {
 			p := cur[l]
-			if p >= root {
-				if p > root {
+			if p >= smallRoot {
+				if p > smallRoot {
 					continue // lane retired, run exhausted
 				}
 				if i < hi {
-					cur[l] = walk[i] >> rankBits
+					cur[l] = walk[i] >> 8
 					cnt[l] = uint64(sup[i-lo])
 					i++
 					alive = true
 				} else {
-					cur[l] = root + 1
+					cur[l] = smallRoot + 1
 				}
 				continue
 			}
 			w := walk[p]
-			condCount[w&rankMask] += cnt[l]
-			cur[l] = w >> rankBits
+			condCount[w&0xff] += cnt[l]
+			cur[l] = w >> 8
 			alive = true
 		}
 		if !alive {
@@ -604,28 +617,60 @@ func condCounts[W walkWord](walk []W, sup []uint32, lo, hi int32, condCount []ui
 	}
 }
 
-// insertBase re-walks the pattern base in run [lo, hi) of walk and
-// inserts every non-empty conditionally-frequent path into cond, with
-// counts sup indexed from lo as in condCounts. Lanes
-// accumulate already-filtered ancestor ranks nearest-first; a completed
-// lane reverses its path root-first into the shared path buffer and
-// inserts it with the owning element's count, then takes the next
+// countLocal is countSmall over a rank-local walk: a lane holds the
+// walk word of its current element, which names the parent's rank r and
+// its index in r's run, so one step adds the count to r and loads the
+// parent's word from start[r] + local. A lane at the root takes the
+// next element, and idles there once the run is exhausted.
+//
+//cfplint:hot
+func countLocal[W walkWord](walk []W, start []int32, sup []uint32, lo, hi int32, condCount []uint64) {
+	shift := localShift[W]()
+	root := ^W(0) >> shift
+	mask := W(1)<<shift - 1
+	var cur [walkLanes]W
+	var cnt [walkLanes]uint64
+	for l := range cur {
+		cur[l] = ^W(0)
+	}
+	i := lo
+	for {
+		alive := false
+		for l := 0; l < walkLanes; l++ {
+			w := cur[l]
+			if r := w >> shift; r != root {
+				condCount[r] += cnt[l]
+				cur[l] = walk[start[r]+int32(w&mask)]
+				alive = true
+			} else if i < hi {
+				cur[l] = walk[i]
+				cnt[l] = uint64(sup[i-lo])
+				i++
+				alive = true
+			}
+		}
+		if !alive {
+			break
+		}
+	}
+}
+
+// insertSmall re-walks the pattern base in run [lo, hi) of a
+// layoutSmall walk and inserts every non-empty conditionally-frequent
+// path into cond, with counts sup indexed from lo as in countSmall.
+// Lanes accumulate already-filtered ancestor ranks nearest-first; a
+// completed lane inserts its path (insertLane), then takes the next
 // element. Insertion order is the deterministic lane-completion order,
 // which is a pure function of the decoding (tree content is
 // insertion-order independent).
 //
 //cfplint:hot
-func insertBase[W walkWord](m *cfpGrower, walk []W, sup []uint32, lo, hi int32, condCount []uint64, cond *Tree) {
-	rankBits, root := uint(8), W(smallRoot)
-	if unsafe.Sizeof(root) == 8 {
-		rankBits, root = 32, W(uint64(wideRoot))
-	}
-	rankMask := W(1)<<rankBits - 1
+func insertSmall(m *cfpGrower, walk []uint32, sup []uint32, lo, hi int32, condCount []uint64, cond *Tree) {
 	minSup := m.minSup
-	var cur [walkLanes]W
+	var cur [walkLanes]uint32
 	var own [walkLanes]int32
 	for l := range cur {
-		cur[l] = root
+		cur[l] = smallRoot
 		own[l] = -1
 	}
 	i := lo
@@ -633,42 +678,97 @@ func insertBase[W walkWord](m *cfpGrower, walk []W, sup []uint32, lo, hi int32, 
 		alive := false
 		for l := 0; l < walkLanes; l++ {
 			p := cur[l]
-			if p >= root {
-				if p > root {
+			if p >= smallRoot {
+				if p > smallRoot {
 					continue // lane retired, run exhausted
 				}
-				if own[l] >= 0 && len(m.laneBufs[l]) > 0 {
-					seg := m.laneBufs[l]
-					buf := m.pathBuf[:0]
-					for j := len(seg) - 1; j >= 0; j-- {
-						buf = append(buf, seg[j])
-					}
-					m.pathBuf = buf
-					cond.Insert(buf, sup[own[l]-lo])
+				if own[l] >= 0 {
+					m.insertLane(l, cond, sup[own[l]-lo])
 				}
 				if i < hi {
-					cur[l] = walk[i] >> rankBits
+					cur[l] = walk[i] >> 8
 					own[l] = i
-					m.laneBufs[l] = m.laneBufs[l][:0]
 					i++
 					alive = true
 				} else {
-					cur[l] = root + 1
+					cur[l] = smallRoot + 1
 					own[l] = -1
 				}
 				continue
 			}
 			w := walk[p]
-			if r := uint32(w & rankMask); condCount[r] >= minSup {
+			if r := w & 0xff; condCount[r] >= minSup {
 				m.laneBufs[l] = append(m.laneBufs[l], r)
 			}
-			cur[l] = w >> rankBits
+			cur[l] = w >> 8
 			alive = true
 		}
 		if !alive {
 			break
 		}
 	}
+}
+
+// insertLocal is insertSmall over a rank-local walk, with the lane
+// states of countLocal.
+//
+//cfplint:hot
+func insertLocal[W walkWord](m *cfpGrower, walk []W, start []int32, sup []uint32, lo, hi int32, condCount []uint64, cond *Tree) {
+	shift := localShift[W]()
+	root := ^W(0) >> shift
+	mask := W(1)<<shift - 1
+	minSup := m.minSup
+	var cur [walkLanes]W
+	var own [walkLanes]int32
+	for l := range cur {
+		cur[l] = ^W(0)
+		own[l] = -1
+	}
+	i := lo
+	for {
+		alive := false
+		for l := 0; l < walkLanes; l++ {
+			w := cur[l]
+			if r := w >> shift; r != root {
+				if condCount[r] >= minSup {
+					m.laneBufs[l] = append(m.laneBufs[l], uint32(r))
+				}
+				cur[l] = walk[start[r]+int32(w&mask)]
+				alive = true
+				continue
+			}
+			if own[l] >= 0 {
+				m.insertLane(l, cond, sup[own[l]-lo])
+				own[l] = -1
+			}
+			if i < hi {
+				cur[l] = walk[i]
+				own[l] = i
+				i++
+				alive = true
+			}
+		}
+		if !alive {
+			break
+		}
+	}
+}
+
+// insertLane inserts lane l's completed path, accumulated
+// nearest-first, into cond root-first with count c, and empties the
+// lane; an empty path inserts nothing.
+func (m *cfpGrower) insertLane(l int, cond *Tree, c uint32) {
+	seg := m.laneBufs[l]
+	if len(seg) == 0 {
+		return
+	}
+	buf := m.pathBuf[:0]
+	for j := len(seg) - 1; j >= 0; j-- {
+		buf = append(buf, seg[j])
+	}
+	m.pathBuf = buf
+	cond.Insert(buf, c)
+	m.laneBufs[l] = seg[:0]
 }
 
 // conditionalScan is the byte-chasing reference construction of the
@@ -680,7 +780,7 @@ func insertBase[W walkWord](m *cfpGrower, walk []W, sup []uint32, lo, hi int32, 
 //
 //cfplint:hot
 func (m *cfpGrower) conditionalScan(a *Array, rank uint32) *Tree {
-	condCount := make([]uint64, rank)
+	condCount := m.condCounts(rank)
 	a.ScanItem(rank, func(e Element) bool {
 		m.pathBuf = a.PathTo(e, m.pathBuf[:0])
 		for _, ar := range m.pathBuf {

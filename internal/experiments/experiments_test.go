@@ -130,6 +130,10 @@ func TestFig7ShapesHold(t *testing.T) {
 		if r.CFPPeakBytes >= r.FPPeakBytes {
 			t.Errorf("ξ=%.3f: CFP peak %d not below FP %d", r.RelSupport, r.CFPPeakBytes, r.FPPeakBytes)
 		}
+		// The flat decode only adds scratch to the paper's layout.
+		if r.PaperPeakBytes <= 0 || r.PaperPeakBytes > r.CFPPeakBytes {
+			t.Errorf("ξ=%.3f: paper-layout peak %d, want in (0, %d]", r.RelSupport, r.PaperPeakBytes, r.CFPPeakBytes)
+		}
 		if r.Itemsets == 0 {
 			t.Errorf("ξ=%.3f: no itemsets found", r.RelSupport)
 		}
@@ -142,9 +146,9 @@ func TestFig7ShapesHold(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	PrintFig7(&buf, rows, cfg)
-	for _, panel := range []string{"(a)", "(b)", "(c)", "(d)"} {
+	for _, panel := range []string{"(a)", "(b)", "(c)", "(d)", "paper peak"} {
 		if !strings.Contains(buf.String(), panel) {
-			t.Errorf("Fig 7 output missing panel %s", panel)
+			t.Errorf("Fig 7 output missing %s", panel)
 		}
 	}
 }

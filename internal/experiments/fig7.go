@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 	"time"
 
@@ -13,8 +14,11 @@ import (
 
 // Fig7Row is one support point of the Figure 7 sweep on Quest1: build
 // phase (a, b) and overall execution (c, d) for FP-growth vs
-// CFP-growth. Times include the modeled paging penalty; *Measured
-// fields carry the raw in-core times.
+// CFP-growth. The overall execution runs CFP-growth twice: in the
+// default configuration (CFP*), whose flat decode trades modeled memory
+// for speed, and in the paper's layout (Paper*, DisableFlatDecode).
+// Times include the modeled paging penalty; *Measured fields carry the
+// raw in-core times.
 type Fig7Row struct {
 	RelSupport float64
 	Nodes      int // initial FP-tree size (the paper's x-axis)
@@ -30,12 +34,13 @@ type Fig7Row struct {
 	CFPBuildBytes int64 // tree + array (conversion is not in place)
 
 	// Figure 7(c): total execution time.
-	FPTotal, CFPTotal                 time.Duration
-	FPTotalMeasured, CFPTotalMeasured time.Duration
+	FPTotal, CFPTotal, PaperTotal                         time.Duration
+	FPTotalMeasured, CFPTotalMeasured, PaperTotalMeasured time.Duration
 
 	// Figure 7(d): peak memory of the full run (plus average for
 	// CFP-growth, which the paper also instruments).
 	FPPeakBytes, CFPPeakBytes, CFPAvgBytes int64
+	PaperPeakBytes, PaperAvgBytes          int64
 
 	// Itemsets found (identical across algorithms; sanity output).
 	Itemsets uint64
@@ -75,7 +80,7 @@ func (c Config) Fig7() ([]Fig7Row, error) {
 			model.Penalty(br.CFPTreeBytes+br.CFPArrayBytes, br.CFPArrayBytes, vm.Sequential)
 
 		// Total runs.
-		var fpTrack, cfpTrack vm.Tracker
+		var fpTrack vm.Tracker
 		var sink mine.CountSink
 		t0 := time.Now()
 		if err := (fptree.Growth{Track: &fpTrack}).Mine(db, minSup, &sink); err != nil {
@@ -86,18 +91,50 @@ func (c Config) Fig7() ([]Fig7Row, error) {
 		row.FPPeakBytes = fpTrack.Peak
 		row.Itemsets = sink.N
 
-		sink = mine.CountSink{}
-		t0 = time.Now()
-		if err := (core.Growth{Track: &cfpTrack}).Mine(db, minSup, &sink); err != nil {
+		cfp, err := runCFP(db, minSup, core.Config{}, model)
+		if err != nil {
 			return nil, err
 		}
-		row.CFPTotalMeasured = time.Since(t0)
-		row.CFPTotal = row.CFPTotalMeasured + model.MinePenalty(&cfpTrack)
-		row.CFPPeakBytes = cfpTrack.Peak
-		row.CFPAvgBytes = cfpTrack.Avg()
+		paper, err := runCFP(db, minSup, core.Config{DisableFlatDecode: true}, model)
+		if err != nil {
+			return nil, err
+		}
+		if cfp.itemsets != sink.N || paper.itemsets != sink.N {
+			return nil, fmt.Errorf("fig7: ξ=%g: itemsets FP %d, CFP %d, CFP paper layout %d", rel, sink.N, cfp.itemsets, paper.itemsets)
+		}
+		row.CFPTotal, row.CFPTotalMeasured = cfp.total, cfp.measured
+		row.CFPPeakBytes, row.CFPAvgBytes = cfp.peak, cfp.avg
+		row.PaperTotal, row.PaperTotalMeasured = paper.total, paper.measured
+		row.PaperPeakBytes, row.PaperAvgBytes = paper.peak, paper.avg
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// cfpRun is one overall CFP-growth execution of Figure 7 (c, d).
+type cfpRun struct {
+	total, measured time.Duration // with and without modeled paging
+	peak, avg       int64
+	itemsets        uint64
+}
+
+// runCFP mines db with CFP-growth in configuration cfg under a fresh
+// modeled-memory tracker.
+func runCFP(db dataset.Source, minSup uint64, cfg core.Config, model vm.Model) (cfpRun, error) {
+	var track vm.Tracker
+	var sink mine.CountSink
+	t0 := time.Now()
+	if err := (core.Growth{Config: cfg, Track: &track}).Mine(db, minSup, &sink); err != nil {
+		return cfpRun{}, err
+	}
+	measured := time.Since(t0)
+	return cfpRun{
+		total:    measured + model.MinePenalty(&track),
+		measured: measured,
+		peak:     track.Peak,
+		avg:      track.Avg(),
+		itemsets: sink.N,
+	}, nil
 }
 
 // PrintFig7 writes all four panels.
@@ -123,17 +160,25 @@ func PrintFig7(w io.Writer, rows []Fig7Row, c Config) {
 			100*r.RelSupport, r.Nodes, mib(r.FPBuildBytes), mib(r.CFPBuildBytes), ratio)
 	}
 	fprintf(w, "\n(c) total execution time [s] (+modeled paging)\n")
-	fprintf(w, "%7s %10s %10s %9s (%9s) %9s (%9s)\n", "ξ%", "nodes", "itemsets", "FP", "measured", "CFP", "measured")
+	fprintf(w, "    CFP = default configuration (flat decode); paper = DisableFlatDecode, the paper's layout\n")
+	fprintf(w, "%7s %10s %10s %9s (%9s) %9s (%9s) %9s (%9s)\n", "ξ%", "nodes", "itemsets", "FP", "measured", "CFP", "measured", "paper", "measured")
 	for _, r := range rows {
-		fprintf(w, "%6.2f%% %10d %10d %9.2f (%9.2f) %9.2f (%9.2f)\n",
+		fprintf(w, "%6.2f%% %10d %10d %9.2f (%9.2f) %9.2f (%9.2f) %9.2f (%9.2f)\n",
 			100*r.RelSupport, r.Nodes, r.Itemsets,
 			seconds(r.FPTotal), seconds(r.FPTotalMeasured),
-			seconds(r.CFPTotal), seconds(r.CFPTotalMeasured))
+			seconds(r.CFPTotal), seconds(r.CFPTotalMeasured),
+			seconds(r.PaperTotal), seconds(r.PaperTotalMeasured))
 	}
 	fprintf(w, "\n(d) peak memory [MiB] (budget %.0f MiB)\n", mib(c.MemBudget))
-	fprintf(w, "%7s %10s %10s %10s %10s\n", "ξ%", "nodes", "FP peak", "CFP peak", "CFP avg")
+	fprintf(w, "    CFP = default configuration (flat decode); paper = DisableFlatDecode, the paper's layout\n")
+	fprintf(w, "%7s %10s %10s %10s %10s %11s %10s %10s\n", "ξ%", "nodes", "FP peak", "CFP peak", "CFP avg", "paper peak", "paper avg", "CFP/paper")
 	for _, r := range rows {
-		fprintf(w, "%6.2f%% %10d %10.2f %10.2f %10.2f\n",
-			100*r.RelSupport, r.Nodes, mib(r.FPPeakBytes), mib(r.CFPPeakBytes), mib(r.CFPAvgBytes))
+		ratio := 0.0
+		if r.PaperPeakBytes > 0 {
+			ratio = float64(r.CFPPeakBytes) / float64(r.PaperPeakBytes)
+		}
+		fprintf(w, "%6.2f%% %10d %10.2f %10.2f %10.2f %11.2f %10.2f %9.1fx\n",
+			100*r.RelSupport, r.Nodes, mib(r.FPPeakBytes), mib(r.CFPPeakBytes), mib(r.CFPAvgBytes),
+			mib(r.PaperPeakBytes), mib(r.PaperAvgBytes), ratio)
 	}
 }
