@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-fix-check test test-race test-debug test-short check bench bench-pairs fuzz experiments examples clean
+.PHONY: all build vet test test-race test-debug test-short check bench bench-pairs fuzz experiments examples clean
 
 all: build check
 
@@ -11,32 +11,6 @@ build:
 
 vet:
 	$(GO) vet ./...
-
-# Project-specific analyzers (internal/analysis, driven by cmd/cfplint):
-# goroutinesafe, sinkguard, obsguard, lockorder, atomicfield and
-# allochot — preceded by a reporting-free summary phase that publishes
-# per-function Effects facts in package dependency order. Each survived
-# a mutation audit (DESIGN.md §5b): a planted bug of its class passes
-# every test. Suppress a finding with
-# `//cfplint:ignore <analyzer> <reason>` on or above the line; a
-# directive naming no analyzer of the suite is itself a finding.
-lint:
-	$(GO) run ./cmd/cfplint ./...
-
-# Same run, also writing the findings as a JSON artifact (CI uploads
-# it so a red lint step is inspectable without replaying the build)
-# and gating per-analyzer wall time against the committed baseline
-# (fails on >2x drift, a missing entry, or a stale one).
-lint-json:
-	$(GO) run ./cmd/cfplint -json cfplint.json -budget cmd/cfplint/budget.json ./...
-
-# Every suppression must carry a reason; the analyzers enforce this at
-# lint time, and this grep backstops files the lint patterns miss
-# (fixtures under testdata are exempt — they test the directive
-# machinery itself).
-lint-fix-check:
-	@! grep -rn --include='*.go' --exclude-dir=testdata -E '//cfplint:ignore +[A-Za-z0-9_,]+ *$$' . \
-		|| { echo 'lint-fix-check: //cfplint:ignore directives above must carry a reason' >&2; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -52,10 +26,9 @@ test-debug:
 test-short:
 	$(GO) test -short ./...
 
-# The gate for every change: go vet, the cfplint analyzers, and the
-# full test suite under the race detector (cancellation plumbing is
-# concurrency-heavy).
-check: vet lint lint-fix-check
+# The gate for every change: go vet and the full test suite under the
+# race detector (cancellation plumbing is concurrency-heavy).
+check: vet
 	$(GO) test -race ./...
 
 # One benchmark per paper table/figure plus the ablations.

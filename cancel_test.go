@@ -3,7 +3,10 @@ package cfpgrowth
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -267,5 +270,104 @@ func TestBuildIndexObserve(t *testing.T) {
 	}
 	if rec.Snapshot().Phases["pass1"].Count != 1 {
 		t.Error("BuildIndex recorded no pass1 span")
+	}
+}
+
+// TestRunContract: every public run honours Options.Context and
+// MaxBytes. A canceled Context fails the run with ErrCanceled before
+// anything is scanned or emitted, and a one-byte budget fails it with
+// ErrBudgetExceeded.
+func TestRunContract(t *testing.T) {
+	db := randomDB(12, 3000, 20)
+	runs := map[string]func(Options) error{
+		"Mine": func(o Options) error {
+			return Mine(db, o, func([]Item, uint64) error { return nil })
+		},
+		"MineAll":            func(o Options) error { _, err := MineAll(db, o); return err },
+		"Count":              func(o Options) error { _, _, err := Count(db, o); return err },
+		"AnalyzeCompression": func(o Options) error { _, err := AnalyzeCompression(db, o); return err },
+		"BuildIndex":         func(o Options) error { _, err := buildIndexVia["BuildIndex"](db, o); return err },
+		"Builder":            func(o Options) error { _, err := buildIndexVia["Builder"](db, o); return err },
+		"MineClosed":         func(o Options) error { _, err := MineClosed(db, o); return err },
+		"MineMaximal":        func(o Options) error { _, err := MineMaximal(db, o); return err },
+		"MineTopK":           func(o Options) error { _, err := MineTopK(db, o, 5, 2); return err },
+		"MineSampled":        func(o Options) error { _, err := MineSampled(db, o, 0.5, 1); return err },
+		"MineSampledCertified": func(o Options) error {
+			_, _, err := MineSampledCertified(db, o, 0.5, 1)
+			return err
+		},
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range runs {
+		if err := run(Options{MinSupport: 2, Context: canceled}); !errors.Is(err, ErrCanceled) {
+			t.Errorf("%s with a canceled Context: err = %v, want ErrCanceled", name, err)
+		}
+		if err := run(Options{MinSupport: 2, MaxBytes: 1}); !errors.Is(err, ErrBudgetExceeded) {
+			t.Errorf("%s with MaxBytes 1: err = %v, want ErrBudgetExceeded", name, err)
+		}
+	}
+	// MaxLen holds for every algorithm, not only the two that prune at
+	// it: no itemset of length 3 or more is left to rank.
+	top, err := MineTopK(db, Options{MinSupport: 2, MaxLen: 2, Algorithm: "apriori"}, 10, 3)
+	if err != nil || len(top) != 0 {
+		t.Errorf("MineTopK with MaxLen 2, minLen 3: %v, err %v; want none", top, err)
+	}
+	// Options the sampling miner cannot honour are rejected.
+	for _, o := range []Options{{Algorithm: "eclat"}, {Parallel: 2}, {Observe: NewRecorder(nil)}} {
+		o.MinSupport = 2
+		if _, err := MineSampled(db, o, 0.5, 1); err == nil {
+			t.Errorf("MineSampled accepted %+v", o)
+		}
+	}
+}
+
+// TestRunsJoinTheirGoroutines runs each path that starts goroutines —
+// a pooled mine under a live Context (workers plus the Context
+// watcher), a File scan aborted mid-read, and the runtime sampler —
+// under a watchdog, then waits for the goroutine count to fall back to
+// where it started. A worker that is never joined either blocks its
+// pool, which the watchdog reports long before the test binary's
+// timeout, or outlives the run.
+func TestRunsJoinTheirGoroutines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.fimi")
+	if err := dataset.WriteFile(path, randomDB(10, 3000, 20)); err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]func() error{
+		"pooled Count": func() error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, _, err := Count(randomDB(11, 500, 20), Options{MinSupport: 2, Parallel: 4, Context: ctx})
+			return err
+		},
+		"aborted File scan": func() error {
+			if _, _, err := Count(File(path), Options{MinSupport: 2, MaxBytes: 1}); !errors.Is(err, ErrBudgetExceeded) {
+				return fmt.Errorf("err = %v, want ErrBudgetExceeded", err)
+			}
+			return nil
+		},
+		"sampler": func() error {
+			NewRecorder(nil).StartSampler(time.Millisecond).Stop()
+			return nil
+		},
+	}
+	start := runtime.NumGoroutine()
+	for name, run := range runs {
+		done := make(chan error, 1)
+		go func() { done <- run() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: still running after 20 s", name)
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > start; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines running after the run, %d before", name, runtime.NumGoroutine(), start)
+			}
+		}
 	}
 }

@@ -273,10 +273,17 @@ func (o Options) convert(tree *core.Tree, ctl *mine.Control, track mine.MemTrack
 	return arr, err
 }
 
-// run executes one controlled mining run of src into sink: it resolves
-// the support threshold, arms the Control from Context/MaxBytes/
-// MaxItemsets, builds the miner, and fills o.Memory afterwards.
+// run executes one controlled mining run of src into sink with the
+// miner Options selects.
 func (o Options) run(src Source, sink mine.Sink) error {
+	return o.runMiner(src, sink, o.miner)
+}
+
+// runMiner executes one controlled mining run of src into sink: it
+// resolves the support threshold, arms the Control from Context/
+// MaxBytes/MaxItemsets, builds the miner with newMiner, filters at
+// MaxLen, and fills o.Memory afterwards.
+func (o Options) runMiner(src Source, sink mine.Sink, newMiner func(mine.MemTracker, *mine.Control) (mine.Miner, error)) error {
 	minSup, err := o.minSupport(src)
 	if err != nil {
 		return err
@@ -298,7 +305,7 @@ func (o Options) run(src Source, sink mine.Sink) error {
 		peak = &mine.PeakTracker{}
 		track = peak
 	}
-	m, err := o.miner(o.budget(track, ctl), ctl)
+	m, err := newMiner(o.budget(track, ctl), ctl)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,8 @@
 package cfpgrowth
 
 import (
+	"errors"
+
 	"cfpgrowth/internal/algo/sample"
 	"cfpgrowth/internal/mine"
 )
@@ -39,7 +41,10 @@ func MineMaximal(src Source, opts Options) ([]Itemset, error) {
 // returned supports are exact and at least the threshold (perfect
 // precision); itemsets that were unlucky in the sample may be missing
 // (recall < 1). Useful when the database is huge and a fast,
-// almost-complete answer beats an exact one.
+// almost-complete answer beats an exact one. Options.Context,
+// MaxBytes, MaxItemsets, MaxLen and Memory bound the run as they do
+// Mine; setting Algorithm, Parallel or Observe is an error, since the
+// sampling miner has no alternatives, workers or instrumentation.
 func MineSampled(src Source, opts Options, fraction float64, seed int64) ([]Itemset, error) {
 	sets, _, err := mineSampled(src, opts, fraction, seed, false)
 	return sets, err
@@ -56,39 +61,45 @@ func MineSampledCertified(src Source, opts Options, fraction float64, seed int64
 }
 
 func mineSampled(src Source, opts Options, fraction float64, seed int64, certify bool) ([]Itemset, bool, error) {
-	minSup, err := opts.minSupport(src)
-	if err != nil {
-		return nil, false, err
+	if opts.Algorithm != "" || opts.Parallel > 0 || opts.Observe != nil {
+		return nil, false, errors.New("cfpgrowth: sampled mining takes no Algorithm, Parallel or Observe")
 	}
 	var sink mine.CollectSink
-	m := sample.Miner{Fraction: fraction, Seed: seed}
-	var complete bool
-	if certify {
-		complete, err = m.MineCertified(src, minSup, &sink)
-	} else {
-		err = m.Mine(src, minSup, &sink)
-	}
+	m := &sampledMiner{certify: certify}
+	err := opts.runMiner(src, &sink, func(track mine.MemTracker, ctl *mine.Control) (mine.Miner, error) {
+		m.Miner = sample.Miner{Fraction: fraction, Seed: seed, Track: track, Ctl: ctl}
+		return m, nil
+	})
 	if err != nil {
 		return nil, false, err
 	}
 	mine.Canonicalize(sink.Sets)
-	return sink.Sets, complete, nil
+	return sink.Sets, m.complete, nil
+}
+
+// sampledMiner runs the sampling miner, certified or not, and keeps the
+// completeness verdict of a certified run.
+type sampledMiner struct {
+	sample.Miner
+	certify, complete bool
+}
+
+func (m *sampledMiner) Mine(src Source, minSupport uint64, sink mine.Sink) (err error) {
+	if !m.certify {
+		return m.Miner.Mine(src, minSupport, sink)
+	}
+	m.complete, err = m.MineCertified(src, minSupport, sink)
+	return err
 }
 
 // MineTopK returns the k frequent itemsets of highest support with at
 // least minLen items (minLen ≥ 2 is typical: singletons otherwise
 // dominate by support antitonicity), sorted by descending support.
+// Options bound and observe the run as they do Mine; MaxItemsets counts
+// every itemset offered to the top-k selection.
 func MineTopK(src Source, opts Options, k, minLen int) ([]Itemset, error) {
-	minSup, err := opts.minSupport(src)
-	if err != nil {
-		return nil, err
-	}
-	m, err := opts.miner(nil, nil)
-	if err != nil {
-		return nil, err
-	}
 	sink := &mine.TopKSink{K: k, MinLen: minLen}
-	if err := m.Mine(src, minSup, sink); err != nil {
+	if err := opts.run(src, sink); err != nil {
 		return nil, err
 	}
 	return sink.Result(), nil

@@ -19,8 +19,9 @@ import (
 type Miner struct {
 	// Track observes modeled memory consumption (candidate trie).
 	Track mine.MemTracker
-	// Ctl, when non-nil, is polled during each counting scan so a
-	// stopped run aborts promptly mid-level.
+	// Ctl, when non-nil, is polled during each counting scan and before
+	// every emission, so a stopped run aborts promptly mid-level and
+	// emits nothing further.
 	Ctl *mine.Control
 }
 
@@ -61,6 +62,9 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	// L1 and its emission.
 	lk := make([][]uint32, 0, n)
 	for rk := 0; rk < n; rk++ {
+		if err := m.Ctl.Err(); err != nil {
+			return err
+		}
 		if err := sink.Emit([]uint32{rec.Decode(uint32(rk))}, rec.Support(uint32(rk))); err != nil {
 			return err
 		}
@@ -93,7 +97,11 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 		for _, c := range cands {
 			sup := lookup(root, c)
 			if sup >= minSupport {
-				if err := sink.Emit(rec.DecodeSet(c), sup); err != nil {
+				err := m.Ctl.Err()
+				if err == nil {
+					err = sink.Emit(rec.DecodeSet(c), sup)
+				}
+				if err != nil {
 					track.Free(int64(nodes) * trieNodeBytes)
 					return err
 				}

@@ -2,8 +2,11 @@ package algo
 
 import (
 	"errors"
+	"math/rand"
+	"sync/atomic"
 	"testing"
 
+	"cfpgrowth/internal/core"
 	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/mine"
 )
@@ -94,6 +97,73 @@ func TestTrackerBalancedOnError(t *testing.T) {
 			}
 			if tr.Cur != 0 {
 				t.Errorf("%s pass %d: %d bytes still charged after the run (err = %v)", name, failPass, tr.Cur, err)
+			}
+		}
+	}
+}
+
+var errStopped = errors.New("stopped by the sink")
+
+// stopSink stops ctl on its k-th emission and counts every emission
+// that arrives after it.
+type stopSink struct {
+	ctl      *mine.Control
+	k        int64
+	n, after atomic.Int64
+}
+
+func (s *stopSink) Emit([]uint32, uint64) error {
+	switch n := s.n.Add(1); {
+	case n == s.k:
+		s.ctl.Stop(errStopped)
+	case n > s.k:
+		s.after.Add(1)
+	}
+	return nil
+}
+
+// TestNoEmissionAfterStop: once a run's Control is stopped, a miner
+// that takes one emits nothing further and returns the stop cause. The
+// sink is the caller's own, with no ControlSink in front of it, so
+// every miner must check the Control before each emission itself. The
+// six least frequent items only ever occur together: the prefix-tree
+// miners mine them first, and each one's conditional tree is a single
+// path, enumerated with no conversion or recursion step between the
+// emissions to check the Control.
+func TestNoEmissionAfterStop(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	db := dataset.Slice{{200, 201, 202, 203, 204, 205}, {200, 201, 202, 203, 204, 205}, {200, 201, 202, 203, 204, 205}}
+	for i := 0; i < 400; i++ {
+		tx := make([]uint32, 2+rng.Intn(6))
+		for j := range tx {
+			tx[j] = uint32(rng.Intn(120))
+		}
+		db = append(db, tx)
+	}
+	miners := map[string]func(*mine.Control) mine.Miner{
+		"cfpgrowth/DisableFlatDecode": func(ctl *mine.Control) mine.Miner {
+			return core.Growth{Config: core.Config{DisableFlatDecode: true}, Ctl: ctl}
+		},
+	}
+	for _, name := range []string{"cfpgrowth", "cfpgrowth-par", "pfp", "fpgrowth", "apriori", "eclat"} {
+		miners[name] = func(ctl *mine.Control) mine.Miner {
+			m, err := New(name, nil, ctl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+	}
+	for name, newMiner := range miners {
+		for _, k := range []int64{1, 50} {
+			ctl := &mine.Control{}
+			sink := &stopSink{ctl: ctl, k: k}
+			err := newMiner(ctl).Mine(db, 2, sink)
+			if !errors.Is(err, errStopped) {
+				t.Errorf("%s, stop at emission %d: err = %v, want the stop cause", name, k, err)
+			}
+			if n := sink.after.Load(); n != 0 {
+				t.Errorf("%s, stop at emission %d: %d emissions after the stop", name, k, n)
 			}
 		}
 	}

@@ -32,9 +32,9 @@ type Miner struct {
 	Seed int64
 	// Track observes modeled memory of the sample-mining phase.
 	Track mine.MemTracker
-	// Ctl, when non-nil, is polled at every emission, so a stopped run
-	// (cancellation, deadline, budget, failing sink) emits nothing
-	// further and aborts with its cause.
+	// Ctl, when non-nil, is polled by both scans, the sample mine and
+	// every emission, so a stopped run (cancellation, deadline, budget,
+	// failing sink) emits nothing further and aborts with its cause.
 	Ctl *mine.Control
 }
 
@@ -78,6 +78,9 @@ func (m Miner) mine(src dataset.Source, minSupport uint64, sink mine.Sink, certi
 	var counter dataset.Counter
 	var sampleDB dataset.Slice
 	err := src.Scan(func(tx []dataset.Item) error {
+		if err := m.Ctl.Err(); err != nil {
+			return err
+		}
 		counter.Add(tx)
 		if rng.Float64() < frac {
 			cp := make([]dataset.Item, len(tx))
@@ -100,7 +103,7 @@ func (m Miner) mine(src dataset.Source, minSupport uint64, sink mine.Sink, certi
 	}
 	var cands mine.CollectSink
 	if len(sampleDB) > 0 {
-		if err := (core.Growth{Track: m.Track}).Mine(sampleDB, sampleSup, &cands); err != nil {
+		if err := (core.Growth{Track: m.Track, Ctl: m.Ctl}).Mine(sampleDB, sampleSup, &cands); err != nil {
 			return false, err
 		}
 	}
@@ -158,6 +161,9 @@ func (m Miner) mine(src dataset.Source, minSupport uint64, sink mine.Sink, certi
 	if len(tries) > 0 {
 		var buf []dataset.Item
 		err = src.Scan(func(tx []dataset.Item) error {
+			if err := m.Ctl.Err(); err != nil {
+				return err
+			}
 			buf = append(buf[:0], tx...)
 			sortDedupe(&buf)
 			for k := 2; k <= maxCount && k <= len(buf); k++ {

@@ -92,8 +92,6 @@ func (e *Element) ParentLocal() uint64 {
 // ScanItem iterates rank rk's subarray in storage order, invoking fn
 // for each element. This is the sideways traversal that replaces
 // nodelink chains.
-//
-//cfplint:hot
 func (a *Array) ScanItem(rk uint32, fn func(e Element) bool) {
 	lo, hi := a.starts[rk], a.starts[rk+1]
 	pos := lo
@@ -118,8 +116,6 @@ func (a *Array) At(rk uint32, local uint64) Element {
 // Triples are validated once at their trust boundaries (Convert for
 // in-process builds, ReadArray for files), so the decoders below run
 // unchecked; debugchecks builds re-assert the invariants here.
-//
-//cfplint:hot
 func (a *Array) ParentFields(rk uint32, local uint64) (delta uint32, dpos int64) {
 	b := a.data[a.starts[rk]+local:]
 	d, n1 := encoding.Uvarint(b)
@@ -135,8 +131,6 @@ func (a *Array) ParentFields(rk uint32, local uint64) (delta uint32, dpos int64)
 }
 
 // decode reads one full (Δitem, Δpos, count) triple.
-//
-//cfplint:hot
 func (a *Array) decode(rk uint32, local uint64, b []byte) (Element, int) {
 	d, n1 := encoding.Uvarint(b)
 	if debugChecks {
@@ -169,8 +163,6 @@ func (a *Array) decode(rk uint32, local uint64, b []byte) (Element, int) {
 // backward checking that it covers the rest of the set, bailing on the
 // first rank the path has overshot. Cost is O(nodes of the least
 // frequent item × path length); no mining run is needed.
-//
-//cfplint:hot
 func (a *Array) SupportOf(ranks []uint32) uint64 {
 	if len(ranks) == 0 {
 		return 0
@@ -229,8 +221,6 @@ func (a *Array) SupportOf(ranks []uint32) uint64 {
 // PathTo appends to buf the item ranks of the element's ancestors
 // (excluding the element itself), from nearest to the root, by backward
 // traversal. Used to assemble conditional pattern bases.
-//
-//cfplint:hot
 func (a *Array) PathTo(e Element, buf []uint32) []uint32 {
 	rk, local, delta, dpos := e.Rank, e.Local, e.Delta, e.Dpos
 	if debugChecks {

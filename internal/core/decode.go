@@ -193,8 +193,6 @@ func resize[T any](buf []T, n int) []T {
 // selects layoutSmall's word, the rank-local one otherwise), so a
 // rank's offsets stay in place until every rank that can point into it
 // is done. cur holds the findParent cursors and must arrive zeroed.
-//
-//cfplint:hot
 func decodeFlat[W walkWord](a *Array, walk []W, start, cur []int32, small bool) {
 	numItems := int64(len(start) - 1)
 	idx := int32(0)
@@ -228,8 +226,6 @@ func decodeFlat[W walkWord](a *Array, walk []W, start, cur []int32, small bool) 
 // overwrites each element's slot with its walk word: parent index above
 // the rank when small, the parent's rank above its index in that rank's
 // run otherwise.
-//
-//cfplint:hot
 func resolveRun[W walkWord](a *Array, walk []W, start, cur []int32, rk uint32, small bool) {
 	shift := localShift[W]()
 	b := a.data[a.starts[rk]:a.starts[rk+1]]
@@ -288,8 +284,6 @@ func resolveRun[W walkWord](a *Array, walk []W, start, cur []int32, rk uint32, s
 // hit cur[pr] and narrows the binary search to the bracket it finds.
 // Any other order (ReadArray accepts every order in which parents
 // resolve) takes the binary search below the hint.
-//
-//cfplint:hot
 func findParent[W walkWord](walk []W, start, cur []int32, pr uint32, local uint32) int32 {
 	lo, hi := start[pr], start[pr+1]
 	if c := cur[pr]; c >= lo && c < hi {
@@ -336,8 +330,6 @@ func findParent[W walkWord](walk []W, start, cur []int32, pr uint32, local uint3
 // is the count of the run's k-th element. Every count fits 32 bits:
 // Convert builds from 32-bit tree counts, and ReadArray rejects wider
 // ones.
-//
-//cfplint:hot
 func (a *Array) runCounts(rk uint32, buf []uint32) []uint32 {
 	if cap(buf) < a.nodes[rk] {
 		buf = make([]uint32, 0, a.nodes[rk])
@@ -370,8 +362,6 @@ func (a *Array) runCounts(rk uint32, buf []uint32) []uint32 {
 // the same elements as ScanItem, without the per-element callback and
 // per-field decoder re-entry; point queries (SupportOf) that scan a
 // single subarray use it in place of a full Decode.
-//
-//cfplint:hot
 func (a *Array) AppendRun(rk uint32, buf []Element) []Element {
 	lo, hi := a.starts[rk], a.starts[rk+1]
 	if need := len(buf) + a.nodes[rk]; cap(buf) < need {

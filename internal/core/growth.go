@@ -323,8 +323,6 @@ func (m *cfpGrower) releaseDecode(d *Decode) {
 
 // emit sorts prefix into ascending identifier order and forwards it
 // to the sink.
-//
-//cfplint:hot
 func (m *cfpGrower) emit(prefix []uint32, support uint64) error {
 	if err := m.ctl.Err(); err != nil {
 		return err
@@ -420,8 +418,6 @@ func (m *cfpGrower) minePath(t *Tree, path []PathNode, prefix []uint32) error {
 // array is flat-decoded once up front; every conditional pattern base
 // at this level walks the decoding instead of re-chasing varints
 // through the byte region.
-//
-//cfplint:hot
 func (m *cfpGrower) mineArray(a *Array, prefix []uint32) error {
 	d := m.acquireDecode(a)
 	ni := int64(a.NumItems())
@@ -447,8 +443,6 @@ func (m *cfpGrower) mineArray(a *Array, prefix []uint32) error {
 // into it. d is the flat decoding of a (read-only, so pool workers may
 // share the top-level one), or nil to fall back to byte-at-a-time
 // traversal.
-//
-//cfplint:hot
 func (m *cfpGrower) mineRank(a *Array, d *Decode, rank uint32, prefix []uint32) error {
 	if a.Nodes(rank) == 0 {
 		return nil
@@ -511,8 +505,6 @@ func (m *cfpGrower) anyFrequent(condCount []uint64) bool {
 // bases) pay for exactly one bare chase and materialize nothing. The
 // run's counts are decoded once up front into the grower's runSup,
 // charged to the ledger until the conditional is built.
-//
-//cfplint:hot
 func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32) *Tree {
 	m.runSup = a.runCounts(rank, m.runSup)
 	supBytes := int64(len(m.runSup)) * 4
@@ -579,8 +571,6 @@ type walkWord interface{ uint32 | uint64 }
 // pattern bases). A lane's current pointer doubles as its state: a
 // real index mid-chase, smallRoot between elements, one past it once
 // the run is exhausted.
-//
-//cfplint:hot
 func countSmall(walk []uint32, sup []uint32, lo, hi int32, condCount []uint64) {
 	var cur [walkLanes]uint32
 	var cnt [walkLanes]uint64
@@ -622,8 +612,6 @@ func countSmall(walk []uint32, sup []uint32, lo, hi int32, condCount []uint64) {
 // its index in r's run, so one step adds the count to r and loads the
 // parent's word from start[r] + local. A lane at the root takes the
 // next element, and idles there once the run is exhausted.
-//
-//cfplint:hot
 func countLocal[W walkWord](walk []W, start []int32, sup []uint32, lo, hi int32, condCount []uint64) {
 	shift := localShift[W]()
 	root := ^W(0) >> shift
@@ -663,8 +651,6 @@ func countLocal[W walkWord](walk []W, start []int32, sup []uint32, lo, hi int32,
 // element. Insertion order is the deterministic lane-completion order,
 // which is a pure function of the decoding (tree content is
 // insertion-order independent).
-//
-//cfplint:hot
 func insertSmall(m *cfpGrower, walk []uint32, sup []uint32, lo, hi int32, condCount []uint64, cond *Tree) {
 	minSup := m.minSup
 	var cur [walkLanes]uint32
@@ -711,8 +697,6 @@ func insertSmall(m *cfpGrower, walk []uint32, sup []uint32, lo, hi int32, condCo
 
 // insertLocal is insertSmall over a rank-local walk, with the lane
 // states of countLocal.
-//
-//cfplint:hot
 func insertLocal[W walkWord](m *cfpGrower, walk []W, start []int32, sup []uint32, lo, hi int32, condCount []uint64, cond *Tree) {
 	shift := localShift[W]()
 	root := ^W(0) >> shift
@@ -777,8 +761,6 @@ func (m *cfpGrower) insertLane(l int, cond *Tree, c uint32) {
 // the Config.DisableFlatDecode ablation and as the fallback for arrays
 // past the flat index space; differential tests hold it and
 // conditionalFlat to identical trees.
-//
-//cfplint:hot
 func (m *cfpGrower) conditionalScan(a *Array, rank uint32) *Tree {
 	condCount := m.condCounts(rank)
 	a.ScanItem(rank, func(e Element) bool {

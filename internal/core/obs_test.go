@@ -330,3 +330,95 @@ func TestObsParallelTraceChildren(t *testing.T) {
 		t.Errorf("mine phase span count = %d, want 1 (children are trace-only)", ps.Count)
 	}
 }
+
+var errScan = errors.New("scan failed")
+
+// phaseSource is db as a Source whose second scan fails halfway when
+// fail is set, and stops stop (nil = never) once the second scan has
+// delivered every transaction: the build completes, and the conversion
+// after it is the first step to see the stop.
+type phaseSource struct {
+	db    dataset.Slice
+	fail  bool
+	stop  *mine.Control
+	scans int
+}
+
+func (s *phaseSource) Scan(fn func(tx []dataset.Item) error) error {
+	if s.scans++; s.scans == 1 {
+		return s.db.Scan(fn)
+	}
+	for i, tx := range s.db {
+		if s.fail && i == len(s.db)/2 {
+			return errScan
+		}
+		if err := fn(tx); err != nil {
+			return err
+		}
+	}
+	s.stop.Stop(mine.ErrCanceled)
+	return nil
+}
+
+// cancelSink stops ctl with ErrCanceled on its tenth emission, as a
+// Context canceled mid-mine does.
+type cancelSink struct {
+	ctl *mine.Control
+	n   atomic.Int64
+}
+
+func (s *cancelSink) Emit([]uint32, uint64) error {
+	if s.n.Add(1) == 10 {
+		s.ctl.Stop(mine.ErrCanceled)
+	}
+	return nil
+}
+
+// TestPhaseSpansEndOnEveryPath: every phase span a run starts is ended
+// exactly once, on the error paths too, so the phase counts of a failed
+// run are exactly the phases it entered.
+func TestPhaseSpansEndOnEveryPath(t *testing.T) {
+	db := obsDB(300, 8, 30)
+	built := map[string]int64{obs.PhasePass1: 1, obs.PhaseBuild: 1}
+	converted := map[string]int64{obs.PhasePass1: 1, obs.PhaseBuild: 1, obs.PhaseConvert: 1}
+	mined := map[string]int64{obs.PhasePass1: 1, obs.PhaseBuild: 1, obs.PhaseConvert: 1, obs.PhaseMine: 1}
+	for _, tc := range []struct {
+		name      string
+		workers   int
+		maxBytes  int64
+		failScan  bool
+		stopBuild bool
+		sink      func(ctl *mine.Control) mine.Sink
+		want      map[string]int64
+		err       error
+	}{
+		{name: "scan error", failScan: true, want: built, err: errScan},
+		{name: "MaxBytes", maxBytes: 1, want: built, err: mine.ErrBudgetExceeded},
+		{name: "convert stopped", stopBuild: true, want: converted, err: mine.ErrCanceled},
+		{name: "serial sink error", sink: func(*mine.Control) mine.Sink { return &failAfterSink{limit: 10} }, want: mined, err: errSinkFull},
+		{name: "pooled sink error", workers: 4, sink: func(*mine.Control) mine.Sink { return &failAfterSink{limit: 10} }, want: mined, err: errSinkFull},
+		{name: "serial canceled", sink: func(ctl *mine.Control) mine.Sink { return &cancelSink{ctl: ctl} }, want: mined, err: mine.ErrCanceled},
+		{name: "pooled canceled", workers: 4, sink: func(ctl *mine.Control) mine.Sink { return &cancelSink{ctl: ctl} }, want: mined, err: mine.ErrCanceled},
+	} {
+		rec := obs.New(nil)
+		ctl := &mine.Control{MaxBytes: tc.maxBytes}
+		src := &phaseSource{db: db, fail: tc.failScan}
+		if tc.stopBuild {
+			src.stop = ctl
+		}
+		var sink mine.Sink = &mine.CountSink{}
+		if tc.sink != nil {
+			sink = tc.sink(ctl)
+		}
+		g := Growth{Workers: tc.workers, Track: &mine.BudgetTracker{Ctl: ctl}, Ctl: ctl, Rec: rec}
+		if err := g.Mine(src, 5, sink); !errors.Is(err, tc.err) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.err)
+		}
+		phases := rec.Phases()
+		for _, name := range []string{obs.PhasePass1, obs.PhaseBuild, obs.PhaseConvert, obs.PhaseMine} {
+			if got := phases[name].Count; got != tc.want[name] {
+				t.Errorf("%s: %d %s spans, want %d", tc.name, got, name, tc.want[name])
+			}
+		}
+	}
+}

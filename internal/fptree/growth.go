@@ -119,8 +119,6 @@ type grower struct {
 }
 
 // emit sorts prefix into ascending identifier order and forwards it.
-//
-//cfplint:hot
 func (m *grower) emit(prefix []uint32, support uint64) error {
 	if err := m.ctl.Err(); err != nil {
 		return err
@@ -139,8 +137,6 @@ func (m *grower) emit(prefix []uint32, support uint64) error {
 // mine emits every frequent itemset that extends prefix with items of
 // tree t (§2.1: pick least frequent item, recurse on its conditional
 // tree, remove, repeat).
-//
-//cfplint:hot
 func (m *grower) mine(t *Tree, prefix []uint32) error {
 	if path, ok := t.SinglePath(); ok {
 		return m.minePath(t, path, prefix)
@@ -219,8 +215,6 @@ func (m *grower) minePath(t *Tree, path []uint32, prefix []uint32) error {
 // item space keeps the parent tree's rank order, so paths arrive
 // already sorted and no re-ranking pass is needed. Returns nil when the
 // conditional tree is empty.
-//
-//cfplint:hot
 func (m *grower) conditional(t *Tree, rk uint32) *Tree {
 	// Pass 1 over the nodelink chain: conditional item supports.
 	condCount := make([]uint64, rk)

@@ -210,3 +210,15 @@ func BenchmarkGrowthSmall(b *testing.B) {
 		}
 	}
 }
+
+// TestEmitDoesNotAllocate: emission runs once per frequent itemset, so
+// with a warm buffer it allocates nothing.
+func TestEmitDoesNotAllocate(t *testing.T) {
+	m := &grower{sink: &mine.CountSink{}}
+	prefix := []uint32{9, 3, 7}
+	emit := func() { _ = m.emit(prefix, 1) }
+	emit() // warm the buffer
+	if got := testing.AllocsPerRun(100, emit); got != 0 {
+		t.Errorf("emit: %v allocations per call, want 0", got)
+	}
+}

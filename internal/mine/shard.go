@@ -87,8 +87,6 @@ func NewShardMetrics(workers int, shards [][]int) *ShardMetrics {
 // The drain loop and the worker closures are the per-job dispatch path
 // of every sharded mine: one iteration per conditional-pattern job, so
 // per-iteration allocations multiply by the job count.
-//
-//cfplint:hot
 func RunSharded(workers int, shards [][]int, ctl *Control, fn func(worker, shard, job int) error) error {
 	return RunShardedObserved(workers, shards, ctl, nil, fn)
 }
@@ -99,8 +97,6 @@ func RunSharded(workers int, shards [][]int, ctl *Control, fn func(worker, shard
 // and worker idle time and the pool wall time are recorded after the
 // join. m must be sized for the pool (NewShardMetrics); a nil m makes
 // this exactly RunSharded.
-//
-//cfplint:hot
 func RunShardedObserved(workers int, shards [][]int, ctl *Control, m *ShardMetrics, fn func(worker, shard, job int) error) error {
 	if ctl == nil {
 		// A private control still gives first-error-wins semantics.

@@ -132,7 +132,6 @@ func Serve(addr string, r *Recorder) (*Server, error) {
 	// shuts the http.Server down, which unblocks Serve and ends it —
 	// joining it would couple every run to the debug endpoint's
 	// lifetime.
-	//cfplint:ignore goroutinesafe detached by design; Close() terminates Serve and the goroutine with it
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }

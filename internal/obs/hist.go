@@ -65,8 +65,6 @@ type Histogram struct {
 //
 // Record sits on the conditional-mine path — one call per conditional
 // subproblem — so it must not allocate or format.
-//
-//cfplint:hot
 func (h *Histogram) Record(d time.Duration) {
 	if h == nil {
 		return

@@ -230,8 +230,6 @@ func (r *Recorder) Clock() time.Time {
 //
 // One call per conditional subproblem on the mine path: no
 // allocation, no formatting.
-//
-//cfplint:hot
 func (r *Recorder) ObserveSince(h Hist, t0 time.Time) {
 	if r == nil || h < 0 || h >= numHists || t0.IsZero() {
 		return
@@ -402,9 +400,8 @@ func (r *Recorder) Tracing() bool {
 // End completes the span: its duration and byte delta are folded into
 // the phase aggregate and, when an event sink is attached, exported as
 // one "span" event. End on the zero Span is a no-op; ending the same
-// span twice records it twice, which instrumented code must avoid
-// (cfplint's obsguard checks that every started span is ended exactly
-// once on every path).
+// span twice records it twice, so instrumented code ends every
+// started span exactly once on every path.
 func (sp Span) End() {
 	r := sp.rec
 	if r == nil {

@@ -37,7 +37,6 @@ func (r *Recorder) StartSampler(interval time.Duration) *Sampler {
 	// The join lives in Stop, not in this function's scope: Stop closes
 	// s.stop and then blocks on <-s.done, which this goroutine closes on
 	// exit — callers own the sampler's lifetime.
-	//cfplint:ignore goroutinesafe joined by Stop: close(s.stop) then <-s.done blocks until this goroutine exits
 	go func() {
 		defer close(s.done)
 		tick := time.NewTicker(interval)
