@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/dataset/ -fuzz FuzzReadBinary -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzReadArray -fuzztime 30s
 	$(GO) test . -fuzz FuzzReadIndex -fuzztime 30s -run '^$$'
+	$(GO) test . -fuzz FuzzUpdatableSnapshot -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/core/ -fuzz FuzzInsertMine -fuzztime 60s
 
 # Regenerate every table and figure of the paper (see EXPERIMENTS.md).

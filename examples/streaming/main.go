@@ -2,7 +2,8 @@
 // arrive one at a time with string product labels; an UpdatableIndex
 // (CanTree-style fixed item order over the CFP structures) absorbs
 // each order as it happens and can be mined at any moment — here after
-// every "day" — without rebuilding or re-scanning history.
+// every "day" — without re-scanning history: each mine projects the
+// running tree onto the products frequent so far.
 package main
 
 import (
@@ -50,7 +51,7 @@ func main() {
 			idx.Add(enc.Encode(order))
 		}
 
-		// End of day: mine the running index (no rebuild, no rescan).
+		// End of day: mine the running index (no rescan).
 		minSup := idx.NumTx() / 10 // product sets in ≥10% of all orders so far
 		sets, err := idx.MineAll(minSup)
 		if err != nil {

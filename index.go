@@ -79,12 +79,13 @@ func (ix *Index) Bytes() int64 { return ix.arr.Bytes() }
 // paper's §2.1 point query, answered straight from the compressed
 // structure without a mining run. Items absent from the index (below
 // its base support) yield 0. It only reads the index, so concurrent
-// callers are safe.
+// callers are safe, and allocates nothing for sets of up to 8 items.
 func (ix *Index) SupportOf(items []Item) uint64 {
 	if len(items) == 0 {
 		return 0
 	}
-	ranks := make([]uint32, 0, len(items))
+	var buf [8]uint32
+	ranks := buf[:0]
 	for _, it := range items {
 		rk, ok := ix.rankOf[it]
 		if !ok {

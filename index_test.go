@@ -208,6 +208,17 @@ func TestIndexSupportOf(t *testing.T) {
 	}
 }
 
+func TestIndexSupportOfDoesNotAllocate(t *testing.T) {
+	ix, err := BuildIndex(exampleDB, Options{MinSupport: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := []Item{4, 3, 2, 1}
+	if got := testing.AllocsPerRun(100, func() { ix.SupportOf(query) }); got != 0 {
+		t.Errorf("Index.SupportOf: %v allocations per call, want 0", got)
+	}
+}
+
 func TestIndexSupportOfAfterReload(t *testing.T) {
 	ix, err := BuildIndex(exampleDB, Options{MinSupport: 2})
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/dataset"
@@ -348,4 +349,58 @@ func (t *Tree) buildSeg(ranks []uint32, parentRank int64, weight uint32) slotVal
 	t.numStd++
 	suffix := t.buildSeg(ranks[1:], int64(ranks[0]), weight)
 	return ptrSlot(t.allocStd(stdNode{delta: uint32(d0), pcount: 0, suffix: suffix}))
+}
+
+// BuildProjected is BuildRecoded for a database already held in a
+// CFP-tree: it projects src onto r's frequent items (the projection
+// step of Grahne–Zhu) and inserts the result into a fresh CFP-tree
+// over them. r recodes the item identifiers src's ranks name (the
+// itemName src was built with). One walk of src keeps the frequent
+// ancestors of each node on a stack; every node with pcount > 0 ends
+// pcount transactions, whose projected path is inserted, sorted into
+// r's rank order, with weight pcount. A tree's logical content does
+// not depend on insertion order, so the result converts to the same
+// CFP-array as BuildRecoded over the transactions src was built from.
+func BuildProjected(src *Tree, r *dataset.Recoder, cfg Config) *Tree {
+	names, sups := r.Frequent()
+	t := NewTree(arena.New(), cfg, names, sups)
+	if len(names) == 0 {
+		return t
+	}
+	p := &projectPass{t: t, rank: make([]uint32, src.NumItems())}
+	var buf []uint32
+	for rk, it := range src.itemName {
+		if buf = r.Encode([]dataset.Item{it}, buf[:0]); len(buf) == 1 {
+			p.rank[rk] = buf[0] + 1
+		}
+	}
+	src.Walk(p)
+	return t
+}
+
+// projectPass is BuildProjected's visitor.
+type projectPass struct {
+	t     *Tree
+	rank  []uint32 // src rank -> projected rank + 1; 0 = infrequent
+	path  []uint32 // projected ranks of the frequent nodes on the walk stack
+	marks []int    // len(path) at each Enter, restored by the matching Leave
+	buf   []uint32
+}
+
+func (p *projectPass) Enter(rank uint32, pcount uint32) {
+	p.marks = append(p.marks, len(p.path))
+	if pr := p.rank[rank]; pr != 0 {
+		p.path = append(p.path, pr-1)
+	}
+	if pcount > 0 && len(p.path) > 0 {
+		p.buf = append(p.buf[:0], p.path...)
+		slices.Sort(p.buf)
+		p.t.Insert(p.buf, pcount)
+	}
+}
+
+func (p *projectPass) Leave() {
+	n := len(p.marks) - 1
+	p.path = p.path[:p.marks[n]]
+	p.marks = p.marks[:n]
 }

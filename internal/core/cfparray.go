@@ -158,11 +158,12 @@ func (a *Array) decode(rk uint32, local uint64, b []byte) (Element, int) {
 // SupportOf returns the exact support of the itemset given as strictly
 // increasing item ranks — the paper's §2.1 point query ("add up the
 // counts of the prefixes that contain I and end with the least
-// frequent item in I"), executed on the CFP-array: batch-decode the
-// last item's subarray and, per element, walk the ancestor path
-// backward checking that it covers the rest of the set, bailing on the
-// first rank the path has overshot. Cost is O(nodes of the least
-// frequent item × path length); no mining run is needed.
+// frequent item in I"), executed on the CFP-array: sweep the last
+// item's subarray and, per element, walk the ancestor path backward
+// checking that it covers the rest of the set, bailing on the first
+// rank the path has overshot. Cost is O(nodes of the least frequent
+// item × path length); no mining run is needed, and nothing is
+// allocated.
 func (a *Array) SupportOf(ranks []uint32) uint64 {
 	if len(ranks) == 0 {
 		return 0
@@ -180,20 +181,31 @@ func (a *Array) SupportOf(ranks []uint32) uint64 {
 	}
 	rest := ranks[:len(ranks)-1]
 	var sup uint64
-	// One sequential sweep decodes the whole run; the per-element
-	// ancestor walks below then run without re-entering the varint
-	// decoder per field.
-	for _, e := range a.AppendRun(last, nil) {
+	// One sequential sweep decodes the run in place; the per-element
+	// ancestor walks below need no other state from it.
+	b := a.data[a.starts[last]:a.starts[last+1]]
+	for pos := 0; pos < len(b); {
+		d, n1 := encoding.Uvarint(b[pos:])
+		if debugChecks {
+			assertf(n1 > 0, "core: truncated CFP-array triple at rank %d offset %d", last, pos)
+			assertf(d >= 1 && d <= math.MaxUint32, "core: Δitem out of range at rank %d offset %d", last, pos)
+		}
+		z, n2 := encoding.Uvarint(b[pos+n1:])
+		if debugChecks {
+			assertf(n2 > 0, "core: truncated CFP-array triple at rank %d offset %d", last, pos)
+		}
+		c, n3 := encoding.Uvarint(b[pos+n1+n2:])
+		if debugChecks {
+			assertf(n3 > 0, "core: truncated CFP-array triple at rank %d offset %d", last, pos)
+			assertf(c > 0, "core: zero count at rank %d offset %d", last, pos)
+		}
 		// Ancestor ranks arrive strictly decreasing; rest is strictly
 		// increasing, so match it from the back. The walk stops at the
 		// first mismatch that can no longer be repaired: once the path
 		// descends below the rank it needs next (ranks only decrease),
 		// the subset check has failed for this element.
 		need := len(rest) - 1
-		rk, local, delta, dpos := e.Rank, e.Local, e.Delta, e.Dpos
-		if debugChecks {
-			assertf(delta >= 1, "core: zero Δitem seed at rank %d", rk)
-		}
+		rk, local, delta, dpos := last, uint64(pos), uint32(d), encoding.Unzigzag(z)
 		for need >= 0 && int64(rk)-int64(delta) >= 0 {
 			rk -= delta
 			nl := int64(local) - dpos
@@ -212,8 +224,9 @@ func (a *Array) SupportOf(ranks []uint32) uint64 {
 			delta, dpos = a.ParentFields(rk, local)
 		}
 		if need < 0 {
-			sup += e.Count
+			sup += c
 		}
+		pos += n1 + n2 + n3
 	}
 	return sup
 }

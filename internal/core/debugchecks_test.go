@@ -88,14 +88,14 @@ func TestParentFieldsAssertOnCorruption(t *testing.T) {
 	})
 }
 
-// TestAppendRunStopsOnTruncatedRun: a run of one continuation byte
-// decodes with length 0, so without the assertions AppendRun's loop
-// never advances and appends forever. The call runs in a goroutine
+// TestSupportOfStopsOnTruncatedRun: a run of one continuation byte
+// decodes with length 0, so without the assertions SupportOf's sweep
+// never advances and spins forever. The call runs in a goroutine
 // that must panic within the deadline. A spinning goroutine cannot be
 // stopped, so a missed deadline, or a heap that grows past 256 MiB
 // while waiting, aborts the whole test binary rather than leaving it
 // eating memory.
-func TestAppendRunStopsOnTruncatedRun(t *testing.T) {
+func TestSupportOfStopsOnTruncatedRun(t *testing.T) {
 	a := &Array{
 		data:     []byte{0x80},
 		starts:   []uint64{0, 1},
@@ -107,7 +107,7 @@ func TestAppendRunStopsOnTruncatedRun(t *testing.T) {
 	done := make(chan any)
 	go func() {
 		defer func() { done <- recover() }()
-		a.AppendRun(0, nil)
+		a.SupportOf([]uint32{0})
 	}()
 	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	metrics.Read(sample)
@@ -120,14 +120,14 @@ func TestAppendRunStopsOnTruncatedRun(t *testing.T) {
 		case r := <-done:
 			msg, _ := r.(string)
 			if !strings.Contains(msg, "truncated CFP-array triple") {
-				t.Fatalf("AppendRun returned or panicked with %v, want the truncated-triple assertion", r)
+				t.Fatalf("SupportOf returned or panicked with %v, want the truncated-triple assertion", r)
 			}
 			return
 		case <-tick.C:
 		}
 		metrics.Read(sample)
 		if grown := sample[0].Value.Uint64() - base; grown > 256<<20 || time.Now().After(deadline) {
-			panic(fmt.Sprintf("AppendRun over a truncated run is still looping (heap grew %d bytes)", grown))
+			panic(fmt.Sprintf("SupportOf over a truncated run is still looping (heap grew %d bytes)", grown))
 		}
 	}
 }

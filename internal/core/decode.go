@@ -356,44 +356,3 @@ func (a *Array) runCounts(rk uint32, buf []uint32) []uint32 {
 	}
 	return buf
 }
-
-// AppendRun batch-decodes rank rk's whole triple run into buf in one
-// sequential varint sweep and returns the extended slice. It yields
-// the same elements as ScanItem, without the per-element callback and
-// per-field decoder re-entry; point queries (SupportOf) that scan a
-// single subarray use it in place of a full Decode.
-func (a *Array) AppendRun(rk uint32, buf []Element) []Element {
-	lo, hi := a.starts[rk], a.starts[rk+1]
-	if need := len(buf) + a.nodes[rk]; cap(buf) < need {
-		nb := make([]Element, len(buf), need)
-		copy(nb, buf)
-		buf = nb
-	}
-	b := a.data[lo:hi]
-	pos := 0
-	for pos < len(b) {
-		d, n1 := encoding.Uvarint(b[pos:])
-		if debugChecks {
-			assertf(n1 > 0, "core: truncated CFP-array triple at rank %d offset %d", rk, pos)
-			assertf(d >= 1 && d <= math.MaxUint32, "core: Δitem out of range at rank %d offset %d", rk, pos)
-		}
-		z, n2 := encoding.Uvarint(b[pos+n1:])
-		if debugChecks {
-			assertf(n2 > 0, "core: truncated CFP-array triple at rank %d offset %d", rk, pos)
-		}
-		c, n3 := encoding.Uvarint(b[pos+n1+n2:])
-		if debugChecks {
-			assertf(n3 > 0, "core: truncated CFP-array triple at rank %d offset %d", rk, pos)
-			assertf(c > 0, "core: zero count at rank %d offset %d", rk, pos)
-		}
-		buf = append(buf, Element{
-			Rank:  rk,
-			Local: uint64(pos),
-			Delta: uint32(d),
-			Dpos:  encoding.Unzigzag(z),
-			Count: c,
-		})
-		pos += n1 + n2 + n3
-	}
-	return buf
-}

@@ -6,7 +6,7 @@ import (
 
 	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/core"
-	"cfpgrowth/internal/mine"
+	"cfpgrowth/internal/dataset"
 )
 
 // UpdatableIndex supports incremental mining: transactions are added
@@ -16,10 +16,14 @@ import (
 // order of first occurrence), so insertions never require
 // restructuring, at the cost of a prefix tree that compresses less
 // than the frequency-ordered one (deep, rarely shared prefixes no
-// longer bubble to the top). Mining converts the current tree to a
-// CFP-array on demand; conversions are cached until the next Add.
+// longer bubble to the top). The arrival-order tree is only ever
+// ingested into: reads go through an Index snapshot (Snapshot), which
+// projects it onto the items frequent at the requested support, in
+// frequency order, exactly as BuildIndex would build it. Mine caches
+// its snapshot until the next Add.
 //
-// Not safe for concurrent use.
+// Not safe for concurrent use. A snapshot is independent of the index
+// it came from and, like any Index, safe for concurrent readers.
 type UpdatableIndex struct {
 	cfg     core.Config
 	arena   *arena.Arena
@@ -29,7 +33,7 @@ type UpdatableIndex struct {
 	counts  []uint64        // rank -> support so far
 	numTx   uint64
 	rankBuf []uint32
-	arr     *core.Array // cached conversion; nil when stale
+	snap    *Index // Mine's cached snapshot; nil when stale
 }
 
 // NewUpdatableIndex returns an empty updatable index.
@@ -46,7 +50,7 @@ func NewUpdatableIndex(tree TreeConfig) *UpdatableIndex {
 
 // Add ingests one transaction (a set; duplicates ignored).
 func (u *UpdatableIndex) Add(tx []Item) {
-	u.arr = nil
+	u.snap = nil
 	u.numTx++
 	u.rankBuf = u.rankBuf[:0]
 	for _, it := range tx {
@@ -85,34 +89,44 @@ func (u *UpdatableIndex) NumItems() int { return len(u.names) }
 // TreeBytes returns the live compressed-tree footprint.
 func (u *UpdatableIndex) TreeBytes() int64 { return u.tree.Bytes() }
 
-// Mine emits every itemset whose support reaches minSupport. The
-// support may differ between calls — lower thresholds need no rebuild.
+// Snapshot returns an Index over the transactions added so far, built
+// at base support minSupport (0 means 1). Its bytes equal those of
+// BuildIndex over the same transactions at that support with this
+// index's TreeConfig, so it answers SupportOf, can be saved with
+// SaveIndex, and is unaffected by later Adds.
+func (u *UpdatableIndex) Snapshot(minSupport uint64) *Index {
+	minSupport = max(minSupport, 1)
+	sup := make(map[Item]uint64, len(u.names))
+	for rk, it := range u.names {
+		sup[it] = u.counts[rk]
+	}
+	r := dataset.NewRecoder(dataset.Counts{Support: sup, NumTx: u.numTx}, minSupport)
+	return newIndex(core.Convert(core.BuildProjected(u.tree, r, u.cfg)), minSupport, u.numTx)
+}
+
+// snapshotAt returns the cached snapshot when its base support is at
+// most minSupport, and otherwise replaces it with one built at
+// minSupport.
+func (u *UpdatableIndex) snapshotAt(minSupport uint64) *Index {
+	if u.snap == nil || minSupport < u.snap.BaseSupport {
+		u.snap = u.Snapshot(minSupport)
+	}
+	return u.snap
+}
+
+// Mine emits every itemset whose support reaches minSupport (0 means
+// 1). The support may differ between calls: a snapshot serves every
+// support at or above the one it was built at until the next Add, and
+// a lower support rebuilds it.
 func (u *UpdatableIndex) Mine(minSupport uint64, fn Handler) error {
-	if minSupport == 0 {
-		minSupport = 1
-	}
-	if u.numTx == 0 {
-		return nil
-	}
-	if u.arr == nil {
-		u.arr = core.Convert(u.tree)
-	}
-	return core.MineArrayItems(u.arr, u.cfg, minSupport, handlerSink{fn: fn}, nil, 0, core.AllRanks(u.arr), nil, nil)
+	minSupport = max(minSupport, 1)
+	return u.snapshotAt(minSupport).Mine(minSupport, fn)
 }
 
 // MineAll materializes the result at minSupport.
 func (u *UpdatableIndex) MineAll(minSupport uint64) ([]Itemset, error) {
-	var sink mine.CollectSink
-	if err := u.Mine(minSupport, func(items []Item, sup uint64) error {
-		cp := make([]Item, len(items))
-		copy(cp, items)
-		sink.Sets = append(sink.Sets, Itemset{Items: cp, Support: sup})
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	mine.Canonicalize(sink.Sets)
-	return sink.Sets, nil
+	minSupport = max(minSupport, 1)
+	return u.snapshotAt(minSupport).MineAll(minSupport)
 }
 
 // Support returns the current exact support of a single item.
