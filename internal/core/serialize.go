@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 
 	"cfpgrowth/internal/encoding"
 )
@@ -243,17 +242,20 @@ func ReadArray(r io.Reader) (*Array, error) {
 // each rank's summed support must fit 32 bits: conditional CFP-trees
 // store counts in 32 bits, so a wider one would mine wrong supports.
 // Parents have strictly smaller ranks, so walking subarrays in
-// ascending rank order has every referenced offset list already built.
+// ascending rank order has every referenced triple start already
+// marked in heads, one bit per data byte; each reference is then one
+// bit test, and the whole check is linear in the data.
 func (a *Array) validate() error {
 	numItems := len(a.itemName)
-	offs := make([][]uint64, numItems)
+	heads := make([]uint64, (len(a.data)+63)/64)
 	for rk := 0; rk < numItems; rk++ {
 		lo, hi := a.starts[rk], a.starts[rk+1]
-		var locals []uint64
+		var elems int
 		var sup uint64
 		for pos := lo; pos < hi; {
 			local := pos - lo
-			locals = append(locals, local)
+			heads[pos/64] |= 1 << (pos % 64)
+			elems++
 			b := a.data[pos:hi]
 			d, n1 := encoding.Uvarint(b)
 			if n1 <= 0 {
@@ -285,10 +287,9 @@ func (a *Array) validate() error {
 				if pl < 0 {
 					return fmt.Errorf("%w: dangling parent reference at rank %d local %d", ErrBadFormat, rk, local)
 				}
-				upl := uint64(pl)
-				parent := offs[rk-int(d)]
-				j := sort.Search(len(parent), func(i int) bool { return parent[i] >= upl })
-				if j == len(parent) || parent[j] != upl {
+				prk := rk - int(d)
+				at := a.starts[prk] + uint64(pl)
+				if at >= a.starts[prk+1] || heads[at/64]&(1<<(at%64)) == 0 {
 					return fmt.Errorf("%w: dangling parent reference at rank %d local %d", ErrBadFormat, rk, local)
 				}
 			} else if dpos != 0 {
@@ -299,13 +300,12 @@ func (a *Array) validate() error {
 			}
 			pos += uint64(n1 + n2 + n3)
 		}
-		if len(locals) != a.nodes[rk] {
-			return fmt.Errorf("%w: rank %d holds %d elements but header claims %d", ErrBadFormat, rk, len(locals), a.nodes[rk])
+		if elems != a.nodes[rk] {
+			return fmt.Errorf("%w: rank %d holds %d elements but header claims %d", ErrBadFormat, rk, elems, a.nodes[rk])
 		}
 		if sup != a.support[rk] {
 			return fmt.Errorf("%w: rank %d counts sum to %d but header claims support %d", ErrBadFormat, rk, sup, a.support[rk])
 		}
-		offs[rk] = locals
 	}
 	return nil
 }

@@ -294,9 +294,13 @@ func TestReadArrayRejectsHostileTriples(t *testing.T) {
 		return buildArrayFrom([][]uint32{{0, 1, 2}, {0, 2}, {1, 2}}, 3)
 	}
 	// Sanity-check the layout assumptions the corruptions below rely
-	// on: rank 1 holds a parented triple at local 0 and a parentless
-	// one at local 3, each encoded as three single-byte varints.
+	// on: rank 0 holds one triple and rank 1 a parented triple at local
+	// 0 and a parentless one at local 3, each encoded as three
+	// single-byte varints.
 	pristine := build()
+	if pristine.nodes[0] != 1 || pristine.starts[1]-pristine.starts[0] != 3 {
+		t.Fatalf("layout changed: rank 0 holds %d nodes in %d bytes", pristine.nodes[0], pristine.starts[1]-pristine.starts[0])
+	}
 	if e := pristine.At(1, 0); e.Delta != 1 || e.Dpos != 0 {
 		t.Fatalf("layout changed: At(1,0) = %+v", e)
 	}
@@ -311,6 +315,8 @@ func TestReadArrayRejectsHostileTriples(t *testing.T) {
 		{"truncated varint", func(a *Array) { a.data[len(a.data)-1] = 0x80 }},
 		{"delta past virtual root", func(a *Array) { a.data[a.starts[0]] = 0x07 }},
 		{"dangling parent reference", func(a *Array) { a.data[a.starts[1]+1] = 0x02 }},
+		{"parent reference inside a triple", func(a *Array) { a.data[a.starts[1]+1] = 0x01 }},
+		{"parent reference past the parent's subarray", func(a *Array) { a.data[a.starts[1]+1] = 0x05 }},
 		{"parentless nonzero dpos", func(a *Array) { a.data[a.starts[1]+4] = 0x02 }},
 		{"support sum mismatch", func(a *Array) { a.support[0]++ }},
 		{"per-rank node count mismatch", func(a *Array) {
