@@ -61,7 +61,7 @@ type EventSink = obs.EventSink
 
 // NewJSONLSink returns an EventSink writing one JSON object per event
 // to w, newline-delimited — the trace format documented in
-// docs/FORMAT.md §7. Safe for concurrent use.
+// docs/FORMAT.md §6. Safe for concurrent use.
 func NewJSONLSink(w io.Writer) EventSink { return obs.NewJSONLSink(w) }
 
 // ErrCanceled reports a mining run aborted by its Options.Context —

@@ -14,6 +14,11 @@
 // run's JSON line, then, for each end-to-end metric of BENCHMARK.json,
 // the median of each side, their ratio, and in how many pairs each
 // side was the better one. The worktree is removed on exit.
+//
+// It is a gate: it exits 1 when some end-to-end metric's head median is
+// worse than the base median by more than the metric's BENCHMARK.json
+// bound (the row flagged "over bound"), or when the head runs had more
+// failed operations (errors or wrong answers) than the base runs.
 package main
 
 import (
@@ -111,7 +116,9 @@ func run(base, workload string, pairs, seconds, seed int) error {
 			runs[s] = append(runs[s], r)
 		}
 	}
-	summarize(os.Stdout, specs, runs[0], runs[1])
+	if fails := summarize(os.Stdout, specs, runs[0], runs[1]); len(fails) > 0 {
+		return fmt.Errorf("gate failed: %s", strings.Join(fails, "; "))
+	}
 	return nil
 }
 
@@ -158,8 +165,11 @@ func benchRun(ctx context.Context, dir string, args []string) (string, error) {
 
 // summarize prints, per metric, each side's median, the head/base
 // ratio of the medians, and the pairs each side won (a tie counts for
-// neither), and flags a head median worse than the metric's bound.
-func summarize(w io.Writer, specs []metricSpec, base, head []result) {
+// neither), and flags a head median worse than the metric's bound. It
+// returns the gate's failures: one per metric over its bound, and one
+// when the head failed more operations than the base; none is a pass.
+func summarize(w io.Writer, specs []metricSpec, base, head []result) []string {
+	var fails []string
 	fmt.Fprintf(w, "\n%-18s %14s %14s %8s %6s %6s %6s\n", "metric", "base median", "head median", "ratio", "bound", "base", "head")
 	for _, m := range specs {
 		b, h := values(base, m.Name), values(head, m.Name)
@@ -177,10 +187,16 @@ func summarize(w io.Writer, specs []metricSpec, base, head []result) {
 		verdict := ""
 		if worse := (m.Better == "lower" && ratio > 1+m.Bound) || (m.Better == "higher" && ratio < 1-m.Bound); mb != 0 && worse {
 			verdict = "  over bound"
+			fails = append(fails, fmt.Sprintf("%s head/base %.4f past bound %.2f", m.Name, ratio, m.Bound))
 		}
 		fmt.Fprintf(w, "%-18s %14.6g %14.6g %8.4f %6.2f %6d %6d%s\n", m.Name, mb, mh, ratio, m.Bound, bw, hw, verdict)
 	}
-	fmt.Fprintf(w, "%-18s %14d %14d\n", "failed (sum)", failed(base), failed(head))
+	fb, fh := failed(base), failed(head)
+	fmt.Fprintf(w, "%-18s %14d %14d\n", "failed (sum)", fb, fh)
+	if fh > fb {
+		fails = append(fails, fmt.Sprintf("head failed %d operations, base %d", fh, fb))
+	}
+	return fails
 }
 
 // better reports whether x beats y under m's direction.

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -52,7 +54,7 @@ func TestSummarize(t *testing.T) {
 		`{"failed":0,"metrics":{"job_s":{"value":1.0},"rate":{"value":8}}}`,
 	)
 	var buf bytes.Buffer
-	summarize(&buf, specs, base, head)
+	fails := summarize(&buf, specs, base, head)
 	lines := map[string][]string{}
 	for _, l := range strings.Split(buf.String(), "\n") {
 		if f := strings.Fields(l); len(f) > 0 {
@@ -68,5 +70,40 @@ func TestSummarize(t *testing.T) {
 	}
 	if f := lines["failed"]; len(f) != 4 || f[2] != "1" || f[3] != "0" {
 		t.Errorf("failed row %q", f)
+	}
+	if len(fails) != 1 || !strings.HasPrefix(fails[0], "rate ") {
+		t.Errorf("gate failures %q, want only rate's", fails)
+	}
+}
+
+// TestGateVerdict pins when the gate passes: only with every metric
+// within its bound and no more failed operations on the head than on
+// the base.
+func TestGateVerdict(t *testing.T) {
+	specs := []metricSpec{
+		{Name: "job_s", Better: "lower", Bound: 0.24},
+		{Name: "rate", Better: "higher", Bound: 0.1},
+	}
+	run := func(failed int, job, rate float64) string {
+		return fmt.Sprintf(`{"failed":%d,"metrics":{"job_s":{"value":%g},"rate":{"value":%g}}}`, failed, job, rate)
+	}
+	base := mustResults(t, run(0, 1.0, 10), run(0, 1.1, 10), run(0, 0.9, 10))
+	for _, c := range []struct {
+		name string
+		head []string
+		fail string // prefix of the one expected failure; "" is a pass
+	}{
+		{"within bound", []string{run(0, 1.2, 9.2), run(0, 1.23, 9.5), run(0, 1.0, 11)}, ""},
+		{"lower-is-better over bound", []string{run(0, 1.3, 10), run(0, 1.25, 10), run(0, 1.0, 10)}, "job_s "},
+		{"higher-is-better under bound", []string{run(0, 1.0, 8), run(0, 1.0, 8.9), run(0, 1.0, 10)}, "rate "},
+		{"more failed operations", []string{run(0, 1.0, 10), run(1, 1.0, 10), run(0, 1.0, 10)}, "head failed 1 operations"},
+	} {
+		fails := summarize(io.Discard, specs, base, mustResults(t, c.head...))
+		switch {
+		case c.fail == "" && len(fails) != 0:
+			t.Errorf("%s: gate failed with %q, want a pass", c.name, fails)
+		case c.fail != "" && (len(fails) != 1 || !strings.HasPrefix(fails[0], c.fail)):
+			t.Errorf("%s: gate failures %q, want one starting %q", c.name, fails, c.fail)
+		}
 	}
 }

@@ -10,7 +10,7 @@
 // convention "i1 i2 ... (support)".
 //
 // Observability: -trace FILE streams a JSONL trace of phase spans plus
-// a final summary (schema: docs/FORMAT.md §7), -trace-out FILE writes a
+// a final summary (schema: docs/FORMAT.md §6), -trace-out FILE writes a
 // hierarchical Chrome trace-event JSON loadable in Perfetto or
 // chrome://tracing, -sample INTERVAL polls runtime stats into the
 // stream, -metrics-addr ADDR serves expvar, pprof, a JSON snapshot and

@@ -8,15 +8,10 @@
 //	experiments all
 //	experiments table1 table2 fig6a
 //	experiments -scale 500 -budget 16 fig7a fig8c
-//	experiments -json-out out/ bench
-//	experiments -json-out out/ -baseline . bench
-//	experiments -validate-bench out/BENCH_quest1.json
 //
-// The bench target mines the standard datasets under the observability
-// recorder and writes one machine-readable BENCH_<dataset>.json per
-// dataset to the -json-out directory (schema: docs/FORMAT.md §6);
-// -validate-bench re-parses such a file and checks its internal
-// consistency, exiting nonzero on violations.
+// An unknown target prints the usage line and exits 2. The repository
+// benchmark, which measures wall time and memory against a base
+// revision, is bench/ (see cmd/benchpairs).
 package main
 
 import (
@@ -24,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"cfpgrowth/internal/experiments"
@@ -38,24 +32,12 @@ func main() {
 		quick    = flag.Bool("quick", false, "trim sweeps for a fast smoke run")
 		timeout  = flag.Duration("timeout", 0, "abort the whole run after this duration, e.g. 10m (0 = no limit)")
 		maxBytes = flag.Int64("max-bytes", 0, "abort any sweep whose modeled mining memory exceeds this many bytes (0 = no limit)")
-		jsonOut  = flag.String("json-out", "", "directory receiving BENCH_<dataset>.json records (bench target)")
-		validate = flag.String("validate-bench", "", "validate this BENCH_*.json file and exit")
-		baseline = flag.String("baseline", "", "directory of committed BENCH_*.json records to compare fresh bench records against (bench target; nonzero exit on regression)")
 	)
 	flag.Parse()
-	args := flag.Args()
-	if *validate != "" {
-		r, err := experiments.ValidateBenchJSON(*validate)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: valid (dataset %s, algo %s, %d itemsets, peak %d B)\n",
-			*validate, r.Dataset, r.Algo, r.Itemsets, r.PeakBytes)
-		return
-	}
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [-scale N] [-budget MiB] [-quick] [-timeout D] [-max-bytes N] [-json-out DIR] [-baseline DIR] <table1|table2|table3|fig6a|fig6b|fig7a|fig7b|fig7c|fig7d|fig8a|fig8b|fig8c|fig8d|bench|all>...")
+	want, err := resolveTargets(flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		fmt.Fprintln(os.Stderr, usage)
 		os.Exit(2)
 	}
 	cfg := experiments.Config{Scale: *scale, MemBudget: *budget << 20, Quick: *quick}.WithDefaults()
@@ -68,25 +50,6 @@ func main() {
 			defer release()
 		}
 		cfg.Ctl = ctl
-	}
-	want := map[string]bool{}
-	for _, a := range args {
-		if a == "all" {
-			for _, k := range []string{"table1", "table2", "table3", "fig6", "fig7", "fig8a", "fig8c", "fig8d", "ablation"} {
-				want[k] = true
-			}
-			continue
-		}
-		switch a {
-		case "fig6a", "fig6b":
-			want["fig6"] = true
-		case "fig7a", "fig7b", "fig7c", "fig7d":
-			want["fig7"] = true
-		case "fig8b":
-			want["fig8a"] = true
-		default:
-			want[a] = true
-		}
 	}
 	run := func(name string, f func() error) {
 		if !want[name] {
@@ -177,51 +140,37 @@ func main() {
 		experiments.PrintArrayVsDirect(w, avd)
 		return nil
 	})
-	run("bench", func() error {
-		var recs []experiments.BenchRecord
-		if *jsonOut == "" {
-			var err error
-			recs, err = cfg.BenchAll()
-			if err != nil {
-				return err
-			}
-			for _, r := range recs {
-				fmt.Printf("bench %-8s %-12s %8.1f ms  peak %10d B  %8d itemsets\n",
-					r.Dataset, r.Algo, r.WallMillis, r.PeakBytes, r.Itemsets)
-			}
-		} else {
-			paths, err := cfg.WriteBenchJSON(*jsonOut)
-			if err != nil {
-				return err
-			}
-			for _, p := range paths {
-				r, err := experiments.ValidateBenchJSON(p)
-				if err != nil {
-					return err
-				}
-				recs = append(recs, r)
-				fmt.Printf("wrote %s\n", p)
-			}
+}
+
+const usage = "usage: experiments [-scale N] [-budget MiB] [-quick] [-timeout D] [-max-bytes N] <table1|table2|table3|fig6a|fig6b|fig7a|fig7b|fig7c|fig7d|fig8a|fig8b|fig8c|fig8d|ablation|all>..."
+
+// runs maps each target the command accepts to the run it selects:
+// the sub-figures of one figure share a run, and "all" selects every
+// run.
+var runs = map[string][]string{
+	"table1": {"table1"}, "table2": {"table2"}, "table3": {"table3"},
+	"fig6": {"fig6"}, "fig6a": {"fig6"}, "fig6b": {"fig6"},
+	"fig7": {"fig7"}, "fig7a": {"fig7"}, "fig7b": {"fig7"}, "fig7c": {"fig7"}, "fig7d": {"fig7"},
+	"fig8a": {"fig8a"}, "fig8b": {"fig8a"}, "fig8c": {"fig8c"}, "fig8d": {"fig8d"},
+	"ablation": {"ablation"},
+	"all":      {"table1", "table2", "table3", "fig6", "fig7", "fig8a", "fig8c", "fig8d", "ablation"},
+}
+
+// resolveTargets returns the set of runs the targets select; it fails
+// on no target and on any target it does not know.
+func resolveTargets(targets []string) (map[string]bool, error) {
+	if len(targets) == 0 {
+		return nil, fmt.Errorf("no target given")
+	}
+	want := map[string]bool{}
+	for _, t := range targets {
+		rs, ok := runs[t]
+		if !ok {
+			return nil, fmt.Errorf("unknown target %q", t)
 		}
-		if *baseline == "" {
-			return nil
+		for _, r := range rs {
+			want[r] = true
 		}
-		// Regression gate: every fresh record must hold the line
-		// against its committed counterpart.
-		for _, r := range recs {
-			base, err := experiments.ReadBenchJSON(
-				filepath.Join(*baseline, fmt.Sprintf("BENCH_%s.json", r.Dataset)))
-			if err != nil {
-				return err
-			}
-			if err := experiments.CompareBenchRecords(r, base); err != nil {
-				return err
-			}
-			fm := r.Phases["mine"]
-			bm := base.Phases["mine"]
-			fmt.Printf("bench %-8s ok vs baseline: mine %.1f ms (baseline %.1f ms), %d itemsets\n",
-				r.Dataset, fm.Millis, bm.Millis, r.Itemsets)
-		}
-		return nil
-	})
+	}
+	return want, nil
 }

@@ -9,9 +9,8 @@
 //	fimistat -minsup 0.01 -csv data1.fimi data2.fimi > stats.csv
 //
 // With -csv one header plus one row per file is written to stdout, so
-// the output of several invocations can be joined with standard tools
-// (and with the BENCH_*.json records of cmd/experiments, which share
-// the dataset file name as key).
+// the output of several invocations can be joined with standard tools,
+// keyed by the dataset file name.
 package main
 
 import (

@@ -12,6 +12,7 @@ import (
 // TestBuildPhaseBytes: the serial and parallel miners share one build
 // stage, so their pass1 and pass2-build spans carry the same byte
 // deltas: the count table's modeled size and the initial tree's extent.
+// Every later charge lands in the span of the phase that owns it.
 func TestBuildPhaseBytes(t *testing.T) {
 	db := obsDB(400, 8, 30)
 	const minSup = 10
@@ -25,6 +26,10 @@ func TestBuildPhaseBytes(t *testing.T) {
 	}
 	if numTx != uint64(len(db)) {
 		t.Errorf("Build counted %d transactions, want %d", numTx, len(db))
+	}
+	arr, err := ConvertCtl(tree, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, miner := range []func(rec *obs.Recorder) mine.Miner{
 		func(rec *obs.Recorder) mine.Miner { return Growth{Rec: rec} },
@@ -45,6 +50,27 @@ func TestBuildPhaseBytes(t *testing.T) {
 		}
 		if rec.CurBytes() != 0 {
 			t.Errorf("%s: %d bytes still charged after the run", m.Name(), rec.CurBytes())
+		}
+		// The charges sit inside the spans of the phases that own them:
+		// convert retires the tree and materializes the CFP-array, and
+		// mine frees the array (its conditionals net to zero).
+		if got, want := phases[obs.PhaseConvert].Bytes, arr.Bytes()-tree.Extent(); got != want {
+			t.Errorf("%s: convert bytes_delta = %d, want array %d - tree %d", m.Name(), got, arr.Bytes(), tree.Extent())
+		}
+		if got := phases[obs.PhaseMine].Bytes; got != -arr.Bytes() {
+			t.Errorf("%s: mine bytes_delta = %d, want %d (frees the CFP-array)", m.Name(), got, -arr.Bytes())
+		}
+		// Every charge is balanced by a free, but one free lands between
+		// spans: the count table is released in the recoder-setup glue
+		// after pass1 ends. So the phase deltas sum to exactly the pass1
+		// charge; anything else means a charge has drifted out of its
+		// span.
+		var sum int64
+		for _, p := range phases {
+			sum += p.Bytes
+		}
+		if want := phases[obs.PhasePass1].Bytes; sum != want {
+			t.Errorf("%s: phase bytes_delta sum = %d, want the pass1 charge %d", m.Name(), sum, want)
 		}
 	}
 }

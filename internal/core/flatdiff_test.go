@@ -41,13 +41,12 @@ func minerPaths(workers int) []struct {
 			return Growth{}
 		}},
 		{"sharded-parallel", func() mine.Miner {
-			return Growth{Workers: workers, Shards: 2 * workers}
+			return Growth{Workers: workers}
 		}},
 		{"sharded-parallel-legacy", func() mine.Miner {
 			return Growth{
 				Config:  Config{DisableFlatDecode: true},
 				Workers: workers,
-				Shards:  2 * workers,
 			}
 		}},
 	}

@@ -31,13 +31,6 @@ type Growth struct {
 	// Workers is the number of mining goroutines. Zero mines on the
 	// calling goroutine, reusing the build tree's arena, with no pool.
 	Workers int
-	// Shards is the number of work-stealing partitions the top-level
-	// items are divided into when Workers is set (0 = one per worker).
-	// Shard seeds are assigned round-robin in descending rank order, so
-	// the shard-to-item mapping — and with it per-shard observability
-	// attribution — is a pure function of (items, Shards), never of
-	// scheduling order.
-	Shards int
 	// Track observes modeled memory consumption; nil disables tracking.
 	// Under Workers it is synchronized internally.
 	Track mine.MemTracker
@@ -143,7 +136,7 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 	// would swamp the aggregates, and the mine wall time is the phase
 	// the paper plots.
 	sp = g.Rec.Start(obs.PhaseMine)
-	err = m.mineTop(arr, AllRanks(arr), g.Workers, g.Shards, sp)
+	err = m.mineTop(arr, AllRanks(arr), g.Workers, sp)
 	track.Free(arr.Bytes())
 	sp.End()
 	return err
@@ -215,7 +208,7 @@ func MineArrayItems(a *Array, cfg Config, minSupport uint64, sink mine.Sink, tra
 		rec:       rec,
 		treeArena: arena.New(),
 	}
-	return m.mineTop(a, ranks, 0, 0, obs.Span{})
+	return m.mineTop(a, ranks, 0, obs.Span{})
 }
 
 // mineTop is CFP-growth's one top level: it mines the given ranks of
@@ -225,11 +218,11 @@ func MineArrayItems(a *Array, cfg Config, minSupport uint64, sink mine.Sink, tra
 // across a work-stealing pool (minePool), m's decoding shared
 // read-only, with sp the open mine span the per-item trace spans hang
 // under.
-func (m *cfpGrower) mineTop(a *Array, ranks []uint32, workers, shards int, sp obs.Span) error {
+func (m *cfpGrower) mineTop(a *Array, ranks []uint32, workers int, sp obs.Span) error {
 	d := m.acquireDecode(a)
 	defer m.releaseDecode(d)
 	if workers > 0 {
-		return m.minePool(a, d, ranks, workers, shards, sp)
+		return m.minePool(a, d, ranks, workers, sp)
 	}
 	for _, rk := range ranks {
 		if err := m.ctl.Err(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/mine"
@@ -29,7 +30,8 @@ func obsDB(tx, maxLen, items int) dataset.Slice {
 
 // TestObsItemsetCounterMatchesSink: the itemsets counter must equal
 // the number of emissions the sink accepted, in serial and parallel
-// runs.
+// runs, and the snapshot must carry it; the phase spans nest inside
+// the run's wall time.
 func TestObsItemsetCounterMatchesSink(t *testing.T) {
 	db := obsDB(300, 8, 30)
 	for _, tc := range []struct {
@@ -42,14 +44,19 @@ func TestObsItemsetCounterMatchesSink(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := obs.New(nil)
 			var sink mine.CountSink
+			start := time.Now()
 			if err := tc.miner(rec).Mine(db, 10, &sink); err != nil {
 				t.Fatal(err)
 			}
+			wall := time.Since(start)
 			if sink.N == 0 {
 				t.Fatal("degenerate run: no itemsets")
 			}
 			if got := rec.Count(obs.CtrItemsets); got != int64(sink.N) {
 				t.Errorf("itemsets counter = %d, sink saw %d", got, sink.N)
+			}
+			if got := rec.Snapshot().Counters["itemsets"]; got != int64(sink.N) {
+				t.Errorf("snapshot itemsets = %d, sink saw %d", got, sink.N)
 			}
 			if rec.Count(obs.CtrLogicalNodes) == 0 {
 				t.Error("no logical nodes counted")
@@ -65,6 +72,13 @@ func TestObsItemsetCounterMatchesSink(t *testing.T) {
 				if _, ok := phases[want]; !ok {
 					t.Errorf("phase %q missing from %v", want, phases)
 				}
+			}
+			var spans time.Duration
+			for _, p := range phases {
+				spans += time.Duration(p.Nanos)
+			}
+			if spans > wall {
+				t.Errorf("phase spans sum to %v, more than the run's wall time %v", spans, wall)
 			}
 		})
 	}
@@ -143,7 +157,8 @@ func TestObsTopKSinkCounter(t *testing.T) {
 
 // TestObsPeakMatchesControl: teeing the control's budget ledger and
 // the recorder from the same tracker stream must give identical
-// high-water marks — the invariant BENCH_*.json relies on.
+// high-water marks, so a run's reported peak is the one its budget
+// enforces.
 func TestObsPeakMatchesControl(t *testing.T) {
 	db := obsDB(300, 8, 30)
 	for _, tc := range []struct {
@@ -228,7 +243,7 @@ func TestObsMineHistograms(t *testing.T) {
 	if err := (Growth{Rec: recS}).Mine(db, 10, &s1); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Growth{Workers: 4, Shards: 8, Rec: recP}).Mine(db, 10, &s2); err != nil {
+	if err := (Growth{Workers: 4, Rec: recP}).Mine(db, 10, &s2); err != nil {
 		t.Fatal(err)
 	}
 	for name, rec := range map[string]*obs.Recorder{"serial": recS, "parallel": recP} {
@@ -246,30 +261,35 @@ func TestObsMineHistograms(t *testing.T) {
 }
 
 // TestObsMinePoolStats: the sharded miner must attach per-shard and
-// per-worker pool accounting whose job total covers every top-level
-// item exactly once.
+// per-worker pool accounting, one shard per worker, whose job total
+// covers every top-level item exactly once and whose busy time is
+// recorded.
 func TestObsMinePoolStats(t *testing.T) {
 	db := obsDB(300, 8, 30)
 	rec := obs.New(nil)
 	var sink mine.CountSink
-	if err := (Growth{Workers: 4, Shards: 4, Rec: rec}).Mine(db, 10, &sink); err != nil {
+	if err := (Growth{Workers: 4, Rec: rec}).Mine(db, 10, &sink); err != nil {
 		t.Fatal(err)
 	}
 	shards, workers := rec.MinePool()
 	if len(shards) != 4 || len(workers) != 4 {
 		t.Fatalf("pool shape = %d shards / %d workers, want 4/4", len(shards), len(workers))
 	}
-	var shardJobs, queued, workerJobs int64
+	var shardJobs, queued, workerJobs, busy int64
 	for _, s := range shards {
 		shardJobs += s.Jobs
 		queued += s.Queue
+		busy += s.BusyNanos
 	}
 	for _, w := range workers {
 		workerJobs += w.Jobs
 	}
-	if shardJobs != queued || shardJobs != workerJobs {
-		t.Errorf("jobs: %d executed, %d queued, %d by workers — all must agree",
+	if shardJobs == 0 || shardJobs != queued || shardJobs != workerJobs {
+		t.Errorf("jobs: %d executed, %d queued, %d by workers — all must agree and be nonzero",
 			shardJobs, queued, workerJobs)
+	}
+	if busy <= 0 {
+		t.Errorf("pool busy time = %d ns, want > 0", busy)
 	}
 	// The serial miner attaches no pool.
 	recS := obs.New(nil)
@@ -291,7 +311,7 @@ func TestObsParallelTraceChildren(t *testing.T) {
 	tr := obs.NewTrace(4, 1<<12)
 	rec.AttachTrace(tr)
 	var sink mine.CountSink
-	if err := (Growth{Workers: 4, Shards: 4, Rec: rec}).Mine(db, 10, &sink); err != nil {
+	if err := (Growth{Workers: 4, Rec: rec}).Mine(db, 10, &sink); err != nil {
 		t.Fatal(err)
 	}
 	evs, dropped := tr.Events()

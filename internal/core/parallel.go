@@ -9,28 +9,24 @@ import (
 )
 
 // minePool is mineTop's sharded branch: the ranks are partitioned into
-// shards of deterministic seeds and mined by a work-stealing pool
-// (mine.RunSharded) of workers, each a private grower with its own tree
-// arena and decode stack that processes whole conditional subproblems
-// and steals from other shards once its own is drained. d, the flat
-// decoding of a, is shared read-only. ranks must be non-empty. m
+// one shard of deterministic seeds per worker (min(workers, len(ranks))
+// of them) and mined by a work-stealing pool (mine.RunSharded) of
+// those workers, each a private grower with its own tree arena and
+// decode stack that processes whole conditional subproblems and steals
+// from other shards once its own is drained. d, the flat decoding of
+// a, is shared read-only. ranks must be non-empty. m
 // supplies the run's settings and must carry a non-nil Control: the
 // first failure anywhere stops it, and every worker observes the stop
 // before its next job and its next emission.
-func (m *cfpGrower) minePool(a *Array, d *Decode, ranks []uint32, workers, numShards int, sp obs.Span) error {
-	n := len(ranks)
-	workers = min(workers, n)
-	if numShards <= 0 {
-		numShards = workers
-	}
-	numShards = min(numShards, n)
+func (m *cfpGrower) minePool(a *Array, d *Decode, ranks []uint32, workers int, sp obs.Span) error {
+	workers = min(workers, len(ranks))
 	// Deterministic shard seeds: ranks in the given order (least
 	// frequent items, with the deepest pattern bases, lead for load
 	// balance), dealt round-robin across the shards. The assignment
 	// never depends on scheduling order.
-	shards := make([][]int, numShards)
+	shards := make([][]int, workers)
 	for i, rk := range ranks {
-		shards[i%numShards] = append(shards[i%numShards], int(rk))
+		shards[i%workers] = append(shards[i%workers], int(rk))
 	}
 	// One private recorder per shard: workers attribute structure
 	// counters to the shard that owns the item, not to the goroutine
@@ -38,7 +34,7 @@ func (m *cfpGrower) minePool(a *Array, d *Decode, ranks []uint32, workers, numSh
 	// shard order — the run's counter attribution is reproducible.
 	var shardRecs []*obs.Recorder
 	if m.rec != nil {
-		shardRecs = make([]*obs.Recorder, numShards)
+		shardRecs = make([]*obs.Recorder, workers)
 		for s := range shardRecs {
 			shardRecs[s] = obs.New(nil)
 		}

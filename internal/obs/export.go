@@ -15,7 +15,7 @@ import (
 // phase name, duration and byte delta; sample events carry the runtime
 // sampler's observation; the final summary event carries the
 // cumulative counters, phase aggregates, and latency histograms
-// (schema: docs/FORMAT.md §7).
+// (schema: docs/FORMAT.md §6).
 type Event struct {
 	TimeUnixNano int64                `json:"ts"`
 	Ev           string               `json:"ev"` // "span" | "sample" | "summary"

@@ -23,8 +23,9 @@ const (
 	numHists
 )
 
-// histNames are the stable external names used in snapshots and the
-// BENCH_*.json schema (docs/FORMAT.md §6).
+// histNames are the stable external names used in snapshots, the
+// Prometheus exposition and the JSONL summary event (docs/FORMAT.md
+// §6).
 var histNames = [numHists]string{"cond_mine", "query"}
 
 // String returns the histogram's external name.

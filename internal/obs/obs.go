@@ -61,8 +61,9 @@ const (
 	numCounters
 )
 
-// counterNames are the stable external names used in snapshots,
-// events, and the BENCH_*.json schema (docs/FORMAT.md).
+// counterNames are the stable external names used in snapshots, the
+// Prometheus exposition and the JSONL summary event (docs/FORMAT.md
+// §6).
 var counterNames = [numCounters]string{
 	"std_nodes", "chain_nodes", "embedded_leaves", "logical_nodes",
 	"chain_splits", "chain_extends", "triples", "itemsets", "cond_trees",
