@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"cfpgrowth/internal/core"
+	"cfpgrowth/internal/dataset"
+	"cfpgrowth/internal/mine"
+	"cfpgrowth/internal/obs"
 )
 
 // testConfig is tiny: 1/20000-scale datasets so the whole suite runs in
@@ -237,5 +242,52 @@ func TestArrayVsDirect(t *testing.T) {
 	PrintArrayVsDirect(&buf, rows)
 	if !strings.Contains(buf.String(), "slowdown") {
 		t.Error("comparison output incomplete")
+	}
+}
+
+// TestBenchRecordBytesDeltaWired: on the quest1 workload at relative
+// support 0.01, mined by a four-worker pool under a budget ledger, every
+// phase's bytes_delta has the sign of the memory it owns: pass1, build
+// and convert charge, mine frees the CFP-array.
+func TestBenchRecordBytesDeltaWired(t *testing.T) {
+	c := testConfig()
+	db := c.Quest1()
+	counts, err := dataset.CountItems(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := &mine.Control{}
+	rec := obs.New(nil)
+	g := core.Growth{Workers: 4, Track: &mine.BudgetTracker{Ctl: ctl}, Ctl: ctl, Rec: rec}
+	var sink mine.CountSink
+	if err := g.Mine(db, dataset.AbsoluteSupport(0.01, counts.NumTx), &sink); err != nil {
+		t.Fatal(err)
+	}
+	phases := rec.Snapshot().Phases
+	for _, phase := range []string{obs.PhasePass1, obs.PhaseBuild, obs.PhaseConvert} {
+		p, ok := phases[phase]
+		if !ok {
+			t.Fatalf("phase %q missing", phase)
+		}
+		if p.Bytes <= 0 {
+			t.Errorf("phase %q bytes_delta = %d, want > 0", phase, p.Bytes)
+		}
+	}
+	if p := phases[obs.PhaseMine]; p.Bytes >= 0 {
+		t.Errorf("mine bytes_delta = %d, want < 0 (frees the CFP-array)", p.Bytes)
+	}
+	// Every charge is balanced by a free, but one free lands between
+	// spans: the count table is released in the recoder-setup glue after
+	// pass1 ends. The phase deltas therefore sum to exactly the pass1
+	// charge; anything else means a charge has drifted out of its span.
+	var sum int64
+	for _, p := range phases {
+		sum += p.Bytes
+	}
+	if want := phases[obs.PhasePass1].Bytes; sum != want {
+		t.Errorf("phase bytes_delta sum = %d, want %d (the count table released between spans)", sum, want)
+	}
+	if ctl.Bytes() != 0 {
+		t.Errorf("%d bytes still charged after the run", ctl.Bytes())
 	}
 }
