@@ -11,6 +11,7 @@ import (
 	"cfpgrowth/internal/core"
 	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/encoding"
+	"cfpgrowth/internal/mine"
 )
 
 // Builder ingests transactions one at a time — from a stream, a
@@ -83,18 +84,11 @@ func (b *Builder) Finish() (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctl, track, release, err := b.opts.buildRun()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
 	// Pass 1 ran in Add; the spool replay is pass 2.
-	rec := dataset.NewRecoder(counts, minSup)
-	tree, err := core.BuildRecoded(spool{f: b.f, numTx: counts.NumTx}, rec, b.opts.Tree.config(), ctl, track, b.opts.Observe)
-	if err != nil {
-		return nil, err
-	}
-	arr, err := b.opts.convert(tree, ctl, track)
+	arr, err := b.opts.buildArray(func(ctl *mine.Control, track mine.MemTracker) (*core.Tree, error) {
+		rec := dataset.NewRecoder(counts, minSup)
+		return core.BuildRecoded(spool{f: b.f, numTx: counts.NumTx}, rec, b.opts.Tree.config(), ctl, track, b.opts.Observe)
+	})
 	if err != nil {
 		return nil, err
 	}

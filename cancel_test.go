@@ -247,25 +247,54 @@ func TestBuildIndexMaxBytes(t *testing.T) {
 }
 
 func TestBuildIndexObserve(t *testing.T) {
-	db := randomDB(9, 300, 20)
+	// The entry points that build a CFP-array without mining it, each
+	// returning the array's bytes.
+	builds := map[string]func(db Transactions, opts Options) (int64, error){
+		"AnalyzeCompression": func(db Transactions, opts Options) (int64, error) {
+			st, err := AnalyzeCompression(db, opts)
+			return st.CFPArrayBytes, err
+		},
+	}
 	for name, build := range buildIndexVia {
-		rec := NewRecorder(nil)
-		if _, err := build(db, Options{MinSupport: 2, Observe: rec}); err != nil {
-			t.Fatal(err)
-		}
-		phases := rec.Snapshot().Phases
-		for _, want := range []string{"pass2-build", "convert"} {
-			if phases[want].Count != 1 {
-				t.Errorf("%s: phase %q recorded %d times, want once", name, want, phases[want].Count)
+		builds[name] = func(db Transactions, opts Options) (int64, error) {
+			ix, err := build(db, opts)
+			if err != nil {
+				return 0, err
 			}
+			return ix.Bytes(), nil
 		}
-		if rec.Snapshot().CurBytes != 0 {
-			t.Errorf("%s: %d bytes still charged after the build", name, rec.Snapshot().CurBytes)
+	}
+	for _, db := range []Transactions{randomDB(9, 300, 20), randomDB(12, 3000, 20)} {
+		for name, build := range builds {
+			rec := NewRecorder(nil)
+			var ms MemoryStats
+			arrBytes, err := build(db, Options{MinSupport: 2, Observe: rec, Memory: &ms})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := rec.Snapshot()
+			for _, want := range []string{"pass2-build", "convert"} {
+				if snap.Phases[want].Count != 1 {
+					t.Errorf("%s: phase %q recorded %d times, want once", name, want, snap.Phases[want].Count)
+				}
+			}
+			// The convert stage retires the tree the build charged, then
+			// charges the array.
+			if got, want := snap.Phases["convert"].Bytes, arrBytes-snap.Phases["pass2-build"].Bytes; got != want {
+				t.Errorf("%s: convert bytes_delta %d, want array %d - tree %d = %d",
+					name, got, arrBytes, snap.Phases["pass2-build"].Bytes, want)
+			}
+			if snap.CurBytes != 0 {
+				t.Errorf("%s: %d bytes still charged after the build", name, snap.CurBytes)
+			}
+			if ms.PeakBytes == 0 || ms.PeakBytes != snap.PeakBytes {
+				t.Errorf("%s: Memory.PeakBytes %d, recorder peak %d; want one non-zero number", name, ms.PeakBytes, snap.PeakBytes)
+			}
 		}
 	}
 	// Only BuildIndex counts; a Builder counted while Add ran.
 	rec := NewRecorder(nil)
-	if _, err := BuildIndex(db, Options{MinSupport: 2, Observe: rec}); err != nil {
+	if _, err := BuildIndex(randomDB(9, 300, 20), Options{MinSupport: 2, Observe: rec}); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Snapshot().Phases["pass1"].Count != 1 {

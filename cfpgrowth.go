@@ -217,108 +217,103 @@ func (o Options) miner(track mine.MemTracker, ctl *mine.Control) (mine.Miner, er
 	case "cfpgrowth":
 		// The CFP-growth and FP-growth miners prune the search itself
 		// at MaxLen; the other algorithms filter at the sink.
-		return core.Growth{Config: o.Tree.config(), Workers: o.Parallel, Track: track, MaxLen: o.MaxLen, Ctl: ctl, Rec: o.Observe}, nil
+		return o.growth(track, ctl), nil
 	case "fpgrowth":
 		return fptree.Growth{Track: track, MaxLen: o.MaxLen, Ctl: ctl, Rec: o.Observe}, nil
 	}
 	return algo.NewObserved(name, track, ctl, o.Observe)
 }
 
-// control arms the run's Control from Context and MaxBytes and returns
-// the function that disarms it when the run ends. A run that sets none
-// of Context, MaxBytes and MaxItemsets gets a nil Control and skips the
-// wrappers entirely. An already-canceled Context fails synchronously:
+// growth is the CFP-growth miner the options configure, on the run's
+// byte ledger track and Control ctl.
+func (o Options) growth(track mine.MemTracker, ctl *mine.Control) core.Growth {
+	return core.Growth{Config: o.Tree.config(), Workers: o.Parallel, Track: track, MaxLen: o.MaxLen, Ctl: ctl, Rec: o.Observe}
+}
+
+// contract runs fn under the run contract of every entry point. It arms
+// the Control from Context, MaxBytes and MaxItemsets (a run that sets
+// none of them gets a nil Control), hands fn the byte ledger that
+// charges the MaxBytes budget and measures the peak, and fills o.Memory
+// when fn succeeds. An already-canceled Context fails synchronously:
 // nothing is scanned or emitted.
-func (o Options) control() (*mine.Control, func(), error) {
-	var ctl *mine.Control
+func (o Options) contract(fn func(track mine.MemTracker, ctl *mine.Control) error) error {
 	if o.Context != nil {
 		if err := o.Context.Err(); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrCanceled, err)
+			return fmt.Errorf("%w: %v", ErrCanceled, err)
 		}
 	}
+	var ctl *mine.Control
 	if o.Context != nil || o.MaxBytes > 0 || o.MaxItemsets > 0 {
 		ctl = &mine.Control{MaxBytes: o.MaxBytes}
 	}
-	return ctl, ctl.Watch(o.Context), nil
-}
-
-// budget charges track's allocations (track may be nil) against ctl's
-// byte budget when MaxBytes sets one.
-func (o Options) budget(track mine.MemTracker, ctl *mine.Control) mine.MemTracker {
-	if o.MaxBytes > 0 {
-		return &mine.BudgetTracker{Inner: track, Ctl: ctl}
-	}
-	return track
-}
-
-// buildRun arms the run contract of an entry point that builds but
-// does not mine (BuildIndex, Builder, AnalyzeCompression): the Control
-// as control arms it, and the byte ledger that charges its budget and
-// feeds Observe. Call release when the run ends.
-func (o Options) buildRun() (ctl *mine.Control, track mine.MemTracker, release func(), err error) {
-	ctl, release, err = o.control()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return ctl, core.ObservedTracker(o.budget(nil, ctl), o.Observe), release, nil
-}
-
-// convert turns a built tree into its CFP-array inside the convert
-// span, polling ctl, and releases the tree's ledger charge.
-func (o Options) convert(tree *core.Tree, ctl *mine.Control, track mine.MemTracker) (*core.Array, error) {
-	sp := o.Observe.Start(obs.PhaseConvert)
-	defer sp.End()
-	arr, err := core.ConvertCtl(tree, ctl)
-	track.Free(tree.Extent())
-	return arr, err
-}
-
-// run executes one controlled mining run of src into sink with the
-// miner Options selects.
-func (o Options) run(src Source, sink mine.Sink) error {
-	return o.runMiner(src, sink, o.miner)
-}
-
-// runMiner executes one controlled mining run of src into sink: it
-// resolves the support threshold, arms the Control from Context/
-// MaxBytes/MaxItemsets, builds the miner with newMiner, filters at
-// MaxLen, and fills o.Memory afterwards.
-func (o Options) runMiner(src Source, sink mine.Sink, newMiner func(mine.MemTracker, *mine.Control) (mine.Miner, error)) error {
-	minSup, err := o.minSupport(src)
-	if err != nil {
-		return err
-	}
-	ctl, release, err := o.control()
-	if err != nil {
-		return err
-	}
-	defer release()
-	if ctl != nil {
-		// The ControlSink sits next to the caller's sink: it gates and
-		// counts exactly the itemsets the handler would receive, and a
-		// handler error stops every phase and worker of the run.
-		sink = &mine.ControlSink{Inner: sink, Ctl: ctl, Max: o.MaxItemsets}
-	}
+	defer ctl.Watch(o.Context)()
 	var track mine.MemTracker
 	var peak *mine.PeakTracker
 	if o.Memory != nil {
 		peak = &mine.PeakTracker{}
 		track = peak
 	}
-	m, err := newMiner(o.budget(track, ctl), ctl)
-	if err != nil {
-		return err
+	if o.MaxBytes > 0 {
+		track = &mine.BudgetTracker{Inner: track, Ctl: ctl}
 	}
-	if o.MaxLen > 0 {
-		sink = &mine.MaxLenSink{Inner: sink, Max: o.MaxLen}
-	}
-	if err := m.Mine(src, minSup, sink); err != nil {
+	if err := fn(track, ctl); err != nil {
 		return err
 	}
 	if peak != nil {
 		*o.Memory = MemoryStats{PeakBytes: peak.Peak, AverageBytes: peak.Avg()}
 	}
 	return nil
+}
+
+// run executes one mining run of src into sink under the run contract:
+// it resolves the support threshold, builds the miner with newMiner
+// (o.miner for the one Options selects), gates the sink on the Control
+// and filters it at MaxLen.
+func (o Options) run(src Source, sink mine.Sink, newMiner func(mine.MemTracker, *mine.Control) (mine.Miner, error)) error {
+	minSup, err := o.minSupport(src)
+	if err != nil {
+		return err
+	}
+	return o.contract(func(track mine.MemTracker, ctl *mine.Control) error {
+		if ctl != nil {
+			// The ControlSink sits next to the caller's sink: it gates
+			// and counts exactly the itemsets the handler would receive,
+			// and a handler error stops every phase and worker of the
+			// run.
+			sink = &mine.ControlSink{Inner: sink, Ctl: ctl, Max: o.MaxItemsets}
+		}
+		m, err := newMiner(track, ctl)
+		if err != nil {
+			return err
+		}
+		if o.MaxLen > 0 {
+			sink = &mine.MaxLenSink{Inner: sink, Max: o.MaxLen}
+		}
+		return m.Mine(src, minSup, sink)
+	})
+}
+
+// buildArray runs the build half of the default miner for the entry
+// points that build a CFP-array but do not mine it (BuildIndex, Builder,
+// AnalyzeCompression). Under the run contract, build makes the CFP-tree
+// on the run's ledger and Growth's convert stage turns it into the
+// returned array. The array leaves the ledger as the run ends, so the
+// peak the run reports covers it.
+func (o Options) buildArray(build func(ctl *mine.Control, track mine.MemTracker) (*core.Tree, error)) (*core.Array, error) {
+	var arr *core.Array
+	err := o.contract(func(track mine.MemTracker, ctl *mine.Control) error {
+		ledger := core.ObservedTracker(track, o.Observe)
+		tree, err := build(ctl, ledger)
+		if err != nil {
+			return err
+		}
+		if arr, err = o.growth(track, ctl).Convert(tree); err != nil {
+			return err
+		}
+		ledger.Free(arr.Bytes())
+		return nil
+	})
+	return arr, err
 }
 
 type handlerSink struct{ fn Handler }
@@ -334,7 +329,7 @@ func (s handlerSink) Emit(items []uint32, support uint64) error {
 // ErrCanceled or ErrBudgetExceeded, with all phases (and all workers,
 // under Options.Parallel) stopped promptly.
 func Mine(src Source, opts Options, fn Handler) error {
-	return opts.run(src, handlerSink{fn: fn})
+	return opts.run(src, handlerSink{fn: fn}, opts.miner)
 }
 
 // MineAll materializes every frequent itemset. Prefer Mine for large
@@ -359,7 +354,7 @@ func MineAll(src Source, opts Options) ([]Itemset, error) {
 // size).
 func Count(src Source, opts Options) (total uint64, byLen []uint64, err error) {
 	var sink mine.CountSink
-	if err := opts.run(src, &sink); err != nil {
+	if err := opts.run(src, &sink, opts.miner); err != nil {
 		return 0, nil, err
 	}
 	return sink.N, sink.ByLen, nil
@@ -396,17 +391,15 @@ func AnalyzeCompression(src Source, opts Options) (CompressionStats, error) {
 	if err != nil {
 		return CompressionStats{}, err
 	}
-	ctl, track, release, err := opts.buildRun()
-	if err != nil {
-		return CompressionStats{}, err
-	}
-	defer release()
-	tree, _, err := core.Build(src, minSup, opts.Tree.config(), ctl, track, opts.Observe)
-	if err != nil {
-		return CompressionStats{}, err
-	}
-	ts := tree.Stats()
-	arr, err := opts.convert(tree, ctl, track)
+	var ts core.TreeStats
+	arr, err := opts.buildArray(func(ctl *mine.Control, track mine.MemTracker) (*core.Tree, error) {
+		tree, _, err := core.Build(src, minSup, opts.Tree.config(), ctl, track, opts.Observe)
+		if err == nil {
+			// Taken before the convert stage recycles the tree's arena.
+			ts = tree.Stats()
+		}
+		return tree, err
+	})
 	if err != nil {
 		return CompressionStats{}, err
 	}

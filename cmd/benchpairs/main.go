@@ -13,7 +13,9 @@
 // drift over the runs falls on both sides alike. It prints every
 // run's JSON line, then, for each end-to-end metric of BENCHMARK.json,
 // the median of each side, their ratio, and in how many pairs each
-// side was the better one. The worktree is removed on exit.
+// side was the better one. A run with failed operations reports its
+// metrics as 0, so it is left out of the medians and its pair out of
+// the tallies. The worktree is removed on exit.
 //
 // It is a gate: it exits 1 when some end-to-end metric's head median is
 // worse than the base median by more than the metric's BENCHMARK.json
@@ -165,24 +167,27 @@ func benchRun(ctx context.Context, dir string, args []string) (string, error) {
 
 // summarize prints, per metric, each side's median, the head/base
 // ratio of the medians, and the pairs each side won (a tie counts for
-// neither), and flags a head median worse than the metric's bound. It
-// returns the gate's failures: one per metric over its bound, and one
-// when the head failed more operations than the base; none is a pass.
+// neither), and flags a head median worse than the metric's bound. A
+// run with failed operations reports its metrics as 0, so it is left
+// out of its side's median and its pair out of the tallies. It returns
+// the gate's failures: one per metric over its bound, and one when the
+// head failed more operations than the base; none is a pass.
 func summarize(w io.Writer, specs []metricSpec, base, head []result) []string {
 	var fails []string
 	fmt.Fprintf(w, "\n%-18s %14s %14s %8s %6s %6s %6s\n", "metric", "base median", "head median", "ratio", "bound", "base", "head")
 	for _, m := range specs {
-		b, h := values(base, m.Name), values(head, m.Name)
 		var bw, hw int
-		for i := range min(len(b), len(h)) {
+		for i := range min(len(base), len(head)) {
+			b, h := base[i].Metrics[m.Name].Value, head[i].Metrics[m.Name].Value
 			switch {
-			case better(m, h[i], b[i]):
+			case base[i].Failed > 0 || head[i].Failed > 0:
+			case better(m, h, b):
 				hw++
-			case better(m, b[i], h[i]):
+			case better(m, b, h):
 				bw++
 			}
 		}
-		mb, mh := median(b), median(h)
+		mb, mh := median(values(base, m.Name)), median(values(head, m.Name))
 		ratio := mh / mb
 		verdict := ""
 		if worse := (m.Better == "lower" && ratio > 1+m.Bound) || (m.Better == "higher" && ratio < 1-m.Bound); mb != 0 && worse {
@@ -207,10 +212,13 @@ func better(m metricSpec, x, y float64) bool {
 	return x < y
 }
 
+// values returns metric name of the runs without failed operations.
 func values(rs []result, name string) []float64 {
-	v := make([]float64, len(rs))
-	for i, r := range rs {
-		v[i] = r.Metrics[name].Value
+	var v []float64
+	for _, r := range rs {
+		if r.Failed == 0 {
+			v = append(v, r.Metrics[name].Value)
+		}
 	}
 	return v
 }

@@ -37,7 +37,9 @@ func TestMedian(t *testing.T) {
 }
 
 // TestSummarize checks the per-pair win counts, including a tie and a
-// higher-is-better metric, the medians, and the bound flag.
+// higher-is-better metric, the medians, and the bound flag. The third
+// base run failed and reports its metrics as 0, as a run with wrong
+// answers does: it counts in no median and its pair in no tally.
 func TestSummarize(t *testing.T) {
 	specs := []metricSpec{
 		{Name: "job_s", Better: "lower", Bound: 0.1},
@@ -46,7 +48,7 @@ func TestSummarize(t *testing.T) {
 	base := mustResults(t,
 		`{"failed":0,"metrics":{"job_s":{"value":1.0},"rate":{"value":10}}}`,
 		`{"failed":0,"metrics":{"job_s":{"value":1.2},"rate":{"value":10}}}`,
-		`{"failed":1,"metrics":{"job_s":{"value":1.1},"rate":{"value":10}}}`,
+		`{"failed":1,"metrics":{"job_s":{"value":0},"rate":{"value":0}}}`,
 	)
 	head := mustResults(t,
 		`{"failed":0,"metrics":{"job_s":{"value":0.9},"rate":{"value":10}}}`,
@@ -62,10 +64,10 @@ func TestSummarize(t *testing.T) {
 		}
 	}
 	// metric, base median, head median, ratio, bound, base wins, head wins
-	if f := lines["job_s"]; len(f) != 7 || f[1] != "1.1" || f[2] != "1" || f[5] != "1" || f[6] != "2" {
+	if f := lines["job_s"]; len(f) != 7 || f[1] != "1.1" || f[2] != "1" || f[5] != "1" || f[6] != "1" {
 		t.Errorf("job_s row %q", f)
 	}
-	if f := lines["rate"]; len(f) != 9 || f[5] != "2" || f[6] != "0" || f[7] != "over" {
+	if f := lines["rate"]; len(f) != 9 || f[1] != "10" || f[5] != "1" || f[6] != "0" || f[7] != "over" {
 		t.Errorf("rate row %q", f)
 	}
 	if f := lines["failed"]; len(f) != 4 || f[2] != "1" || f[3] != "0" {

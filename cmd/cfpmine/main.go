@@ -66,6 +66,20 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *loadIdx != "" {
+		// A loaded index is mined in full, serially and unbounded: a
+		// flag that would shape or bound the run is refused, not ignored.
+		var refused []string
+		flag.Visit(func(f *flag.Flag) {
+			if notForIndex[f.Name] {
+				refused = append(refused, "-"+f.Name)
+			}
+		})
+		if len(refused) > 0 {
+			fmt.Fprintf(os.Stderr, "cfpmine: -loadindex does not take %s\n", strings.Join(refused, ", "))
+			os.Exit(2)
+		}
+	}
 	opts := cfpgrowth.Options{
 		MinSupport:      *abssup,
 		RelativeSupport: *minsup,
@@ -156,23 +170,13 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
+		// Rounded up like -input's support, so an index saved at
+		// -minsup loads at the same -minsup.
 		sup := *abssup
 		if sup == 0 {
-			sup = uint64(*minsup * float64(ix.NumTx))
+			sup = dataset.AbsoluteSupport(*minsup, ix.NumTx)
 		}
-		w := outWriter(*out)
-		sink := mine.NewWriterSink(w)
-		var n uint64
-		err = ix.Mine(sup, func(items []uint32, s uint64) error {
-			n++
-			return sink.Emit(items, s)
-		})
-		if err != nil {
-			fail(err)
-		}
-		if err := sink.Flush(); err != nil {
-			fail(err)
-		}
+		n := writeItemsets(*out, func(h cfpgrowth.Handler) error { return ix.Mine(sup, h) })
 		fmt.Fprintf(os.Stderr, "cfpmine: %d itemsets from index (%d nodes, %s) in %.2fs\n",
 			n, ix.NumNodes(), human(ix.Bytes()), time.Since(start).Seconds())
 		return
@@ -206,16 +210,14 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		w := outWriter(*out)
-		sink := mine.NewWriterSink(w)
-		for _, s := range sets {
-			if err := sink.Emit(s.Items, s.Support); err != nil {
-				fail(err)
+		writeItemsets(*out, func(h cfpgrowth.Handler) error {
+			for _, s := range sets {
+				if err := h(s.Items, s.Support); err != nil {
+					return err
+				}
 			}
-		}
-		if err := sink.Flush(); err != nil {
-			fail(err)
-		}
+			return nil
+		})
 		fmt.Fprintf(os.Stderr, "cfpmine: %d %s itemsets in %.2fs\n", len(sets), kind, time.Since(start).Seconds())
 		return
 	}
@@ -232,21 +234,34 @@ func main() {
 		}
 		return
 	}
-	w := outWriter(*out)
-	sink := mine.NewWriterSink(w)
+	n := writeItemsets(*out, func(h cfpgrowth.Handler) error { return cfpgrowth.Mine(src, opts, h) })
+	fmt.Fprintf(os.Stderr, "cfpmine: %d itemsets in %.2fs, peak memory %s\n",
+		n, time.Since(start).Seconds(), human(ms.PeakBytes))
+}
+
+// notForIndex names the mining flags a -loadindex run has no use for.
+var notForIndex = map[string]bool{
+	"count": true, "closed": true, "maximal": true, "topk": true, "maxlen": true,
+	"parallel": true, "timeout": true, "max-bytes": true, "max-itemsets": true,
+}
+
+// writeItemsets runs a mine with a handler that writes every itemset
+// to the -out destination path, and returns how many it wrote. The
+// output is flushed only once the mine succeeds; on error the process
+// exits.
+func writeItemsets(path string, run func(cfpgrowth.Handler) error) uint64 {
+	sink := mine.NewWriterSink(outWriter(path))
 	var n uint64
-	err := cfpgrowth.Mine(src, opts, func(items []uint32, sup uint64) error {
+	if err := run(func(items []uint32, s uint64) error {
 		n++
-		return sink.Emit(items, sup)
-	})
-	if err != nil {
+		return sink.Emit(items, s)
+	}); err != nil {
 		fail(err)
 	}
 	if err := sink.Flush(); err != nil {
 		fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "cfpmine: %d itemsets in %.2fs, peak memory %s\n",
-		n, time.Since(start).Seconds(), human(ms.PeakBytes))
+	return n
 }
 
 // openSource sniffs the input format by its magic bytes: the binary

@@ -66,7 +66,7 @@ func mineSampled(src Source, opts Options, fraction float64, seed int64, certify
 	}
 	var sink mine.CollectSink
 	m := &sampledMiner{certify: certify}
-	err := opts.runMiner(src, &sink, func(track mine.MemTracker, ctl *mine.Control) (mine.Miner, error) {
+	err := opts.run(src, &sink, func(track mine.MemTracker, ctl *mine.Control) (mine.Miner, error) {
 		m.Miner = sample.Miner{Fraction: fraction, Seed: seed, Track: track, Ctl: ctl}
 		return m, nil
 	})
@@ -99,7 +99,7 @@ func (m *sampledMiner) Mine(src Source, minSupport uint64, sink mine.Sink) (err 
 // every itemset offered to the top-k selection.
 func MineTopK(src Source, opts Options, k, minLen int) ([]Itemset, error) {
 	sink := &mine.TopKSink{K: k, MinLen: minLen}
-	if err := opts.run(src, sink); err != nil {
+	if err := opts.run(src, sink, opts.miner); err != nil {
 		return nil, err
 	}
 	return sink.Result(), nil

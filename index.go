@@ -50,22 +50,18 @@ func newIndex(arr *core.Array, baseSupport, numTx uint64) *Index {
 
 // BuildIndex scans src twice and builds the index at the given options'
 // support threshold (the base support). Options.Context and MaxBytes
-// bound the build like they bound Mine, and Observe records its phases.
+// bound the build like they bound Mine, Observe records its phases, and
+// Memory receives its modeled peak, the converted array included.
 func BuildIndex(src Source, opts Options) (*Index, error) {
 	minSup, err := opts.minSupport(src)
 	if err != nil {
 		return nil, err
 	}
-	ctl, track, release, err := opts.buildRun()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	tree, numTx, err := core.Build(src, minSup, opts.Tree.config(), ctl, track, opts.Observe)
-	if err != nil {
-		return nil, err
-	}
-	arr, err := opts.convert(tree, ctl, track)
+	var numTx uint64
+	arr, err := opts.buildArray(func(ctl *mine.Control, track mine.MemTracker) (tree *core.Tree, err error) {
+		tree, numTx, err = core.Build(src, minSup, opts.Tree.config(), ctl, track, opts.Observe)
+		return tree, err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +125,7 @@ func (ix *Index) mine(minSupport uint64, sink mine.Sink) error {
 		return fmt.Errorf("cfpgrowth: index built at support %d cannot mine at %d",
 			ix.BaseSupport, minSupport)
 	}
-	return core.MineArrayItems(ix.arr, core.Config{}, minSupport, sink, nil, 0, core.AllRanks(ix.arr), nil, nil)
+	return core.Growth{}.MineArray(ix.arr, minSupport, core.AllRanks(ix.arr), sink)
 }
 
 // Index header: magic "CFPI" | version u8 | baseSupport u64le |

@@ -57,12 +57,95 @@ func (g Growth) Name() string {
 	return "cfpgrowth"
 }
 
-// Mine implements mine.Miner. Under Workers emission order is
-// nondeterministic, but the emitted set is identical to the serial
-// miner's, and the first failure anywhere — a sink error, a canceled
-// context, a blown budget — stops every worker before its next job and
-// its next emission and is the error returned.
+// Mine implements mine.Miner: the build stage (Build), the convert
+// stage (Convert) and the array mine (MineArray) over every rank, with
+// the array charged from its conversion to the end of the mine span.
+// Under Workers emission order is nondeterministic, but the emitted set
+// is identical to the serial miner's, and the first failure anywhere —
+// a sink error, a canceled context, a blown budget — stops every worker
+// before its next job and its next emission and is the error returned.
 func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error {
+	if err := g.Ctl.Err(); err != nil {
+		return err
+	}
+	if g.Rec != nil {
+		// One sample per Mine call: the per-query latency distribution
+		// (time.Now() binds at the defer, covering every return path).
+		defer g.Rec.ObserveSince(obs.HistQuery, time.Now())
+	}
+	track := ObservedTracker(g.Track, g.Rec)
+	tree, _, err := Build(src, minSupport, g.Config, g.Ctl, track, g.Rec)
+	if err != nil {
+		return err
+	}
+	if tree.NumItems() == 0 {
+		// Nothing is frequent: retire the empty tree, nothing to mine.
+		track.Free(tree.Extent())
+		return nil
+	}
+	arr, err := g.Convert(tree)
+	if err != nil {
+		return err
+	}
+	// One mine span covers the whole run, pool included: per-item spans
+	// would swamp the aggregates, and the mine wall time is the phase
+	// the paper plots. The serial mine recycles the build tree's arena
+	// (reset by Convert), so one CFP-tree arena serves the whole run.
+	sp := g.Rec.Start(obs.PhaseMine)
+	err = g.mineArray(arr, minSupport, AllRanks(arr), sink, sp, tree.arena)
+	track.Free(arr.Bytes())
+	sp.End()
+	return err
+}
+
+// Convert is CFP-growth's convert stage (§3.5, §4.1): inside the
+// convert span it turns t, a built tree charged to the ledger, into its
+// CFP-array, polling Ctl. The tree is retired before the array is
+// charged (convertRetired), so t's arena is free for the next tree. The
+// array stays charged; the caller releases it (Free of its Bytes) when
+// the run is done with it.
+func (g Growth) Convert(t *Tree) (*Array, error) {
+	sp := g.Rec.Start(obs.PhaseConvert)
+	defer sp.End()
+	return convertRetired(t, g.Ctl, ObservedTracker(g.Track, g.Rec))
+}
+
+// convertRetired converts t, charged to track, into its CFP-array and
+// retires t: its arena is reset and its charge released, and only then
+// is the array charged, so the ledger never holds both. On error
+// nothing stays charged.
+func convertRetired(t *Tree, ctl *mine.Control, track mine.MemTracker) (*Array, error) {
+	treeBytes := t.Extent()
+	arr, err := ConvertCtl(t, ctl)
+	t.arena.Reset()
+	track.Free(treeBytes)
+	if err != nil {
+		return nil, err
+	}
+	track.Alloc(arr.Bytes())
+	return arr, nil
+}
+
+// MineArray is CFP-growth's array mine: it mines the given top-level
+// ranks of a materialized CFP-array (converted, or read with ReadArray)
+// at any minimum support not below the one the array was built with,
+// emitting each rank's singleton and recursing into its conditional
+// subproblem. AllRanks mines the whole array; a subset is a PFP-style
+// shard, exact for the itemsets whose least frequent item it holds.
+//
+// It owns the mine's run contract: the ledger is Track teed with Rec,
+// and under Workers the ranks go to a work-stealing pool with a private
+// Control when none is supplied and a synchronized ledger. The array's
+// own charge is the caller's.
+func (g Growth) MineArray(a *Array, minSupport uint64, ranks []uint32, sink mine.Sink) error {
+	return g.mineArray(a, minSupport, ranks, sink, obs.Span{}, arena.New())
+}
+
+// mineArray is MineArray under the open mine span sp, which a pool's
+// per-item trace spans hang under, with the serial mine's conditional
+// trees in treeArena. One flat decoding of a serves every rank; a pool
+// (minePool) shares it read-only.
+func (g Growth) mineArray(a *Array, minSupport uint64, ranks []uint32, sink mine.Sink, sp obs.Span, treeArena *arena.Arena) error {
 	ctl, track := g.Ctl, ObservedTracker(g.Track, g.Rec)
 	if g.Workers > 0 {
 		if ctl == nil {
@@ -75,71 +158,34 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 		if g.Track != nil {
 			track = &mine.SyncTracker{Inner: track}
 		}
-	}
-	if err := ctl.Err(); err != nil {
-		return err
-	}
-	if g.Rec != nil {
-		// One sample per Mine call: the per-query latency distribution
-		// (time.Now() binds at the defer, covering every return path).
-		defer g.Rec.ObserveSince(obs.HistQuery, time.Now())
-	}
-	tree, _, err := Build(src, minSupport, g.Config, ctl, track, g.Rec)
-	if err != nil {
-		return err
+		// Pool workers get private arenas; the caller's is left to the
+		// collector.
+		treeArena = nil
 	}
 	m := &cfpGrower{
-		cfg:    g.Config,
-		minSup: max(minSupport, 1),
-		maxLen: g.MaxLen,
-		sink:   sink,
-		track:  track,
-		ctl:    ctl,
-		rec:    g.Rec,
+		cfg:       g.Config,
+		minSup:    max(minSupport, 1),
+		maxLen:    g.MaxLen,
+		sink:      sink,
+		track:     track,
+		ctl:       ctl,
+		rec:       g.Rec,
+		treeArena: treeArena,
 	}
-	if g.Workers <= 0 {
-		// The calling goroutine is the only worker: it recycles the
-		// build tree's arena, so one CFP-tree arena serves the whole
-		// run. Pool workers get private arenas, and the build arena is
-		// left to the collector.
-		m.treeArena = tree.arena
+	d := m.acquireDecode(a)
+	defer m.releaseDecode(d)
+	if g.Workers > 0 {
+		return m.minePool(a, d, ranks, g.Workers, sp)
 	}
-	// The build charged the tree inside its span; every charge below
-	// sits inside the span whose phase owns the transition, so
-	// per-phase byte deltas reflect the structures the phase
-	// materializes and retires.
-	treeBytes := tree.Extent()
-	if tree.NumItems() == 0 {
-		// Nothing is frequent: retire the empty tree, nothing to mine.
-		track.Free(treeBytes)
-		return nil
+	for _, rk := range ranks {
+		if err := m.ctl.Err(); err != nil {
+			return err
+		}
+		if err := m.mineRank(a, d, rk, nil); err != nil {
+			return err
+		}
 	}
-	if path, ok := tree.SinglePath(); ok {
-		sp := g.Rec.Start(obs.PhaseMine)
-		tree.arena.Reset()
-		track.Free(treeBytes)
-		err := m.minePath(tree, path, nil)
-		sp.End()
-		return err
-	}
-	sp := g.Rec.Start(obs.PhaseConvert)
-	arr, err := ConvertCtl(tree, ctl)
-	tree.arena.Reset()
-	track.Free(treeBytes)
-	if err != nil {
-		sp.End()
-		return err
-	}
-	track.Alloc(arr.Bytes())
-	sp.End()
-	// One mine span covers the whole run, pool included: per-item spans
-	// would swamp the aggregates, and the mine wall time is the phase
-	// the paper plots.
-	sp = g.Rec.Start(obs.PhaseMine)
-	err = m.mineTop(arr, AllRanks(arr), g.Workers, sp)
-	track.Free(arr.Bytes())
-	sp.End()
-	return err
+	return nil
 }
 
 // FoldTreeCounters folds a finished tree's composition into the run
@@ -183,56 +229,10 @@ func AllRanks(a *Array) []uint32 {
 	return ranks
 }
 
-// MineArrayItems mines the given top-level item ranks of an
-// already-materialized CFP-array (built, or deserialized with
-// ReadArray) at any minimum support not below the one the array was
-// built with: for each rank it emits the singleton and recurses into
-// its conditional subproblem. Passing AllRanks mines the whole array
-// exactly as Growth's own top level does; this is the
-// persistent-index entry point, with the build phase skipped entirely.
-// Passing a subset is the building block of partitioned mining
-// (PFP-style group-dependent shards): an itemset's support in a shard
-// is exact precisely when its least frequent item belongs to the
-// shard's group, so each shard mines exactly its group's ranks. ctl,
-// when non-nil, makes the recursion abort promptly once stopped. rec,
-// when non-nil, receives the recursion's counters and byte gauges;
-// pass track and rec separately (they are teed internally).
+// MineArrayItems is MineArray with the miner's settings as arguments,
+// serially.
 func MineArrayItems(a *Array, cfg Config, minSupport uint64, sink mine.Sink, track mine.MemTracker, maxLen int, ranks []uint32, ctl *mine.Control, rec *obs.Recorder) error {
-	m := &cfpGrower{
-		cfg:       cfg,
-		minSup:    max(minSupport, 1),
-		maxLen:    maxLen,
-		sink:      sink,
-		track:     ObservedTracker(track, rec),
-		ctl:       ctl,
-		rec:       rec,
-		treeArena: arena.New(),
-	}
-	return m.mineTop(a, ranks, 0, obs.Span{})
-}
-
-// mineTop is CFP-growth's one top level: it mines the given ranks of
-// the initial CFP-array a, each through mineRank. One flat decoding of
-// a serves every rank. With workers == 0 the ranks are mined in order
-// on the calling goroutine by m itself; otherwise they are sharded
-// across a work-stealing pool (minePool), m's decoding shared
-// read-only, with sp the open mine span the per-item trace spans hang
-// under.
-func (m *cfpGrower) mineTop(a *Array, ranks []uint32, workers int, sp obs.Span) error {
-	d := m.acquireDecode(a)
-	defer m.releaseDecode(d)
-	if workers > 0 {
-		return m.minePool(a, d, ranks, workers, sp)
-	}
-	for _, rk := range ranks {
-		if err := m.ctl.Err(); err != nil {
-			return err
-		}
-		if err := m.mineRank(a, d, rk, nil); err != nil {
-			return err
-		}
-	}
-	return nil
+	return Growth{Config: cfg, Track: track, MaxLen: maxLen, Ctl: ctl, Rec: rec}.MineArray(a, minSupport, ranks, sink)
 }
 
 // cfpGrower carries the recursion state of CFP-growth.
@@ -356,13 +356,10 @@ func (m *cfpGrower) mineTree(t *Tree, prefix []uint32) error {
 		m.track.Free(treeBytes)
 		return m.minePath(t, path, prefix)
 	}
-	arr, err := ConvertCtl(t, m.ctl)
-	m.treeArena.Reset()
-	m.track.Free(treeBytes)
+	arr, err := convertRetired(t, m.ctl, m.track)
 	if err != nil {
 		return err
 	}
-	m.track.Alloc(arr.Bytes())
 	err = m.mineArray(arr, prefix)
 	m.track.Free(arr.Bytes())
 	return err
@@ -431,7 +428,7 @@ func (m *cfpGrower) mineArray(a *Array, prefix []uint32) error {
 }
 
 // mineRank is the one per-item step of CFP-growth, shared by the top
-// level (mineTop) and the recursion (mineArray): emit prefix extended
+// level (Growth.mineArray) and the recursion (mineArray): emit prefix extended
 // by rank's item, then build rank's conditional CFP-tree and recurse
 // into it. d is the flat decoding of a (read-only, so pool workers may
 // share the top-level one), or nil to fall back to byte-at-a-time

@@ -349,6 +349,21 @@ func TestObsParallelTraceChildren(t *testing.T) {
 	if ps := rec.Snapshot().Phases[obs.PhaseMine]; ps.Count != 1 {
 		t.Errorf("mine phase span count = %d, want 1 (children are trace-only)", ps.Count)
 	}
+	// A pooled MineArray has no open mine span: its items start no
+	// children, so none can fold into the aggregates as root spans.
+	tree, _, err := Build(db, 10, Config{}, nil, mine.NullTracker{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr := Convert(tree)
+	rec = obs.New(nil)
+	rec.AttachTrace(obs.NewTrace(4, 1<<12))
+	if err := (Growth{Workers: 4, Rec: rec}).MineArray(arr, 10, AllRanks(arr), &mine.CountSink{}); err != nil {
+		t.Fatal(err)
+	}
+	if ps, ok := rec.Phases()["mine-item"]; ok {
+		t.Errorf("%d mine-item spans folded into the phase aggregates", ps.Count)
+	}
 }
 
 var errScan = errors.New("scan failed")

@@ -8,9 +8,10 @@ import (
 	"cfpgrowth/internal/obs"
 )
 
-// minePool is mineTop's sharded branch: the ranks are partitioned into
-// one shard of deterministic seeds per worker (min(workers, len(ranks))
-// of them) and mined by a work-stealing pool (mine.RunSharded) of
+// minePool is the array mine's sharded branch: the ranks are
+// partitioned into one shard of deterministic seeds per worker
+// (min(workers, len(ranks)) of them) and mined by a work-stealing pool
+// (mine.RunSharded) of
 // those workers, each a private grower with its own tree arena and
 // decode stack that processes whole conditional subproblems and steals
 // from other shards once its own is drained. d, the flat decoding of
@@ -63,7 +64,7 @@ func (m *cfpGrower) minePool(a *Array, d *Decode, ranks []uint32, workers int, s
 	if m.rec != nil {
 		pool = mine.NewShardMetrics(workers, shards)
 	}
-	err := mine.RunShardedObserved(workers, shards, m.ctl, pool, func(worker, shard, rank int) error {
+	err := mine.RunSharded(workers, shards, m.ctl, pool, func(worker, shard, rank int) error {
 		g := growers[worker]
 		if shardRecs != nil {
 			g.rec = shardRecs[shard]

@@ -15,11 +15,11 @@ import (
 // AblationRow is one CFP-tree configuration measured on the
 // chain-friendly webdocs-like workload (DESIGN.md §5).
 type AblationRow struct {
-	Name        string
-	Nodes       int
-	Bytes       int64
-	AvgNodeSize float64
-	BuildTime   time.Duration
+	Name                                 string
+	Nodes                                int
+	Bytes                                int64
+	AvgNodeSize                          float64
+	BuildTime                            time.Duration
 	StdNodes, ChainNodes, EmbeddedLeaves int
 }
 

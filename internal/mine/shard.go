@@ -84,20 +84,16 @@ func NewShardMetrics(workers int, shards [][]int) *ShardMetrics {
 // per-shard attribution such as observability recorders), and the job
 // value.
 //
+// When m is non-nil, the pool is observed: every job's wall time is
+// attributed to its shard and its executing worker, steals and failed
+// steal probes are counted, and worker idle time and the pool wall time
+// are recorded after the join. m must be sized for the pool
+// (NewShardMetrics); a nil m runs the pool unobserved.
+//
 // The drain loop and the worker closures are the per-job dispatch path
 // of every sharded mine: one iteration per conditional-pattern job, so
 // per-iteration allocations multiply by the job count.
-func RunSharded(workers int, shards [][]int, ctl *Control, fn func(worker, shard, job int) error) error {
-	return RunShardedObserved(workers, shards, ctl, nil, fn)
-}
-
-// RunShardedObserved is RunSharded with optional pool accounting: when
-// m is non-nil, every job's wall time is attributed to its shard and
-// its executing worker, steals and failed steal probes are counted,
-// and worker idle time and the pool wall time are recorded after the
-// join. m must be sized for the pool (NewShardMetrics); a nil m makes
-// this exactly RunSharded.
-func RunShardedObserved(workers int, shards [][]int, ctl *Control, m *ShardMetrics, fn func(worker, shard, job int) error) error {
+func RunSharded(workers int, shards [][]int, ctl *Control, m *ShardMetrics, fn func(worker, shard, job int) error) error {
 	if ctl == nil {
 		// A private control still gives first-error-wins semantics.
 		ctl = &Control{}

@@ -13,7 +13,7 @@ func collectJobs(t *testing.T, workers int, shards [][]int, ctl *Control) map[in
 	t.Helper()
 	var mu sync.Mutex
 	counts := map[int]int{}
-	err := RunSharded(workers, shards, ctl, func(worker, shard, job int) error {
+	err := RunSharded(workers, shards, ctl, nil, func(worker, shard, job int) error {
 		mu.Lock()
 		counts[job]++
 		mu.Unlock()
@@ -27,7 +27,7 @@ func collectJobs(t *testing.T, workers int, shards [][]int, ctl *Control) map[in
 
 func TestRunShardedZeroShards(t *testing.T) {
 	called := false
-	err := RunSharded(4, nil, nil, func(worker, shard, job int) error {
+	err := RunSharded(4, nil, nil, nil, func(worker, shard, job int) error {
 		called = true
 		return nil
 	})
@@ -88,7 +88,7 @@ func TestRunShardedShardAttribution(t *testing.T) {
 	shards := [][]int{{10, 11}, {20}, {30, 31, 32}}
 	var mu sync.Mutex
 	from := map[int]int{}
-	err := RunSharded(3, shards, nil, func(worker, shard, job int) error {
+	err := RunSharded(3, shards, nil, nil, func(worker, shard, job int) error {
 		mu.Lock()
 		from[job] = shard
 		mu.Unlock()
@@ -113,7 +113,7 @@ func TestRunShardedFirstErrorWins(t *testing.T) {
 	errB := errors.New("failure B")
 	ctl := &Control{}
 	shards := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
-	err := RunSharded(2, shards, ctl, func(worker, shard, job int) error {
+	err := RunSharded(2, shards, ctl, nil, func(worker, shard, job int) error {
 		if job == 0 {
 			return errA
 		}
@@ -142,7 +142,7 @@ func TestRunShardedStopsMidSteal(t *testing.T) {
 	ctl := &Control{}
 	var mu sync.Mutex
 	var ran []int
-	err := RunSharded(1, [][]int{{}, {1, 2, 3, 4}}, ctl, func(worker, shard, job int) error {
+	err := RunSharded(1, [][]int{{}, {1, 2, 3, 4}}, ctl, nil, func(worker, shard, job int) error {
 		mu.Lock()
 		ran = append(ran, job)
 		mu.Unlock()
@@ -178,7 +178,7 @@ func TestRunShardedPreStoppedControl(t *testing.T) {
 	ctl := &Control{}
 	ctl.Stop(pre)
 	ran := atomic.Int64{}
-	err := RunSharded(4, [][]int{{1, 2, 3}}, ctl, func(worker, shard, job int) error {
+	err := RunSharded(4, [][]int{{1, 2, 3}}, ctl, nil, func(worker, shard, job int) error {
 		ran.Add(1)
 		return nil
 	})

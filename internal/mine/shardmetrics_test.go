@@ -21,7 +21,7 @@ func TestShardMetricsAccounting(t *testing.T) {
 			t.Errorf("shard %d queue = %d, want %d", i, got, len(jobs))
 		}
 	}
-	err := RunShardedObserved(workers, shards, nil, m, func(worker, shard, job int) error {
+	err := RunSharded(workers, shards, nil, m, func(worker, shard, job int) error {
 		time.Sleep(time.Millisecond)
 		return nil
 	})
@@ -76,7 +76,7 @@ func TestShardMetricsStealsAttributed(t *testing.T) {
 	shards := [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {}}
 	m := NewShardMetrics(2, shards)
 	var done atomic.Int64
-	err := RunShardedObserved(2, shards, nil, m, func(worker, shard, job int) error {
+	err := RunSharded(2, shards, nil, m, func(worker, shard, job int) error {
 		if job == 0 {
 			for done.Load() < 3 {
 				time.Sleep(100 * time.Microsecond)
@@ -111,7 +111,7 @@ func TestShardMetricsStealFailCounted(t *testing.T) {
 	// empty: exactly one steal failure against shard 1.
 	shards := [][]int{{42}, {}}
 	m := NewShardMetrics(1, shards)
-	if err := RunShardedObserved(1, shards, nil, m, func(worker, shard, job int) error {
+	if err := RunSharded(1, shards, nil, m, func(worker, shard, job int) error {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestShardMetricsUndersizedDisabled(t *testing.T) {
 	m := NewShardMetrics(1, shards[:1]) // too few shards and workers
 	// Two workers run jobs concurrently, so the count is atomic.
 	var ran atomic.Int32
-	err := RunShardedObserved(2, shards, nil, m, func(worker, shard, job int) error {
+	err := RunSharded(2, shards, nil, m, func(worker, shard, job int) error {
 		ran.Add(1)
 		return nil
 	})
@@ -150,7 +150,7 @@ func TestShardMetricsErrorPathStillAccounts(t *testing.T) {
 	boom := errors.New("boom")
 	shards := [][]int{{0, 1, 2, 3}}
 	m := NewShardMetrics(1, shards)
-	err := RunShardedObserved(1, shards, nil, m, func(worker, shard, job int) error {
+	err := RunSharded(1, shards, nil, m, func(worker, shard, job int) error {
 		if job == 1 {
 			return boom
 		}

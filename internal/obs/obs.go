@@ -343,9 +343,10 @@ func (r *Recorder) Start(name string) Span {
 // per-phase sums the bench schema validates) and do not emit JSONL
 // span events. Without an attached trace, StartChild returns an inert
 // span, so instrumented code pays one pointer load per site; the
-// inert span's End and attribute setters are no-ops.
+// inert span's End and attribute setters are no-ops. A child of an
+// inert parent is inert too: it has no span to nest under.
 func (r *Recorder) StartChild(parent Span, name string) Span {
-	if r == nil || r.trace.Load() == nil {
+	if r == nil || parent.rec == nil || r.trace.Load() == nil {
 		return Span{}
 	}
 	return Span{
@@ -391,11 +392,6 @@ func (r *Recorder) AttachTrace(t *Trace) {
 		return
 	}
 	r.trace.Store(t)
-}
-
-// Tracing reports whether a trace buffer is attached.
-func (r *Recorder) Tracing() bool {
-	return r != nil && r.trace.Load() != nil
 }
 
 // End completes the span: its duration and byte delta are folded into

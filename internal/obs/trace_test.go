@@ -17,9 +17,6 @@ func TestTraceChromeRoundTrip(t *testing.T) {
 	rec := New(nil)
 	tr := NewTrace(4, 1024)
 	rec.AttachTrace(tr)
-	if !rec.Tracing() {
-		t.Fatal("Tracing() = false after AttachTrace")
-	}
 
 	sp := rec.Start(PhaseMine)
 	for w := 0; w < 4; w++ {
@@ -209,10 +206,7 @@ func TestStartChildInertWithoutTrace(t *testing.T) {
 	var nilRec *Recorder
 	nsp := nilRec.StartChild(Span{}, "x") // must not panic
 	nsp.End()
-	nilRec.AttachTrace(nil)
-	if nilRec.Tracing() {
-		t.Error("nil recorder reports tracing")
-	}
+	nilRec.AttachTrace(nil) // must not panic
 }
 
 // TestParseChromeTraceRejects feeds the parser malformed traces; each

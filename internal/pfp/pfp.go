@@ -82,9 +82,7 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	if err != nil {
 		return err
 	}
-	if minSupport == 0 {
-		minSupport = 1
-	}
+	minSupport = max(minSupport, 1)
 	rec := dataset.NewRecoder(counts, minSupport)
 	n := rec.NumFrequent()
 	if n == 0 {
@@ -94,9 +92,7 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	if groups <= 0 {
 		groups = 8
 	}
-	if groups > n {
-		groups = n
-	}
+	groups = min(groups, n)
 	dir, err := os.MkdirTemp(m.TempDir, "pfp-shards-")
 	if err != nil {
 		return err
@@ -105,6 +101,13 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 
 	// Shard pass: write group-dependent transactions.
 	shards := make([]*shardWriter, groups)
+	defer func() {
+		for _, sw := range shards {
+			if sw != nil {
+				sw.close()
+			}
+		}
+	}()
 	for g := range shards {
 		sw, err := newShardWriter(filepath.Join(dir, fmt.Sprintf("shard-%04d.bin", g)))
 		if err != nil {
@@ -112,45 +115,30 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 		}
 		shards[g] = sw
 	}
-	closeAll := func() {
-		for _, sw := range shards {
-			if sw != nil {
-				sw.close()
-			}
-		}
-	}
 	var buf []uint32
 	sp = m.Rec.Start(obs.PhaseShard)
 	err = scanShards(src, rec, shards, groups, ctl, &buf)
 	sp.End()
 	if err != nil {
-		closeAll()
 		return err
 	}
 	for _, sw := range shards {
 		if err := sw.flush(); err != nil {
-			closeAll()
 			return err
 		}
 	}
-	defer closeAll()
 
 	// Mining pass: per shard, build a CFP-tree over the global rank
 	// space, convert, and mine only the group's ranks.
 	itemName, itemCount := rec.Frequent()
-	// The caller's tracker needs a mutex under concurrent workers; the
-	// recorder's gauges are atomic and are teed in unsynchronized.
-	var track mine.MemTracker
-	if m.Track != nil {
-		track = &mine.SyncTracker{Inner: m.Track}
-	}
-	track = core.ObservedTracker(track, m.Rec)
-	workers := m.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > groups {
-		workers = groups
+	workers := min(max(m.Workers, 1), groups)
+	// The run's one byte ledger: the caller's tracker teed with the
+	// recorder, behind a mutex when several workers share the caller's
+	// tracker, so that both see one allocation order and their
+	// high-water marks agree.
+	track := core.ObservedTracker(m.Track, m.Rec)
+	if workers > 1 && m.Track != nil {
+		track = &mine.SyncTracker{Inner: track}
 	}
 	// ControlSink inside SyncSink: the stopped check and the emission
 	// are atomic under the sink mutex, so nothing is emitted after the
@@ -171,39 +159,50 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	for w := range arenas {
 		arenas[w] = arena.New()
 	}
-	// One mine span covers the whole worker pool, as in core.Growth's pool;
-	// pool accounting (jobs, whole-group steals, busy/idle) is collected
-	// whenever a recorder is attached, and when a trace buffer is also
-	// attached each group's mine becomes one child span under it.
+	// One private recorder per group, folded into the run's in group
+	// order once the pool has drained: a group's counters do not
+	// depend on the worker that mined it, and the ledger, which already
+	// feeds the run's recorder, is not teed into it a second time.
+	var groupRecs []*obs.Recorder
 	var pool *mine.ShardMetrics
 	if m.Rec != nil {
+		groupRecs = make([]*obs.Recorder, groups)
+		for g := range groupRecs {
+			groupRecs[g] = obs.New(nil)
+		}
+		// Pool accounting (jobs, whole-group steals, busy/idle).
 		pool = mine.NewShardMetrics(workers, jobs)
 	}
+	// One mine span covers the whole worker pool, as in core.Growth's
+	// pool; with a trace buffer attached each group's mine becomes one
+	// child span under it.
 	sp = m.Rec.Start(obs.PhaseMine)
 	defer sp.End()
-	tracing := m.Rec.Tracing()
-	err = mine.RunShardedObserved(workers, jobs, ctl, pool, func(worker, _, g int) error {
-		if tracing {
-			csp := m.Rec.StartChild(sp, "mine-group").WithWorker(worker).
-				With("group", int64(g))
-			err := m.mineShard(shards[g].path, g, groups, n, itemName, itemCount, minSupport, ssink, track, arenas[worker], ctl)
-			csp.End()
-			return err
+	err = mine.RunSharded(workers, jobs, ctl, pool, func(worker, _, g int) error {
+		shard := core.Growth{Config: m.Config, Track: track, Ctl: ctl}
+		if groupRecs != nil {
+			shard.Rec = groupRecs[g]
 		}
-		return m.mineShard(shards[g].path, g, groups, n, itemName, itemCount, minSupport, ssink, track, arenas[worker], ctl)
+		csp := m.Rec.StartChild(sp, "mine-group").WithWorker(worker).With("group", int64(g))
+		err := m.mineShard(shards[g].path, g, groups, n, itemName, itemCount, minSupport, ssink, shard, arenas[worker])
+		csp.End()
+		return err
 	})
+	for _, gr := range groupRecs {
+		m.Rec.Merge(gr)
+	}
 	core.FoldPoolMetrics(m.Rec, pool)
 	return err
 }
 
-// mineShard reads one shard file, builds its CFP structures, and mines
-// the group's ranks.
-func (m Miner) mineShard(path string, group, groups, numItems int, itemName []uint32, itemCount []uint64, minSup uint64, sink mine.Sink, track mine.MemTracker, a *arena.Arena, ctl *mine.Control) error {
+// mineShard reads one shard file, builds its CFP-tree in a, charged to
+// g's ledger, and mines the group's ranks with g's array mine.
+func (m Miner) mineShard(path string, group, groups, numItems int, itemName []uint32, itemCount []uint64, minSup uint64, sink mine.Sink, g core.Growth, a *arena.Arena) error {
 	a.Reset()
 	tree := core.NewTree(a, m.Config, itemName, itemCount)
-	tree.Observe(m.Rec)
+	tree.Observe(g.Rec)
 	if err := scanShard(path, func(tx []uint32) error {
-		if err := ctl.Err(); err != nil {
+		if err := g.Ctl.Err(); err != nil {
 			return err
 		}
 		tree.Insert(tx, 1)
@@ -214,24 +213,22 @@ func (m Miner) mineShard(path string, group, groups, numItems int, itemName []ui
 	if tree.NumNodes() == 0 {
 		return nil
 	}
-	core.FoldTreeCounters(m.Rec, tree)
-	track.Alloc(tree.Extent())
-	arr, err := core.ConvertCtl(tree, ctl)
+	core.FoldTreeCounters(g.Rec, tree)
+	g.Track.Alloc(tree.Extent())
+	// The shard's conversion runs inside the pool's mine span, so it
+	// takes no convert span of its own: g without its recorder.
+	arr, err := core.Growth{Track: g.Track, Ctl: g.Ctl}.Convert(tree)
 	if err != nil {
-		track.Free(tree.Extent())
 		return err
 	}
-	track.Free(tree.Extent())
-	a.Reset()
-	track.Alloc(arr.Bytes())
-	defer track.Free(arr.Bytes())
+	defer g.Track.Free(arr.Bytes())
 	var ranks []uint32
 	for rk := numItems - 1; rk >= 0; rk-- {
 		if rk%groups == group {
 			ranks = append(ranks, uint32(rk))
 		}
 	}
-	return core.MineArrayItems(arr, m.Config, minSup, sink, track, 0, ranks, ctl, m.Rec)
+	return g.MineArray(arr, minSup, ranks, sink)
 }
 
 // scanShards runs the sharding pass: for each transaction and each

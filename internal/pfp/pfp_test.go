@@ -2,13 +2,14 @@ package pfp
 
 import (
 	"math/rand"
-	"testing"
-
 	"os"
+	"testing"
 
 	"cfpgrowth/internal/core"
 	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/mine"
+	"cfpgrowth/internal/obs"
+	"cfpgrowth/internal/quest"
 )
 
 func TestPFPMatchesSerial(t *testing.T) {
@@ -123,4 +124,30 @@ func readDirNames(dir string) ([]string, error) {
 	}
 	defer f.Close()
 	return f.Readdirnames(-1)
+}
+
+// TestPFPPeakMatchesControl: the recorder, the control's budget ledger
+// and the caller's tracker see one allocation stream, so all three
+// report the same peak, serially and with a worker pool. Teeing the
+// recorder in twice would double its mine-phase bytes.
+func TestPFPPeakMatchesControl(t *testing.T) {
+	db := quest.Generate(quest.Quest1(8000))
+	minSup := dataset.AbsoluteSupport(0.01, uint64(len(db)))
+	for _, workers := range []int{1, 2} {
+		rec := obs.New(nil)
+		ctl := &mine.Control{}
+		var peak mine.PeakTracker
+		m := Miner{Workers: workers, TempDir: t.TempDir(), Ctl: ctl, Rec: rec,
+			Track: &mine.BudgetTracker{Inner: &peak, Ctl: ctl}}
+		if err := m.Mine(db, minSup, &mine.CountSink{}); err != nil {
+			t.Fatal(err)
+		}
+		if peak.Peak == 0 {
+			t.Fatalf("workers %d: tracker saw no allocations", workers)
+		}
+		if rec.PeakBytes() != peak.Peak || ctl.PeakBytes() != peak.Peak {
+			t.Errorf("workers %d: recorder peak %d, control peak %d, tracker peak %d; want one number",
+				workers, rec.PeakBytes(), ctl.PeakBytes(), peak.Peak)
+		}
+	}
 }
