@@ -49,7 +49,9 @@ PAIRS ?= 5
 bench-pairs:
 	$(GO) run ./cmd/benchpairs -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
 
-# Short fuzz campaigns over the parsers and serializers.
+# Short fuzz campaigns over the parsers and serializers, and over
+# CFP-growth against FP-growth (FuzzInsertMine draws MaxLen and the
+# conditional builder from its input).
 fuzz:
 	$(GO) test ./internal/dataset/ -fuzz FuzzReadAll -fuzztime 30s
 	$(GO) test ./internal/dataset/ -fuzz FuzzFileScan -fuzztime 30s
@@ -57,7 +59,7 @@ fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzReadArray -fuzztime 30s
 	$(GO) test . -fuzz FuzzReadIndex -fuzztime 30s -run '^$$'
 	$(GO) test . -fuzz FuzzUpdatableSnapshot -fuzztime 30s -run '^$$'
-	$(GO) test ./internal/core/ -fuzz FuzzInsertMine -fuzztime 60s
+	$(GO) test ./internal/core/ -fuzz FuzzInsertMine -fuzztime 60s -run '^$$'
 
 # Regenerate every table and figure of the paper (see EXPERIMENTS.md).
 experiments:

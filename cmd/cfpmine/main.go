@@ -239,10 +239,12 @@ func main() {
 		n, time.Since(start).Seconds(), human(ms.PeakBytes))
 }
 
-// notForIndex names the mining flags a -loadindex run has no use for.
+// notForIndex names the mining flags a -loadindex run has no use for,
+// and the observability flags its mine does not feed.
 var notForIndex = map[string]bool{
 	"count": true, "closed": true, "maximal": true, "topk": true, "maxlen": true,
 	"parallel": true, "timeout": true, "max-bytes": true, "max-itemsets": true,
+	"trace": true, "trace-out": true, "sample": true, "metrics-addr": true,
 }
 
 // writeItemsets runs a mine with a handler that writes every itemset

@@ -85,14 +85,20 @@ func TestLoadIndexSameMinsup(t *testing.T) {
 	if len(want) < 2 || !slices.Equal(got, want) {
 		t.Errorf("-loadindex mined %d itemsets, -input %d; want the same itemsets", len(got), len(want))
 	}
-	// The flags a loaded index cannot honour are refused.
+	// The flags a loaded index cannot honour are refused, and a refused
+	// trace file is not written.
+	trace := filepath.Join(dir, "trace.out")
 	for _, flags := range [][]string{
 		{"-count"}, {"-closed"}, {"-maximal"}, {"-topk", "3"}, {"-maxlen", "2"},
 		{"-parallel", "2"}, {"-timeout", "1m"}, {"-max-bytes", "1000000"}, {"-max-itemsets", "5"},
+		{"-trace", trace}, {"-trace-out", trace}, {"-sample", "50ms"}, {"-metrics-addr", "localhost:0"},
 	} {
 		args := append([]string{"-loadindex", ix, "-minsup", "0.01", "-out", fromIndex}, flags...)
 		if code, stderr := runCfpmine(t, args...); code != 2 || !strings.Contains(stderr, flags[0]) {
 			t.Errorf("-loadindex %s: exit %d, stderr %q; want exit 2 naming the flag", flags[0], code, stderr)
+		}
+		if _, err := os.Stat(trace); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("-loadindex %s: trace file stat: %v; want none written", flags[0], err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/dataset"
@@ -105,7 +106,7 @@ func (m *directGrower) conditionalWalk(t *Tree, rk uint32, counts []uint64) *Tre
 			condCount[it] += p.weight
 		}
 	}
-	if !m.anyFrequent(condCount) {
+	if !slices.ContainsFunc(condCount, func(c uint64) bool { return c >= m.minSup }) {
 		return nil
 	}
 	cond := NewTree(arena.New(), m.cfg, t.itemName[:rk], condCount)

@@ -481,9 +481,10 @@ func (d *treeDump) Leave() { *d = append(*d, -1) }
 
 // TestFlatDecodeOutOfOrderParents loads arrays whose children are not
 // in depth-first order, in every walk layout, and requires
-// conditionalFlat over their decoding to build, for every rank, the
-// same conditional tree as the byte-chasing conditionalScan, and the
-// whole mine to match the original array's.
+// conditionalFlat over their decoding to reach, for every rank, the
+// same leaf verdict and build the same conditional tree as the
+// byte-chasing conditionalScan, and the whole mine to match the
+// original array's.
 func TestFlatDecodeOutOfOrderParents(t *testing.T) {
 	const minSup = 5
 	for _, fx := range []int{0, 3, 4} {
@@ -500,9 +501,10 @@ func TestFlatDecodeOutOfOrderParents(t *testing.T) {
 		flat := &cfpGrower{minSup: minSup, track: mine.NullTracker{}, treeArena: arena.New()}
 		scan := &cfpGrower{minSup: minSup, track: mine.NullTracker{}, treeArena: arena.New()}
 		for rk := uint32(0); rk < uint32(a.NumItems()); rk++ {
-			ft, st := flat.conditionalFlat(a, &d, rk), scan.conditionalScan(a, rk)
-			if (ft == nil) != (st == nil) {
-				t.Fatalf("%s rank %d: flat tree nil %v, scan tree nil %v", f.name, rk, ft == nil, st == nil)
+			ft, fl := flat.conditionalFlat(a, &d, rk, a.Support(rk), false)
+			st, sl := scan.conditionalScan(a, rk, a.Support(rk), false)
+			if (ft == nil) != (st == nil) || fl != sl {
+				t.Fatalf("%s rank %d: flat tree nil %v leaf %v, scan tree nil %v leaf %v", f.name, rk, ft == nil, fl, st == nil, sl)
 			}
 			if ft == nil {
 				continue

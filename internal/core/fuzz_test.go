@@ -46,17 +46,22 @@ func FuzzReadArray(f *testing.F) {
 // FuzzInsertMine feeds a fuzzer-shaped transaction database through
 // CFP-growth, serial and on a three-worker pool, and FP-growth, and
 // requires identical results. The encoding: bytes are items and 0xFF
-// separates transactions. One transaction of n distinct items has 2^n
-// frequent itemsets at support 1, which no miner enumerates within a
-// fuzz iteration once n nears 30, so the FP-growth reference mines
-// first under a budget of maxFuzzItemsets and an input over it is
-// skipped: transactions of any length stay in the domain.
+// separates transactions. mode picks the miners' settings: its low two
+// bits are MaxLen (0–3; FP-growth's result is filtered to that length),
+// and bit 2 sets DisableFlatDecode, so both conditional builders, their
+// leaf tests and the MaxLen boundary are checked. One transaction of n
+// distinct items has 2^n frequent itemsets at support 1, which no miner
+// enumerates within a fuzz iteration once n nears 30, so the FP-growth
+// reference mines first under a budget of maxFuzzItemsets and an input
+// over it is skipped: transactions of any length stay in the domain.
 func FuzzInsertMine(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 0xFF, 1, 2, 0xFF, 2, 3}, uint8(2))
-	f.Add([]byte{5, 5, 5, 0xFF, 5}, uint8(1))
-	f.Add([]byte{}, uint8(1))
-	f.Add([]byte{0xFF, 0xFF, 0xFF}, uint8(1))
-	f.Add([]byte{10, 20, 30, 40, 50, 60, 70, 80}, uint8(3))
+	f.Add([]byte{1, 2, 3, 0xFF, 1, 2, 0xFF, 2, 3}, uint8(2), uint8(0))
+	f.Add([]byte{1, 2, 3, 0xFF, 1, 2, 0xFF, 2, 3}, uint8(1), uint8(2))
+	f.Add([]byte{1, 2, 3, 4, 0xFF, 1, 2, 3, 0xFF, 2, 3, 4, 0xFF, 1, 4}, uint8(2), uint8(4|3))
+	f.Add([]byte{5, 5, 5, 0xFF, 5}, uint8(1), uint8(4))
+	f.Add([]byte{}, uint8(1), uint8(0))
+	f.Add([]byte{0xFF, 0xFF, 0xFF}, uint8(1), uint8(0))
+	f.Add([]byte{10, 20, 30, 40, 50, 60, 70, 80}, uint8(3), uint8(1))
 	// A 40-item transaction at support 1 is over the budget; at support
 	// 2, with each item seen once more alone, it is a 40-node path that
 	// the CFP-tree splits into chains.
@@ -64,12 +69,13 @@ func FuzzInsertMine(f *testing.F) {
 	for i := byte(1); i <= 40; i++ {
 		long = append(long, i)
 	}
-	f.Add(long, uint8(1))
+	f.Add(long, uint8(1), uint8(0))
 	for i := byte(1); i <= 40; i++ {
 		long = append(long, 0xFF, i)
 	}
-	f.Add(long, uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, minSup uint8) {
+	f.Add(long, uint8(2), uint8(0))
+	f.Add(long, uint8(2), uint8(4|2))
+	f.Fuzz(func(t *testing.T, data []byte, minSup, mode uint8) {
 		if len(data) > 256 {
 			data = data[:256]
 		}
@@ -104,9 +110,14 @@ func FuzzInsertMine(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		maxLen := int(mode & 3)
+		cfg := Config{DisableFlatDecode: mode&4 != 0}
 		want := ref.Sets
+		if maxLen > 0 {
+			want = slices.DeleteFunc(want, func(s mine.Itemset) bool { return len(s.Items) > maxLen })
+		}
 		mine.Canonicalize(want)
-		for _, m := range []mine.Miner{Growth{}, Growth{Workers: 3}} {
+		for _, m := range []mine.Miner{Growth{Config: cfg, MaxLen: maxLen}, Growth{Config: cfg, MaxLen: maxLen, Workers: 3}} {
 			got, err := mine.Run(m, db, ms)
 			if err != nil {
 				t.Fatal(err)

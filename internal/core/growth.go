@@ -260,10 +260,15 @@ type cfpGrower struct {
 	// built (Array.runCounts); the flat decoding stores none.
 	runSup []uint32
 	// condBuf backs the conditional item supports of the rank being
-	// mined (condCount). The conditional tree built from them retains
-	// the slice, but every tree is converted or path-enumerated, and so
-	// dead, before the next conditional at any level reuses the buffer.
+	// mined (condCount). The conditional tree built from them, or the
+	// leaf mined from them, retains the slice, but every tree is
+	// converted or path-enumerated, and every leaf emitted, before the
+	// next conditional at any level reuses the buffer.
 	condBuf []uint64
+	// pairRow maps each conditionally frequent rank to its row of the
+	// leaf test's pair matrix, pairCells (leafVerdict).
+	pairRow   []uint8
+	pairCells []uint64
 }
 
 // walkLanes is the number of independent ancestor chases the pattern
@@ -337,18 +342,6 @@ func (m *cfpGrower) emit(prefix []uint32, support uint64) error {
 // skipping conversion. In all cases the tree arena is released (reset)
 // before recursing, so at most one tree is ever alive.
 func (m *cfpGrower) mineTree(t *Tree, prefix []uint32) error {
-	if m.rec != nil {
-		// Fold this tree's composition into the run counters before it
-		// is converted and recycled, and time the whole conditional
-		// subproblem (this tree's conversion plus its entire recursion)
-		// into the per-conditional-mine latency histogram. The deferred
-		// sample covers error returns too; a disabled recorder pays
-		// exactly this one nil check.
-		FoldTreeCounters(m.rec, t)
-		m.rec.Add(obs.CtrCondTrees, 1)
-		m.rec.ObserveDepth(len(prefix))
-		defer m.rec.ObserveSince(obs.HistCondMine, time.Now())
-	}
 	treeBytes := t.Extent()
 	m.track.Alloc(treeBytes)
 	if path, ok := t.SinglePath(); ok {
@@ -363,6 +356,22 @@ func (m *cfpGrower) mineTree(t *Tree, prefix []uint32) error {
 	err = m.mineArray(arr, prefix)
 	m.track.Free(arr.Bytes())
 	return err
+}
+
+// mineLeaf mines a leaf conditional (leafVerdict) with no tree: each
+// conditionally frequent item extends prefix alone, with its
+// conditional support, in descending rank — the order in which the
+// conditional's CFP-array mine would emit them.
+func (m *cfpGrower) mineLeaf(condCount []uint64, names []uint32, prefix []uint32) error {
+	prefix = slices.Grow(prefix, 1)
+	for r := len(condCount) - 1; r >= 0; r-- {
+		if c := condCount[r]; c >= m.minSup {
+			if err := m.emit(append(prefix, names[r]), c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // minePath enumerates a single-path tree: every non-empty subset of the
@@ -429,8 +438,8 @@ func (m *cfpGrower) mineArray(a *Array, prefix []uint32) error {
 
 // mineRank is the one per-item step of CFP-growth, shared by the top
 // level (Growth.mineArray) and the recursion (mineArray): emit prefix extended
-// by rank's item, then build rank's conditional CFP-tree and recurse
-// into it. d is the flat decoding of a (read-only, so pool workers may
+// by rank's item, then mine rank's conditional, as a leaf (mineLeaf) or
+// by building its conditional CFP-tree and recursing into it. d is the flat decoding of a (read-only, so pool workers may
 // share the top-level one), or nil to fall back to byte-at-a-time
 // traversal.
 func (m *cfpGrower) mineRank(a *Array, d *Decode, rank uint32, prefix []uint32) error {
@@ -448,22 +457,45 @@ func (m *cfpGrower) mineRank(a *Array, d *Decode, rank uint32, prefix []uint32) 
 	if rank == 0 || (m.maxLen > 0 && len(prefix) >= m.maxLen) {
 		return nil
 	}
-	cond := m.conditional(a, d, rank)
-	if cond == nil {
+	// At the MaxLen boundary the conditional's itemsets cannot be
+	// extended, so it is a leaf whatever its pairs.
+	boundary := m.maxLen > 0 && len(prefix)+1 >= m.maxLen
+	cond, leaf := m.conditional(a, d, rank, sup, boundary)
+	if cond == nil && !leaf {
 		return nil
+	}
+	if m.rec != nil {
+		// A leaf is a conditional subproblem too: it is counted, its
+		// depth observed and its mine timed like a built tree's. Only a
+		// built tree's composition is folded into the run counters. The
+		// deferred sample covers error returns too; a disabled recorder
+		// pays exactly this one nil check.
+		if cond != nil {
+			FoldTreeCounters(m.rec, cond)
+		}
+		m.rec.Add(obs.CtrCondTrees, 1)
+		m.rec.ObserveDepth(len(prefix))
+		defer m.rec.ObserveSince(obs.HistCondMine, time.Now())
+	}
+	if leaf {
+		return m.mineLeaf(m.condBuf, a.itemName[:rank], prefix)
 	}
 	return m.mineTree(cond, prefix)
 }
 
-// conditional builds the conditional CFP-tree of item rank. With a
-// flat decoding it walks decoded parent indexes; without one (ablation
-// or oversized array) it falls back to the byte-chasing traversal.
-// Returns nil when no conditional item is frequent.
-func (m *cfpGrower) conditional(a *Array, d *Decode, rank uint32) *Tree {
+// conditional builds the conditional CFP-tree of item rank, whose
+// support is sup, or decides that the conditional is a leaf
+// (leafVerdict; boundary forces one). With a flat decoding it walks
+// decoded parent indexes; without one (ablation or oversized array) it
+// falls back to the byte-chasing traversal. Both builders return the
+// same verdict: a tree; nil and leaf, with the conditional supports
+// left in condBuf; or nil and no leaf when no conditional item is
+// frequent.
+func (m *cfpGrower) conditional(a *Array, d *Decode, rank uint32, sup uint64, boundary bool) (*Tree, bool) {
 	if d == nil {
-		return m.conditionalScan(a, rank)
+		return m.conditionalScan(a, rank, sup, boundary)
 	}
-	return m.conditionalFlat(a, d, rank)
+	return m.conditionalFlat(a, d, rank, sup, boundary)
 }
 
 // condCounts returns the grower's zeroed conditional-support buffer
@@ -474,12 +506,89 @@ func (m *cfpGrower) condCounts(rank uint32) []uint64 {
 	return m.condBuf
 }
 
-// anyFrequent reports whether some conditional support reaches the
-// minimum support, i.e. whether a conditional tree is worth building.
-func (m *cfpGrower) anyFrequent(condCount []uint64) bool {
+// Verdicts of leafVerdict on a counted conditional.
+const (
+	condEmpty = iota // no conditional item is frequent
+	condLeaf         // no conditional pair is frequent: mined with no tree
+	condTree         // the conditional tree is built
+)
+
+// maxPairItems bounds the pair matrix of the leaf test: a conditional
+// with more frequent items builds its tree untested. 64 items make
+// 2,016 cells, 16 KB.
+const maxPairItems = 64
+
+// leafVerdict decides from the conditional supports of a conditional
+// whose support is sup whether its tree is worth building. k, the
+// number of conditionally frequent items, decides first: none is
+// condEmpty, one (or any at the MaxLen boundary) condLeaf. Then, by
+// inclusion–exclusion, two items whose conditional supports sum to at
+// least sup + minSup share a frequent pair: condTree. Otherwise, for k
+// up to maxPairItems, chase runs the pair chase: it hands each element
+// of the pattern base, as its filtered path nearest-first and its
+// count, to a visitor until the visitor stops it, and reports whether
+// it was stopped. The visitor adds the count to every pair of the path
+// in a triangular k×k matrix, charged to the ledger while live, and
+// stops at the first cell that reaches minSup: condTree. A chase that
+// runs out finds no frequent pair: condLeaf.
+func (m *cfpGrower) leafVerdict(condCount []uint64, sup uint64, boundary bool, chase func(visit func(path []uint32, c uint64) bool) bool) int {
+	var k int
+	var c1, c2 uint64
 	for _, c := range condCount {
+		if c < m.minSup {
+			continue
+		}
+		k++
+		if c > c1 {
+			c1, c2 = c, c1
+		} else if c > c2 {
+			c2 = c
+		}
+	}
+	switch {
+	case k == 0:
+		return condEmpty
+	case k == 1 || boundary:
+		return condLeaf
+	case c1+c2 >= sup+m.minSup || k > maxPairItems:
+		return condTree
+	}
+	// Rows in ascending rank: a path nearest-first descends in rank,
+	// so every pair of it lands below the diagonal.
+	m.pairRow = resize(m.pairRow, len(condCount))
+	var row uint8
+	for r, c := range condCount {
 		if c >= m.minSup {
-			return true
+			m.pairRow[r] = row
+			row++
+		}
+	}
+	m.pairCells = resize(m.pairCells, k*(k-1)/2)
+	clear(m.pairCells)
+	cellBytes := int64(len(m.pairCells)) * 8
+	m.track.Alloc(cellBytes)
+	found := chase(m.addPairs)
+	m.track.Free(cellBytes)
+	if found {
+		return condTree
+	}
+	return condLeaf
+}
+
+// addPairs adds c to the pair matrix cell of every pair of path, a
+// filtered path in descending rank, and reports whether a cell reached
+// minSup.
+func (m *cfpGrower) addPairs(path []uint32, c uint64) bool {
+	rows, cells, minSup := m.pairRow, m.pairCells, m.minSup
+	for x, hi := range path {
+		i := int(rows[hi])
+		row := cells[i*(i-1)/2:]
+		for _, lo := range path[x+1:] {
+			j := rows[lo]
+			row[j] += c
+			if row[j] >= minSup {
+				return true
+			}
 		}
 	}
 	return false
@@ -488,14 +597,15 @@ func (m *cfpGrower) anyFrequent(condCount []uint64) bool {
 // conditionalFlat builds the conditional CFP-tree of item rank from
 // the flat decoding in two interleaved walks over the rank's run: a
 // pure counting chase accumulating conditional supports, and — only
-// when something is conditionally frequent — a second chase that
-// collects each element's already-filtered path and inserts it into
-// the conditional tree at lane completion. Infrequent ranks (the
-// common case at low supports, and the owners of the deepest pattern
-// bases) pay for exactly one bare chase and materialize nothing. The
-// run's counts are decoded once up front into the grower's runSup,
-// charged to the ledger until the conditional is built.
-func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32) *Tree {
+// when leafVerdict wants the tree — a second chase that collects each
+// element's already-filtered path and inserts it into the conditional
+// tree at lane completion. Infrequent ranks (the common case at low
+// supports, and the owners of the deepest pattern bases) pay for
+// exactly one bare chase and materialize nothing; leaves pay at most a
+// second, pair-counting chase over the same filtered paths. The run's
+// counts are decoded once up front into the grower's runSup, charged to
+// the ledger until the conditional is built.
+func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32, sup uint64, boundary bool) (*Tree, bool) {
 	m.runSup = a.runCounts(rank, m.runSup)
 	supBytes := int64(len(m.runSup)) * 4
 	m.track.Alloc(supBytes)
@@ -510,8 +620,18 @@ func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32) *Tree {
 	default:
 		countLocal(d.walkW, d.start, m.runSup, lo, hi, condCount)
 	}
-	if !m.anyFrequent(condCount) {
-		return nil
+	paths := func(visit func(path []uint32, c uint64) bool) bool {
+		switch d.layout {
+		case layoutSmall:
+			return pathsSmall(m, d.walk, m.runSup, lo, hi, condCount, visit)
+		case layoutLocal4:
+			return pathsLocal(m, d.walk, d.start, m.runSup, lo, hi, condCount, visit)
+		default:
+			return pathsLocal(m, d.walkW, d.start, m.runSup, lo, hi, condCount, visit)
+		}
+	}
+	if v := m.leafVerdict(condCount, sup, boundary, paths); v != condTree {
+		return nil, v == condLeaf
 	}
 	m.treeArena.Reset()
 	// Presize the arena from the decoded run length: the tree holds at
@@ -525,18 +645,11 @@ func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32) *Tree {
 	m.treeArena.Reserve(uint64(rn)*16 + 64)
 	cond := NewTree(m.treeArena, m.cfg, a.itemName[:rank], condCount)
 	cond.Observe(m.rec)
-	switch d.layout {
-	case layoutSmall:
-		insertSmall(m, d.walk, m.runSup, lo, hi, condCount, cond)
-	case layoutLocal4:
-		insertLocal(m, d.walk, d.start, m.runSup, lo, hi, condCount, cond)
-	default:
-		insertLocal(m, d.walkW, d.start, m.runSup, lo, hi, condCount, cond)
-	}
-	if cond.NumNodes() == 0 {
-		return nil
-	}
-	return cond
+	paths(func(path []uint32, c uint64) bool {
+		m.insertNearestFirst(cond, path, uint32(c))
+		return false
+	})
+	return cond, false
 }
 
 // walkWord is a packed walk element of a Decode (walkLayout): uint32
@@ -633,15 +746,16 @@ func countLocal[W walkWord](walk []W, start []int32, sup []uint32, lo, hi int32,
 	}
 }
 
-// insertSmall re-walks the pattern base in run [lo, hi) of a
-// layoutSmall walk and inserts every non-empty conditionally-frequent
-// path into cond, with counts sup indexed from lo as in countSmall.
-// Lanes accumulate already-filtered ancestor ranks nearest-first; a
-// completed lane inserts its path (insertLane), then takes the next
-// element. Insertion order is the deterministic lane-completion order,
-// which is a pure function of the decoding (tree content is
-// insertion-order independent).
-func insertSmall(m *cfpGrower, walk []uint32, sup []uint32, lo, hi int32, condCount []uint64, cond *Tree) {
+// pathsSmall re-walks the pattern base in run [lo, hi) of a
+// layoutSmall walk and hands every element's non-empty
+// conditionally-frequent path to visit, nearest-first, with its count
+// from sup indexed from lo as in countSmall. Lanes accumulate
+// already-filtered ancestor ranks nearest-first; a completed lane hands
+// its path over (visitLane), then takes the next element. The order is
+// the deterministic lane-completion order, which is a pure function of
+// the decoding (tree content is insertion-order independent). A visit
+// that returns true stops the walk, and pathsSmall reports it.
+func pathsSmall(m *cfpGrower, walk []uint32, sup []uint32, lo, hi int32, condCount []uint64, visit func(path []uint32, c uint64) bool) bool {
 	minSup := m.minSup
 	var cur [walkLanes]uint32
 	var own [walkLanes]int32
@@ -658,8 +772,8 @@ func insertSmall(m *cfpGrower, walk []uint32, sup []uint32, lo, hi int32, condCo
 				if p > smallRoot {
 					continue // lane retired, run exhausted
 				}
-				if own[l] >= 0 {
-					m.insertLane(l, cond, sup[own[l]-lo])
+				if own[l] >= 0 && m.visitLane(l, sup[own[l]-lo], visit) {
+					return true
 				}
 				if i < hi {
 					cur[l] = walk[i] >> 8
@@ -680,14 +794,14 @@ func insertSmall(m *cfpGrower, walk []uint32, sup []uint32, lo, hi int32, condCo
 			alive = true
 		}
 		if !alive {
-			break
+			return false
 		}
 	}
 }
 
-// insertLocal is insertSmall over a rank-local walk, with the lane
+// pathsLocal is pathsSmall over a rank-local walk, with the lane
 // states of countLocal.
-func insertLocal[W walkWord](m *cfpGrower, walk []W, start []int32, sup []uint32, lo, hi int32, condCount []uint64, cond *Tree) {
+func pathsLocal[W walkWord](m *cfpGrower, walk []W, start []int32, sup []uint32, lo, hi int32, condCount []uint64, visit func(path []uint32, c uint64) bool) bool {
 	shift := localShift[W]()
 	root := ^W(0) >> shift
 	mask := W(1)<<shift - 1
@@ -712,7 +826,9 @@ func insertLocal[W walkWord](m *cfpGrower, walk []W, start []int32, sup []uint32
 				continue
 			}
 			if own[l] >= 0 {
-				m.insertLane(l, cond, sup[own[l]-lo])
+				if m.visitLane(l, sup[own[l]-lo], visit) {
+					return true
+				}
 				own[l] = -1
 			}
 			if i < hi {
@@ -723,35 +839,49 @@ func insertLocal[W walkWord](m *cfpGrower, walk []W, start []int32, sup []uint32
 			}
 		}
 		if !alive {
-			break
+			return false
 		}
 	}
 }
 
-// insertLane inserts lane l's completed path, accumulated
-// nearest-first, into cond root-first with count c, and empties the
-// lane; an empty path inserts nothing.
-func (m *cfpGrower) insertLane(l int, cond *Tree, c uint32) {
+// visitLane hands lane l's completed path, accumulated nearest-first,
+// to visit with count c and empties the lane; an empty path is not
+// handed over. When visit stops the walk, every lane is emptied for the
+// next one.
+func (m *cfpGrower) visitLane(l int, c uint32, visit func(path []uint32, c uint64) bool) bool {
 	seg := m.laneBufs[l]
 	if len(seg) == 0 {
-		return
+		return false
 	}
+	m.laneBufs[l] = seg[:0]
+	if !visit(seg, uint64(c)) {
+		return false
+	}
+	for j := range m.laneBufs {
+		m.laneBufs[j] = m.laneBufs[j][:0]
+	}
+	return true
+}
+
+// insertNearestFirst inserts path, filtered and nearest-first, into
+// cond root-first with count c.
+func (m *cfpGrower) insertNearestFirst(cond *Tree, path []uint32, c uint32) {
 	buf := m.pathBuf[:0]
-	for j := len(seg) - 1; j >= 0; j-- {
-		buf = append(buf, seg[j])
+	for j := len(path) - 1; j >= 0; j-- {
+		buf = append(buf, path[j])
 	}
 	m.pathBuf = buf
 	cond.Insert(buf, c)
-	m.laneBufs[l] = seg[:0]
 }
 
 // conditionalScan is the byte-chasing reference construction of the
-// conditional CFP-tree: two sequential scans of the rank's subarray,
-// each walking parent paths backward a varint at a time. It is kept as
-// the Config.DisableFlatDecode ablation and as the fallback for arrays
-// past the flat index space; differential tests hold it and
-// conditionalFlat to identical trees.
-func (m *cfpGrower) conditionalScan(a *Array, rank uint32) *Tree {
+// conditional CFP-tree: sequential scans of the rank's subarray (a
+// count, at most one pair count, and the insert), each walking parent
+// paths backward a varint at a time. It is kept as the
+// Config.DisableFlatDecode ablation and as the fallback for arrays past
+// the flat index space; differential tests hold it and conditionalFlat
+// to identical trees and identical leaf verdicts.
+func (m *cfpGrower) conditionalScan(a *Array, rank uint32, sup uint64, boundary bool) (*Tree, bool) {
 	condCount := m.condCounts(rank)
 	a.ScanItem(rank, func(e Element) bool {
 		m.pathBuf = a.PathTo(e, m.pathBuf[:0])
@@ -760,8 +890,19 @@ func (m *cfpGrower) conditionalScan(a *Array, rank uint32) *Tree {
 		}
 		return true
 	})
-	if !m.anyFrequent(condCount) {
-		return nil
+	pairs := func(visit func(path []uint32, c uint64) bool) bool {
+		stopped := false
+		a.ScanItem(rank, func(e Element) bool {
+			// PathTo yields ranks nearest-first, as visit takes them.
+			path := m.filterFrequent(a.PathTo(e, m.pathBuf[:0]), condCount)
+			m.pathBuf = path
+			stopped = visit(path, e.Count)
+			return !stopped
+		})
+		return stopped
+	}
+	if v := m.leafVerdict(condCount, sup, boundary, pairs); v != condTree {
+		return nil, v == condLeaf
 	}
 	m.treeArena.Reset()
 	cond := NewTree(m.treeArena, m.cfg, a.itemName[:rank], condCount)
@@ -776,16 +917,24 @@ func (m *cfpGrower) conditionalScan(a *Array, rank uint32) *Tree {
 		m.insertFiltered(cond, m.pathBuf, condCount, e.Count)
 		return true
 	})
-	if cond.NumNodes() == 0 {
-		return nil
-	}
-	return cond
+	return cond, false
 }
 
 // insertFiltered filters the root-first path in place to its
 // conditionally frequent items and, if any remain, inserts them into
 // cond with count c.
 func (m *cfpGrower) insertFiltered(cond *Tree, path []uint32, condCount []uint64, c uint64) {
+	if path = m.filterFrequent(path, condCount); len(path) > 0 {
+		if debugChecks {
+			assertf(c <= math.MaxUint32, "core: path count %d overflows uint32", c)
+		}
+		cond.Insert(path, uint32(c&0xffffffff))
+	}
+}
+
+// filterFrequent filters path in place to its conditionally frequent
+// items.
+func (m *cfpGrower) filterFrequent(path []uint32, condCount []uint64) []uint32 {
 	w := 0
 	for _, it := range path {
 		if condCount[it] >= m.minSup {
@@ -793,10 +942,5 @@ func (m *cfpGrower) insertFiltered(cond *Tree, path []uint32, condCount []uint64
 			w++
 		}
 	}
-	if w > 0 {
-		if debugChecks {
-			assertf(c <= math.MaxUint32, "core: path count %d overflows uint32", c)
-		}
-		cond.Insert(path[:w], uint32(c&0xffffffff))
-	}
+	return path[:w]
 }

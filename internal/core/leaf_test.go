@@ -1,0 +1,308 @@
+package core
+
+import (
+	"math/bits"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"cfpgrowth/internal/arena"
+	"cfpgrowth/internal/dataset"
+	"cfpgrowth/internal/mine"
+	"cfpgrowth/internal/obs"
+	"cfpgrowth/internal/synth"
+)
+
+// patternBase is a random pattern base of the item at rank top: paths
+// of ranks below top, root-first, with their counts.
+type patternBase struct {
+	top    uint32
+	paths  [][]uint32
+	counts []uint64
+}
+
+// randomPatternBase draws a pattern base whose size, item universe,
+// path length and counts vary widely, so the conditionals it yields
+// range from empty to dense, and from a few frequent items to more
+// than maxPairItems.
+func randomPatternBase(rng *rand.Rand) patternBase {
+	top := []uint32{12, 40, 120, 300}[rng.Intn(4)]
+	universe := rng.Perm(int(top))[:1+rng.Intn(int(top))]
+	pathLen := []float64{1, 2, 4, 10}[rng.Intn(4)]
+	pb := patternBase{top: top}
+	for n := 1 + rng.Intn(200); n > 0; n-- {
+		var p []uint32
+		for _, it := range universe {
+			if rng.Float64()*float64(len(universe)) < pathLen {
+				p = append(p, uint32(it))
+			}
+		}
+		slices.Sort(p)
+		pb.paths = append(pb.paths, p)
+		pb.counts = append(pb.counts, uint64(1+rng.Intn(3)))
+	}
+	return pb
+}
+
+// array converts the pattern base into the CFP-array of a tree holding
+// each path extended by top.
+func (pb patternBase) array() *Array {
+	names := make([]uint32, pb.top+1)
+	counts := make([]uint64, pb.top+1)
+	for i := range names {
+		names[i] = uint32(i)
+	}
+	for i, p := range pb.paths {
+		for _, r := range p {
+			counts[r] += pb.counts[i]
+		}
+		counts[pb.top] += pb.counts[i]
+	}
+	tree := NewTree(arena.New(), Config{}, names, counts)
+	for i, p := range pb.paths {
+		tree.Insert(append(slices.Clone(p), pb.top), uint32(pb.counts[i]))
+	}
+	return Convert(tree)
+}
+
+// TestLeafVerdictMatchesPairCounts checks the leaf test of both
+// conditional builders against brute-force pair counts on random
+// pattern bases: a conditional is a leaf exactly when at least one item
+// and no pair is conditionally frequent, except that past maxPairItems
+// frequent items the tree is built untested, and at the MaxLen boundary
+// every non-empty conditional is a leaf. Fed the pattern base's filtered
+// paths directly, the pair chase must stop at the path that makes the
+// first pair frequent, and the pair matrix must be charged only while
+// the chase runs. Every branch of the test must be taken.
+func TestLeafVerdictMatchesPairCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var kLeq1, shortcut, earlyStop, chasedLeaf, bound int
+	for trial := 0; trial < 600; trial++ {
+		pb := randomPatternBase(rng)
+		minSup := uint64(1 + rng.Intn(8))
+		// Brute force: conditional supports, then pair supports in
+		// path order, noting the path that makes a pair frequent first.
+		var sup uint64
+		cond := make([]uint64, pb.top)
+		for i, p := range pb.paths {
+			sup += pb.counts[i]
+			for _, r := range p {
+				cond[r] += pb.counts[i]
+			}
+		}
+		var k int
+		var c1, c2 uint64
+		for _, c := range cond {
+			if c >= minSup {
+				k++
+				c1, c2 = max(c1, c), max(c2, min(c1, c))
+			}
+		}
+		pairs := map[[2]uint32]uint64{}
+		firstPair := -1
+		var filtered [][]uint32 // frequent items, nearest-first
+		for i, p := range pb.paths {
+			var f []uint32
+			for j := len(p) - 1; j >= 0; j-- {
+				if cond[p[j]] >= minSup {
+					f = append(f, p[j])
+				}
+			}
+			filtered = append(filtered, f)
+			for x := range f {
+				for _, y := range f[x+1:] {
+					pairs[[2]uint32{f[x], y}] += pb.counts[i]
+					if pairs[[2]uint32{f[x], y}] >= minSup && firstPair < 0 {
+						firstPair = i
+					}
+				}
+			}
+		}
+		wantTree := firstPair >= 0 || k > maxPairItems
+		wantLeaf := k >= 1 && !wantTree
+		switch {
+		case k <= 1:
+			kLeq1++
+		case c1+c2 >= sup+minSup:
+			shortcut++
+		case k > maxPairItems:
+			bound++
+		case firstPair >= 0:
+			earlyStop++
+		default:
+			chasedLeaf++
+		}
+
+		a := pb.array()
+		if a.Support(pb.top) != sup {
+			t.Fatalf("trial %d: support %d, want %d", trial, a.Support(pb.top), sup)
+		}
+		var d Decode
+		if !d.From(a) {
+			t.Fatalf("trial %d: From = false", trial)
+		}
+		for _, boundary := range []bool{false, true} {
+			want := wantLeaf
+			if boundary {
+				want = k >= 1
+			}
+			for _, build := range []string{"flat", "scan"} {
+				track := &mine.PeakTracker{}
+				m := &cfpGrower{minSup: minSup, track: track, treeArena: arena.New()}
+				var tree *Tree
+				var leaf bool
+				if build == "flat" {
+					tree, leaf = m.conditionalFlat(a, &d, pb.top, sup, boundary)
+				} else {
+					tree, leaf = m.conditionalScan(a, pb.top, sup, boundary)
+				}
+				if leaf != want || (tree != nil) != (!boundary && wantTree) {
+					t.Fatalf("trial %d %s boundary %v (k %d, first frequent pair at path %d): tree %v leaf %v, want leaf %v",
+						trial, build, boundary, k, firstPair, tree != nil, leaf, want)
+				}
+				if leaf && !slices.Equal(m.condBuf, cond) {
+					t.Fatalf("trial %d %s: leaf supports %v, want %v", trial, build, m.condBuf, cond)
+				}
+				if track.Cur != 0 {
+					t.Fatalf("trial %d %s: %d bytes left charged", trial, build, track.Cur)
+				}
+			}
+		}
+
+		// The pair chase alone, fed the filtered paths in order.
+		if k < 2 || c1+c2 >= sup+minSup || k > maxPairItems {
+			continue
+		}
+		track := &mine.PeakTracker{}
+		m := &cfpGrower{minSup: minSup, track: track}
+		fed := 0
+		v := m.leafVerdict(cond, sup, false, func(visit func([]uint32, uint64) bool) bool {
+			for i, f := range filtered {
+				fed++
+				if visit(f, pb.counts[i]) {
+					return true
+				}
+			}
+			return false
+		})
+		wantV, wantFed := condLeaf, len(filtered)
+		if firstPair >= 0 {
+			wantV, wantFed = condTree, firstPair+1
+		}
+		if v != wantV || fed != wantFed {
+			t.Fatalf("trial %d: verdict %d after %d paths, want %d after %d", trial, v, fed, wantV, wantFed)
+		}
+		if cells := int64(k*(k-1)/2) * 8; track.Peak != cells || track.Cur != 0 {
+			t.Fatalf("trial %d: matrix charge peak %d, left %d; want %d, 0", trial, track.Peak, track.Cur, cells)
+		}
+	}
+	t.Logf("k<=1 %d, shortcut %d, early stop %d, chased leaf %d, bound %d", kLeq1, shortcut, earlyStop, chasedLeaf, bound)
+	if kLeq1 == 0 || shortcut == 0 || earlyStop == 0 || chasedLeaf == 0 || bound == 0 {
+		t.Fatalf("a branch of the leaf test was not taken: k<=1 %d, shortcut %d, early stop %d, chased leaf %d, bound %d",
+			kLeq1, shortcut, earlyStop, chasedLeaf, bound)
+	}
+}
+
+// TestDenseLeavesConvertNothing mines synth accidents at 1/40 scale at
+// ξ = 45%, where no triple is frequent: every conditional is a leaf, so
+// the only CFP-array converted is the top-level one (the recorder's
+// triples equal its node count), and the answer is the brute-force one.
+// Its 34 frequent items are past mine.BruteForce's limit, so the
+// reference is bruteForceLevels.
+func TestDenseLeavesConvertNothing(t *testing.T) {
+	p, ok := synth.ByName("accidents")
+	if !ok {
+		t.Fatal("no accidents profile")
+	}
+	db := p.Generate(40)
+	minSup := dataset.AbsoluteSupport(0.45, uint64(len(db)))
+	rec := obs.New(nil)
+	var got mine.CollectSink
+	if err := (Growth{Rec: rec}).Mine(db, minSup, &got); err != nil {
+		t.Fatal(err)
+	}
+	tree, _, err := Build(db, minSup, Config{}, nil, mine.NullTracker{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if triples, nodes := rec.Count(obs.CtrTriples), int64(Convert(tree).NumNodes()); triples != nodes {
+		t.Errorf("triples %d, top-level array nodes %d: a conditional array was converted", triples, nodes)
+	}
+	if rec.Count(obs.CtrCondTrees) == 0 {
+		t.Error("no conditional counted")
+	}
+	want := bruteForceLevels(db, minSup)
+	mine.Canonicalize(got.Sets)
+	if d := mine.Diff("cfpgrowth", got.Sets, "bruteforce", want); d != "" {
+		t.Fatal(d)
+	}
+}
+
+// bruteForceLevels mines db by counting every k-subset of the frequent
+// items, for k = 1, 2, ..., with one transaction bitset per item, and
+// stops at the first k at which no subset is frequent: a superset of an
+// infrequent set is infrequent. The result is canonical.
+func bruteForceLevels(db dataset.Slice, minSup uint64) []mine.Itemset {
+	words := (len(db) + 63) / 64
+	tids := map[uint32][]uint64{}
+	for i, tx := range db {
+		for _, it := range tx {
+			if tids[it] == nil {
+				tids[it] = make([]uint64, words)
+			}
+			tids[it][i/64] |= 1 << (i % 64)
+		}
+	}
+	support := func(items []uint32) uint64 {
+		var n int
+		for w := 0; w < words; w++ {
+			x := ^uint64(0)
+			for _, it := range items {
+				x &= tids[it][w]
+			}
+			n += bits.OnesCount64(x)
+		}
+		return uint64(n)
+	}
+	var frequent []uint32
+	for it := range tids {
+		if support([]uint32{it}) >= minSup {
+			frequent = append(frequent, it)
+		}
+	}
+	slices.Sort(frequent)
+	var out []mine.Itemset
+	for k := 1; k <= len(frequent); k++ {
+		n := len(out)
+		// Every k-combination of frequent, in lexicographic order.
+		idx := make([]int, k)
+		for i := range idx {
+			idx[i] = i
+		}
+		for {
+			items := make([]uint32, k)
+			for i, j := range idx {
+				items[i] = frequent[j]
+			}
+			if s := support(items); s >= minSup {
+				out = append(out, mine.Itemset{Items: items, Support: s})
+			}
+			i := k - 1
+			for i >= 0 && idx[i] == len(frequent)-k+i {
+				i--
+			}
+			if i < 0 {
+				break
+			}
+			idx[i]++
+			for j := i + 1; j < k; j++ {
+				idx[j] = idx[j-1] + 1
+			}
+		}
+		if len(out) == n {
+			break
+		}
+	}
+	mine.Canonicalize(out)
+	return out
+}
