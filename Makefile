@@ -39,7 +39,8 @@ bench:
 # alternating fresh runs of a base revision (checked out into a
 # temporary git worktree) and the working tree, which side goes first
 # flipping on each pair; prints every run's JSON line, then per-metric
-# medians and each side's wins. Fails (the CI gate) when an end-to-end
+# medians, the median per-pair ratio, and the pairs the working tree
+# lost and won. Fails (the CI gate) when an end-to-end
 # metric's working-tree median is past its BENCHMARK.json bound or the
 # working tree fails more operations than BASE. Example:
 #   make bench-pairs BASE=HEAD~1 WORKLOAD=quest-mine PAIRS=5

@@ -2,15 +2,13 @@ package cfpgrowth
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"cfpgrowth/internal/core"
 	"cfpgrowth/internal/dataset"
-	"cfpgrowth/internal/encoding"
 	"cfpgrowth/internal/mine"
 )
 
@@ -26,7 +24,7 @@ type Builder struct {
 	f       *os.File
 	bw      *bufio.Writer
 	counter dataset.Counter
-	scratch [encoding.MaxVarintLen64]byte
+	buf     []byte
 	done    bool
 }
 
@@ -50,20 +48,13 @@ func (b *Builder) Add(tx []Item) error {
 	if b.done {
 		return errors.New("cfpgrowth: Builder already finished")
 	}
+	// Spool the distinct items, sorted, in the binary transaction
+	// encoding; the replay re-encodes through the recoder anyway.
 	distinct := b.counter.Add(tx)
-	// Spool: varint length + raw varint items (set-deduplicated, in
-	// arrival order; the replay re-encodes through the recoder anyway).
-	n := encoding.PutUvarint(b.scratch[:], uint64(len(distinct)))
-	if _, err := b.bw.Write(b.scratch[:n]); err != nil {
-		return err
-	}
-	for _, it := range distinct {
-		n := encoding.PutUvarint(b.scratch[:], uint64(it))
-		if _, err := b.bw.Write(b.scratch[:n]); err != nil {
-			return err
-		}
-	}
-	return nil
+	slices.Sort(distinct)
+	b.buf = dataset.AppendTx(b.buf[:0], distinct)
+	_, err := b.bw.Write(b.buf)
+	return err
 }
 
 // NumTx returns the number of transactions ingested so far.
@@ -85,9 +76,9 @@ func (b *Builder) Finish() (*Index, error) {
 		return nil, err
 	}
 	// Pass 1 ran in Add; the spool replay is pass 2.
-	arr, err := b.opts.buildArray(func(ctl *mine.Control, track mine.MemTracker) (*core.Tree, error) {
+	arr, err := b.opts.buildArray(func(ctl *mine.Control) (*core.Tree, error) {
 		rec := dataset.NewRecoder(counts, minSup)
-		return core.BuildRecoded(spool{f: b.f, numTx: counts.NumTx}, rec, b.opts.Tree.config(), ctl, track, b.opts.Observe)
+		return core.BuildRecoded(spool{f: b.f, numTx: counts.NumTx}, rec, b.opts.Tree.config(), ctl, ctl, b.opts.Observe)
 	})
 	if err != nil {
 		return nil, err
@@ -109,8 +100,8 @@ func (b *Builder) cleanup() {
 	_ = os.Remove(name)
 }
 
-// spool is a Builder's spool file as a Source: numTx transactions, each
-// a varint length followed by that many varint items.
+// spool is a Builder's spool file as a Source: numTx transactions in
+// the binary transaction encoding (dataset.AppendTx).
 type spool struct {
 	f     *os.File
 	numTx uint64
@@ -121,24 +112,5 @@ func (s spool) Scan(fn func(tx []Item) error) error {
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	br := bufio.NewReaderSize(s.f, 1<<16)
-	var tx []Item
-	for t := uint64(0); t < s.numTx; t++ {
-		l, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("cfpgrowth: corrupt spool: %w", err)
-		}
-		tx = tx[:0]
-		for i := uint64(0); i < l; i++ {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fmt.Errorf("cfpgrowth: corrupt spool: %w", err)
-			}
-			tx = append(tx, Item(v))
-		}
-		if err := fn(tx); err != nil {
-			return err
-		}
-	}
-	return nil
+	return dataset.ScanTxs(bufio.NewReaderSize(s.f, 1<<16), s.numTx, fn)
 }

@@ -125,19 +125,19 @@ func TestMineMaxBytes(t *testing.T) {
 func TestMineMaxBytesFitsPaperLayout(t *testing.T) {
 	db := quest.Generate(quest.Quest1(8000))
 	minSup := dataset.AbsoluteSupport(0.012, uint64(len(db)))
-	paper := &mine.PeakTracker{}
+	paper := &mine.Control{}
 	var n mine.CountSink
-	if err := (core.Growth{Config: core.Config{DisableFlatDecode: true}, Track: paper}).Mine(db, minSup, &n); err != nil {
+	if err := (core.Growth{Config: core.Config{DisableFlatDecode: true}, Ctl: paper}).Mine(db, minSup, &n); err != nil {
 		t.Fatal(err)
 	}
 	want, err := MineAll(db, Options{MinSupport: minSup})
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := paper.Peak * 3 / 2
+	budget := paper.PeakBytes() * 3 / 2
 	got, err := MineAll(db, Options{MinSupport: minSup, MaxBytes: budget})
 	if err != nil {
-		t.Fatalf("MaxBytes %d (1.5x the paper layout's %d B peak): %v", budget, paper.Peak, err)
+		t.Fatalf("MaxBytes %d (1.5x the paper layout's %d B peak): %v", budget, paper.PeakBytes(), err)
 	}
 	if uint64(len(want)) != n.N {
 		t.Fatalf("flat mine found %d itemsets, byte chase %d", len(want), n.N)
@@ -334,6 +334,22 @@ func TestRunContract(t *testing.T) {
 		}
 		if err := run(Options{MinSupport: 2, MaxBytes: 1}); !errors.Is(err, ErrBudgetExceeded) {
 			t.Errorf("%s with MaxBytes 1: err = %v, want ErrBudgetExceeded", name, err)
+		}
+	}
+	// A pooled, observed run under a generous budget reports one peak:
+	// Memory and the recorder read the run's one ledger, which the run
+	// leaves balanced.
+	for _, name := range []string{"Mine", "BuildIndex", "AnalyzeCompression"} {
+		rec := NewRecorder(nil)
+		var ms MemoryStats
+		if err := runs[name](Options{MinSupport: 2, Parallel: 2, Memory: &ms, Observe: rec, MaxBytes: 1 << 30}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ms.PeakBytes == 0 || ms.PeakBytes != rec.PeakBytes() {
+			t.Errorf("%s: Memory.PeakBytes %d, recorder peak %d; want one non-zero number", name, ms.PeakBytes, rec.PeakBytes())
+		}
+		if rec.CurBytes() != 0 {
+			t.Errorf("%s: %d bytes still charged after the run", name, rec.CurBytes())
 		}
 	}
 	// MaxLen holds for every algorithm, not only the two that prune at

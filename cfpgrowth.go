@@ -48,7 +48,8 @@ import (
 // Options.Observe, and read it back with Snapshot, or stream events by
 // constructing it over a JSONL sink. A nil *Recorder is inert, so
 // instrumented code paths cost one nil check when observability is
-// off.
+// off. A recorder observes one run at a time: its byte gauges read the
+// byte ledger of the run it observes, the one Options.Memory reports.
 type Recorder = obs.Recorder
 
 // NewRecorder returns a Recorder streaming span and summary events to
@@ -130,7 +131,9 @@ type Options struct {
 	Algorithm string
 	// Tree tunes CFP-tree compression (cfpgrowth only).
 	Tree TreeConfig
-	// Memory, when non-nil, receives the run's memory statistics.
+	// Memory, when non-nil, receives the run's memory statistics, read
+	// from the run's one byte ledger: the ledger MaxBytes bounds and
+	// Observe's byte gauges read.
 	Memory *MemoryStats
 	// MaxLen, when positive, suppresses itemsets longer than MaxLen.
 	MaxLen int
@@ -159,9 +162,9 @@ type Options struct {
 	// Observe, when non-nil, receives the run's phase spans, structure
 	// counters, and modeled-byte gauges. The natively instrumented
 	// algorithms (cfpgrowth, cfpgrowth-par, pfp, fpgrowth) record
-	// per-phase detail; the comparison algorithms ignore the recorder.
-	// The same recorder may observe several runs; its counters then
-	// accumulate across them.
+	// per-phase detail; the comparison algorithms feed only its byte
+	// gauges. The same recorder may observe several runs, one at a
+	// time; its counters and peak then accumulate across them.
 	Observe *Recorder
 }
 
@@ -208,7 +211,7 @@ func (t TreeConfig) config() core.Config {
 	}
 }
 
-func (o Options) miner(track mine.MemTracker, ctl *mine.Control) (mine.Miner, error) {
+func (o Options) miner(ctl *mine.Control) (mine.Miner, error) {
 	name := o.Algorithm
 	if name == "" {
 		name = "cfpgrowth"
@@ -217,50 +220,39 @@ func (o Options) miner(track mine.MemTracker, ctl *mine.Control) (mine.Miner, er
 	case "cfpgrowth":
 		// The CFP-growth and FP-growth miners prune the search itself
 		// at MaxLen; the other algorithms filter at the sink.
-		return o.growth(track, ctl), nil
+		return o.growth(ctl), nil
 	case "fpgrowth":
-		return fptree.Growth{Track: track, MaxLen: o.MaxLen, Ctl: ctl, Rec: o.Observe}, nil
+		return fptree.Growth{MaxLen: o.MaxLen, Ctl: ctl, Rec: o.Observe}, nil
 	}
-	return algo.NewObserved(name, track, ctl, o.Observe)
+	return algo.NewObserved(name, nil, ctl, o.Observe)
 }
 
 // growth is the CFP-growth miner the options configure, on the run's
-// byte ledger track and Control ctl.
-func (o Options) growth(track mine.MemTracker, ctl *mine.Control) core.Growth {
-	return core.Growth{Config: o.Tree.config(), Workers: o.Parallel, Track: track, MaxLen: o.MaxLen, Ctl: ctl, Rec: o.Observe}
+// Control ctl.
+func (o Options) growth(ctl *mine.Control) core.Growth {
+	return core.Growth{Config: o.Tree.config(), Workers: o.Parallel, MaxLen: o.MaxLen, Ctl: ctl, Rec: o.Observe}
 }
 
-// contract runs fn under the run contract of every entry point. It arms
-// the Control from Context, MaxBytes and MaxItemsets (a run that sets
-// none of them gets a nil Control), hands fn the byte ledger that
-// charges the MaxBytes budget and measures the peak, and fills o.Memory
-// when fn succeeds. An already-canceled Context fails synchronously:
+// contract runs fn under the run contract of every entry point. It
+// gives the run one Control, armed from Context and MaxBytes, whose
+// ledger is the run's one byte count: the miners charge it, MaxBytes
+// bounds it, Observe's byte gauges read it, and o.Memory is filled from
+// it when fn succeeds. An already-canceled Context fails synchronously:
 // nothing is scanned or emitted.
-func (o Options) contract(fn func(track mine.MemTracker, ctl *mine.Control) error) error {
+func (o Options) contract(fn func(ctl *mine.Control) error) error {
 	if o.Context != nil {
 		if err := o.Context.Err(); err != nil {
 			return fmt.Errorf("%w: %v", ErrCanceled, err)
 		}
 	}
-	var ctl *mine.Control
-	if o.Context != nil || o.MaxBytes > 0 || o.MaxItemsets > 0 {
-		ctl = &mine.Control{MaxBytes: o.MaxBytes}
-	}
+	ctl := &mine.Control{MaxBytes: o.MaxBytes}
 	defer ctl.Watch(o.Context)()
-	var track mine.MemTracker
-	var peak *mine.PeakTracker
-	if o.Memory != nil {
-		peak = &mine.PeakTracker{}
-		track = peak
-	}
-	if o.MaxBytes > 0 {
-		track = &mine.BudgetTracker{Inner: track, Ctl: ctl}
-	}
-	if err := fn(track, ctl); err != nil {
+	defer o.Observe.Bind(ctl)()
+	if err := fn(ctl); err != nil {
 		return err
 	}
-	if peak != nil {
-		*o.Memory = MemoryStats{PeakBytes: peak.Peak, AverageBytes: peak.Avg()}
+	if o.Memory != nil {
+		*o.Memory = MemoryStats{PeakBytes: ctl.PeakBytes(), AverageBytes: ctl.AvgBytes()}
 	}
 	return nil
 }
@@ -269,20 +261,17 @@ func (o Options) contract(fn func(track mine.MemTracker, ctl *mine.Control) erro
 // it resolves the support threshold, builds the miner with newMiner
 // (o.miner for the one Options selects), gates the sink on the Control
 // and filters it at MaxLen.
-func (o Options) run(src Source, sink mine.Sink, newMiner func(mine.MemTracker, *mine.Control) (mine.Miner, error)) error {
+func (o Options) run(src Source, sink mine.Sink, newMiner func(*mine.Control) (mine.Miner, error)) error {
 	minSup, err := o.minSupport(src)
 	if err != nil {
 		return err
 	}
-	return o.contract(func(track mine.MemTracker, ctl *mine.Control) error {
-		if ctl != nil {
-			// The ControlSink sits next to the caller's sink: it gates
-			// and counts exactly the itemsets the handler would receive,
-			// and a handler error stops every phase and worker of the
-			// run.
-			sink = &mine.ControlSink{Inner: sink, Ctl: ctl, Max: o.MaxItemsets}
-		}
-		m, err := newMiner(track, ctl)
+	return o.contract(func(ctl *mine.Control) error {
+		// The ControlSink sits next to the caller's sink: it gates and
+		// counts exactly the itemsets the handler would receive, and a
+		// handler error stops every phase and worker of the run.
+		sink = &mine.ControlSink{Inner: sink, Ctl: ctl, Max: o.MaxItemsets}
+		m, err := newMiner(ctl)
 		if err != nil {
 			return err
 		}
@@ -296,21 +285,20 @@ func (o Options) run(src Source, sink mine.Sink, newMiner func(mine.MemTracker, 
 // buildArray runs the build half of the default miner for the entry
 // points that build a CFP-array but do not mine it (BuildIndex, Builder,
 // AnalyzeCompression). Under the run contract, build makes the CFP-tree
-// on the run's ledger and Growth's convert stage turns it into the
-// returned array. The array leaves the ledger as the run ends, so the
-// peak the run reports covers it.
-func (o Options) buildArray(build func(ctl *mine.Control, track mine.MemTracker) (*core.Tree, error)) (*core.Array, error) {
+// charged to ctl, the run's ledger, and Growth's convert stage turns it
+// into the returned array. The array leaves the ledger as the run ends,
+// so the peak the run reports covers it.
+func (o Options) buildArray(build func(ctl *mine.Control) (*core.Tree, error)) (*core.Array, error) {
 	var arr *core.Array
-	err := o.contract(func(track mine.MemTracker, ctl *mine.Control) error {
-		ledger := core.ObservedTracker(track, o.Observe)
-		tree, err := build(ctl, ledger)
+	err := o.contract(func(ctl *mine.Control) error {
+		tree, err := build(ctl)
 		if err != nil {
 			return err
 		}
-		if arr, err = o.growth(track, ctl).Convert(tree); err != nil {
+		if arr, err = o.growth(ctl).Convert(tree); err != nil {
 			return err
 		}
-		ledger.Free(arr.Bytes())
+		ctl.Free(arr.Bytes())
 		return nil
 	})
 	return arr, err
@@ -392,8 +380,8 @@ func AnalyzeCompression(src Source, opts Options) (CompressionStats, error) {
 		return CompressionStats{}, err
 	}
 	var ts core.TreeStats
-	arr, err := opts.buildArray(func(ctl *mine.Control, track mine.MemTracker) (*core.Tree, error) {
-		tree, _, err := core.Build(src, minSup, opts.Tree.config(), ctl, track, opts.Observe)
+	arr, err := opts.buildArray(func(ctl *mine.Control) (*core.Tree, error) {
+		tree, _, err := core.Build(src, minSup, opts.Tree.config(), ctl, ctl, opts.Observe)
 		if err == nil {
 			// Taken before the convert stage recycles the tree's arena.
 			ts = tree.Stats()

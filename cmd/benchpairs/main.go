@@ -12,10 +12,11 @@
 // time, flipping which side runs first on each pair so that the host's
 // drift over the runs falls on both sides alike. It prints every
 // run's JSON line, then, for each end-to-end metric of BENCHMARK.json,
-// the median of each side, their ratio, and in how many pairs each
-// side was the better one. A run with failed operations reports its
-// metrics as 0, so it is left out of the medians and its pair out of
-// the tallies. The worktree is removed on exit.
+// the median of each side, their ratio, the median of the per-pair
+// head/base ratios, and in how many of the compared pairs the head was
+// worse and better. A run with failed operations reports its metrics
+// as 0, so it is left out of the medians and its pair out of the
+// pair figures. The worktree is removed on exit.
 //
 // It is a gate: it exits 1 when some end-to-end metric's head median is
 // worse than the base median by more than the metric's BENCHMARK.json
@@ -166,25 +167,35 @@ func benchRun(ctx context.Context, dir string, args []string) (string, error) {
 }
 
 // summarize prints, per metric, each side's median, the head/base
-// ratio of the medians, and the pairs each side won (a tie counts for
-// neither), and flags a head median worse than the metric's bound. A
-// run with failed operations reports its metrics as 0, so it is left
-// out of its side's median and its pair out of the tallies. It returns
-// the gate's failures: one per metric over its bound, and one when the
-// head failed more operations than the base; none is a pass.
+// ratio of the medians, the median of the per-pair head/base ratios,
+// and the pairs in which the head was worse and better out of those
+// compared (a tie counts for neither), and flags a head median worse
+// than the metric's bound. The pair figures show a consistent shift
+// the bound lets pass. A run with failed operations reports its
+// metrics as 0, so it is left out of its side's median and its pair
+// out of the pair figures. It returns the gate's failures: one per
+// metric over its bound, and one when the head failed more operations
+// than the base; none is a pass.
 func summarize(w io.Writer, specs []metricSpec, base, head []result) []string {
 	var fails []string
-	fmt.Fprintf(w, "\n%-18s %14s %14s %8s %6s %6s %6s\n", "metric", "base median", "head median", "ratio", "bound", "base", "head")
+	fmt.Fprintf(w, "\n%-18s %14s %14s %8s %10s %6s %6s %6s\n", "metric", "base median", "head median", "ratio", "pair ratio", "bound", "worse", "better")
 	for _, m := range specs {
-		var bw, hw int
+		var worse, wins, pairs int
+		var ratios []float64
 		for i := range min(len(base), len(head)) {
 			b, h := base[i].Metrics[m.Name].Value, head[i].Metrics[m.Name].Value
+			if base[i].Failed > 0 || head[i].Failed > 0 {
+				continue
+			}
+			pairs++
+			if b != 0 {
+				ratios = append(ratios, h/b)
+			}
 			switch {
-			case base[i].Failed > 0 || head[i].Failed > 0:
 			case better(m, h, b):
-				hw++
+				wins++
 			case better(m, b, h):
-				bw++
+				worse++
 			}
 		}
 		mb, mh := median(values(base, m.Name)), median(values(head, m.Name))
@@ -194,7 +205,8 @@ func summarize(w io.Writer, specs []metricSpec, base, head []result) []string {
 			verdict = "  over bound"
 			fails = append(fails, fmt.Sprintf("%s head/base %.4f past bound %.2f", m.Name, ratio, m.Bound))
 		}
-		fmt.Fprintf(w, "%-18s %14.6g %14.6g %8.4f %6.2f %6d %6d%s\n", m.Name, mb, mh, ratio, m.Bound, bw, hw, verdict)
+		fmt.Fprintf(w, "%-18s %14.6g %14.6g %8.4f %10.4f %6.2f %6s %6s%s\n", m.Name, mb, mh, ratio, median(ratios), m.Bound,
+			fmt.Sprintf("%d/%d", worse, pairs), fmt.Sprintf("%d/%d", wins, pairs), verdict)
 	}
 	fb, fh := failed(base), failed(head)
 	fmt.Fprintf(w, "%-18s %14d %14d\n", "failed (sum)", fb, fh)

@@ -36,10 +36,13 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-// TestSummarize checks the per-pair win counts, including a tie and a
-// higher-is-better metric, the medians, and the bound flag. The third
-// base run failed and reports its metrics as 0, as a run with wrong
-// answers does: it counts in no median and its pair in no tally.
+// TestSummarize checks the per-pair worse/better counts, including a
+// tie and a higher-is-better metric, the medians, the median of the
+// per-pair ratios, and the bound flag. The third base run failed and
+// reports its metrics as 0, as a run with wrong answers does: it
+// counts in no median and its pair in no pair figure. The fourth pair
+// shows what the ratio of medians hides: the head is slower in every
+// pair of job_s, yet its median is within the bound.
 func TestSummarize(t *testing.T) {
 	specs := []metricSpec{
 		{Name: "job_s", Better: "lower", Bound: 0.1},
@@ -55,6 +58,11 @@ func TestSummarize(t *testing.T) {
 		`{"failed":0,"metrics":{"job_s":{"value":1.3},"rate":{"value":8}}}`,
 		`{"failed":0,"metrics":{"job_s":{"value":1.0},"rate":{"value":8}}}`,
 	)
+	slower := mustResults(t,
+		`{"failed":0,"metrics":{"job_s":{"value":1.05}}}`,
+		`{"failed":0,"metrics":{"job_s":{"value":1.26}}}`,
+		`{"failed":0,"metrics":{"job_s":{"value":1.26}}}`,
+	)
 	var buf bytes.Buffer
 	fails := summarize(&buf, specs, base, head)
 	lines := map[string][]string{}
@@ -63,11 +71,12 @@ func TestSummarize(t *testing.T) {
 			lines[f[0]] = f
 		}
 	}
-	// metric, base median, head median, ratio, bound, base wins, head wins
-	if f := lines["job_s"]; len(f) != 7 || f[1] != "1.1" || f[2] != "1" || f[5] != "1" || f[6] != "1" {
+	// metric, base median, head median, ratio, pair ratio, bound,
+	// head worse, head better
+	if f := lines["job_s"]; len(f) != 8 || f[1] != "1.1" || f[2] != "1" || f[4] != "0.9917" || f[6] != "1/2" || f[7] != "1/2" {
 		t.Errorf("job_s row %q", f)
 	}
-	if f := lines["rate"]; len(f) != 9 || f[1] != "10" || f[5] != "1" || f[6] != "0" || f[7] != "over" {
+	if f := lines["rate"]; len(f) != 10 || f[1] != "10" || f[4] != "0.9000" || f[6] != "1/2" || f[7] != "0/2" || f[8] != "over" {
 		t.Errorf("rate row %q", f)
 	}
 	if f := lines["failed"]; len(f) != 4 || f[2] != "1" || f[3] != "0" {
@@ -75,6 +84,16 @@ func TestSummarize(t *testing.T) {
 	}
 	if len(fails) != 1 || !strings.HasPrefix(fails[0], "rate ") {
 		t.Errorf("gate failures %q, want only rate's", fails)
+	}
+	buf.Reset()
+	base[2] = base[1]
+	if fails := summarize(&buf, specs[:1], base, slower); len(fails) != 0 {
+		t.Errorf("gate failures %q, want a pass within the bound", fails)
+	}
+	// Base 1, 1.2, 1.2 against head 1.05, 1.26, 1.26: every pair 5%
+	// slower, the medians 5% apart, within the 10% bound.
+	if f := strings.Fields(strings.Split(buf.String(), "\n")[2]); len(f) != 8 || f[3] != "1.0500" || f[4] != "1.0500" || f[6] != "3/3" || f[7] != "0/3" {
+		t.Errorf("all-slower job_s row %q", f)
 	}
 }
 

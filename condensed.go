@@ -66,8 +66,8 @@ func mineSampled(src Source, opts Options, fraction float64, seed int64, certify
 	}
 	var sink mine.CollectSink
 	m := &sampledMiner{certify: certify}
-	err := opts.run(src, &sink, func(track mine.MemTracker, ctl *mine.Control) (mine.Miner, error) {
-		m.Miner = sample.Miner{Fraction: fraction, Seed: seed, Track: track, Ctl: ctl}
+	err := opts.run(src, &sink, func(ctl *mine.Control) (mine.Miner, error) {
+		m.Miner = sample.Miner{Fraction: fraction, Seed: seed, Ctl: ctl}
 		return m, nil
 	})
 	if err != nil {

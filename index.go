@@ -58,8 +58,8 @@ func BuildIndex(src Source, opts Options) (*Index, error) {
 		return nil, err
 	}
 	var numTx uint64
-	arr, err := opts.buildArray(func(ctl *mine.Control, track mine.MemTracker) (tree *core.Tree, err error) {
-		tree, numTx, err = core.Build(src, minSup, opts.Tree.config(), ctl, track, opts.Observe)
+	arr, err := opts.buildArray(func(ctl *mine.Control) (tree *core.Tree, err error) {
+		tree, numTx, err = core.Build(src, minSup, opts.Tree.config(), ctl, ctl, opts.Observe)
 		return tree, err
 	})
 	if err != nil {

@@ -32,15 +32,15 @@ func TestAscendingOrderGrowsTree(t *testing.T) {
 	db := dataset.Slice{
 		{1, 2, 3, 4}, {1, 2, 3}, {1, 2}, {1}, {1, 2, 3, 4}, {1, 2, 3}, {1, 2}, {1},
 	}
-	var tr mine.PeakTracker
+	var tr mine.Control
 	if err := (Miner{Track: &tr}).Mine(db, 2, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
 	// Descending order shares everything: 4 nodes. Ascending order
 	// cannot share the rare-item prefixes: more nodes. At 20 B/node
 	// the peak must exceed 4 nodes' worth.
-	if tr.Peak <= 4*NodeBytes {
-		t.Errorf("peak %d suggests descending-order sharing; ascending expected", tr.Peak)
+	if tr.PeakBytes() <= 4*NodeBytes {
+		t.Errorf("peak %d suggests descending-order sharing; ascending expected", tr.PeakBytes())
 	}
 }
 

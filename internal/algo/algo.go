@@ -26,9 +26,9 @@ import (
 // tracker, a cancellation control, and an observability recorder.
 // Miners without native control support ignore ctl; their runs are
 // still stopped at the next emission by the mine.ControlSink the
-// callers wrap around the sink. Miners without native instrumentation
-// ignore rec; callers wanting their modeled bytes in a trace can pass
-// the recorder as (part of) the tracker instead.
+// callers wrap around the sink, and charge ctl's byte ledger through
+// the tracker NewObserved hands them. Miners without native
+// instrumentation ignore rec.
 var factories = map[string]func(mine.MemTracker, *mine.Control, *obs.Recorder) mine.Miner{
 	"cfpgrowth": func(t mine.MemTracker, c *mine.Control, r *obs.Recorder) mine.Miner {
 		return core.Growth{Track: t, Ctl: c, Rec: r}
@@ -56,7 +56,8 @@ var factories = map[string]func(mine.MemTracker, *mine.Control, *obs.Recorder) m
 }
 
 // New returns the miner registered under name, reporting memory to
-// track and honoring ctl (both may be nil).
+// track, or to ctl's ledger when track is nil, and honoring ctl (both
+// may be nil).
 func New(name string, track mine.MemTracker, ctl *mine.Control) (mine.Miner, error) {
 	return NewObserved(name, track, ctl, nil)
 }
@@ -70,7 +71,7 @@ func NewObserved(name string, track mine.MemTracker, ctl *mine.Control, rec *obs
 	if !ok {
 		return nil, fmt.Errorf("algo: unknown algorithm %q (have %v)", name, Names())
 	}
-	return f(track, ctl, rec), nil
+	return f(mine.Ledger(track, ctl), ctl, rec), nil
 }
 
 // Names lists the registered algorithms, sorted.

@@ -53,7 +53,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, name := range Names() {
-				var tr mine.PeakTracker
+				var tr mine.Control
 				m, err := New(name, &tr, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -65,10 +65,10 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 				if d := mine.Diff(name, got, "bruteforce", want); d != "" {
 					t.Fatalf("trial %d minSup %d %s disagrees with brute force:\n%s", trial, minSup, name, d)
 				}
-				if tr.Cur != 0 {
-					t.Errorf("%s: memory tracker imbalance %d bytes", name, tr.Cur)
+				if tr.Bytes() != 0 {
+					t.Errorf("%s: memory tracker imbalance %d bytes", name, tr.Bytes())
 				}
-				if len(want) > 0 && tr.Peak <= 0 {
+				if len(want) > 0 && tr.PeakBytes() <= 0 {
 					t.Errorf("%s: no memory tracked", name)
 				}
 			}

@@ -82,15 +82,15 @@ func TestMinerEndToEnd(t *testing.T) {
 }
 
 func TestMinerTracksCandidateMemory(t *testing.T) {
-	var tr mine.PeakTracker
+	var tr mine.Control
 	db := dataset.Slice{{1, 2, 3}, {1, 2, 3}, {1, 2, 3}}
 	if err := (Miner{Track: &tr}).Mine(db, 2, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Peak <= 0 {
+	if tr.PeakBytes() <= 0 {
 		t.Error("candidate memory not tracked")
 	}
-	if tr.Cur != 0 {
-		t.Errorf("tracker imbalance: %d", tr.Cur)
+	if tr.Bytes() != 0 {
+		t.Errorf("tracker imbalance: %d", tr.Bytes())
 	}
 }

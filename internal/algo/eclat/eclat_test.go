@@ -73,14 +73,14 @@ func TestMemoryIncludesResidentDatabase(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		big = append(big, small...)
 	}
-	var trSmall, trBig mine.PeakTracker
+	var trSmall, trBig mine.Control
 	if err := (Miner{Track: &trSmall}).Mine(small, 3, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := (Miner{Track: &trBig}).Mine(big, 30, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
-	if trBig.Peak <= trSmall.Peak {
-		t.Errorf("peak did not grow with transactions: %d vs %d", trBig.Peak, trSmall.Peak)
+	if trBig.PeakBytes() <= trSmall.PeakBytes() {
+		t.Errorf("peak did not grow with transactions: %d vs %d", trBig.PeakBytes(), trSmall.PeakBytes())
 	}
 }

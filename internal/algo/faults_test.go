@@ -85,7 +85,7 @@ func TestTrackerBalancedOnError(t *testing.T) {
 	db := dataset.Slice{{1, 2, 3}, {1, 2}, {2, 3}, {1, 3}}
 	for _, name := range Names() {
 		for _, failPass := range []int{1, 2, 3} {
-			var tr mine.PeakTracker
+			var tr mine.Control
 			m, err := New(name, &tr, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -95,8 +95,8 @@ func TestTrackerBalancedOnError(t *testing.T) {
 			if err != nil && !errors.Is(err, errInjected) {
 				t.Errorf("%s pass %d: unexpected error %v", name, failPass, err)
 			}
-			if tr.Cur != 0 {
-				t.Errorf("%s pass %d: %d bytes still charged after the run (err = %v)", name, failPass, tr.Cur, err)
+			if tr.Bytes() != 0 {
+				t.Errorf("%s pass %d: %d bytes still charged after the run (err = %v)", name, failPass, tr.Bytes(), err)
 			}
 		}
 	}

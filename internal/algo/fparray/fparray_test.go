@@ -75,12 +75,12 @@ func TestDatasetResidentDuringBuild(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		db = append(db, db[0])
 	}
-	var tr mine.PeakTracker
+	var tr mine.Control
 	if err := (Miner{Track: &tr}).Mine(db, 10, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
 	wantMin := int64(10 * 10 * DatasetBytesPerOccurrence)
-	if tr.Peak < wantMin {
-		t.Errorf("peak %d below resident dataset size %d", tr.Peak, wantMin)
+	if tr.PeakBytes() < wantMin {
+		t.Errorf("peak %d below resident dataset size %d", tr.PeakBytes(), wantMin)
 	}
 }

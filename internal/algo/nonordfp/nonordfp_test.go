@@ -85,11 +85,11 @@ func TestBuildPhaseMemoryAtBaseline(t *testing.T) {
 	// nonordfp's build phase must cost the full 40 B/node — the paper's
 	// point that it "does not reduce memory in the build phase".
 	db := dataset.Slice{{1, 2, 3}, {1, 2, 3}, {1, 2, 3}}
-	var tr mine.PeakTracker
+	var tr mine.Control
 	if err := (Miner{Track: &tr}).Mine(db, 3, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Peak < 3*fptree.BaselineNodeSize {
-		t.Errorf("peak %d below 40 B/node for 3 nodes", tr.Peak)
+	if tr.PeakBytes() < 3*fptree.BaselineNodeSize {
+		t.Errorf("peak %d below 40 B/node for 3 nodes", tr.PeakBytes())
 	}
 }

@@ -58,12 +58,12 @@ func TestTreeresidentWholeRun(t *testing.T) {
 	// FP-growth-Tiny keeps the full 40 B/node tree alive for the whole
 	// run — the paper's reason it breaks on large data.
 	db := dataset.Slice{{1, 2, 3}, {1, 2, 3}}
-	var tr mine.PeakTracker
+	var tr mine.Control
 	if err := (Miner{Track: &tr}).Mine(db, 2, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Peak < 3*fptree.BaselineNodeSize {
-		t.Errorf("peak %d below the big tree's size", tr.Peak)
+	if tr.PeakBytes() < 3*fptree.BaselineNodeSize {
+		t.Errorf("peak %d below the big tree's size", tr.PeakBytes())
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/mine"
 	"cfpgrowth/internal/quest"
 )
@@ -31,6 +32,19 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	m := &cfpGrower{sink: &mine.CountSink{}}
 	prefix := []uint32{9, 3, 7}
 	offs, start, cur := []uint32{0, 3, 5, 9}, []int32{0, 4}, []int32{0}
+	// A single-path tree, and a conditional of three items that the
+	// pair chase proves a leaf: the chased path makes every pair 1 < 2.
+	pathTree, _, err := Build(dataset.Slice{{1, 2, 3}, {1, 2}, {1}}, 1, Config{}, nil, mine.NullTracker{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, ok := pathTree.SinglePath()
+	if !ok {
+		t.Fatal("fixture is not a single path")
+	}
+	leaf := &cfpGrower{minSup: 2, track: &mine.Control{}}
+	leafCounts, leafPath := []uint64{3, 3, 3}, []uint32{2, 1, 0}
+	chase := func(visit func(path []uint32, c uint64) bool) bool { return visit(leafPath, 1) }
 	for _, tc := range []struct {
 		name   string
 		allocs float64
@@ -45,6 +59,12 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		{"findParent", 0, func() { findParent(offs, start, cur, 0, 5) }},
 		{"countSmall", 0, func() { countSmall(ds.walk, sup, lo, hi, condCount) }},
 		{"countLocal", 0, func() { countLocal(dw.walk, dw.start, wsup, wlo, whi, condCount) }},
+		{"cfpGrower.leafVerdict", 0, func() {
+			if leaf.leafVerdict(leafCounts, 10, false, chase) != condLeaf {
+				t.Fatal("the pair chase found a frequent pair")
+			}
+		}},
+		{"cfpGrower.minePath", 0, func() { _ = m.minePath(pathTree, single, prefix) }},
 	} {
 		tc.fn() // warm the buffers
 		if got := testing.AllocsPerRun(100, tc.fn); got != tc.allocs {

@@ -32,8 +32,8 @@ func TestBuildPhaseBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, miner := range []func(rec *obs.Recorder) mine.Miner{
-		func(rec *obs.Recorder) mine.Miner { return Growth{Rec: rec} },
-		func(rec *obs.Recorder) mine.Miner { return Growth{Workers: 2, Rec: rec} },
+		func(rec *obs.Recorder) mine.Miner { return Growth{Rec: rec, Ctl: &mine.Control{}} },
+		func(rec *obs.Recorder) mine.Miner { return Growth{Workers: 2, Rec: rec, Ctl: &mine.Control{}} },
 	} {
 		rec := obs.New(nil)
 		m := miner(rec)
@@ -92,19 +92,19 @@ func TestBuildNothingFrequent(t *testing.T) {
 	if scans != 1 {
 		t.Errorf("%d scans, want only the counting pass", scans)
 	}
-	for _, miner := range []func(rec *obs.Recorder) mine.Miner{
-		func(rec *obs.Recorder) mine.Miner { return Growth{Rec: rec} },
-		func(rec *obs.Recorder) mine.Miner { return Growth{Workers: 2, Rec: rec} },
-		func(rec *obs.Recorder) mine.Miner { return DirectGrowth{Track: rec} },
+	for _, miner := range []func(ctl *mine.Control) mine.Miner{
+		func(ctl *mine.Control) mine.Miner { return Growth{Ctl: ctl} },
+		func(ctl *mine.Control) mine.Miner { return Growth{Workers: 2, Ctl: ctl} },
+		func(ctl *mine.Control) mine.Miner { return DirectGrowth{Ctl: ctl} },
 	} {
-		rec := obs.New(nil)
-		m := miner(rec)
+		ctl := &mine.Control{}
+		m := miner(ctl)
 		var sink mine.CountSink
 		if err := m.Mine(db, 2, &sink); err != nil || sink.N != 0 {
 			t.Errorf("%s: %d itemsets, err %v; want none", m.Name(), sink.N, err)
 		}
-		if rec.CurBytes() != 0 {
-			t.Errorf("%s: %d bytes still charged after the run", m.Name(), rec.CurBytes())
+		if ctl.Bytes() != 0 {
+			t.Errorf("%s: %d bytes still charged after the run", m.Name(), ctl.Bytes())
 		}
 	}
 }

@@ -20,7 +20,8 @@ import (
 type DirectGrowth struct {
 	// Config tunes the CFP-tree compression features.
 	Config Config
-	// Track observes modeled memory consumption.
+	// Track, when non-nil, is charged the modeled memory consumption
+	// instead of Ctl (mine.Ledger).
 	Track mine.MemTracker
 	// MaxLen, when positive, prunes the search at that cardinality.
 	MaxLen int
@@ -40,7 +41,7 @@ func (g DirectGrowth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink
 	if err != nil {
 		return err
 	}
-	m := &directGrower{cfpGrower{cfg: g.Config, minSup: max(minSupport, 1), maxLen: g.MaxLen, sink: sink, track: ObservedTracker(g.Track, nil), ctl: g.Ctl}}
+	m := &directGrower{cfpGrower{cfg: g.Config, minSup: max(minSupport, 1), maxLen: g.MaxLen, sink: sink, track: mine.Ledger(g.Track, g.Ctl), ctl: g.Ctl}}
 	return m.mine(tree, nil)
 }
 

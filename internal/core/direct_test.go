@@ -66,14 +66,14 @@ func TestDirectGrowthMemoryExceedsArrayGrowth(t *testing.T) {
 		}
 		db[i] = tx
 	}
-	var arrTr, dirTr mine.PeakTracker
+	var arrTr, dirTr mine.Control
 	if err := (Growth{Track: &arrTr}).Mine(db, 6, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := (DirectGrowth{Track: &dirTr}).Mine(db, 6, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
-	if dirTr.Peak <= arrTr.Peak {
-		t.Logf("note: direct peak %d not above array peak %d on this input", dirTr.Peak, arrTr.Peak)
+	if dirTr.PeakBytes() <= arrTr.PeakBytes() {
+		t.Logf("note: direct peak %d not above array peak %d on this input", dirTr.PeakBytes(), arrTr.PeakBytes())
 	}
 }

@@ -31,21 +31,24 @@ type Growth struct {
 	// Workers is the number of mining goroutines. Zero mines on the
 	// calling goroutine, reusing the build tree's arena, with no pool.
 	Workers int
-	// Track observes modeled memory consumption; nil disables tracking.
-	// Under Workers it is synchronized internally.
+	// Track, when non-nil, is charged the modeled memory consumption
+	// instead of Ctl (mine.Ledger); under Workers it must be safe for
+	// concurrent use.
 	Track mine.MemTracker
 	// MaxLen, when positive, prunes the search at itemsets of that
 	// cardinality: longer itemsets are neither emitted nor explored.
 	MaxLen int
 	// Ctl, when non-nil, is polled throughout the build, conversion and
 	// mining phases: once stopped (cancellation, deadline, budget), the
-	// run aborts promptly with the stop cause. Under Workers the miner
-	// uses a private Control when none is supplied, so first-error
-	// propagation between workers never depends on the caller.
+	// run aborts promptly with the stop cause. It is also the run's byte
+	// ledger unless Track is set. Under Workers the miner uses a private
+	// Control when none is supplied, so first-error propagation between
+	// workers never depends on the caller.
 	Ctl *mine.Control
-	// Rec, when non-nil, records phase spans, structure counters, and
-	// modeled-byte gauges for the run (nil disables all observability
-	// at the cost of one nil check per instrumentation site).
+	// Rec, when non-nil, records phase spans and structure counters for
+	// the run, and Mine binds its byte gauges to Ctl (nil disables all
+	// observability at the cost of one nil check per instrumentation
+	// site).
 	Rec *obs.Recorder
 }
 
@@ -73,7 +76,8 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 		// (time.Now() binds at the defer, covering every return path).
 		defer g.Rec.ObserveSince(obs.HistQuery, time.Now())
 	}
-	track := ObservedTracker(g.Track, g.Rec)
+	defer g.Rec.Bind(g.Ctl)()
+	track := mine.Ledger(g.Track, g.Ctl)
 	tree, _, err := Build(src, minSupport, g.Config, g.Ctl, track, g.Rec)
 	if err != nil {
 		return err
@@ -107,7 +111,7 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 func (g Growth) Convert(t *Tree) (*Array, error) {
 	sp := g.Rec.Start(obs.PhaseConvert)
 	defer sp.End()
-	return convertRetired(t, g.Ctl, ObservedTracker(g.Track, g.Rec))
+	return convertRetired(t, g.Ctl, mine.Ledger(g.Track, g.Ctl))
 }
 
 // convertRetired converts t, charged to track, into its CFP-array and
@@ -133,12 +137,25 @@ func convertRetired(t *Tree, ctl *mine.Control, track mine.MemTracker) (*Array, 
 // subproblem. AllRanks mines the whole array; a subset is a PFP-style
 // shard, exact for the itemsets whose least frequent item it holds.
 //
-// It owns the mine's run contract: the ledger is Track teed with Rec,
-// and under Workers the ranks go to a work-stealing pool with a private
-// Control when none is supplied and a synchronized ledger. The array's
-// own charge is the caller's.
+// Under Workers the ranks go to a work-stealing pool, with a private
+// Control when none is supplied. The array's own charge is the
+// caller's.
 func (g Growth) MineArray(a *Array, minSupport uint64, ranks []uint32, sink mine.Sink) error {
 	return g.mineArray(a, minSupport, ranks, sink, obs.Span{}, arena.New())
+}
+
+// MineTree is MineArray over t, a built tree charged to the ledger: t
+// is converted without a convert span of its own (the caller's span
+// covers it), the given ranks of its array are mined with the
+// conditional trees in t's arena, and the array is released.
+func (g Growth) MineTree(t *Tree, minSupport uint64, ranks []uint32, sink mine.Sink) error {
+	track := mine.Ledger(g.Track, g.Ctl)
+	arr, err := convertRetired(t, g.Ctl, track)
+	if err != nil {
+		return err
+	}
+	defer track.Free(arr.Bytes())
+	return g.mineArray(arr, minSupport, ranks, sink, obs.Span{}, t.arena)
 }
 
 // mineArray is MineArray under the open mine span sp, which a pool's
@@ -146,17 +163,10 @@ func (g Growth) MineArray(a *Array, minSupport uint64, ranks []uint32, sink mine
 // trees in treeArena. One flat decoding of a serves every rank; a pool
 // (minePool) shares it read-only.
 func (g Growth) mineArray(a *Array, minSupport uint64, ranks []uint32, sink mine.Sink, sp obs.Span, treeArena *arena.Arena) error {
-	ctl, track := g.Ctl, ObservedTracker(g.Track, g.Rec)
+	ctl := g.Ctl
 	if g.Workers > 0 {
 		if ctl == nil {
 			ctl = &mine.Control{}
-		}
-		// The caller's tracker needs a mutex under concurrent workers.
-		// It covers the teed recorder too, so both see one allocation
-		// order and their high-water marks agree; a lone recorder is
-		// atomic and needs none.
-		if g.Track != nil {
-			track = &mine.SyncTracker{Inner: track}
 		}
 		// Pool workers get private arenas; the caller's is left to the
 		// collector.
@@ -167,7 +177,7 @@ func (g Growth) mineArray(a *Array, minSupport uint64, ranks []uint32, sink mine
 		minSup:    max(minSupport, 1),
 		maxLen:    g.MaxLen,
 		sink:      sink,
-		track:     track,
+		track:     mine.Ledger(g.Track, g.Ctl),
 		ctl:       ctl,
 		rec:       g.Rec,
 		treeArena: treeArena,
@@ -199,22 +209,6 @@ func FoldTreeCounters(rec *obs.Recorder, t *Tree) {
 	rec.Add(obs.CtrChainNodes, int64(chains))
 	rec.Add(obs.CtrEmbeddedLeaves, int64(embedded))
 	rec.Add(obs.CtrLogicalNodes, int64(t.NumNodes()))
-}
-
-// ObservedTracker composes a caller-supplied tracker with an
-// observability recorder so one allocation stream feeds both; either
-// side may be nil, and the result never is.
-func ObservedTracker(track mine.MemTracker, rec *obs.Recorder) mine.MemTracker {
-	switch {
-	case rec == nil && track == nil:
-		return mine.NullTracker{}
-	case rec == nil:
-		return track
-	case track == nil:
-		return rec
-	default:
-		return &mine.TeeTracker{A: track, B: rec}
-	}
 }
 
 // AllRanks returns every item rank of a, least frequent first: the
@@ -266,9 +260,16 @@ type cfpGrower struct {
 	// next conditional at any level reuses the buffer.
 	condBuf []uint64
 	// pairRow maps each conditionally frequent rank to its row of the
-	// leaf test's pair matrix, pairCells (leafVerdict).
+	// leaf test's pair matrix, pairCells (leafVerdict); pairVisit is
+	// addPairs, bound once per grower so a chase allocates no closure.
 	pairRow   []uint8
 	pairCells []uint64
+	pairVisit func(path []uint32, c uint64) bool
+	// pathSup and pathSet back the full counts of the single path being
+	// enumerated (minePath) and the itemsets it extends prefix to; the
+	// enumeration emits and never recurses into a conditional.
+	pathSup []uint64
+	pathSet []uint32
 }
 
 // walkLanes is the number of independent ancestor chases the pattern
@@ -381,13 +382,15 @@ func (m *cfpGrower) minePath(t *Tree, path []PathNode, prefix []uint32) error {
 	if len(path) == 0 {
 		return nil
 	}
-	counts := make([]uint64, len(path))
+	m.pathSup = resize(m.pathSup, len(path))
+	counts := m.pathSup
 	var acc uint64
 	for i := len(path) - 1; i >= 0; i-- {
 		acc += uint64(path[i].Pcount)
 		counts[i] = acc
 	}
 	names := t.itemName
+	m.pathSet = slices.Grow(append(m.pathSet[:0], prefix...), len(path))
 	var rec func(i int, prefix []uint32) error
 	rec = func(i int, prefix []uint32) error {
 		if m.maxLen > 0 && len(prefix) >= m.maxLen {
@@ -409,7 +412,7 @@ func (m *cfpGrower) minePath(t *Tree, path []PathNode, prefix []uint32) error {
 		}
 		return nil
 	}
-	return rec(0, prefix)
+	return rec(0, m.pathSet)
 }
 
 // mineArray runs the divide-and-conquer over a conditional CFP-array:
@@ -567,7 +570,10 @@ func (m *cfpGrower) leafVerdict(condCount []uint64, sup uint64, boundary bool, c
 	clear(m.pairCells)
 	cellBytes := int64(len(m.pairCells)) * 8
 	m.track.Alloc(cellBytes)
-	found := chase(m.addPairs)
+	if m.pairVisit == nil {
+		m.pairVisit = m.addPairs
+	}
+	found := chase(m.pairVisit)
 	m.track.Free(cellBytes)
 	if found {
 		return condTree

@@ -161,15 +161,15 @@ func TestCFPGrowthSparseItems(t *testing.T) {
 }
 
 func TestCFPGrowthMemTracking(t *testing.T) {
-	var tr mine.PeakTracker
-	if err := (Growth{Track: &tr}).Mine(tinyDB, 2, &mine.CountSink{}); err != nil {
+	var tr mine.Control
+	if err := (Growth{Ctl: &tr}).Mine(tinyDB, 2, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Peak <= 0 {
+	if tr.PeakBytes() <= 0 {
 		t.Error("no peak recorded")
 	}
-	if tr.Cur != 0 {
-		t.Errorf("tracker imbalance: %d bytes live after mining", tr.Cur)
+	if tr.Bytes() != 0 {
+		t.Errorf("tracker imbalance: %d bytes live after mining", tr.Bytes())
 	}
 }
 

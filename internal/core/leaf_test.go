@@ -147,7 +147,7 @@ func TestLeafVerdictMatchesPairCounts(t *testing.T) {
 				want = k >= 1
 			}
 			for _, build := range []string{"flat", "scan"} {
-				track := &mine.PeakTracker{}
+				track := &mine.Control{}
 				m := &cfpGrower{minSup: minSup, track: track, treeArena: arena.New()}
 				var tree *Tree
 				var leaf bool
@@ -163,8 +163,8 @@ func TestLeafVerdictMatchesPairCounts(t *testing.T) {
 				if leaf && !slices.Equal(m.condBuf, cond) {
 					t.Fatalf("trial %d %s: leaf supports %v, want %v", trial, build, m.condBuf, cond)
 				}
-				if track.Cur != 0 {
-					t.Fatalf("trial %d %s: %d bytes left charged", trial, build, track.Cur)
+				if track.Bytes() != 0 {
+					t.Fatalf("trial %d %s: %d bytes left charged", trial, build, track.Bytes())
 				}
 			}
 		}
@@ -173,7 +173,7 @@ func TestLeafVerdictMatchesPairCounts(t *testing.T) {
 		if k < 2 || c1+c2 >= sup+minSup || k > maxPairItems {
 			continue
 		}
-		track := &mine.PeakTracker{}
+		track := &mine.Control{}
 		m := &cfpGrower{minSup: minSup, track: track}
 		fed := 0
 		v := m.leafVerdict(cond, sup, false, func(visit func([]uint32, uint64) bool) bool {
@@ -192,8 +192,8 @@ func TestLeafVerdictMatchesPairCounts(t *testing.T) {
 		if v != wantV || fed != wantFed {
 			t.Fatalf("trial %d: verdict %d after %d paths, want %d after %d", trial, v, fed, wantV, wantFed)
 		}
-		if cells := int64(k*(k-1)/2) * 8; track.Peak != cells || track.Cur != 0 {
-			t.Fatalf("trial %d: matrix charge peak %d, left %d; want %d, 0", trial, track.Peak, track.Cur, cells)
+		if cells := int64(k*(k-1)/2) * 8; track.PeakBytes() != cells || track.Bytes() != 0 {
+			t.Fatalf("trial %d: matrix charge peak %d, left %d; want %d, 0", trial, track.PeakBytes(), track.Bytes(), cells)
 		}
 	}
 	t.Logf("k<=1 %d, shortcut %d, early stop %d, chased leaf %d, bound %d", kLeq1, shortcut, earlyStop, chasedLeaf, bound)

@@ -155,29 +155,27 @@ func TestObsTopKSinkCounter(t *testing.T) {
 	}
 }
 
-// TestObsPeakMatchesControl: teeing the control's budget ledger and
-// the recorder from the same tracker stream must give identical
-// high-water marks, so a run's reported peak is the one its budget
-// enforces.
+// TestObsPeakMatchesControl: the recorder's gauges read the run's
+// Control, serial and pooled, so a run's reported peak is the one its
+// budget enforces, and it survives the end of the run.
 func TestObsPeakMatchesControl(t *testing.T) {
 	db := obsDB(300, 8, 30)
 	for _, tc := range []struct {
 		name  string
-		miner func(rec *obs.Recorder, ctl *mine.Control, track mine.MemTracker) mine.Miner
+		miner func(rec *obs.Recorder, ctl *mine.Control) mine.Miner
 	}{
-		{"serial", func(rec *obs.Recorder, ctl *mine.Control, track mine.MemTracker) mine.Miner {
-			return Growth{Rec: rec, Ctl: ctl, Track: track}
+		{"serial", func(rec *obs.Recorder, ctl *mine.Control) mine.Miner {
+			return Growth{Rec: rec, Ctl: ctl}
 		}},
-		{"parallel", func(rec *obs.Recorder, ctl *mine.Control, track mine.MemTracker) mine.Miner {
-			return Growth{Workers: 4, Rec: rec, Ctl: ctl, Track: track}
+		{"parallel", func(rec *obs.Recorder, ctl *mine.Control) mine.Miner {
+			return Growth{Workers: 4, Rec: rec, Ctl: ctl}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := obs.New(nil)
 			ctl := &mine.Control{}
-			track := &mine.BudgetTracker{Ctl: ctl}
 			var sink mine.CountSink
-			if err := tc.miner(rec, ctl, track).Mine(db, 10, &sink); err != nil {
+			if err := tc.miner(rec, ctl).Mine(db, 10, &sink); err != nil {
 				t.Fatal(err)
 			}
 			if ctl.PeakBytes() == 0 {
@@ -445,7 +443,7 @@ func TestPhaseSpansEndOnEveryPath(t *testing.T) {
 		if tc.sink != nil {
 			sink = tc.sink(ctl)
 		}
-		g := Growth{Workers: tc.workers, Track: &mine.BudgetTracker{Ctl: ctl}, Ctl: ctl, Rec: rec}
+		g := Growth{Workers: tc.workers, Ctl: ctl, Rec: rec}
 		if err := g.Mine(src, 5, sink); !errors.Is(err, tc.err) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.err)
 		}

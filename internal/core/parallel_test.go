@@ -123,15 +123,15 @@ func TestParallelFirstSinkErrorWinsNoLaterEmissions(t *testing.T) {
 
 func TestParallelMemTracking(t *testing.T) {
 	db := dataset.Slice{{1, 2, 3}, {1, 2}, {2, 3}, {1, 3}, {1, 2, 3}}
-	var tr mine.PeakTracker
-	if err := (Growth{Workers: 3, Track: &tr}).Mine(db, 2, &mine.CountSink{}); err != nil {
+	var tr mine.Control
+	if err := (Growth{Workers: 3, Ctl: &tr}).Mine(db, 2, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Peak <= 0 {
+	if tr.PeakBytes() <= 0 {
 		t.Error("no memory tracked")
 	}
-	if tr.Cur != 0 {
-		t.Errorf("tracker imbalance: %d", tr.Cur)
+	if tr.Bytes() != 0 {
+		t.Errorf("tracker imbalance: %d", tr.Bytes())
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"cfpgrowth/internal/encoding"
 )
 
 // Binary transaction format. The paper notes (§4.1) that replacing the
@@ -39,31 +37,72 @@ func WriteBinary(w io.Writer, db Slice) error {
 	if err := bw.WriteByte(binaryVersion); err != nil {
 		return err
 	}
-	var scratch [encoding.MaxVarintLen64]byte
-	uv := func(v uint64) error {
-		n := encoding.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	if err := uv(uint64(len(db))); err != nil {
+	if _, err := bw.Write(binary.AppendUvarint(nil, uint64(len(db)))); err != nil {
 		return err
 	}
 	var sorted []Item
+	var buf []byte
 	for _, tx := range db {
 		sorted = append(sorted[:0], tx...)
 		sortDedupe(&sorted)
-		if err := uv(uint64(len(sorted))); err != nil {
+		buf = AppendTx(buf[:0], sorted)
+		if _, err := bw.Write(buf); err != nil {
 			return err
-		}
-		prev := int64(-1)
-		for _, it := range sorted {
-			if err := uv(uint64(int64(it) - prev)); err != nil {
-				return err
-			}
-			prev = int64(it)
 		}
 	}
 	return bw.Flush()
+}
+
+// AppendTx appends tx, whose items are ascending and distinct, to dst
+// in the binary format's transaction encoding: its length, then its
+// items as varint deltas (the first item plus one, then each item minus
+// the one before).
+func AppendTx(dst []byte, tx []Item) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(tx)))
+	prev := int64(-1)
+	for _, it := range tx {
+		dst = binary.AppendUvarint(dst, uint64(int64(it)-prev))
+		prev = int64(it)
+	}
+	return dst
+}
+
+// ReadTx reads one transaction in AppendTx's encoding into tx's
+// storage and returns it. The end of r before the transaction starts
+// is io.EOF; a truncated transaction, an implausible length, a zero
+// delta (a duplicate item) or an item past 32 bits is an error
+// wrapping ErrBadBinary.
+func ReadTx(r io.ByteReader, tx []Item) ([]Item, error) {
+	tx = tx[:0]
+	l, err := binary.ReadUvarint(r)
+	if err == io.EOF {
+		return tx, err
+	}
+	if err != nil {
+		return tx, fmt.Errorf("%w: %v", ErrBadBinary, err)
+	}
+	if l > 1<<24 {
+		return tx, fmt.Errorf("%w: implausible transaction length %d", ErrBadBinary, l)
+	}
+	prev := int64(-1)
+	for i := uint64(0); i < l; i++ {
+		d, err := binary.ReadUvarint(r)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return tx, fmt.Errorf("%w: item %d: %v", ErrBadBinary, i, err)
+		}
+		if d == 0 {
+			return tx, fmt.Errorf("%w: zero delta (duplicate item)", ErrBadBinary)
+		}
+		if d > 1<<32 || prev+int64(d) > 1<<32-1 {
+			return tx, fmt.Errorf("%w: item exceeds 32 bits", ErrBadBinary)
+		}
+		prev += int64(d)
+		tx = append(tx, Item(prev))
+	}
+	return tx, nil
 }
 
 // ReadBinary parses a complete binary database into memory.
@@ -101,31 +140,21 @@ func scanBinary(r io.Reader, fn func(tx []Item) error) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadBinary, err)
 	}
+	return ScanTxs(br, numTx, fn)
+}
+
+// ScanTxs streams numTx transactions in AppendTx's encoding from r to
+// fn. A transaction ReadTx rejects, or one missing from the end of r,
+// is an error wrapping ErrBadBinary.
+func ScanTxs(r io.ByteReader, numTx uint64, fn func(tx []Item) error) error {
 	var tx []Item
 	for t := uint64(0); t < numTx; t++ {
-		l, err := binary.ReadUvarint(br)
+		var err error
+		if tx, err = ReadTx(r, tx); err == io.EOF {
+			err = fmt.Errorf("%w: %v", ErrBadBinary, io.ErrUnexpectedEOF)
+		}
 		if err != nil {
-			return fmt.Errorf("%w: transaction %d: %v", ErrBadBinary, t, err)
-		}
-		if l > 1<<24 {
-			return fmt.Errorf("%w: implausible transaction length %d", ErrBadBinary, l)
-		}
-		tx = tx[:0]
-		prev := int64(-1)
-		for i := uint64(0); i < l; i++ {
-			d, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fmt.Errorf("%w: transaction %d item %d: %v", ErrBadBinary, t, i, err)
-			}
-			if d == 0 {
-				return fmt.Errorf("%w: zero delta (duplicate item)", ErrBadBinary)
-			}
-			v := prev + int64(d)
-			if v > 1<<32-1 {
-				return fmt.Errorf("%w: item exceeds 32 bits", ErrBadBinary)
-			}
-			tx = append(tx, Item(v))
-			prev = v
+			return fmt.Errorf("transaction %d: %w", t, err)
 		}
 		if err := fn(tx); err != nil {
 			return err

@@ -2,6 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -85,6 +88,41 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	for cut := 0; cut < len(data); cut++ {
 		if _, err := ReadBinary(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+// TestReadTx pins the transaction codec the binary files, the Builder
+// spool and the pfp shards share: a round trip, io.EOF at a clean end,
+// and ErrBadBinary for each malformed transaction, including a delta
+// too large for int64 that would otherwise wrap into the 32-bit range.
+func TestReadTx(t *testing.T) {
+	enc := AppendTx(nil, []Item{0, 5, 1<<32 - 1})
+	r := bytes.NewReader(enc)
+	tx, err := ReadTx(r, nil)
+	if err != nil || !reflect.DeepEqual(tx, []Item{0, 5, 1<<32 - 1}) {
+		t.Fatalf("round trip = %v, %v", tx, err)
+	}
+	if _, err := ReadTx(r, tx); err != io.EOF {
+		t.Errorf("clean end = %v, want io.EOF", err)
+	}
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	for name, data := range map[string][]byte{
+		"truncated":       enc[:len(enc)-1],
+		"no items":        uv(2),
+		"zero delta":      uv(2, 1, 0),
+		"past 32 bits":    uv(1, 1<<32+1),
+		"wrapping delta":  uv(2, 5, 1<<63+10),
+		"implausible len": uv(1<<24 + 1),
+	} {
+		if _, err := ReadTx(bytes.NewReader(data), nil); !errors.Is(err, ErrBadBinary) {
+			t.Errorf("%s: err = %v, want ErrBadBinary", name, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -158,6 +159,26 @@ func TestFig7ShapesHold(t *testing.T) {
 	}
 }
 
+// TestFig8HonoursCtlBudget: Figure 8 under a Config.Ctl with a tiny
+// MaxBytes stops with ErrBudgetExceeded. CT-pro polls no Control, so
+// its run reaches the budget only through the cost model's tracker,
+// which charges the Control with every update.
+func TestFig8HonoursCtlBudget(t *testing.T) {
+	for _, algos := range [][]string{nil, {"ctpro"}} {
+		c := testConfig()
+		c.Ctl = &mine.Control{MaxBytes: 1024}
+		var err error
+		if algos == nil {
+			_, err = c.Fig8a()
+		} else {
+			_, err = c.runFig8("8(a)", "quest1", algos)
+		}
+		if !errors.Is(err, mine.ErrBudgetExceeded) {
+			t.Errorf("algorithms %v: err = %v, want ErrBudgetExceeded", algos, err)
+		}
+	}
+}
+
 func TestFig8ShapesHold(t *testing.T) {
 	cfg := testConfig()
 	res, err := cfg.Fig8a()
@@ -258,7 +279,7 @@ func TestBenchRecordBytesDeltaWired(t *testing.T) {
 	}
 	ctl := &mine.Control{}
 	rec := obs.New(nil)
-	g := core.Growth{Workers: 4, Track: &mine.BudgetTracker{Ctl: ctl}, Ctl: ctl, Rec: rec}
+	g := core.Growth{Workers: 4, Ctl: ctl, Rec: rec}
 	var sink mine.CountSink
 	if err := g.Mine(db, dataset.AbsoluteSupport(0.01, counts.NumTx), &sink); err != nil {
 		t.Fatal(err)

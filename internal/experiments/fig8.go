@@ -66,11 +66,7 @@ func (c Config) runFig8(panel, ds string, algos []string) (Fig8Result, error) {
 			if err := c.Ctl.Err(); err != nil {
 				return Fig8Result{}, err
 			}
-			var track vm.Tracker
-			var t mine.MemTracker = &track
-			if c.Ctl != nil {
-				t = &mine.BudgetTracker{Inner: t, Ctl: c.Ctl}
-			}
+			track := vm.Tracker{Ctl: c.Ctl}
 			var m mine.Miner
 			if name == "cfpgrowth" {
 				// Fig 8 reproduces the paper's memory claims, so
@@ -81,12 +77,12 @@ func (c Config) runFig8(panel, ds string, algos []string) (Fig8Result, error) {
 				// measured by the bench harness, not this figure.
 				m = core.Growth{
 					Config: core.Config{DisableFlatDecode: true},
-					Track:  t,
+					Track:  &track,
 					Ctl:    c.Ctl,
 				}
 			} else {
 				var err error
-				m, err = algo.New(name, t, c.Ctl)
+				m, err = algo.New(name, &track, c.Ctl)
 				if err != nil {
 					return Fig8Result{}, err
 				}

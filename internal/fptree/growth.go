@@ -12,7 +12,8 @@ import (
 // ternary FP-trees. It serves as the reference point that the paper's
 // CFP-growth improves upon.
 type Growth struct {
-	// Track observes modeled memory consumption; nil disables tracking.
+	// Track, when non-nil, is charged the modeled memory consumption
+	// instead of Ctl (mine.Ledger).
 	Track mine.MemTracker
 	// MaxLen, when positive, prunes the search at itemsets of that
 	// cardinality.
@@ -21,8 +22,8 @@ type Growth struct {
 	// recursion so a stopped run (cancellation, deadline, budget)
 	// aborts promptly with the stop cause.
 	Ctl *mine.Control
-	// Rec, when non-nil, records phase spans, itemset counts, and
-	// modeled-byte gauges, making baseline runs comparable to
+	// Rec, when non-nil, records phase spans and itemset counts, and
+	// its byte gauges read Ctl, making baseline runs comparable to
 	// CFP-growth runs in the same trace.
 	Rec *obs.Recorder
 }
@@ -35,6 +36,7 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 	if err := g.Ctl.Err(); err != nil {
 		return err
 	}
+	defer g.Rec.Bind(g.Ctl)()
 	sp := g.Rec.Start(obs.PhasePass1)
 	counts, err := dataset.CountItems(src)
 	sp.End()
@@ -66,16 +68,8 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 		return err
 	}
 	g.Rec.Add(obs.CtrLogicalNodes, int64(tree.NumNodes()))
-	track := g.Track
-	if g.Rec != nil {
-		if track == nil {
-			track = g.Rec
-		} else {
-			track = &mine.TeeTracker{A: track, B: g.Rec}
-		}
-	}
 	sp = g.Rec.Start(obs.PhaseMine)
-	err = mineTree(tree, minSupport, sink, track, 0, g.MaxLen, g.Ctl, g.Rec)
+	err = mineTree(tree, minSupport, sink, mine.Ledger(g.Track, g.Ctl), 0, g.MaxLen, g.Ctl, g.Rec)
 	sp.End()
 	return err
 }

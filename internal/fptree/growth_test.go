@@ -155,15 +155,15 @@ func TestGrowthSkewedData(t *testing.T) {
 }
 
 func TestGrowthMemTracking(t *testing.T) {
-	var tr mine.PeakTracker
+	var tr mine.Control
 	if err := (Growth{Track: &tr}).Mine(tinyDB, 2, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Peak <= 0 {
+	if tr.PeakBytes() <= 0 {
 		t.Error("tracker recorded no peak memory")
 	}
-	if tr.Cur != 0 {
-		t.Errorf("tracker imbalance: %d bytes still live", tr.Cur)
+	if tr.Bytes() != 0 {
+		t.Errorf("tracker imbalance: %d bytes still live", tr.Bytes())
 	}
 }
 

@@ -26,12 +26,14 @@ var ErrBudgetExceeded = errors.New("mine: resource budget exceeded")
 type Control struct {
 	// MaxBytes, when positive, is the modeled-memory budget: the run is
 	// stopped with ErrBudgetExceeded as soon as the charged footprint
-	// (see Charge/Probe) would exceed it. Set before the run starts.
+	// (see Alloc/Probe) would exceed it. Set before the run starts.
 	MaxBytes int64
 
 	stopped atomic.Bool  // fast-path flag; cause below is authoritative
 	bytes   atomic.Int64 // modeled bytes currently charged
 	peak    atomic.Int64 // high-water mark of bytes; monotone
+	updates atomic.Int64 // Alloc and Free calls
+	sum     atomic.Int64 // bytes after each update, summed (AvgBytes)
 	mu      sync.Mutex
 	cause   error
 }
@@ -45,8 +47,8 @@ func (c *Control) Bytes() int64 {
 }
 
 // PeakBytes returns the high-water mark of the byte ledger: the
-// largest footprint Charge ever recorded. It is monotone for the
-// Control's lifetime, also under concurrent Charge/Release, and is
+// largest footprint Alloc ever recorded. It is monotone for the
+// Control's lifetime, also under concurrent Alloc/Free, and is
 // maintained whether or not a MaxBytes budget is set — it is the
 // run-summary peak the paper's Figures 7(b)/7(d) plot.
 func (c *Control) PeakBytes() int64 {
@@ -54,6 +56,19 @@ func (c *Control) PeakBytes() int64 {
 		return 0
 	}
 	return c.peak.Load()
+}
+
+// AvgBytes returns the ledger's footprint averaged over its updates:
+// the mean of the charged bytes after each Alloc and Free, the run
+// average of Figure 7(d).
+func (c *Control) AvgBytes() int64 {
+	if c == nil {
+		return 0
+	}
+	if n := c.updates.Load(); n > 0 {
+		return c.sum.Load() / n
+	}
+	return 0
 }
 
 // Err returns the stop cause, or nil while the run may continue. The
@@ -89,15 +104,17 @@ func (c *Control) Stop(cause error) bool {
 	return true
 }
 
-// Charge adds n modeled bytes to the budget account, advances the
-// peak high-water mark, and stops the run with ErrBudgetExceeded when
-// the total passes MaxBytes (the stop only applies when a budget is
-// set; the ledger and peak are always maintained).
-func (c *Control) Charge(n int64) {
+// Alloc implements MemTracker: it adds n modeled bytes to the ledger,
+// advances the peak high-water mark, and stops the run with
+// ErrBudgetExceeded when the total passes MaxBytes (the stop only
+// applies when a budget is set; the ledger and peak are always
+// maintained).
+func (c *Control) Alloc(n int64) {
 	if c == nil {
 		return
 	}
 	cur := c.bytes.Add(n)
+	c.sample(cur)
 	for {
 		peak := c.peak.Load()
 		if cur <= peak || c.peak.CompareAndSwap(peak, cur) {
@@ -109,11 +126,17 @@ func (c *Control) Charge(n int64) {
 	}
 }
 
-// Release subtracts n previously charged bytes.
-func (c *Control) Release(n int64) {
+// Free implements MemTracker: it subtracts n previously charged bytes.
+func (c *Control) Free(n int64) {
 	if c != nil {
-		c.bytes.Add(-n)
+		c.sample(c.bytes.Add(-n))
 	}
+}
+
+// sample adds one update's resulting footprint to the average.
+func (c *Control) sample(cur int64) {
+	c.updates.Add(1)
+	c.sum.Add(cur)
 }
 
 // Probe stops the run if the charged footprint plus extra transient
@@ -156,31 +179,6 @@ func (c *Control) Watch(ctx context.Context) (release func()) {
 	return func() {
 		close(quit)
 		<-done
-	}
-}
-
-// BudgetTracker is a MemTracker that charges every allocation against
-// a Control's byte budget while forwarding to an optional inner
-// tracker. It is safe for concurrent use when Inner is (the Control
-// side is atomic).
-type BudgetTracker struct {
-	Inner MemTracker // may be nil
-	Ctl   *Control
-}
-
-// Alloc implements MemTracker.
-func (t *BudgetTracker) Alloc(n int64) {
-	t.Ctl.Charge(n)
-	if t.Inner != nil {
-		t.Inner.Alloc(n)
-	}
-}
-
-// Free implements MemTracker.
-func (t *BudgetTracker) Free(n int64) {
-	t.Ctl.Release(n)
-	if t.Inner != nil {
-		t.Inner.Free(n)
 	}
 }
 

@@ -16,8 +16,8 @@ func TestControlNilSafe(t *testing.T) {
 	if c.Stop(errors.New("x")) {
 		t.Error("nil control accepted Stop")
 	}
-	c.Charge(100)
-	c.Release(100)
+	c.Alloc(100)
+	c.Free(100)
 	c.Probe(1 << 40)
 	release := c.Watch(context.Background())
 	release()
@@ -68,13 +68,13 @@ func TestControlConcurrentStopOneWinner(t *testing.T) {
 
 func TestControlBudget(t *testing.T) {
 	c := Control{MaxBytes: 1000}
-	c.Charge(600)
-	c.Release(200)
-	c.Charge(500) // 900 total: still inside
+	c.Alloc(600)
+	c.Free(200)
+	c.Alloc(500) // 900 total: still inside
 	if c.Err() != nil {
 		t.Fatalf("stopped inside budget: %v", c.Err())
 	}
-	c.Charge(200) // 1100: over
+	c.Alloc(200) // 1100: over
 	if err := c.Err(); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("Err() = %v, want ErrBudgetExceeded", err)
 	}
@@ -82,7 +82,7 @@ func TestControlBudget(t *testing.T) {
 
 func TestControlProbe(t *testing.T) {
 	c := Control{MaxBytes: 1000}
-	c.Charge(400)
+	c.Alloc(400)
 	c.Probe(500) // 900: fine, and not charged
 	if c.Err() != nil {
 		t.Fatalf("Probe inside budget stopped the run: %v", c.Err())
@@ -95,7 +95,7 @@ func TestControlProbe(t *testing.T) {
 
 func TestControlNoBudgetNeverStops(t *testing.T) {
 	var c Control // MaxBytes 0 = unlimited
-	c.Charge(1 << 50)
+	c.Alloc(1 << 50)
 	c.Probe(1 << 50)
 	if c.Err() != nil {
 		t.Errorf("unlimited control stopped: %v", c.Err())
@@ -144,25 +144,6 @@ func TestWatchReleaseStopsWatcher(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if c.Err() != nil {
 		t.Errorf("canceled after release still stopped the control: %v", c.Err())
-	}
-}
-
-func TestBudgetTracker(t *testing.T) {
-	c := Control{MaxBytes: 100}
-	var peak PeakTracker
-	tr := BudgetTracker{Inner: &peak, Ctl: &c}
-	tr.Alloc(60)
-	tr.Free(20)
-	tr.Alloc(50) // 90: inside
-	if c.Err() != nil {
-		t.Fatalf("stopped inside budget: %v", c.Err())
-	}
-	if peak.Cur != 90 {
-		t.Errorf("inner tracker Cur = %d, want 90", peak.Cur)
-	}
-	tr.Alloc(20) // 110: over
-	if !errors.Is(c.Err(), ErrBudgetExceeded) {
-		t.Fatalf("Err() = %v, want ErrBudgetExceeded", c.Err())
 	}
 }
 

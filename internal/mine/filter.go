@@ -147,24 +147,3 @@ func (s *SyncSink) Emit(items []uint32, support uint64) error {
 	defer s.mu.Unlock()
 	return s.Inner.Emit(items, support)
 }
-
-// SyncTracker serializes concurrent MemTracker calls; Peak then
-// reflects the combined footprint of all workers.
-type SyncTracker struct {
-	mu    sync.Mutex
-	Inner MemTracker
-}
-
-// Alloc implements MemTracker.
-func (t *SyncTracker) Alloc(n int64) {
-	t.mu.Lock()
-	t.Inner.Alloc(n)
-	t.mu.Unlock()
-}
-
-// Free implements MemTracker.
-func (t *SyncTracker) Free(n int64) {
-	t.mu.Lock()
-	t.Inner.Free(n)
-	t.mu.Unlock()
-}

@@ -174,24 +174,3 @@ func TestSyncSink(t *testing.T) {
 		t.Errorf("N = %d, want 800", inner.N)
 	}
 }
-
-func TestSyncTracker(t *testing.T) {
-	inner := &PeakTracker{}
-	tr := &SyncTracker{Inner: inner}
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func() {
-			for i := 0; i < 100; i++ {
-				tr.Alloc(10)
-				tr.Free(10)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	if inner.Cur != 0 {
-		t.Errorf("Cur = %d, want 0", inner.Cur)
-	}
-}

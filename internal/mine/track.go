@@ -11,6 +11,9 @@ package mine
 // counts for CFP structures), not Go heap sizes; this keeps the
 // reproduction comparable to the paper's measurements and independent
 // of Go runtime overhead.
+//
+// A run's one byte ledger is its *Control; a miner charges a tracker
+// of its own only when its caller supplies one (Ledger).
 type MemTracker interface {
 	// Alloc records that n bytes of structure memory came into use.
 	Alloc(n int64)
@@ -27,59 +30,16 @@ func (NullTracker) Alloc(int64) {}
 // Free implements MemTracker.
 func (NullTracker) Free(int64) {}
 
-// TeeTracker forwards every observation to two trackers, in order.
-// It lets a run feed both its budget/peak accounting and an
-// observability recorder from one allocation stream. Concurrency
-// safety is that of the slower branch: wrap a non-atomic branch in a
-// SyncTracker before teeing when workers share it.
-type TeeTracker struct {
-	A, B MemTracker
-}
-
-// Alloc implements MemTracker.
-func (t *TeeTracker) Alloc(n int64) {
-	t.A.Alloc(n)
-	t.B.Alloc(n)
-}
-
-// Free implements MemTracker.
-func (t *TeeTracker) Free(n int64) {
-	t.A.Free(n)
-	t.B.Free(n)
-}
-
-// PeakTracker records current, peak, and a time-averaged (per
-// observation) footprint.
-type PeakTracker struct {
-	Cur, Peak int64
-	samples   int64
-	sum       int64
-}
-
-// Alloc implements MemTracker.
-func (t *PeakTracker) Alloc(n int64) {
-	t.Cur += n
-	if t.Cur > t.Peak {
-		t.Peak = t.Cur
+// Ledger returns the tracker a miner charges: track when the caller set
+// one (a cost model such as vm.Tracker), otherwise the run's Control,
+// whose ledger is then the run's one byte count. With neither, nothing
+// is counted.
+func Ledger(track MemTracker, ctl *Control) MemTracker {
+	switch {
+	case track != nil:
+		return track
+	case ctl != nil:
+		return ctl
 	}
-	t.sample()
-}
-
-// Free implements MemTracker.
-func (t *PeakTracker) Free(n int64) {
-	t.Cur -= n
-	t.sample()
-}
-
-func (t *PeakTracker) sample() {
-	t.samples++
-	t.sum += t.Cur
-}
-
-// Avg returns the average footprint across observations.
-func (t *PeakTracker) Avg() int64 {
-	if t.samples == 0 {
-		return 0
-	}
-	return t.sum / t.samples
+	return NullTracker{}
 }

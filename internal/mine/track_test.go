@@ -5,42 +5,26 @@ import (
 	"testing"
 )
 
-func TestTeeTracker(t *testing.T) {
-	var a, b PeakTracker
-	tee := &TeeTracker{A: &a, B: &b}
-	tee.Alloc(100)
-	tee.Alloc(50)
-	tee.Free(100)
-	for name, p := range map[string]*PeakTracker{"A": &a, "B": &b} {
-		if p.Cur != 50 {
-			t.Errorf("%s.Cur = %d, want 50", name, p.Cur)
-		}
-		if p.Peak != 150 {
-			t.Errorf("%s.Peak = %d, want 150", name, p.Peak)
-		}
-	}
-}
-
-// TestControlPeakBytes checks the Charge/Release ledger's high-water
+// TestControlPeakBytes checks the Alloc/Free ledger's high-water
 // mark: it follows the maximum, not the balance, and never decreases.
 func TestControlPeakBytes(t *testing.T) {
 	var c Control
 	if c.PeakBytes() != 0 {
 		t.Errorf("initial peak = %d, want 0", c.PeakBytes())
 	}
-	c.Charge(100)
-	c.Charge(200)
+	c.Alloc(100)
+	c.Alloc(200)
 	if got := c.PeakBytes(); got != 300 {
 		t.Errorf("peak = %d, want 300", got)
 	}
-	c.Release(250)
+	c.Free(250)
 	if got := c.Bytes(); got != 50 {
 		t.Errorf("balance = %d, want 50", got)
 	}
 	if got := c.PeakBytes(); got != 300 {
 		t.Errorf("peak after release = %d, want 300 (monotone)", got)
 	}
-	c.Charge(100) // balance 150, still below peak
+	c.Alloc(100) // balance 150, still below peak
 	if got := c.PeakBytes(); got != 300 {
 		t.Errorf("peak after sub-peak charge = %d, want 300", got)
 	}
@@ -50,15 +34,15 @@ func TestControlPeakBytes(t *testing.T) {
 // other Control method.
 func TestControlPeakBytesNil(t *testing.T) {
 	var c *Control
-	c.Charge(10)
-	c.Release(10)
+	c.Alloc(10)
+	c.Free(10)
 	if c.Bytes() != 0 || c.PeakBytes() != 0 {
 		t.Errorf("nil ledger = %d/%d, want 0/0", c.Bytes(), c.PeakBytes())
 	}
 }
 
 // TestControlPeakMonotoneConcurrent is the satellite-task proof: under
-// parallel Charge/Release the peak observed by any goroutine never
+// parallel Alloc/Free the peak observed by any goroutine never
 // regresses, and the final peak is bounded by the maximum possible
 // simultaneous footprint.
 func TestControlPeakMonotoneConcurrent(t *testing.T) {
@@ -71,14 +55,14 @@ func TestControlPeakMonotoneConcurrent(t *testing.T) {
 			defer wg.Done()
 			prev := int64(0)
 			for i := 0; i < rounds; i++ {
-				c.Charge(chunk)
+				c.Alloc(chunk)
 				p := c.PeakBytes()
 				if p < prev {
 					t.Errorf("peak regressed: %d after %d", p, prev)
 					return
 				}
 				prev = p
-				c.Release(chunk)
+				c.Free(chunk)
 			}
 		}()
 	}
@@ -92,26 +76,33 @@ func TestControlPeakMonotoneConcurrent(t *testing.T) {
 	}
 }
 
-// TestBudgetTrackerFeedsPeak: allocations routed through a
-// BudgetTracker maintain the control's peak even without a MaxBytes
-// budget set.
-func TestBudgetTrackerFeedsPeak(t *testing.T) {
+// TestControlAvgBytes: the ledger's average is the mean footprint
+// after each update, the same figure with or without a MaxBytes
+// budget, and a Control used as a MemTracker maintains its peak and
+// balance without one.
+func TestControlAvgBytes(t *testing.T) {
 	var c Control
-	var inner PeakTracker
-	bt := &BudgetTracker{Inner: &inner, Ctl: &c}
-	bt.Alloc(1000)
-	bt.Free(400)
-	bt.Alloc(100)
+	var track MemTracker = &c
+	if c.AvgBytes() != 0 {
+		t.Errorf("initial average = %d, want 0", c.AvgBytes())
+	}
+	track.Alloc(1000) // 1000
+	track.Free(400)   // 600
+	track.Alloc(100)  // 700
 	if got := c.PeakBytes(); got != 1000 {
-		t.Errorf("control peak = %d, want 1000", got)
+		t.Errorf("peak = %d, want 1000", got)
 	}
-	if inner.Peak != 1000 {
-		t.Errorf("inner peak = %d, want 1000", inner.Peak)
+	if got := c.Bytes(); got != 700 {
+		t.Errorf("balance = %d, want 700", got)
 	}
-	if c.Bytes() != 700 || inner.Cur != 700 {
-		t.Errorf("balances = %d/%d, want 700/700", c.Bytes(), inner.Cur)
+	if got := c.AvgBytes(); got != (1000+600+700)/3 {
+		t.Errorf("average = %d, want %d", got, (1000+600+700)/3)
 	}
 	if c.Err() != nil {
 		t.Errorf("no budget set, but control stopped: %v", c.Err())
+	}
+	var nilCtl *Control
+	if nilCtl.AvgBytes() != 0 {
+		t.Error("nil control reports an average")
 	}
 }

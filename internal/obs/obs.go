@@ -9,8 +9,9 @@
 // convention as mine.Control: every method tolerates a nil *Recorder,
 // so instrumented code never branches on "is observability on" — a
 // disabled run pays exactly one nil check per instrumentation site.
-// Counters and gauges are atomic; a single Recorder may be shared by
-// all workers of a parallel run.
+// Counters are atomic; a single Recorder may be shared by all workers
+// of a parallel run. The byte gauges are not counted here: they read the
+// byte ledger of the run the recorder observes (Bind).
 package obs
 
 import (
@@ -91,16 +92,26 @@ type PhaseStat struct {
 // Millis returns the phase's total wall time in milliseconds.
 func (p PhaseStat) Millis() float64 { return float64(p.Nanos) / 1e6 }
 
+// Ledger is the byte ledger of one run: the modeled bytes charged now
+// and the most ever charged at once. *mine.Control is one.
+type Ledger interface {
+	Bytes() int64
+	PeakBytes() int64
+}
+
 // Recorder collects one run's observability state. The zero value is
 // ready to use; New additionally stamps the start time used for event
 // timestamps. All methods are safe for concurrent use and tolerate a
 // nil receiver (every operation becomes a no-op).
+//
+// A recorder observes one run at a time. Its byte gauges (CurBytes,
+// PeakBytes, span byte deltas, and every exporter) read the Ledger of
+// that run, bound with Bind; between runs they read what the runs
+// observed so far left behind.
 type Recorder struct {
-	counters  [numCounters]atomic.Int64
-	hists     [numHists]Histogram
-	curBytes  atomic.Int64
-	peakBytes atomic.Int64
-	maxDepth  atomic.Int64
+	counters [numCounters]atomic.Int64
+	hists    [numHists]Histogram
+	maxDepth atomic.Int64
 
 	// Runtime gauges, fed by the Sampler (sample.go).
 	heapBytes    atomic.Int64
@@ -115,6 +126,9 @@ type Recorder struct {
 	trace   atomic.Pointer[Trace]
 
 	mu      sync.Mutex
+	ledger  Ledger // the observed run's, nil between runs
+	curBase int64  // bytes the ended runs left charged
+	peak    int64  // highest peak of the ended runs, over curBase
 	phases  map[string]PhaseStat
 	shards  []ShardStat
 	workers []WorkerStat
@@ -145,27 +159,41 @@ func (r *Recorder) Count(c Counter) int64 {
 	return r.counters[c].Load()
 }
 
-// Alloc records n modeled bytes coming into use and advances the
-// high-water mark. Together with Free it makes *Recorder a
-// mine.MemTracker, so it can be teed into any miner's tracker chain.
-func (r *Recorder) Alloc(n int64) {
-	if r == nil {
-		return
+// Bind makes l the byte ledger of the run r observes, until the
+// returned end function runs. End folds the run's peak and balance into
+// the retained gauges, so runs observed one after another accumulate as
+// one allocation stream would. A recorder that is already bound keeps
+// its run: the nested Bind returns a no-op, so the entry point that
+// binds first owns the run.
+func (r *Recorder) Bind(l Ledger) (end func()) {
+	if r == nil || l == nil {
+		return func() {}
 	}
-	cur := r.curBytes.Add(n)
-	for {
-		peak := r.peakBytes.Load()
-		if cur <= peak || r.peakBytes.CompareAndSwap(peak, cur) {
-			return
-		}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.ledger != nil {
+		return func() {}
+	}
+	r.ledger = l
+	return func() {
+		r.mu.Lock()
+		r.peak = max(r.peak, r.curBase+l.PeakBytes())
+		r.curBase += l.Bytes()
+		r.ledger = nil
+		r.mu.Unlock()
 	}
 }
 
-// Free records n modeled bytes released.
-func (r *Recorder) Free(n int64) {
-	if r != nil {
-		r.curBytes.Add(-n)
+// gauges returns the current and peak modeled bytes.
+func (r *Recorder) gauges() (cur, peak int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cur, peak = r.curBase, r.peak
+	if l := r.ledger; l != nil {
+		cur += l.Bytes()
+		peak = max(peak, r.curBase+l.PeakBytes())
 	}
+	return cur, peak
 }
 
 // CurBytes returns the current modeled-byte gauge.
@@ -173,7 +201,8 @@ func (r *Recorder) CurBytes() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.curBytes.Load()
+	cur, _ := r.gauges()
+	return cur
 }
 
 // PeakBytes returns the modeled-byte high-water mark.
@@ -181,7 +210,8 @@ func (r *Recorder) PeakBytes() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.peakBytes.Load()
+	_, peak := r.gauges()
+	return peak
 }
 
 // ObserveDepth records a conditional-recursion depth; the maximum is
@@ -329,7 +359,7 @@ func (r *Recorder) Start(name string) Span {
 	if r == nil {
 		return Span{}
 	}
-	sp := Span{rec: r, name: name, t0: time.Now(), bytes0: r.curBytes.Load()}
+	sp := Span{rec: r, name: name, t0: time.Now(), bytes0: r.CurBytes()}
 	if r.trace.Load() != nil {
 		sp.id = r.spanSeq.Add(1)
 	}
@@ -353,7 +383,7 @@ func (r *Recorder) StartChild(parent Span, name string) Span {
 		rec:    r,
 		name:   name,
 		t0:     time.Now(),
-		bytes0: r.curBytes.Load(),
+		bytes0: r.CurBytes(),
 		id:     r.spanSeq.Add(1),
 		parent: parent.id,
 		worker: parent.worker,
@@ -405,7 +435,8 @@ func (sp Span) End() {
 		return
 	}
 	dur := time.Since(sp.t0)
-	delta := r.curBytes.Load() - sp.bytes0
+	cur, peak := r.gauges()
+	delta := cur - sp.bytes0
 	if sp.id != 0 {
 		if t := r.trace.Load(); t != nil {
 			t.record(sp.worker, TraceEvent{
@@ -445,16 +476,15 @@ func (sp Span) End() {
 			Name:         sp.name,
 			DurNanos:     int64(dur),
 			BytesDelta:   delta,
-			CurBytes:     r.curBytes.Load(),
-			PeakBytes:    r.peakBytes.Load(),
+			CurBytes:     cur,
+			PeakBytes:    peak,
 		})
 	}
 }
 
 // Merge folds src's counters, phase aggregates, and maximum observed
-// depth into r. Byte gauges are not merged: they are point-in-time
-// views of an allocation stream, not deltas, and parallel runs feed
-// one shared recorder's gauges directly. Sharded miners give each
+// depth into r. Byte gauges are not merged: they read the ledger of
+// the run, which every worker charges directly. Sharded miners give each
 // shard a private Recorder for counter attribution and fold them into
 // the run recorder in shard order when the pool has drained, so the
 // merged totals are independent of worker scheduling. Merge tolerates
@@ -583,9 +613,10 @@ func (r *Recorder) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
+	cur, peak := r.gauges()
 	s := Snapshot{
-		CurBytes:  r.curBytes.Load(),
-		PeakBytes: r.peakBytes.Load(),
+		CurBytes:  cur,
+		PeakBytes: peak,
 		MaxDepth:  r.maxDepth.Load(),
 		Counters:  make(map[string]int64, numCounters),
 		Phases:    r.Phases(),

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cfpgrowth/internal/mine"
 )
 
 // TestNilRecorder exercises every method on a nil receiver: the whole
@@ -21,8 +23,10 @@ func TestNilRecorder(t *testing.T) {
 	if got := r.Count(CtrItemsets); got != 0 {
 		t.Errorf("nil Count = %d, want 0", got)
 	}
-	r.Alloc(100)
-	r.Free(50)
+	ctl := &mine.Control{}
+	defer r.Bind(ctl)()
+	ctl.Alloc(100)
+	ctl.Free(50)
 	if r.CurBytes() != 0 || r.PeakBytes() != 0 {
 		t.Errorf("nil gauges = %d/%d, want 0/0", r.CurBytes(), r.PeakBytes())
 	}
@@ -55,18 +59,44 @@ func TestCountersAndGauges(t *testing.T) {
 	if got := r.Count(Counter(-1)); got != 0 {
 		t.Errorf("Count(-1) = %d, want 0", got)
 	}
-	r.Alloc(100)
-	r.Alloc(200)
-	r.Free(150)
+	var ctl mine.Control
+	end := r.Bind(&ctl)
+	ctl.Alloc(100)
+	ctl.Alloc(200)
+	ctl.Free(150)
 	if got := r.CurBytes(); got != 150 {
 		t.Errorf("CurBytes = %d, want 150", got)
 	}
 	if got := r.PeakBytes(); got != 300 {
 		t.Errorf("PeakBytes = %d, want 300", got)
 	}
-	r.Alloc(50) // cur 200, below peak
+	ctl.Alloc(50) // cur 200, below peak
 	if got := r.PeakBytes(); got != 300 {
 		t.Errorf("PeakBytes after sub-peak alloc = %d, want 300", got)
+	}
+	// A nested Bind leaves the run's ledger in place.
+	r.Bind(&mine.Control{})()
+	if got := r.CurBytes(); got != 200 {
+		t.Errorf("CurBytes after a nested Bind = %d, want the run's 200", got)
+	}
+	ctl.Free(200)
+	end()
+	if got := r.CurBytes(); got != 0 {
+		t.Errorf("CurBytes after the run = %d, want 0", got)
+	}
+	// The next run's gauges accumulate over the first's: the peak is
+	// the larger of the two.
+	var next mine.Control
+	end = r.Bind(&next)
+	next.Alloc(250)
+	if got := r.PeakBytes(); got != 300 {
+		t.Errorf("PeakBytes in a smaller second run = %d, want 300", got)
+	}
+	next.Alloc(250)
+	next.Free(500)
+	end()
+	if got := r.PeakBytes(); got != 500 {
+		t.Errorf("PeakBytes after a larger second run = %d, want 500", got)
 	}
 	r.ObserveDepth(3)
 	r.ObserveDepth(1)
@@ -80,6 +110,8 @@ func TestCountersAndGauges(t *testing.T) {
 // at most B bytes live, the peak never exceeds G*B and is at least B.
 func TestPeakMonotoneConcurrent(t *testing.T) {
 	r := New(nil)
+	var ctl mine.Control
+	defer r.Bind(&ctl)()
 	const goroutines, rounds, chunk = 8, 500, 1 << 10
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -88,14 +120,14 @@ func TestPeakMonotoneConcurrent(t *testing.T) {
 			defer wg.Done()
 			prev := int64(0)
 			for i := 0; i < rounds; i++ {
-				r.Alloc(chunk)
+				ctl.Alloc(chunk)
 				if p := r.PeakBytes(); p < prev {
 					t.Errorf("peak regressed: %d after %d", p, prev)
 					return
 				} else {
 					prev = p
 				}
-				r.Free(chunk)
+				ctl.Free(chunk)
 			}
 		}()
 	}
@@ -111,9 +143,11 @@ func TestPeakMonotoneConcurrent(t *testing.T) {
 
 func TestSpansAggregate(t *testing.T) {
 	r := New(nil)
+	var ctl mine.Control
+	defer r.Bind(&ctl)()
 	for i := 0; i < 3; i++ {
 		sp := r.Start(PhaseMine)
-		r.Alloc(10)
+		ctl.Alloc(10)
 		sp.End()
 	}
 	ph := r.Phases()
@@ -192,7 +226,9 @@ func TestCollectSink(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	r := New(nil)
 	r.Add(CtrTriples, 7)
-	r.Alloc(64)
+	var ctl mine.Control
+	defer r.Bind(&ctl)()
+	ctl.Alloc(64)
 	r.ObserveDepth(2)
 	sp := r.Start(PhaseBuild)
 	sp.End()

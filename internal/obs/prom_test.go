@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cfpgrowth/internal/mine"
 )
 
 // TestWritePrometheus drives a populated recorder through the text
@@ -15,7 +17,9 @@ import (
 func TestWritePrometheus(t *testing.T) {
 	rec := New(nil)
 	rec.Add(CtrItemsets, 7)
-	rec.Alloc(1000)
+	var ctl mine.Control
+	defer rec.Bind(&ctl)()
+	ctl.Alloc(1000)
 	sp := rec.Start(PhaseMine)
 	sp.End()
 	rec.Histogram(HistCondMine).Record(3 * time.Microsecond)

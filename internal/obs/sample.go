@@ -79,11 +79,12 @@ func (r *Recorder) sample() {
 	sink := r.sink
 	r.mu.Unlock()
 	if sink != nil {
+		cur, peak := r.gauges()
 		sink.Record(Event{
 			TimeUnixNano: time.Now().UnixNano(),
 			Ev:           "sample",
-			CurBytes:     r.curBytes.Load(),
-			PeakBytes:    r.peakBytes.Load(),
+			CurBytes:     cur,
+			PeakBytes:    peak,
 			HeapBytes:    ms.HeapAlloc,
 			Goroutines:   runtime.NumGoroutine(),
 			NumGC:        ms.NumGC,

@@ -6,16 +6,21 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cfpgrowth/internal/mine"
 )
 
 // TestRecorderStress hammers one Recorder's counters, byte gauges
-// (including the peak CAS loop), depth maximum, spans, and snapshot
-// reads from GOMAXPROCS goroutines at once. It asserts the exact
+// (read from the bound run's ledger, whose peak CAS loop races),
+// depth maximum, spans, and snapshot reads from GOMAXPROCS goroutines
+// at once. It asserts the exact
 // final values — the atomics must not lose updates — and under
 // `go test -race` (the make check configuration) it doubles as the
 // proof that the hot recorder paths are free of plain-field races.
 func TestRecorderStress(t *testing.T) {
 	rec := New(nil)
+	var ctl mine.Control
+	defer rec.Bind(&ctl)()
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4
@@ -34,11 +39,11 @@ func TestRecorderStress(t *testing.T) {
 				// Balanced alloc/free pairs: cur returns to 0, while
 				// the racing peak CAS must observe at least one
 				// worker's live allocation.
-				rec.Alloc(64)
+				ctl.Alloc(64)
 				rec.ObserveDepth(w*iters + i)
 				sp := rec.Start(PhaseMine)
 				sp.End()
-				rec.Free(64)
+				ctl.Free(64)
 				if i%256 == 0 {
 					// Concurrent readers must not perturb the counts.
 					_ = rec.Snapshot()
@@ -78,6 +83,8 @@ func TestRecorderStress(t *testing.T) {
 // every access atomic, and 64-bit aligned on 32-bit platforms.
 func TestRecorderGaugesReadConcurrently(t *testing.T) {
 	rec := New(nil)
+	var ctl mine.Control
+	defer rec.Bind(&ctl)()
 	const iters = 1000
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -86,8 +93,8 @@ func TestRecorderGaugesReadConcurrently(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				rec.ObserveDepth(w*iters + i)
-				rec.Alloc(8)
-				rec.Free(8)
+				ctl.Alloc(8)
+				ctl.Free(8)
 				rec.Add(CtrItemsets, 1)
 			}
 		}(w)

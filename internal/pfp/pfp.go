@@ -18,7 +18,6 @@ package pfp
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -28,7 +27,6 @@ import (
 	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/core"
 	"cfpgrowth/internal/dataset"
-	"cfpgrowth/internal/encoding"
 	"cfpgrowth/internal/mine"
 	"cfpgrowth/internal/obs"
 )
@@ -44,15 +42,17 @@ type Miner struct {
 	TempDir string
 	// Config tunes the per-shard CFP-trees.
 	Config core.Config
-	// Track observes modeled memory (synchronized internally).
+	// Track, when non-nil, is charged the modeled memory instead of Ctl
+	// (mine.Ledger); under Workers > 1 it must be safe for concurrent
+	// use.
 	Track mine.MemTracker
-	// Ctl, when non-nil, is the run's cancellation/budget point; a
-	// private one is used otherwise so first-error propagation between
-	// workers never depends on the caller wiring one up.
+	// Ctl, when non-nil, is the run's cancellation/budget point and byte
+	// ledger; a private one is used otherwise so first-error propagation
+	// between workers never depends on the caller wiring one up.
 	Ctl *mine.Control
 	// Rec, when non-nil, records phase spans (the shard pass appears
-	// as "shard") and per-shard structure counters; shared by all
-	// workers.
+	// as "shard") and per-shard structure counters, shared by all
+	// workers; its byte gauges read the run's ledger.
 	Rec *obs.Recorder
 }
 
@@ -71,6 +71,7 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	if err := ctl.Err(); err != nil {
 		return err
 	}
+	defer m.Rec.Bind(ctl)()
 	if m.Rec != nil {
 		// One sample per Mine call into the per-query latency histogram
 		// (time.Now() binds at the defer, covering every return path).
@@ -132,14 +133,7 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	// space, convert, and mine only the group's ranks.
 	itemName, itemCount := rec.Frequent()
 	workers := min(max(m.Workers, 1), groups)
-	// The run's one byte ledger: the caller's tracker teed with the
-	// recorder, behind a mutex when several workers share the caller's
-	// tracker, so that both see one allocation order and their
-	// high-water marks agree.
-	track := core.ObservedTracker(m.Track, m.Rec)
-	if workers > 1 && m.Track != nil {
-		track = &mine.SyncTracker{Inner: track}
-	}
+	track := mine.Ledger(m.Track, ctl)
 	// ControlSink inside SyncSink: the stopped check and the emission
 	// are atomic under the sink mutex, so nothing is emitted after the
 	// first failure even with several workers in flight.
@@ -161,8 +155,8 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	}
 	// One private recorder per group, folded into the run's in group
 	// order once the pool has drained: a group's counters do not
-	// depend on the worker that mined it, and the ledger, which already
-	// feeds the run's recorder, is not teed into it a second time.
+	// depend on the worker that mined it. It is bound to no ledger: the
+	// run's recorder reads the run's.
 	var groupRecs []*obs.Recorder
 	var pool *mine.ShardMetrics
 	if m.Rec != nil {
@@ -196,7 +190,8 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 }
 
 // mineShard reads one shard file, builds its CFP-tree in a, charged to
-// g's ledger, and mines the group's ranks with g's array mine.
+// g's ledger, and mines the group's ranks with g's array mine, whose
+// conditional trees reuse a.
 func (m Miner) mineShard(path string, group, groups, numItems int, itemName []uint32, itemCount []uint64, minSup uint64, sink mine.Sink, g core.Growth, a *arena.Arena) error {
 	a.Reset()
 	tree := core.NewTree(a, m.Config, itemName, itemCount)
@@ -215,20 +210,15 @@ func (m Miner) mineShard(path string, group, groups, numItems int, itemName []ui
 	}
 	core.FoldTreeCounters(g.Rec, tree)
 	g.Track.Alloc(tree.Extent())
-	// The shard's conversion runs inside the pool's mine span, so it
-	// takes no convert span of its own: g without its recorder.
-	arr, err := core.Growth{Track: g.Track, Ctl: g.Ctl}.Convert(tree)
-	if err != nil {
-		return err
-	}
-	defer g.Track.Free(arr.Bytes())
 	var ranks []uint32
 	for rk := numItems - 1; rk >= 0; rk-- {
 		if rk%groups == group {
 			ranks = append(ranks, uint32(rk))
 		}
 	}
-	return g.MineArray(arr, minSup, ranks, sink)
+	// The shard's conversion runs inside the pool's mine span, so it
+	// takes no convert span of its own.
+	return g.MineTree(tree, minSup, ranks, sink)
 }
 
 // scanShards runs the sharding pass: for each transaction and each
@@ -269,12 +259,13 @@ func scanShards(src dataset.Source, rec *dataset.Recoder, shards []*shardWriter,
 	})
 }
 
-// shardWriter spills rank-space transactions: per transaction a varint
-// length followed by varint deltas of the ascending ranks.
+// shardWriter spills rank-space transactions in the binary transaction
+// encoding (dataset.AppendTx) of their ascending ranks.
 type shardWriter struct {
 	path string
 	f    *os.File
 	bw   *bufio.Writer
+	buf  []byte
 }
 
 func newShardWriter(path string) (*shardWriter, error) {
@@ -286,20 +277,9 @@ func newShardWriter(path string) (*shardWriter, error) {
 }
 
 func (s *shardWriter) write(ranks []uint32) error {
-	var scratch [encoding.MaxVarintLen64]byte
-	n := encoding.PutUvarint(scratch[:], uint64(len(ranks)))
-	if _, err := s.bw.Write(scratch[:n]); err != nil {
-		return err
-	}
-	prev := int64(-1)
-	for _, rk := range ranks {
-		n := encoding.PutUvarint(scratch[:], uint64(int64(rk)-prev))
-		if _, err := s.bw.Write(scratch[:n]); err != nil {
-			return err
-		}
-		prev = int64(rk)
-	}
-	return nil
+	s.buf = dataset.AppendTx(s.buf[:0], ranks)
+	_, err := s.bw.Write(s.buf)
+	return err
 }
 
 func (s *shardWriter) flush() error {
@@ -323,22 +303,11 @@ func scanShard(path string, fn func(tx []uint32) error) error {
 	br := bufio.NewReaderSize(f, 1<<16)
 	var tx []uint32
 	for {
-		l, err := binary.ReadUvarint(br)
-		if err == io.EOF {
+		if tx, err = dataset.ReadTx(br, tx); err == io.EOF {
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("pfp: corrupt shard %s: %v", path, err)
-		}
-		tx = tx[:0]
-		prev := int64(-1)
-		for i := uint64(0); i < l; i++ {
-			d, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fmt.Errorf("pfp: corrupt shard %s: %v", path, err)
-			}
-			prev += int64(d)
-			tx = append(tx, uint32(prev))
+			return fmt.Errorf("pfp: corrupt shard %s: %w", path, err)
 		}
 		if err := fn(tx); err != nil {
 			return err

@@ -104,17 +104,17 @@ func TestPFPMemoryBelowSerialPeak(t *testing.T) {
 		}
 		db[i] = tx
 	}
-	var serial, sharded mine.PeakTracker
-	if err := (core.Growth{Track: &serial}).Mine(db, 8, &mine.CountSink{}); err != nil {
+	var serial, sharded mine.Control
+	if err := (core.Growth{Ctl: &serial}).Mine(db, 8, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Miner{Groups: 16, Workers: 1, Track: &sharded, TempDir: t.TempDir()}).Mine(db, 8, &mine.CountSink{}); err != nil {
+	if err := (Miner{Groups: 16, Workers: 1, Ctl: &sharded, TempDir: t.TempDir()}).Mine(db, 8, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
-	if sharded.Peak >= serial.Peak {
-		t.Errorf("sharded peak %d not below serial peak %d", sharded.Peak, serial.Peak)
+	if sharded.PeakBytes() >= serial.PeakBytes() {
+		t.Errorf("sharded peak %d not below serial peak %d", sharded.PeakBytes(), serial.PeakBytes())
 	}
-	t.Logf("serial peak %d B, 16-shard peak %d B", serial.Peak, sharded.Peak)
+	t.Logf("serial peak %d B, 16-shard peak %d B", serial.PeakBytes(), sharded.PeakBytes())
 }
 
 func readDirNames(dir string) ([]string, error) {
@@ -126,28 +126,28 @@ func readDirNames(dir string) ([]string, error) {
 	return f.Readdirnames(-1)
 }
 
-// TestPFPPeakMatchesControl: the recorder, the control's budget ledger
-// and the caller's tracker see one allocation stream, so all three
-// report the same peak, serially and with a worker pool. Teeing the
-// recorder in twice would double its mine-phase bytes.
+// TestPFPPeakMatchesControl: the recorder reads the control's budget
+// ledger, which every worker charges, so both report the same peak,
+// serially and with a worker pool, and nothing stays charged.
 func TestPFPPeakMatchesControl(t *testing.T) {
 	db := quest.Generate(quest.Quest1(8000))
 	minSup := dataset.AbsoluteSupport(0.01, uint64(len(db)))
 	for _, workers := range []int{1, 2} {
 		rec := obs.New(nil)
 		ctl := &mine.Control{}
-		var peak mine.PeakTracker
-		m := Miner{Workers: workers, TempDir: t.TempDir(), Ctl: ctl, Rec: rec,
-			Track: &mine.BudgetTracker{Inner: &peak, Ctl: ctl}}
+		m := Miner{Workers: workers, TempDir: t.TempDir(), Ctl: ctl, Rec: rec}
 		if err := m.Mine(db, minSup, &mine.CountSink{}); err != nil {
 			t.Fatal(err)
 		}
-		if peak.Peak == 0 {
-			t.Fatalf("workers %d: tracker saw no allocations", workers)
+		if ctl.PeakBytes() == 0 {
+			t.Fatalf("workers %d: control saw no allocations", workers)
 		}
-		if rec.PeakBytes() != peak.Peak || ctl.PeakBytes() != peak.Peak {
-			t.Errorf("workers %d: recorder peak %d, control peak %d, tracker peak %d; want one number",
-				workers, rec.PeakBytes(), ctl.PeakBytes(), peak.Peak)
+		if rec.PeakBytes() != ctl.PeakBytes() {
+			t.Errorf("workers %d: recorder peak %d, control peak %d; want one number",
+				workers, rec.PeakBytes(), ctl.PeakBytes())
+		}
+		if rec.CurBytes() != 0 || ctl.Bytes() != 0 {
+			t.Errorf("workers %d: %d / %d bytes still charged after the run", workers, rec.CurBytes(), ctl.Bytes())
 		}
 	}
 }

@@ -105,17 +105,45 @@ func (m Model) Penalty(peakBytes, touchedBytes int64, p Pattern) time.Duration {
 }
 
 // Tracker is a mine.MemTracker that records everything the penalty
-// model needs: current and peak footprint plus total bytes allocated
-// (the proxy for bytes touched).
+// model needs: current and peak footprint, the per-update average, and
+// total bytes allocated (the proxy for bytes touched). It is not safe
+// for concurrent use.
 type Tracker struct {
-	mine.PeakTracker
-	TotalAlloc int64
+	Cur, Peak, TotalAlloc int64
+	// Ctl, when non-nil, is charged every update too, so a run costed
+	// by the tracker still honours its Control's byte budget.
+	Ctl     *mine.Control
+	updates int64
+	sum     int64
 }
 
 // Alloc implements mine.MemTracker.
 func (t *Tracker) Alloc(n int64) {
 	t.TotalAlloc += n
-	t.PeakTracker.Alloc(n)
+	t.Cur += n
+	t.Peak = max(t.Peak, t.Cur)
+	t.sample()
+	t.Ctl.Alloc(n)
+}
+
+// Free implements mine.MemTracker.
+func (t *Tracker) Free(n int64) {
+	t.Cur -= n
+	t.sample()
+	t.Ctl.Free(n)
+}
+
+func (t *Tracker) sample() {
+	t.updates++
+	t.sum += t.Cur
+}
+
+// Avg returns the average footprint across updates.
+func (t *Tracker) Avg() int64 {
+	if t.updates == 0 {
+		return 0
+	}
+	return t.sum / t.updates
 }
 
 // MinePenalty charges the mining workload recorded by the tracker:
