@@ -33,7 +33,8 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	prefix := []uint32{9, 3, 7}
 	offs, start, cur := []uint32{0, 3, 5, 9}, []int32{0, 4}, []int32{0}
 	// A single-path tree, and a conditional of three items that the
-	// pair chase proves a leaf: the chased path makes every pair 1 < 2.
+	// pair chase proves a leaf: 70 chased paths, past one full pair
+	// batch, make every pair 70 < 100, so a flush runs in the call.
 	pathTree, _, err := Build(dataset.Slice{{1, 2, 3}, {1, 2}, {1}}, 1, Config{}, nil, mine.NullTracker{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -42,9 +43,16 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	if !ok {
 		t.Fatal("fixture is not a single path")
 	}
-	leaf := &cfpGrower{minSup: 2, track: &mine.Control{}}
-	leafCounts, leafPath := []uint64{3, 3, 3}, []uint32{2, 1, 0}
-	chase := func(visit func(path []uint32, c uint64) bool) bool { return visit(leafPath, 1) }
+	leaf := &cfpGrower{minSup: 100, track: &mine.Control{}}
+	leafCounts, leafPath := []uint64{100, 100, 100}, []uint32{2, 1, 0}
+	chase := func(visit func(path []uint32, c uint64) bool) bool {
+		for i := 0; i < batchPaths+6; i++ {
+			if visit(leafPath, 1) {
+				return true
+			}
+		}
+		return false
+	}
 	for _, tc := range []struct {
 		name   string
 		allocs float64
@@ -60,7 +68,7 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		{"countSmall", 0, func() { countSmall(ds.walk, sup, lo, hi, condCount) }},
 		{"countLocal", 0, func() { countLocal(dw.walk, dw.start, wsup, wlo, whi, condCount) }},
 		{"cfpGrower.leafVerdict", 0, func() {
-			if leaf.leafVerdict(leafCounts, 10, false, chase) != condLeaf {
+			if leaf.leafVerdict(leafCounts, 200, false, chase) != condLeaf {
 				t.Fatal("the pair chase found a frequent pair")
 			}
 		}},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -260,10 +261,12 @@ type cfpGrower struct {
 	// next conditional at any level reuses the buffer.
 	condBuf []uint64
 	// pairRow maps each conditionally frequent rank to its row of the
-	// leaf test's pair matrix, pairCells (leafVerdict); pairVisit is
-	// addPairs, bound once per grower so a chase allocates no closure.
+	// leaf test's pair matrix, pairCells (leafVerdict), which the pair
+	// batch, pairs, fills; pairVisit is addPath, bound once per grower so
+	// a chase allocates no closure.
 	pairRow   []uint8
 	pairCells []uint64
+	pairs     pairBatch
 	pairVisit func(path []uint32, c uint64) bool
 	// pathSup and pathSet back the full counts of the single path being
 	// enumerated (minePath) and the itemsets it extends prefix to; the
@@ -518,8 +521,33 @@ const (
 
 // maxPairItems bounds the pair matrix of the leaf test: a conditional
 // with more frequent items builds its tree untested. 64 items make
-// 2,016 cells, 16 KB.
+// 2,016 cells, 16 KB. It must stay a power of two no greater than 64:
+// flushPairs marks the batch's rows in one word, and addPath masks a
+// row with maxPairItems-1.
 const maxPairItems = 64
+
+// batchPaths is the capacity of a pairBatch: one path per bit of a
+// column word.
+const batchPaths = 64
+
+// pairBatch is the leaf test's bit-sliced batch of up to batchPaths
+// filtered paths: batch path e is bit e of every word. It is fixed-size
+// grower scratch (800 bytes), outside the modeled footprint like
+// pairRow.
+type pairBatch struct {
+	// cols holds one word per matrix row, with bit e set when batch path
+	// e holds the row's rank; the words past the matrix's rows stay 0.
+	cols [maxPairItems]uint64
+	// planes slices the batch paths' counts, which fit 32 bits: bit e of
+	// plane b is bit b of path e's count. used, the OR of the counts,
+	// marks the non-zero planes.
+	planes [32]uint64
+	used   uint64
+	n      int    // paths in the batch
+	sum    uint64 // the sum of their counts
+	// maxCell is the largest pair matrix cell as of the last flush.
+	maxCell uint64
+}
 
 // leafVerdict decides from the conditional supports of a conditional
 // whose support is sup whether its tree is worth building. k, the
@@ -530,10 +558,12 @@ const maxPairItems = 64
 // up to maxPairItems, chase runs the pair chase: it hands each element
 // of the pattern base, as its filtered path nearest-first and its
 // count, to a visitor until the visitor stops it, and reports whether
-// it was stopped. The visitor adds the count to every pair of the path
-// in a triangular k×k matrix, charged to the ledger while live, and
-// stops at the first cell that reaches minSup: condTree. A chase that
-// runs out finds no frequent pair: condLeaf.
+// it was stopped. The visitor (addPath) counts every pair of the paths
+// in a triangular k×k matrix, charged to the ledger while live, 64
+// paths at a time, and stops at the path that makes the first cell
+// reach minSup: condTree. A chase that runs out finds no frequent pair:
+// condLeaf. Its last, partial batch is never flushed, because the
+// visitor flushes every batch that could make a cell reach minSup.
 func (m *cfpGrower) leafVerdict(condCount []uint64, sup uint64, boundary bool, chase func(visit func(path []uint32, c uint64) bool) bool) int {
 	var k int
 	var c1, c2 uint64
@@ -568,12 +598,16 @@ func (m *cfpGrower) leafVerdict(condCount []uint64, sup uint64, boundary bool, c
 	}
 	m.pairCells = resize(m.pairCells, k*(k-1)/2)
 	clear(m.pairCells)
+	m.pairs = pairBatch{}
 	cellBytes := int64(len(m.pairCells)) * 8
 	m.track.Alloc(cellBytes)
 	if m.pairVisit == nil {
-		m.pairVisit = m.addPairs
+		m.pairVisit = m.addPath
 	}
 	found := chase(m.pairVisit)
+	if debugChecks && !found {
+		assertf(!m.flushPairs(), "core: the last pair batch of a chase holds a frequent pair")
+	}
 	m.track.Free(cellBytes)
 	if found {
 		return condTree
@@ -581,23 +615,82 @@ func (m *cfpGrower) leafVerdict(condCount []uint64, sup uint64, boundary bool, c
 	return condLeaf
 }
 
-// addPairs adds c to the pair matrix cell of every pair of path, a
-// filtered path in descending rank, and reports whether a cell reached
-// minSup.
-func (m *cfpGrower) addPairs(path []uint32, c uint64) bool {
-	rows, cells, minSup := m.pairRow, m.pairCells, m.minSup
-	for x, hi := range path {
-		i := int(rows[hi])
-		row := cells[i*(i-1)/2:]
-		for _, lo := range path[x+1:] {
-			j := rows[lo]
-			row[j] += c
-			if row[j] >= minSup {
-				return true
-			}
+// addPath is leafVerdict's pair visitor: it adds path, a filtered path
+// in descending rank, and its count c to the pair batch, and reports
+// whether a pair matrix cell reached minSup. A cell counts at most
+// maxCell plus the counts batched since the last flush, so addPath
+// flushes (flushPairs) only when that bound reaches minSup or the batch
+// is full; no cell can reach minSup between two flushes, and the chase
+// stops at exactly the path that makes the first pair frequent. A path
+// of one rank holds no pair and is not batched.
+func (m *cfpGrower) addPath(path []uint32, c uint64) bool {
+	if len(path) < 2 {
+		return false
+	}
+	if debugChecks {
+		assertf(c <= math.MaxUint32, "core: path count %d overflows uint32", c)
+	}
+	b := &m.pairs
+	rows, bit := m.pairRow, uint64(1)<<b.n
+	for _, r := range path {
+		// Rows are below maxPairItems: the mask drops the bounds check.
+		b.cols[rows[r]&(maxPairItems-1)] |= bit
+	}
+	for p := c; p != 0; p &= p - 1 {
+		b.planes[bits.TrailingZeros64(p)] |= bit
+	}
+	b.used |= c
+	b.n++
+	b.sum += c
+	if b.n < batchPaths && b.maxCell+b.sum < m.minSup {
+		return false
+	}
+	return m.flushPairs()
+}
+
+// flushPairs adds the batch to the pair matrix, empties it, and reports
+// whether a cell reached minSup. The paths holding both rows i and j
+// are the set bits of cols[i] & cols[j], and their counts sum to
+// Σ_b popcount(cols[i] & cols[j] & planes[b]) << b over the non-zero
+// planes: one popcount per plane stands for up to 64 single-cell
+// additions.
+func (m *cfpGrower) flushPairs() bool {
+	b := &m.pairs
+	cells, used, maxCell := m.pairCells, b.used, b.maxCell
+	var touched uint64
+	for i, w := range b.cols {
+		if w != 0 {
+			touched |= 1 << i
 		}
 	}
-	return false
+	// Rows descending, so each row's column is cleared once every row
+	// above it has paired with it.
+	for hi := touched; hi != 0; {
+		i := 63 - bits.LeadingZeros64(hi)
+		hi &^= 1 << i
+		wi := b.cols[i]
+		b.cols[i] = 0
+		row := cells[i*(i-1)/2:]
+		for lo := hi; lo != 0; lo &= lo - 1 {
+			j := bits.TrailingZeros64(lo)
+			w := wi & b.cols[j]
+			if w == 0 {
+				continue
+			}
+			var s uint64
+			for p := used; p != 0; p &= p - 1 {
+				pl := bits.TrailingZeros64(p)
+				s += uint64(bits.OnesCount64(w&b.planes[pl])) << pl
+			}
+			row[j] += s
+			maxCell = max(maxCell, row[j])
+		}
+	}
+	for p := used; p != 0; p &= p - 1 {
+		b.planes[bits.TrailingZeros64(p)] = 0
+	}
+	b.used, b.n, b.sum, b.maxCell = 0, 0, 0, maxCell
+	return maxCell >= m.minSup
 }
 
 // conditionalFlat builds the conditional CFP-tree of item rank from

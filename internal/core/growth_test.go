@@ -7,6 +7,7 @@ import (
 	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/fptree"
 	"cfpgrowth/internal/mine"
+	"cfpgrowth/internal/synth"
 )
 
 var tinyDB = dataset.Slice{
@@ -278,5 +279,112 @@ func BenchmarkConvert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Convert(tree)
+	}
+}
+
+// denseRun is the pattern base the stage benchmarks below chase: the
+// top rank of synth accidents at 1/40 scale, ξ = 45%, whose conditional
+// the pair chase proves a leaf only after walking its whole run.
+type denseRun struct {
+	a      *Array
+	d      Decode
+	minSup uint64
+	rank   uint32
+	lo, hi int32
+	sup    []uint32
+}
+
+func newDenseRun(b *testing.B) *denseRun {
+	b.Helper()
+	p, ok := synth.ByName("accidents")
+	if !ok {
+		b.Fatal("no accidents profile")
+	}
+	db := p.Generate(40)
+	minSup := dataset.AbsoluteSupport(0.45, uint64(len(db)))
+	tree, _, err := Build(db, minSup, Config{}, nil, mine.NullTracker{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := &denseRun{a: Convert(tree), minSup: minSup}
+	if !r.d.From(r.a) {
+		b.Fatal("From = false")
+	}
+	r.rank = uint32(r.a.NumItems() - 1)
+	r.lo, r.hi = r.d.Run(r.rank)
+	r.sup = r.a.runCounts(r.rank, nil)
+	return r
+}
+
+// count runs the counting chase of the run into condCount.
+func (r *denseRun) count(condCount []uint64) {
+	d := &r.d
+	switch d.layout {
+	case layoutSmall:
+		countSmall(d.walk, r.sup, r.lo, r.hi, condCount)
+	case layoutLocal4:
+		countLocal(d.walk, d.start, r.sup, r.lo, r.hi, condCount)
+	default:
+		countLocal(d.walkW, d.start, r.sup, r.lo, r.hi, condCount)
+	}
+}
+
+// BenchmarkDecodeFrom is the flat decode stage: one Decode.From of a
+// dense CFP-array into warm buffers.
+func BenchmarkDecodeFrom(b *testing.B) {
+	r := newDenseRun(b)
+	var d Decode
+	d.From(r.a) // size the buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !d.From(r.a) {
+			b.Fatal("From = false")
+		}
+	}
+}
+
+// BenchmarkCountChase is the count chase stage: the conditional item
+// supports of one dense pattern base, walked from the flat decoding.
+func BenchmarkCountChase(b *testing.B) {
+	r := newDenseRun(b)
+	condCount := make([]uint64, r.rank)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(condCount)
+		r.count(condCount)
+	}
+}
+
+// BenchmarkLeafVerdict is the leaf test stage: the pair chase of one
+// dense pattern base, which counts every pair of every filtered path
+// and finds none frequent.
+func BenchmarkLeafVerdict(b *testing.B) {
+	r := newDenseRun(b)
+	m := &cfpGrower{minSup: r.minSup, track: mine.NullTracker{}}
+	condCount := make([]uint64, r.rank)
+	r.count(condCount)
+	d := &r.d
+	chased := false
+	chase := func(visit func(path []uint32, c uint64) bool) bool {
+		chased = true
+		switch d.layout {
+		case layoutSmall:
+			return pathsSmall(m, d.walk, r.sup, r.lo, r.hi, condCount, visit)
+		case layoutLocal4:
+			return pathsLocal(m, d.walk, d.start, r.sup, r.lo, r.hi, condCount, visit)
+		default:
+			return pathsLocal(m, d.walkW, d.start, r.sup, r.lo, r.hi, condCount, visit)
+		}
+	}
+	sup := r.a.Support(r.rank)
+	if m.leafVerdict(condCount, sup, false, chase) != condLeaf || !chased {
+		b.Fatal("the top rank's conditional is not a chased leaf")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.leafVerdict(condCount, sup, false, chase)
 	}
 }

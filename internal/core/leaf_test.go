@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -305,4 +307,265 @@ func bruteForceLevels(db dataset.Slice, minSup uint64) []mine.Itemset {
 	}
 	mine.Canonicalize(out)
 	return out
+}
+
+// batchEdgeBase is a pattern base built around the pair batch's edges
+// (TestPairBatchEdges). Its n pair paths all hold ranks 0 and 1, the
+// hot pair, plus random ranks below k, so the hot cell is the largest
+// and equals the running sum of the path counts: a minSup equal to that
+// sum after path stop makes the first frequent pair appear exactly at
+// stop, and one past the full sum makes the conditional a leaf. Single
+// paths then raise every rank below k to minSup, and paths with no
+// frequent rank pad the support past the inclusion–exclusion shortcut.
+// Pair paths, and pieces of a single or a pad beyond its first, carry a
+// tag rank of their own: an infrequent rank below every frequent one,
+// so each starts its own branch of the tree, and no node sums two
+// counts that may pass 32 bits together.
+type batchEdgeBase struct {
+	pb          patternBase
+	cond        []uint64
+	sup, minSup uint64
+	// feed is the filtered paths nearest-first, the pair paths in order
+	// and then the singles, with their counts.
+	feed    [][]uint32
+	feedCnt []uint64
+}
+
+func newBatchEdgeBase(t *testing.T, rng *rand.Rand, k, n int, count func(i int) uint64, stop int) batchEdgeBase {
+	t.Helper()
+	var b batchEdgeBase
+	var pairs [][]uint32
+	var sum uint64
+	for i := 0; i < n; i++ {
+		p := []uint32{0, 1}
+		for r := 2; r < k; r++ {
+			if rng.Intn(3) == 0 {
+				p = append(p, uint32(r))
+			}
+		}
+		pairs = append(pairs, p)
+		sum += count(i)
+		if i == stop {
+			b.minSup = sum
+		}
+	}
+	if stop < 0 {
+		b.minSup = sum + 1
+	}
+	// The elements of the pattern base, in frequent ranks below k; they
+	// are re-ranked above the tags once the number of tags is known.
+	type elem struct {
+		frequent []uint32
+		count    uint64
+		tagged   bool
+	}
+	var elems []elem
+	cond := make([]uint64, k)
+	for i, p := range pairs {
+		elems = append(elems, elem{p, count(i), true})
+		for _, r := range p {
+			cond[r] += count(i)
+		}
+	}
+	// split adds amount in pieces that fit a path count, the first
+	// untagged and the rest tagged, each tagged piece below minSup.
+	split := func(frequent []uint32, amount uint64) {
+		for first := true; amount > 0; first = false {
+			piece := min(amount, math.MaxUint32)
+			if !first {
+				piece = min(piece, b.minSup-1)
+			}
+			elems = append(elems, elem{frequent, piece, !first})
+			amount -= piece
+		}
+	}
+	for r := range cond {
+		if cond[r] < b.minSup {
+			split([]uint32{uint32(r)}, b.minSup-cond[r])
+			cond[r] = b.minSup
+		}
+	}
+	var sup uint64
+	for _, e := range elems {
+		sup += e.count
+	}
+	// Ranks 0 and 1 are in every pair path, and the singles raise no
+	// rank past minSup, so no conditional support exceeds theirs.
+	if short := cond[0] + cond[1]; short >= sup+b.minSup {
+		split(nil, short-sup-b.minSup+1)
+	}
+	var tags uint32
+	for _, e := range elems {
+		if e.tagged {
+			tags++
+		}
+	}
+	// Tags take ranks [0, tags), frequent rank r becomes tags + r.
+	b.pb.top = tags + uint32(k)
+	b.cond = make([]uint64, b.pb.top)
+	var tag uint32
+	for _, e := range elems {
+		var p []uint32
+		if e.tagged {
+			if e.count >= b.minSup {
+				t.Fatalf("a tag of count %d is frequent at minSup %d", e.count, b.minSup)
+			}
+			p = append(p, tag)
+			tag++
+		}
+		for _, r := range e.frequent {
+			p = append(p, tags+r)
+		}
+		b.pb.paths = append(b.pb.paths, p)
+		b.pb.counts = append(b.pb.counts, e.count)
+		b.sup += e.count
+		for _, r := range p {
+			b.cond[r] += e.count
+		}
+		if f := p[len(p)-len(e.frequent):]; len(f) > 0 {
+			f = slices.Clone(f)
+			slices.Reverse(f)
+			b.feed = append(b.feed, f)
+			b.feedCnt = append(b.feedCnt, e.count)
+		}
+	}
+	return b
+}
+
+// firstFrequentPair counts the pairs of paths in brute force, in order,
+// and returns the index of the path at which a pair first reaches
+// minSup, or -1.
+func firstFrequentPair(paths [][]uint32, counts []uint64, minSup uint64) int {
+	cells := map[[2]uint32]uint64{}
+	for i, p := range paths {
+		for x := range p {
+			for _, y := range p[x+1:] {
+				pair := [2]uint32{p[x], y}
+				cells[pair] += counts[i]
+				if cells[pair] >= minSup {
+					return i
+				}
+			}
+		}
+	}
+	return -1
+}
+
+// TestPairBatchEdges checks the leaf test's bit-sliced pair batch at its
+// edges against brute-force pair counts: chases of 63, 64, 65 and 130
+// pair paths (one short of a full batch, a full one, one over, and two
+// full batches with a partial third); counts all 1, or mixing 1 with
+// values up to 2^32-1 so that a flush sums every bit plane; k = 2 and
+// k = maxPairItems; and the first frequent pair at the first, a middle
+// and the last path of a batch, at the chase's last path, or nowhere.
+// Fed the pattern base's filtered paths directly, the chase must stop
+// exactly at that path; through both conditional builders, the verdict
+// and the leaf supports must match, and the chase must stop at the
+// first path, in the builder's own order, that makes a pair frequent.
+func TestPairBatchEdges(t *testing.T) {
+	wide := []uint64{1, math.MaxUint32, 1, 1 << 31, 0x5555_5555, 1, 0xAAAA_AAAA, 12345}
+	counts := map[string]func(i int) uint64{
+		"ones": func(int) uint64 { return 1 },
+		"wide": func(i int) uint64 { return wide[i%len(wide)] },
+	}
+	rng := rand.New(rand.NewSource(1))
+	layouts := map[walkLayout]bool{}
+	for _, k := range []int{2, maxPairItems} {
+		for _, mode := range []string{"ones", "wide"} {
+			for _, n := range []int{63, 64, 65, 130} {
+				// Middle and last of the first batch, first, middle and
+				// last of the second, first of the third, the last path.
+				for _, stop := range []int{-1, 31, 63, 64, 95, 127, 128, n - 1} {
+					if stop >= n {
+						continue
+					}
+					name := fmt.Sprintf("k%d/%s/n%d/stop%d", k, mode, n, stop)
+					t.Run(name, func(t *testing.T) {
+						layouts[checkBatchEdge(t, newBatchEdgeBase(t, rng, k, n, counts[mode], stop), k, stop)] = true
+					})
+				}
+			}
+		}
+	}
+	if !layouts[layoutSmall] || !layouts[layoutLocal4] {
+		t.Errorf("the flat chases decoded to layouts %v; want both the small and the rank-local one", layouts)
+	}
+}
+
+// checkBatchEdge runs one TestPairBatchEdges case and returns the walk
+// layout of its flat decoding.
+func checkBatchEdge(t *testing.T, b batchEdgeBase, k, stop int) walkLayout {
+	var frequent int
+	for _, c := range b.cond {
+		if c >= b.minSup {
+			frequent++
+		}
+	}
+	if frequent != k || firstFrequentPair(b.feed, b.feedCnt, b.minSup) != stop {
+		t.Fatalf("fixture: %d frequent ranks, first frequent pair at %d; want %d, %d",
+			frequent, firstFrequentPair(b.feed, b.feedCnt, b.minSup), k, stop)
+	}
+	wantV, wantFed := condLeaf, len(b.feed)
+	if stop >= 0 {
+		wantV, wantFed = condTree, stop+1
+	}
+	m := &cfpGrower{minSup: b.minSup, track: &mine.Control{}}
+	fed := 0
+	v := m.leafVerdict(b.cond, b.sup, false, func(visit func([]uint32, uint64) bool) bool {
+		for i, f := range b.feed {
+			fed++
+			if visit(f, b.feedCnt[i]) {
+				return true
+			}
+		}
+		return false
+	})
+	if v != wantV || fed != wantFed {
+		t.Fatalf("fed directly: verdict %d after %d paths, want %d after %d", v, fed, wantV, wantFed)
+	}
+
+	a := b.pb.array()
+	if a.Support(b.pb.top) != b.sup {
+		t.Fatalf("support %d, want %d", a.Support(b.pb.top), b.sup)
+	}
+	var d Decode
+	if !d.From(a) {
+		t.Fatal("From = false")
+	}
+	for _, build := range []string{"flat", "scan"} {
+		track := &mine.Control{}
+		m := &cfpGrower{minSup: b.minSup, track: track, treeArena: arena.New()}
+		// Record the paths the builder's chase hands to the visitor.
+		var paths [][]uint32
+		var pathCnt []uint64
+		m.pairVisit = func(p []uint32, c uint64) bool {
+			paths = append(paths, slices.Clone(p))
+			pathCnt = append(pathCnt, c)
+			return m.addPath(p, c)
+		}
+		var tree *Tree
+		var leaf bool
+		if build == "flat" {
+			tree, leaf = m.conditionalFlat(a, &d, b.pb.top, b.sup, false)
+		} else {
+			tree, leaf = m.conditionalScan(a, b.pb.top, b.sup, false)
+		}
+		if leaf != (stop < 0) || (tree != nil) != (stop >= 0) {
+			t.Fatalf("%s: tree %v leaf %v, want leaf %v", build, tree != nil, leaf, stop < 0)
+		}
+		if leaf && !slices.Equal(m.condBuf, b.cond) {
+			t.Fatalf("%s: leaf supports %v, want %v", build, m.condBuf, b.cond)
+		}
+		first := firstFrequentPair(paths, pathCnt, b.minSup)
+		if leaf && (first >= 0 || len(paths) != len(b.feed)) {
+			t.Fatalf("%s: leaf chase fed %d of %d paths, first frequent pair at %d", build, len(paths), len(b.feed), first)
+		}
+		if !leaf && first != len(paths)-1 {
+			t.Fatalf("%s: chase stopped after %d paths, first frequent pair at path %d", build, len(paths), first)
+		}
+		if track.Bytes() != 0 {
+			t.Fatalf("%s: %d bytes left charged", build, track.Bytes())
+		}
+	}
+	return d.layout
 }

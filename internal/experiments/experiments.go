@@ -34,9 +34,10 @@ type Config struct {
 	// Quick trims sweeps for smoke runs.
 	Quick bool
 	// Ctl, when non-nil, lets a harness bound the runs: the mining
-	// sweeps (Figure 8) and the build benchmarks (Figure 7) poll it
-	// and abort with its stop cause — cmd/experiments arms it from
-	// -timeout and -max-bytes.
+	// runs of Figures 7 and 8 and Figure 7's build benchmarks poll it
+	// and abort with its stop cause, and the mines charge their modeled
+	// bytes to it — cmd/experiments arms it from -timeout and
+	// -max-bytes.
 	Ctl *mine.Control
 }
 

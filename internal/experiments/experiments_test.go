@@ -159,6 +159,47 @@ func TestFig7ShapesHold(t *testing.T) {
 	}
 }
 
+// TestFig7HonoursCtlBudget: Figure 7 under a Config.Ctl whose MaxBytes
+// admits every support's CFP-tree and CFP-array together, so that each
+// build benchmark's conversion probe passes, but not the FP-tree of the
+// first support stops with ErrBudgetExceeded: the stop must come from a
+// mining run, the FP-growth baseline's first.
+func TestFig7HonoursCtlBudget(t *testing.T) {
+	c := testConfig()
+	db := c.Quest1()
+	counts, err := dataset.CountItems(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget, fpBytes int64
+	var minSup uint64
+	for i, rel := range c.SupportSweep() {
+		sup := dataset.AbsoluteSupport(rel, counts.NumTx)
+		br, err := buildBoth(db, sup, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget = max(budget, br.CFPTreeBytes+br.CFPArrayBytes)
+		if i == 0 {
+			minSup, fpBytes = sup, br.FPBytes
+		}
+	}
+	if budget >= fpBytes {
+		t.Fatalf("CFP build bytes %d not below the first FP-tree's %d", budget, fpBytes)
+	}
+	c.Ctl = &mine.Control{MaxBytes: budget}
+	if _, err := c.Fig7(); !errors.Is(err, mine.ErrBudgetExceeded) {
+		t.Errorf("err = %v, want ErrBudgetExceeded", err)
+	}
+	// The CFP-growth runs too, in both configurations.
+	for _, cfg := range []core.Config{{}, {DisableFlatDecode: true}} {
+		ctl := &mine.Control{MaxBytes: 1024}
+		if _, err := runCFP(db, minSup, cfg, c.Model(), ctl); !errors.Is(err, mine.ErrBudgetExceeded) {
+			t.Errorf("runCFP %+v: err = %v, want ErrBudgetExceeded", cfg, err)
+		}
+	}
+}
+
 // TestFig8HonoursCtlBudget: Figure 8 under a Config.Ctl with a tiny
 // MaxBytes stops with ErrBudgetExceeded. CT-pro polls no Control, so
 // its run reaches the budget only through the cost model's tracker,

@@ -80,10 +80,10 @@ func (c Config) Fig7() ([]Fig7Row, error) {
 			model.Penalty(br.CFPTreeBytes+br.CFPArrayBytes, br.CFPArrayBytes, vm.Sequential)
 
 		// Total runs.
-		var fpTrack vm.Tracker
+		fpTrack := vm.Tracker{Ctl: c.Ctl}
 		var sink mine.CountSink
 		t0 := time.Now()
-		if err := (fptree.Growth{Track: &fpTrack}).Mine(db, minSup, &sink); err != nil {
+		if err := (fptree.Growth{Track: &fpTrack, Ctl: c.Ctl}).Mine(db, minSup, &sink); err != nil {
 			return nil, err
 		}
 		row.FPTotalMeasured = time.Since(t0)
@@ -91,11 +91,11 @@ func (c Config) Fig7() ([]Fig7Row, error) {
 		row.FPPeakBytes = fpTrack.Peak
 		row.Itemsets = sink.N
 
-		cfp, err := runCFP(db, minSup, core.Config{}, model)
+		cfp, err := runCFP(db, minSup, core.Config{}, model, c.Ctl)
 		if err != nil {
 			return nil, err
 		}
-		paper, err := runCFP(db, minSup, core.Config{DisableFlatDecode: true}, model)
+		paper, err := runCFP(db, minSup, core.Config{DisableFlatDecode: true}, model, c.Ctl)
 		if err != nil {
 			return nil, err
 		}
@@ -119,12 +119,13 @@ type cfpRun struct {
 }
 
 // runCFP mines db with CFP-growth in configuration cfg under a fresh
-// modeled-memory tracker.
-func runCFP(db dataset.Source, minSup uint64, cfg core.Config, model vm.Model) (cfpRun, error) {
-	var track vm.Tracker
+// modeled-memory tracker, which also charges ctl, and stops when ctl
+// does.
+func runCFP(db dataset.Source, minSup uint64, cfg core.Config, model vm.Model, ctl *mine.Control) (cfpRun, error) {
+	track := vm.Tracker{Ctl: ctl}
 	var sink mine.CountSink
 	t0 := time.Now()
-	if err := (core.Growth{Config: cfg, Track: &track}).Mine(db, minSup, &sink); err != nil {
+	if err := (core.Growth{Config: cfg, Track: &track, Ctl: ctl}).Mine(db, minSup, &sink); err != nil {
 		return cfpRun{}, err
 	}
 	measured := time.Since(t0)
