@@ -50,7 +50,9 @@ PAIRS ?= 5
 bench-pairs:
 	$(GO) run ./cmd/benchpairs -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
 
-# Short fuzz campaigns over the parsers and serializers, and over
+# Short fuzz campaigns over the parsers and serializers, over the
+# CFP-tree to CFP-array conversion against its three-walk reference
+# (FuzzConvert draws the tree configuration from its input), and over
 # CFP-growth against FP-growth (FuzzInsertMine draws MaxLen and the
 # conditional builder from its input).
 fuzz:
@@ -60,6 +62,7 @@ fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzReadArray -fuzztime 30s
 	$(GO) test . -fuzz FuzzReadIndex -fuzztime 30s -run '^$$'
 	$(GO) test . -fuzz FuzzUpdatableSnapshot -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/core/ -fuzz FuzzConvert -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/core/ -fuzz FuzzInsertMine -fuzztime 60s -run '^$$'
 
 # Regenerate every table and figure of the paper (see EXPERIMENTS.md).

@@ -38,13 +38,13 @@ func benchTreeConfig(b *testing.B, cfg core.Config) {
 	}
 	minSup := dataset.AbsoluteSupport(0.10, counts.NumTx)
 	rec := dataset.NewRecoder(counts, minSup)
-	names, sups := rec.Frequent()
+	names, _ := rec.Frequent()
 	a := arena.New()
 	var avg float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Reset()
-		tree := core.NewTree(a, cfg, names, sups)
+		tree := core.NewTree(a, cfg, names)
 		var buf []uint32
 		_ = db.Scan(func(tx []uint32) error {
 			buf = rec.Encode(tx, buf[:0])

@@ -12,7 +12,8 @@ import (
 // path's leaf functions, called with warm buffers. Each runs once per
 // element, emission or conditional subproblem, so a single allocation
 // per call multiplies into millions; SupportOf runs once per point
-// query, of which a served index answers millions too.
+// query, of which a served index answers millions too. Insert runs once
+// per transaction and per conditional path.
 func TestHotPathsDoNotAllocate(t *testing.T) {
 	small := buildArrayAt(t, obsDB(300, 8, 30), 5)
 	wide := buildArrayAt(t, quest.Generate(quest.Config{NumTx: 1500, AvgTxLen: 10, NumItems: 400, Seed: 17}), 5)
@@ -53,6 +54,11 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		}
 		return false
 	}
+	// Inserts that build a chain, extend it below its tail, split it at
+	// a divergence and at a transaction's end, and count on a chain's
+	// last element, into a tree emptied first.
+	chains := newTestTree(Config{}, 8)
+	chainTxs := [][]uint32{{0, 1, 2, 3, 4, 5}, {0, 1, 2, 3, 4, 5, 6}, {0, 1, 2, 7}, {0, 1}, {0, 1}}
 	for _, tc := range []struct {
 		name   string
 		allocs float64
@@ -73,6 +79,13 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 			}
 		}},
 		{"cfpGrower.minePath", 0, func() { _ = m.minePath(pathTree, single, prefix) }},
+		{"Tree.Insert", 0, func() {
+			chains.arena.Reset()
+			chains.root = slotVal{}
+			for _, tx := range chainTxs {
+				chains.Insert(tx, 1)
+			}
+		}},
 	} {
 		tc.fn() // warm the buffers
 		if got := testing.AllocsPerRun(100, tc.fn); got != tc.allocs {

@@ -50,11 +50,11 @@ func Build(src dataset.Source, minSupport uint64, cfg Config, ctl *mine.Control,
 // (Free of t.Extent()) when it retires the tree. When nothing is
 // frequent the tree is empty and src is not scanned.
 func BuildRecoded(src dataset.Source, r *dataset.Recoder, cfg Config, ctl *mine.Control, track mine.MemTracker, rec *obs.Recorder) (*Tree, error) {
-	names, sups := r.Frequent()
+	names, _ := r.Frequent()
 	if debugChecks {
 		assertf(int64(len(names)) <= math.MaxUint32, "core: frequent item count %d overflows rank space", len(names))
 	}
-	t := NewTree(arena.New(), cfg, names, sups)
+	t := NewTree(arena.New(), cfg, names)
 	t.Observe(rec)
 	sp := rec.Start(obs.PhaseBuild)
 	if len(names) == 0 {
@@ -197,29 +197,32 @@ func (t *Tree) Insert(ranks []uint32, weight uint32) {
 func (t *Tree) descendChain(off uint64, pos *int, parentRank *int64, ref, ownerRef *slotRef, ranks []uint32, weight uint32) bool {
 	b := t.nodeBytes(off)
 	c, size := decodeChain(b)
-	// c.deltas aliases arena memory; copy before any allocation.
-	deltas := append([]byte(nil), c.deltas...)
-	c.deltas = deltas
-	L := len(deltas)
+	L := len(c.deltas)
 	j := 0
 	pr := *parentRank
-	for j < L && *pos < len(ranks) && int64(ranks[*pos]) == pr+int64(deltas[j]) {
-		pr += int64(deltas[j])
+	for j < L && *pos < len(ranks) && int64(ranks[*pos]) == pr+int64(c.deltas[j]) {
+		pr += int64(c.deltas[j])
 		j++
 		*pos++
 	}
-	switch {
-	case j == L && *pos == len(ranks):
-		// The transaction ends exactly at the chain's last element.
-		c.pcount += weight
-		t.replaceChain(off, size, c, *ref)
-		return true
-	case j == L:
+	if j == L && *pos < len(ranks) {
 		// Consumed the whole chain; continue below its tail.
 		*parentRank = pr
 		*ownerRef = *ref
 		*ref = slotRef{owner: off, which: 2}
 		return false
+	}
+	// Every other case rewrites the chain, and c.deltas aliases the
+	// arena memory that the rewrite frees, reuses or moves: copy them
+	// out first, to the stack.
+	var deltas chainDeltas
+	c.deltas = deltas[:copy(deltas[:], c.deltas)]
+	switch {
+	case j == L:
+		// The transaction ends exactly at the chain's last element.
+		c.pcount += weight
+		t.replaceChain(off, size, c, *ref)
+		return true
 	case *pos == len(ranks):
 		// The transaction ends mid-chain, at element j-1 (j ≥ 1: we
 		// only arrive at a slot with at least one rank left, so at
@@ -280,6 +283,7 @@ func (t *Tree) splitChainDiverge(off uint64, size int, c chainNode, j int, pr in
 // makePiece materializes a run of chain elements (each Δitem a single
 // byte) whose last element carries pcount and suffix. Runs of length 1
 // become embedded leaves or standard nodes; longer runs stay chains.
+// deltas must not alias the arena, which the allocation may move.
 func (t *Tree) makePiece(deltas []byte, pcount uint32, suffix slotVal) slotVal {
 	if len(deltas) == 0 {
 		panic("core: empty chain piece")
@@ -293,8 +297,7 @@ func (t *Tree) makePiece(deltas []byte, pcount uint32, suffix slotVal) slotVal {
 		return ptrSlot(t.allocStd(stdNode{delta: uint32(deltas[0]), pcount: pcount, suffix: suffix}))
 	}
 	t.numChains++
-	cp := append([]byte(nil), deltas...)
-	return ptrSlot(t.allocChain(chainNode{deltas: cp, pcount: pcount, suffix: suffix}))
+	return ptrSlot(t.allocChain(chainNode{deltas: deltas, pcount: pcount, suffix: suffix}))
 }
 
 // buildPath materializes a brand-new path for ranks (strictly
@@ -309,8 +312,10 @@ func (t *Tree) buildPath(ranks []uint32, parentRank int64, weight uint32) slotVa
 
 func (t *Tree) buildSeg(ranks []uint32, parentRank int64, weight uint32) slotVal {
 	d0 := int64(ranks[0]) - parentRank
-	if debugChecks {
-		assertf(d0 >= 1 && d0 <= math.MaxUint32, "core: Δitem out of range in buildSeg (parent %d)", parentRank)
+	if debugChecks && (d0 < 1 || d0 > math.MaxUint32) {
+		// Boxed only on failure: a root's parent rank, -1, would
+		// allocate on every insert that reaches the root.
+		assertf(false, "core: Δitem out of range in buildSeg (parent %d)", parentRank)
 	}
 	if len(ranks) == 1 {
 		if d0 <= embedMaxDelta && weight <= embedMaxPcount && !t.cfg.DisableEmbed {
@@ -329,12 +334,6 @@ func (t *Tree) buildSeg(ranks []uint32, parentRank int64, weight uint32) slotVal
 			L++
 		}
 		if L >= 2 {
-			deltas := make([]byte, L)
-			prev := parentRank
-			for i := 0; i < L; i++ {
-				deltas[i] = byte(int64(ranks[i]) - prev)
-				prev = int64(ranks[i])
-			}
 			var tailPcount uint32
 			var suffix slotVal
 			if L == len(ranks) {
@@ -343,12 +342,27 @@ func (t *Tree) buildSeg(ranks []uint32, parentRank int64, weight uint32) slotVal
 				suffix = t.buildSeg(ranks[L:], int64(ranks[L-1]), weight)
 			}
 			t.numChains++
-			return ptrSlot(t.allocChain(chainNode{deltas: deltas, pcount: tailPcount, suffix: suffix}))
+			return ptrSlot(t.allocChainOf(ranks[:L], parentRank, tailPcount, suffix))
 		}
 	}
 	t.numStd++
 	suffix := t.buildSeg(ranks[1:], int64(ranks[0]), weight)
 	return ptrSlot(t.allocStd(stdNode{delta: uint32(d0), pcount: 0, suffix: suffix}))
+}
+
+// allocChainOf encodes the chain of ranks, under a parent of rank
+// parentRank, into a fresh chunk and returns its offset. The Δitem bytes
+// are built on this call's stack, which buildSeg enters only after its
+// recursion returns, so the 255-byte buffer does not sit in every frame
+// of a deep path's recursion.
+func (t *Tree) allocChainOf(ranks []uint32, parentRank int64, pcount uint32, suffix slotVal) uint64 {
+	var buf chainDeltas
+	prev := parentRank
+	for i, r := range ranks {
+		buf[i] = byte(int64(r) - prev)
+		prev = int64(r)
+	}
+	return t.allocChain(chainNode{deltas: buf[:len(ranks)], pcount: pcount, suffix: suffix})
 }
 
 // BuildProjected is BuildRecoded for a database already held in a
@@ -362,8 +376,8 @@ func (t *Tree) buildSeg(ranks []uint32, parentRank int64, weight uint32) slotVal
 // not depend on insertion order, so the result converts to the same
 // CFP-array as BuildRecoded over the transactions src was built from.
 func BuildProjected(src *Tree, r *dataset.Recoder, cfg Config) *Tree {
-	names, sups := r.Frequent()
-	t := NewTree(arena.New(), cfg, names, sups)
+	names, _ := r.Frequent()
+	t := NewTree(arena.New(), cfg, names)
 	if len(names) == 0 {
 		return t
 	}

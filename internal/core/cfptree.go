@@ -61,9 +61,7 @@ type Tree struct {
 	numStd      int
 	// itemName maps local ranks to external identifiers.
 	itemName []uint32
-	// itemCount is the support of each item rank within this tree.
-	itemCount []uint64
-	numTx     uint64 // total inserted weight; equals the sum of all pcounts
+	numTx    uint64 // total inserted weight; equals the sum of all pcounts
 	// rec, when non-nil, receives structural-event counters (chain
 	// splits/extends, conversion triples). Nil-safe per package obs.
 	rec *obs.Recorder
@@ -72,9 +70,11 @@ type Tree struct {
 // NewTree returns an empty CFP-tree using the given arena for node
 // storage. The arena may be shared across consecutive trees (reset in
 // between); CFP-growth keeps exactly one tree at a time (§4.1).
-// itemName and itemCount are retained, not copied.
-func NewTree(a *arena.Arena, cfg Config, itemName []uint32, itemCount []uint64) *Tree {
-	return &Tree{cfg: cfg, arena: a, itemName: itemName, itemCount: itemCount}
+// itemName is retained, not copied. The tree keeps no item supports: a
+// trailing supports argument is accepted and ignored, so that callers
+// of the earlier NewTree(a, cfg, itemName, itemCount) still compile.
+func NewTree(a *arena.Arena, cfg Config, itemName []uint32, _ ...[]uint64) *Tree {
+	return &Tree{cfg: cfg, arena: a, itemName: itemName}
 }
 
 // NumNodes returns the number of logical FP-tree nodes.
@@ -90,12 +90,11 @@ func (t *Tree) Observe(rec *obs.Recorder) { t.rec = rec }
 // the item universe incrementally (updatable indexes with a fixed,
 // frequency-independent order) use this after appending ranks; the
 // rank space may only grow, and existing ranks keep their meaning.
-func (t *Tree) SetItemSpace(itemName []uint32, itemCount []uint64) {
+func (t *Tree) SetItemSpace(itemName []uint32) {
 	if len(itemName) < len(t.itemName) {
 		panic("core: item space may only grow")
 	}
 	t.itemName = itemName
-	t.itemCount = itemCount
 }
 
 // NumItems returns the size of the item-rank space.
@@ -161,8 +160,9 @@ func (t *Tree) setSlot(r slotRef, v slotVal, ownerRef slotRef) {
 			writeSlot(b[oldSize-5:oldSize], v)
 			return
 		}
-		deltas := append([]byte(nil), c.deltas...)
-		c.deltas = deltas
+		// c.deltas aliases the node that replaceChain moves.
+		var deltas chainDeltas
+		c.deltas = deltas[:copy(deltas[:], c.deltas)]
 		c.suffix = v
 		t.rec.Add(obs.CtrChainExtends, 1)
 		t.replaceChain(r.owner, oldSize, c, ownerRef)

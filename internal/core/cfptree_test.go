@@ -29,11 +29,10 @@ func (c *collectVisitor) Leave() { c.depth-- }
 
 func newTestTree(cfg Config, numItems int) *Tree {
 	names := make([]uint32, numItems)
-	counts := make([]uint64, numItems)
 	for i := range names {
 		names[i] = uint32(i)
 	}
-	return NewTree(arena.New(), cfg, names, counts)
+	return NewTree(arena.New(), cfg, names)
 }
 
 func walkAll(t *Tree) []walkedNode {

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+
+	"cfpgrowth/internal/encoding"
 )
 
 func TestConvertTinyTree(t *testing.T) {
@@ -232,4 +237,182 @@ func TestTreeStatsTable2Shape(t *testing.T) {
 	if s.Nodes != tree.NumNodes() {
 		t.Errorf("stats nodes %d != tree nodes %d", s.Nodes, tree.NumNodes())
 	}
+}
+
+// convertThreeWalk is the three-walk converter that Convert replaced,
+// kept as the test reference: a counting walk keeps every node's full
+// count in walk order, then a sizing walk and a writing walk place each
+// triple when they enter its node.
+func convertThreeWalk(t *Tree) *Array {
+	numItems := t.NumItems()
+	a := &Array{
+		itemName: t.itemName,
+		support:  make([]uint64, numItems),
+		nodes:    make([]int, numItems),
+		starts:   make([]uint64, numItems+1),
+		numNodes: t.NumNodes(),
+	}
+	cp := &countPass{}
+	t.Walk(cp)
+	sp := &refPlacePass{a: a, counts: cp.counts, acc: make([]uint64, numItems)}
+	t.Walk(sp)
+	var total uint64
+	for i := 0; i < numItems; i++ {
+		a.starts[i] = total
+		total += sp.acc[i]
+	}
+	a.starts[numItems] = total
+	a.data = make([]byte, total)
+	t.Walk(&refPlacePass{a: a, counts: cp.counts, acc: make([]uint64, numItems), write: true})
+	return a
+}
+
+// refPlacePass is convertThreeWalk's sizing and writing walk.
+type refPlacePass struct {
+	a      *Array
+	counts []uint64
+	next   int
+	acc    []uint64
+	stack  []placeFrame
+	write  bool
+}
+
+func (p *refPlacePass) Enter(rank uint32, pcount uint32) {
+	cnt := p.counts[p.next]
+	p.next++
+	local := p.acc[rank]
+	delta, dpos := rank+1, int64(0)
+	if len(p.stack) > 0 {
+		parent := p.stack[len(p.stack)-1]
+		delta = rank - parent.rank
+		dpos = int64(local) - int64(parent.local)
+	}
+	var buf [3 * encoding.MaxVarintLen64]byte
+	n := encoding.PutUvarint(buf[:], uint64(delta))
+	n += encoding.PutUvarint(buf[n:], encoding.Zigzag(dpos))
+	n += encoding.PutUvarint(buf[n:], cnt)
+	if p.write {
+		copy(p.a.data[p.a.starts[rank]+local:], buf[:n])
+	} else {
+		p.a.support[rank] += cnt
+		p.a.nodes[rank]++
+	}
+	p.acc[rank] += uint64(n)
+	p.stack = append(p.stack, placeFrame{rank: rank, local: local})
+}
+
+func (p *refPlacePass) Leave() { p.stack = p.stack[:len(p.stack)-1] }
+
+// convertAblations are the CFP-tree configurations the converter is
+// held to its reference under: every physical node format appears in
+// some of them and is missing from others.
+var convertAblations = []Config{
+	{},
+	{DisableChains: true},
+	{DisableEmbed: true},
+	{MaxChainLen: 2},
+	{MaxChainLen: 255},
+}
+
+// sameArray describes the first difference between two CFP-arrays'
+// triples, item index and element counts, or returns "".
+func sameArray(got, want *Array) string {
+	switch {
+	case !bytes.Equal(got.data, want.data):
+		return fmt.Sprintf("data differs:\ngot  %x\nwant %x", got.data, want.data)
+	case !slices.Equal(got.starts, want.starts):
+		return fmt.Sprintf("starts %v, want %v", got.starts, want.starts)
+	case !slices.Equal(got.support, want.support):
+		return fmt.Sprintf("support %v, want %v", got.support, want.support)
+	case !slices.Equal(got.nodes, want.nodes):
+		return fmt.Sprintf("nodes %v, want %v", got.nodes, want.nodes)
+	case got.numNodes != want.numNodes || !slices.Equal(got.itemName, want.itemName):
+		return fmt.Sprintf("%d nodes over %d items, want %d over %d", got.numNodes, len(got.itemName), want.numNodes, len(want.itemName))
+	}
+	return ""
+}
+
+// TestConvertMatchesThreeWalk holds the two-walk converter to the
+// three-walk reference, byte for byte, over random trees under every
+// configuration ablation. The trees mix dense and wide rank gaps (chains
+// and multi-byte Δitem), and small and 2^24-plus weights (embedded
+// leaves and wide counts).
+func TestConvertMatchesThreeWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 40; trial++ {
+		numItems := 2 + rng.Intn(40)
+		stride := uint32(1 + rng.Intn(2)*rng.Intn(300))
+		txs := make([][]uint32, 1+rng.Intn(80))
+		weights := make([]uint32, len(txs))
+		for i := range txs {
+			for r := 0; r < numItems; r++ {
+				if rng.Intn(4) == 0 {
+					txs[i] = append(txs[i], uint32(r)*stride)
+				}
+			}
+			weights[i] = uint32(1 + rng.Intn(3))
+			if rng.Intn(10) == 0 {
+				weights[i] = 1<<24 + uint32(rng.Intn(1000))
+			}
+		}
+		for _, cfg := range convertAblations {
+			tree := newTestTree(cfg, (numItems-1)*int(stride)+1)
+			for i, tx := range txs {
+				tree.Insert(tx, weights[i])
+			}
+			if d := sameArray(Convert(tree), convertThreeWalk(tree)); d != "" {
+				t.Fatalf("trial %d cfg %+v: %s", trial, cfg, d)
+			}
+		}
+	}
+}
+
+// FuzzConvert is TestConvertMatchesThreeWalk over fuzzer-shaped trees.
+// Bytes are ranks and 0xFF separates transactions; each transaction is
+// sorted and deduplicated. mode's low three bits pick the configuration
+// ablation, bit 3 spreads the ranks 97 apart (multi-byte Δitem, broken
+// chains), and bit 4 weighs every other transaction 2^24 (pcounts no
+// embedded leaf can hold).
+func FuzzConvert(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0xFF, 1, 2, 0xFF, 2}, uint8(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 0xFF, 0, 1, 2, 0xFF, 0, 1, 7}, uint8(3))
+	f.Add([]byte{3, 1, 3, 0xFF, 200, 0xFF, 1, 200}, uint8(8|16|1))
+	f.Add([]byte{}, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		cfg := convertAblations[int(mode&7)%len(convertAblations)]
+		stride := uint32(1)
+		if mode&8 != 0 {
+			stride = 97
+		}
+		var txs [][]uint32
+		var tx []uint32
+		numItems := 1
+		for i := 0; i <= len(data); i++ {
+			if i < len(data) && data[i] != 0xFF {
+				r := uint32(data[i]) * stride
+				tx = append(tx, r)
+				numItems = max(numItems, int(r)+1)
+				continue
+			}
+			if len(tx) > 0 {
+				slices.Sort(tx)
+				txs = append(txs, slices.Compact(tx))
+				tx = nil
+			}
+		}
+		tree := newTestTree(cfg, numItems)
+		for i, tx := range txs {
+			w := uint32(1)
+			if mode&16 != 0 && i%2 == 0 {
+				w = 1 << 24
+			}
+			tree.Insert(tx, w)
+		}
+		if d := sameArray(Convert(tree), convertThreeWalk(tree)); d != "" {
+			t.Fatalf("cfg %+v: %s", cfg, d)
+		}
+	})
 }

@@ -110,7 +110,7 @@ func (m *directGrower) conditionalWalk(t *Tree, rk uint32, counts []uint64) *Tre
 	if !slices.ContainsFunc(condCount, func(c uint64) bool { return c >= m.minSup }) {
 		return nil
 	}
-	cond := NewTree(arena.New(), m.cfg, t.itemName[:rk], condCount)
+	cond := NewTree(arena.New(), m.cfg, t.itemName[:rk])
 	for _, p := range pb.paths {
 		m.insertFiltered(cond, p.ranks, condCount, p.weight)
 	}
@@ -118,6 +118,39 @@ func (m *directGrower) conditionalWalk(t *Tree, rk uint32, counts []uint64) *Tre
 		return nil
 	}
 	return cond
+}
+
+// insertFiltered filters the root-first path in place to its
+// conditionally frequent items and, if any remain, inserts them into
+// cond with count c.
+func (m *cfpGrower) insertFiltered(cond *Tree, path []uint32, condCount []uint64, c uint64) {
+	if path = m.filterFrequent(path, condCount); len(path) > 0 {
+		if debugChecks {
+			assertf(c <= math.MaxUint32, "core: path count %d overflows uint32", c)
+		}
+		cond.Insert(path, uint32(c&0xffffffff))
+	}
+}
+
+// countPass computes the full FP count of every node: the sum of the
+// pcounts in its subtree (§3.2), kept in walk order for the walks that
+// follow.
+type countPass struct {
+	counts []uint64
+	stack  []int
+}
+
+func (p *countPass) Enter(rank uint32, pcount uint32) {
+	p.stack = append(p.stack, len(p.counts))
+	p.counts = append(p.counts, uint64(pcount))
+}
+
+func (p *countPass) Leave() {
+	idx := p.stack[len(p.stack)-1]
+	p.stack = p.stack[:len(p.stack)-1]
+	if len(p.stack) > 0 {
+		p.counts[p.stack[len(p.stack)-1]] += p.counts[idx]
+	}
 }
 
 // supportVisitor accumulates per-item full counts.

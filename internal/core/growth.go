@@ -255,11 +255,19 @@ type cfpGrower struct {
 	// built (Array.runCounts); the flat decoding stores none.
 	runSup []uint32
 	// condBuf backs the conditional item supports of the rank being
-	// mined (condCount). The conditional tree built from them, or the
-	// leaf mined from them, retains the slice, but every tree is
-	// converted or path-enumerated, and every leaf emitted, before the
-	// next conditional at any level reuses the buffer.
+	// mined (condCount), by the parent's rank. A leaf mined from them
+	// retains the slice, but every leaf is emitted before the next
+	// conditional at any level reuses the buffer.
 	condBuf []uint64
+	// condRank maps each conditionally frequent rank of the conditional
+	// being built to its dense rank in the conditional tree
+	// (compactRanks); it is dead once the tree is built.
+	condRank []uint32
+	// nameFree recycles the item names of conditional trees, like
+	// decodeFree: a tree, and the CFP-array converted from it, retain
+	// their names until the conditional's mine returns, so the number of
+	// live name buffers equals the recursion depth.
+	nameFree [][]uint32
 	// pairRow maps each conditionally frequent rank to its row of the
 	// leaf test's pair matrix, pairCells (leafVerdict), which the pair
 	// batch, pairs, fills; pairVisit is addPath, bound once per grower so
@@ -486,7 +494,9 @@ func (m *cfpGrower) mineRank(a *Array, d *Decode, rank uint32, prefix []uint32) 
 	if leaf {
 		return m.mineLeaf(m.condBuf, a.itemName[:rank], prefix)
 	}
-	return m.mineTree(cond, prefix)
+	err := m.mineTree(cond, prefix)
+	m.nameFree = append(m.nameFree, cond.itemName)
+	return err
 }
 
 // conditional builds the conditional CFP-tree of item rank, whose
@@ -742,10 +752,10 @@ func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32, sup uint64
 		assertf(rn >= 0, "core: inverted run bounds for rank %d", rank)
 	}
 	m.treeArena.Reserve(uint64(rn)*16 + 64)
-	cond := NewTree(m.treeArena, m.cfg, a.itemName[:rank], condCount)
+	cond := NewTree(m.treeArena, m.cfg, m.compactRanks(a.itemName[:rank], condCount))
 	cond.Observe(m.rec)
 	paths(func(path []uint32, c uint64) bool {
-		m.insertNearestFirst(cond, path, uint32(c))
+		m.insertNearestFirst(cond, path, c)
 		return false
 	})
 	return cond, false
@@ -962,15 +972,42 @@ func (m *cfpGrower) visitLane(l int, c uint32, visit func(path []uint32, c uint6
 	return true
 }
 
-// insertNearestFirst inserts path, filtered and nearest-first, into
-// cond root-first with count c.
-func (m *cfpGrower) insertNearestFirst(cond *Tree, path []uint32, c uint32) {
-	buf := m.pathBuf[:0]
-	for j := len(path) - 1; j >= 0; j-- {
-		buf = append(buf, path[j])
+// compactRanks names the conditional tree of a conditional whose
+// supports, by parent rank, are condCount: the conditionally frequent
+// ranks, in their existing order, become the dense ranks 0..k-1 of the
+// tree (condRank), and it returns their names, taken from names by
+// parent rank into a buffer from nameFree. The order is kept, so the
+// tree has the shape, and its mine the emission order, of a tree over
+// every parent rank below the conditional's, while its CFP-array, flat
+// decoding and every per-rank table span k ranks instead of all of them.
+func (m *cfpGrower) compactRanks(names []uint32, condCount []uint64) []uint32 {
+	var buf []uint32
+	if n := len(m.nameFree); n > 0 {
+		buf = m.nameFree[n-1][:0]
+		m.nameFree = m.nameFree[:n-1]
 	}
-	m.pathBuf = buf
-	cond.Insert(buf, c)
+	m.condRank = resize(m.condRank, len(condCount))
+	for r, c := range condCount {
+		if c >= m.minSup {
+			m.condRank[r] = uint32(len(buf))
+			buf = append(buf, names[r])
+		}
+	}
+	return buf
+}
+
+// insertNearestFirst inserts path, filtered and nearest-first by parent
+// rank, into cond root-first with count c, each rank mapped to its dense
+// rank (compactRanks). It reorders and renames path in place.
+func (m *cfpGrower) insertNearestFirst(cond *Tree, path []uint32, c uint64) {
+	if debugChecks {
+		assertf(c <= math.MaxUint32, "core: path count %d overflows uint32", c)
+	}
+	slices.Reverse(path)
+	for j, r := range path {
+		path[j] = m.condRank[r]
+	}
+	cond.Insert(path, uint32(c&0xffffffff))
 }
 
 // conditionalScan is the byte-chasing reference construction of the
@@ -1004,31 +1041,14 @@ func (m *cfpGrower) conditionalScan(a *Array, rank uint32, sup uint64, boundary 
 		return nil, v == condLeaf
 	}
 	m.treeArena.Reset()
-	cond := NewTree(m.treeArena, m.cfg, a.itemName[:rank], condCount)
+	cond := NewTree(m.treeArena, m.cfg, m.compactRanks(a.itemName[:rank], condCount))
 	cond.Observe(m.rec)
 	a.ScanItem(rank, func(e Element) bool {
-		m.pathBuf = a.PathTo(e, m.pathBuf[:0])
-		// PathTo yields ranks nearest-first; reverse to root-first,
-		// then insert the conditionally frequent items.
-		for i, j := 0, len(m.pathBuf)-1; i < j; i, j = i+1, j-1 {
-			m.pathBuf[i], m.pathBuf[j] = m.pathBuf[j], m.pathBuf[i]
-		}
-		m.insertFiltered(cond, m.pathBuf, condCount, e.Count)
+		m.pathBuf = m.filterFrequent(a.PathTo(e, m.pathBuf[:0]), condCount)
+		m.insertNearestFirst(cond, m.pathBuf, e.Count)
 		return true
 	})
 	return cond, false
-}
-
-// insertFiltered filters the root-first path in place to its
-// conditionally frequent items and, if any remain, inserts them into
-// cond with count c.
-func (m *cfpGrower) insertFiltered(cond *Tree, path []uint32, condCount []uint64, c uint64) {
-	if path = m.filterFrequent(path, condCount); len(path) > 0 {
-		if debugChecks {
-			assertf(c <= math.MaxUint32, "core: path count %d overflows uint32", c)
-		}
-		cond.Insert(path, uint32(c&0xffffffff))
-	}
 }
 
 // filterFrequent filters path in place to its conditionally frequent

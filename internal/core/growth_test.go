@@ -1,12 +1,16 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/fptree"
 	"cfpgrowth/internal/mine"
+	"cfpgrowth/internal/quest"
 	"cfpgrowth/internal/synth"
 )
 
@@ -215,6 +219,114 @@ func TestCFPGrowthDuplicateTransactions(t *testing.T) {
 	}
 	if d := mine.Diff("cfpgrowth", got, "bruteforce", want); d != "" {
 		t.Errorf("results differ:\n%s", d)
+	}
+}
+
+// q8k is Quest1(8000), 3,125 transactions, at ξ = 1.2%: a serial mine
+// of it builds 5,479 conditionals and emits 30,008 itemsets.
+func q8k() (dataset.Slice, uint64) {
+	db := quest.Generate(quest.Quest1(8000))
+	return db, dataset.AbsoluteSupport(0.012, uint64(len(db)))
+}
+
+// questMineSample is the input of the repository benchmark's quest-mine
+// workload at seed 1: a seeded quarter of Quest1(500), 12,500
+// transactions, at ξ = 1%. A serial mine builds 7,811 conditionals and
+// emits 41,020 itemsets.
+func questMineSample() (dataset.Slice, uint64) {
+	pool := quest.Generate(quest.Quest1(500))
+	db := make(dataset.Slice, len(pool)/4)
+	rng := rand.New(rand.NewSource(1))
+	for i, j := range rng.Perm(len(pool))[:len(db)] {
+		db[i] = pool[j]
+	}
+	return db, dataset.AbsoluteSupport(0.01, uint64(len(db)))
+}
+
+// TestSerialEmissionOrder pins the serial miner's emission sequence, in
+// order, itemset by itemset with its support, as an FNV-1a hash. The
+// sequence depends on no tree's physical layout, only on the mine order
+// (ranks descending at every level, the single-path and leaf
+// enumerations), so a change to how conditional trees are built, named
+// or stored must leave every hash as it is. The hashes were taken
+// before conditional trees were built over compacted ranks.
+func TestSerialEmissionOrder(t *testing.T) {
+	db, minSup := q8k()
+	for _, tc := range []struct {
+		g    Growth
+		n    int
+		hash uint64
+	}{
+		{Growth{}, 30008, 0x656b3f8207389799},
+		{Growth{Config: Config{DisableFlatDecode: true}}, 30008, 0x656b3f8207389799},
+		{Growth{Config: Config{DisableChains: true, DisableEmbed: true}}, 30008, 0x656b3f8207389799},
+		{Growth{MaxLen: 3}, 15105, 0x957ed38a2af3dcbe},
+	} {
+		h := fnv.New64a()
+		var buf []byte
+		n := 0
+		err := tc.g.Mine(db, minSup, funcSink(func(items []uint32, sup uint64) error {
+			buf = buf[:0]
+			for _, it := range items {
+				buf = binary.LittleEndian.AppendUint32(buf, it)
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, sup)
+			h.Write(append(buf, 0xff))
+			n++
+			return nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != tc.n || h.Sum64() != tc.hash {
+			t.Errorf("config %+v MaxLen %d: %d itemsets hashing to %#x, want %d hashing to %#x",
+				tc.g.Config, tc.g.MaxLen, n, h.Sum64(), tc.n, tc.hash)
+		}
+	}
+}
+
+// TestMineRealHeap bounds the Go heap a serial mine allocates, over the
+// whole run, by a multiple of its modeled peak. On Q8k the run allocated
+// 31.4x its peak while every conditional CFP-array, flat decoding and
+// per-rank table spanned the parent's whole rank space and each
+// conversion kept a count per node. With neither it allocates 3.1x
+// (3.4x under the race detector, 2.9x on 386); with the count buffer
+// back alone, 4.4x. 4x leaves the first some room and fails if either
+// waste comes back.
+func TestMineRealHeap(t *testing.T) {
+	if debugChecks {
+		t.Skip("the assertion layer boxes its arguments at every check it passes")
+	}
+	const maxRatio = 4
+	db, minSup := q8k()
+	ctl := &mine.Control{}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var n mine.CountSink
+	if err := (Growth{Ctl: ctl}).Mine(db, minSup, &n); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if peak := ctl.PeakBytes(); alloc > maxRatio*uint64(peak) {
+		t.Errorf("the mine allocated %d B, %.2fx its modeled peak of %d B; want at most %dx",
+			alloc, float64(alloc)/float64(peak), peak, maxRatio)
+	}
+}
+
+// BenchmarkMineQuest is the whole serial mine of the quest-mine
+// workload's input: build, convert and the conditional recursion, with
+// the bytes and objects it allocates per run.
+func BenchmarkMineQuest(b *testing.B) {
+	db, minSup := questMineSample()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var n mine.CountSink
+		if err := (Growth{Ctl: &mine.Control{}}).Mine(db, minSup, &n); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -50,17 +50,10 @@ func randomPatternBase(rng *rand.Rand) patternBase {
 // each path extended by top.
 func (pb patternBase) array() *Array {
 	names := make([]uint32, pb.top+1)
-	counts := make([]uint64, pb.top+1)
 	for i := range names {
 		names[i] = uint32(i)
 	}
-	for i, p := range pb.paths {
-		for _, r := range p {
-			counts[r] += pb.counts[i]
-		}
-		counts[pb.top] += pb.counts[i]
-	}
-	tree := NewTree(arena.New(), Config{}, names, counts)
+	tree := NewTree(arena.New(), Config{}, names)
 	for i, p := range pb.paths {
 		tree.Insert(append(slices.Clone(p), pb.top), uint32(pb.counts[i]))
 	}

@@ -235,6 +235,10 @@ func slotOffsetStd(b []byte, which int) int {
 	return pos
 }
 
+// chainDeltas holds the Δitem bytes of a chain node of any length,
+// copied out of the arena while the node is rewritten.
+type chainDeltas [255]byte
+
 // chainNode is the decoded form of a chain node.
 type chainNode struct {
 	deltas []byte  // Δitem of each element, 1..255

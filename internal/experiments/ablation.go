@@ -34,7 +34,7 @@ func (c Config) Ablation() ([]AblationRow, error) {
 	}
 	minSup := dataset.AbsoluteSupport(0.10, counts.NumTx)
 	rec := dataset.NewRecoder(counts, minSup)
-	names, sups := rec.Frequent()
+	names, _ := rec.Frequent()
 	cfgs := []struct {
 		name string
 		cfg  core.Config
@@ -50,7 +50,7 @@ func (c Config) Ablation() ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, cc := range cfgs {
 		a.Reset()
-		tree := core.NewTree(a, cc.cfg, names, sups)
+		tree := core.NewTree(a, cc.cfg, names)
 		t0 := time.Now()
 		var buf []uint32
 		err := db.Scan(func(tx []uint32) error {

@@ -140,7 +140,7 @@ func buildBoth(db dataset.Slice, minSup uint64, ctl *mine.Control) (buildResult,
 	r.FPBytes = fp.BaselineBytes()
 
 	t0 = time.Now()
-	cfp := core.NewTree(arena.New(), core.Config{}, names, sups)
+	cfp := core.NewTree(arena.New(), core.Config{}, names)
 	_ = db.Scan(func(tx []uint32) error {
 		buf = rec.Encode(tx, buf[:0])
 		cfp.Insert(buf, 1)

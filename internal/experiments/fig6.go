@@ -64,8 +64,8 @@ func (c Config) Fig6() ([]Fig6Row, error) {
 				minSup = 2
 			}
 			rec := dataset.NewRecoder(counts, minSup)
-			names, sups := rec.Frequent()
-			tree := core.NewTree(arena.New(), core.Config{}, names, sups)
+			names, _ := rec.Frequent()
+			tree := core.NewTree(arena.New(), core.Config{}, names)
 			var buf []uint32
 			err = db.Scan(func(tx []uint32) error {
 				buf = rec.Encode(tx, buf[:0])

@@ -95,7 +95,7 @@ func (c Config) webdocsTrees() (*fptree.Tree, *core.Tree, error) {
 	rec := dataset.NewRecoder(counts, minSup)
 	names, sups := rec.Frequent()
 	fp := fptree.New(names, sups)
-	cfp := core.NewTree(arena.New(), core.Config{}, names, sups)
+	cfp := core.NewTree(arena.New(), core.Config{}, names)
 	var buf []uint32
 	err = db.Scan(func(tx []uint32) error {
 		buf = rec.Encode(tx, buf[:0])

@@ -131,7 +131,7 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 
 	// Mining pass: per shard, build a CFP-tree over the global rank
 	// space, convert, and mine only the group's ranks.
-	itemName, itemCount := rec.Frequent()
+	itemName, _ := rec.Frequent()
 	workers := min(max(m.Workers, 1), groups)
 	track := mine.Ledger(m.Track, ctl)
 	// ControlSink inside SyncSink: the stopped check and the emission
@@ -178,7 +178,7 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 			shard.Rec = groupRecs[g]
 		}
 		csp := m.Rec.StartChild(sp, "mine-group").WithWorker(worker).With("group", int64(g))
-		err := m.mineShard(shards[g].path, g, groups, n, itemName, itemCount, minSupport, ssink, shard, arenas[worker])
+		err := m.mineShard(shards[g].path, g, groups, n, itemName, minSupport, ssink, shard, arenas[worker])
 		csp.End()
 		return err
 	})
@@ -192,9 +192,9 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 // mineShard reads one shard file, builds its CFP-tree in a, charged to
 // g's ledger, and mines the group's ranks with g's array mine, whose
 // conditional trees reuse a.
-func (m Miner) mineShard(path string, group, groups, numItems int, itemName []uint32, itemCount []uint64, minSup uint64, sink mine.Sink, g core.Growth, a *arena.Arena) error {
+func (m Miner) mineShard(path string, group, groups, numItems int, itemName []uint32, minSup uint64, sink mine.Sink, g core.Growth, a *arena.Arena) error {
 	a.Reset()
-	tree := core.NewTree(a, m.Config, itemName, itemCount)
+	tree := core.NewTree(a, m.Config, itemName)
 	tree.Observe(g.Rec)
 	if err := scanShard(path, func(tx []uint32) error {
 		if err := g.Ctl.Err(); err != nil {

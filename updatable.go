@@ -44,7 +44,7 @@ func NewUpdatableIndex(tree TreeConfig) *UpdatableIndex {
 		arena: arena.New(),
 		ids:   make(map[Item]uint32),
 	}
-	u.tree = core.NewTree(u.arena, cfg, u.names, u.counts)
+	u.tree = core.NewTree(u.arena, cfg, u.names)
 	return u
 }
 
@@ -77,7 +77,7 @@ func (u *UpdatableIndex) Add(tx []Item) {
 // refreshTreeSlices re-links the tree's item metadata after the
 // universe grows (append may reallocate the backing arrays).
 func (u *UpdatableIndex) refreshTreeSlices() {
-	u.tree.SetItemSpace(u.names, u.counts)
+	u.tree.SetItemSpace(u.names)
 }
 
 // NumTx returns the number of transactions added.
