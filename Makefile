@@ -52,9 +52,11 @@ bench-pairs:
 
 # Short fuzz campaigns over the parsers and serializers, over the
 # CFP-tree to CFP-array conversion against its three-walk reference
-# (FuzzConvert draws the tree configuration from its input), and over
-# CFP-growth against FP-growth (FuzzInsertMine draws MaxLen and the
-# conditional builder from its input).
+# (FuzzConvert draws the tree configuration from its input), over the
+# flat decode in every walk layout that fits against PathTo
+# (FuzzFlatDecode), and over CFP-growth against FP-growth
+# (FuzzInsertMine draws MaxLen and the conditional builder from its
+# input).
 fuzz:
 	$(GO) test ./internal/dataset/ -fuzz FuzzReadAll -fuzztime 30s
 	$(GO) test ./internal/dataset/ -fuzz FuzzFileScan -fuzztime 30s
@@ -63,6 +65,7 @@ fuzz:
 	$(GO) test . -fuzz FuzzReadIndex -fuzztime 30s -run '^$$'
 	$(GO) test . -fuzz FuzzUpdatableSnapshot -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/core/ -fuzz FuzzConvert -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/core/ -fuzz FuzzFlatDecode -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/core/ -fuzz FuzzInsertMine -fuzztime 60s -run '^$$'
 
 # Regenerate every table and figure of the paper (see EXPERIMENTS.md).

@@ -17,13 +17,15 @@ import (
 func TestHotPathsDoNotAllocate(t *testing.T) {
 	small := buildArrayAt(t, obsDB(300, 8, 30), 5)
 	wide := buildArrayAt(t, quest.Generate(quest.Config{NumTx: 1500, AvgTxLen: 10, NumItems: 400, Seed: 17}), 5)
-	var ds, dw Decode
-	if !ds.From(small) || !dw.From(wide) || ds.layout != layoutSmall || dw.layout != layoutLocal4 {
-		t.Fatal("fixtures do not decode to the small and the rank-local layout")
+	// The wide array decodes to the 3-byte word; the 4-byte one is
+	// forced.
+	var ds, d3, d4 Decode
+	if !ds.From(small) || !d3.From(wide) || !d4.fromLayout(wide, layoutLocal4) || ds.layout != layoutSmall || d3.layout != layoutLocal3 {
+		t.Fatal("fixtures do not decode to the small and the 3-byte rank-local layout")
 	}
 	rk, wrk := uint32(small.NumItems()-1), uint32(wide.NumItems()-1)
 	lo, hi := ds.Run(rk)
-	wlo, whi := dw.Run(wrk)
+	wlo, whi := d3.Run(wrk)
 	sup, wsup := small.runCounts(rk, nil), wide.runCounts(wrk, nil)
 	condCount := make([]uint64, wide.NumItems())
 	var e Element
@@ -32,7 +34,11 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	query := []uint32{0, rk}
 	m := &cfpGrower{sink: &mine.CountSink{}}
 	prefix := []uint32{9, 3, 7}
-	offs, start, cur := []uint32{0, 3, 5, 9}, []int32{0, 4}, []int32{0}
+	offs, start, cur := &walkSlots{w4: []uint32{0, 3, 5, 9}}, []int32{0, 4}, []int32{0}
+	// The path chase's grower, with every rank the count chases reach
+	// frequent, and a visitor that takes every path.
+	pm := &cfpGrower{minSup: 1}
+	visit := func([]uint32, uint64) bool { return false }
 	// A single-path tree, and a conditional of three items that the
 	// pair chase proves a leaf: 70 chased paths, past one full pair
 	// batch, make every pair 70 < 100, so a flush runs in the call.
@@ -72,7 +78,11 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		{"Array.runCounts", 0, func() { sup = small.runCounts(rk, sup) }},
 		{"findParent", 0, func() { findParent(offs, start, cur, 0, 5) }},
 		{"countSmall", 0, func() { countSmall(ds.walk, sup, lo, hi, condCount) }},
-		{"countLocal", 0, func() { countLocal(dw.walk, dw.start, wsup, wlo, whi, condCount) }},
+		{"countLocal3", 0, func() { countLocal3(d3.walk3, d3.start, wsup, wlo, whi, condCount) }},
+		{"countLocal", 0, func() { countLocal(d4.walk, d4.start, wsup, wlo, whi, condCount) }},
+		{"pathsSmall", 0, func() { pathsSmall(pm, ds.walk, sup, lo, hi, condCount, 0, visit) }},
+		{"pathsLocal3", 0, func() { pathsLocal3(pm, d3.walk3, d3.start, wsup, wlo, whi, condCount, 0, visit) }},
+		{"pathsLocal", 0, func() { pathsLocal(pm, d4.walk, d4.start, wsup, wlo, whi, condCount, 0, visit) }},
 		{"cfpGrower.leafVerdict", 0, func() {
 			if leaf.leafVerdict(leafCounts, 200, false, chase) != condLeaf {
 				t.Fatal("the pair chase found a frequent pair")

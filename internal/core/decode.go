@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"unsafe"
 
 	"cfpgrowth/internal/encoding"
 )
@@ -26,38 +25,49 @@ import (
 // walked ~5x slower than the packed form on the quest benchmarks), and
 // the decode is the largest structure of the mine phase, so every byte
 // per element is paid in the run's modeled peak. A decoding therefore
-// holds nothing but one packed 4-byte walk word per element (8 bytes
-// only past 4,095 items or 2^20 elements of one rank) that locates its
-// parent, and the per-rank start table. Supports are not stored:
-// only the run that owns them reads them, once and sequentially, so the
-// miner decodes them from the run's own triples when it builds that
-// run's conditional (Array.runCounts). Parent resolution needs each
-// element's local byte offset, but only while From runs, so the offsets
-// live in the walk slots themselves until the final words replace them.
+// holds nothing but one packed walk word per element that locates its
+// parent — 4 bytes up to 256 items; past that 3 bytes while every run
+// is under 4,096 elements, 4 bytes while every run is under 2^20, and
+// 8 only past 4,095 items or such a run — and the per-rank start
+// table. Supports
+// are not stored: only the run that owns them reads them, once and
+// sequentially, so the miner decodes them from the run's own triples
+// when it builds that run's conditional (Array.runCounts). Parent
+// resolution needs each element's local byte offset, but only while
+// From runs, so the offsets live in the walk slots themselves until the
+// final words replace them.
 
-// walkLayout selects a Decode's walk word, one of three:
+// walkLayout selects a Decode's walk word, one of four, listed in the
+// order layoutOf prefers them:
 //
 //   - layoutSmall: walk[i] = parent<<8 | rank, 4 bytes, the parent's
 //     global element index beside the element's own rank. It needs
 //     fewer than 2^24-1 elements over at most 256 items.
-//   - layoutLocal4: walk[i] = parentRank<<20 | parentLocal, 4 bytes,
-//     where parentLocal is the parent's index inside its own rank's run;
-//     a chase step finds the parent at start[parentRank] + parentLocal.
-//     It needs at most 4,095 items and every run shorter than 2^20.
+//   - layoutLocal3: walk3 word i = parentRank<<12 | parentLocal, 3
+//     bytes, where parentLocal is the parent's index inside its own
+//     rank's run; a chase step finds the parent at start[parentRank] +
+//     parentLocal. It needs at most 4,095 items and every run shorter
+//     than 2^12. A step reads the word with one unaligned 4-byte load
+//     masked to 24 bits, so walk3 ends in one pad byte.
+//   - layoutLocal4: the same rank-local word in 32 bits (12/20), for
+//     runs shorter than 2^20.
 //   - layoutLocal8: the same rank-local word in 64 bits (32/32), for
 //     anything larger (up to the 2^31-1 flat index space).
 //
 // Where the small word fits it stays: its chase step is one load, the
 // rank-local step two (the start entry, then the parent), and the
 // extra load shows on cache-resident pattern bases. Past 256 items the
-// rank-local word is the only 4-byte word: a global parent index and a
-// rank together need more than 32 bits. In the small layout the root
-// is parent index smallRoot; in the rank-local layouts it is the
-// all-ones word, whose rank field names no rank.
+// rank-local word is the only word of 4 bytes or less: a global parent
+// index and a rank together need more than 32 bits. Each rank-local
+// layout fixes its field split, so the shifts and masks are constants
+// in its chase. In the small layout the root is parent index
+// smallRoot; in the rank-local layouts it is the all-ones word, whose
+// rank field names no rank.
 type walkLayout uint8
 
 const (
 	layoutSmall walkLayout = iota
+	layoutLocal3
 	layoutLocal4
 	layoutLocal8
 )
@@ -65,6 +75,13 @@ const (
 // smallRoot is the small layout's parent-index sentinel marking an
 // element that hangs off the virtual root.
 const smallRoot = 1<<24 - 1
+
+// local3Shift is the width of layoutLocal3's parent-local field, and
+// local3Root its root word.
+const (
+	local3Shift = 12
+	local3Root  = 1<<24 - 1
+)
 
 // Decode is a reusable flat decoding of one CFP-array: every element's
 // packed walk word, in storage order (subarrays ascending by rank,
@@ -79,10 +96,12 @@ const smallRoot = 1<<24 - 1
 // list, so a level's buffer is never touched by its subproblems.
 type Decode struct {
 	// layout selects the walk word (walkLayout): walk holds the 4-byte
-	// words of layoutSmall and layoutLocal4, walkW the 8-byte words of
-	// layoutLocal8. The slice not in use is empty.
+	// words of layoutSmall and layoutLocal4, walk3 the 3-byte words of
+	// layoutLocal3 and its pad byte, walkW the 8-byte words of
+	// layoutLocal8. The slices not in use are empty.
 	layout walkLayout
 	walk   []uint32
+	walk3  []byte
 	walkW  []uint64
 	// start[rk] is the index of rank rk's first element; len
 	// NumItems+1, mirroring Array.starts.
@@ -94,7 +113,7 @@ type Decode struct {
 }
 
 // NumElems returns the number of decoded elements.
-func (d *Decode) NumElems() int { return len(d.walk) + len(d.walkW) }
+func (d *Decode) NumElems() int { return len(d.walk) + len(d.walk3)/3 + len(d.walkW) }
 
 // Run returns the element index range [lo, hi) of rank rk's subarray.
 func (d *Decode) Run(rk uint32) (lo, hi int32) {
@@ -102,47 +121,67 @@ func (d *Decode) Run(rk uint32) (lo, hi int32) {
 }
 
 // Bytes returns the modeled footprint of the decoding: the walk words
-// and the start table. Charged against the run's memory ledger while
-// the decode is live.
+// (with layoutLocal3's pad byte) and the start table. Charged against
+// the run's memory ledger while the decode is live.
 func (d *Decode) Bytes() int64 {
-	return 4*int64(len(d.walk)) + 8*int64(len(d.walkW)) + 4*int64(len(d.start))
+	return 4*int64(len(d.walk)) + int64(len(d.walk3)) + 8*int64(len(d.walkW)) + 4*int64(len(d.start))
 }
 
-// layoutOf returns the walk layout a decoding of a takes. It reads
-// only the array's element counts, so it is known before From runs.
+// layoutOf returns the walk layout a decoding of a takes: the first of
+// the four that fits. It reads only the array's element counts, so it
+// is known before From runs.
 func layoutOf(a *Array) walkLayout {
+	l := layoutSmall
+	for !layoutFits(a, l) {
+		l++
+	}
+	return l
+}
+
+// layoutFits reports whether every element of a can take l's walk
+// word. layoutLocal8 takes any array within the flat index space.
+func layoutFits(a *Array, l walkLayout) bool {
 	numItems := a.NumItems()
-	if a.NumNodes() < smallRoot && numItems <= 256 {
-		return layoutSmall
+	switch l {
+	case layoutSmall:
+		return a.NumNodes() < smallRoot && numItems <= 256
+	case layoutLocal8:
+		return true
 	}
 	if numItems >= 1<<12 {
-		return layoutLocal8
+		return false
 	}
 	for _, k := range a.nodes {
-		if k >= 1<<20 {
-			return layoutLocal8
+		if k >= 1<<localShift(l) {
+			return false
 		}
 	}
-	return layoutLocal4
+	return true
 }
 
-// localShift is the width of the parent-local field of a rank-local
-// walk word of type W; the parent's rank sits above it.
-func localShift[W walkWord]() uint {
-	if unsafe.Sizeof(W(0)) == 8 {
-		return 32
+// localShift is the width of the parent-local field of layout l's
+// rank-local walk word; the parent's rank sits above it.
+func localShift(l walkLayout) uint {
+	switch l {
+	case layoutLocal3:
+		return local3Shift
+	case layoutLocal4:
+		return 20
 	}
-	return 20
+	return 32
 }
 
 // decodeBytes is the modeled footprint of a's decoding, known before
 // From runs: Bytes() once From has filled it.
 func decodeBytes(a *Array) int64 {
-	per := int64(4)
-	if layoutOf(a) == layoutLocal8 {
-		per = 8
+	n, starts := int64(a.NumNodes()), int64(a.NumItems()+1)*4
+	switch layoutOf(a) {
+	case layoutLocal3:
+		return 3*n + 1 + starts
+	case layoutLocal8:
+		return 8*n + starts
 	}
-	return int64(a.NumNodes())*per + int64(a.NumItems()+1)*4
+	return 4*n + starts
 }
 
 // From fills d with the flat decoding of a, reusing d's buffers. It
@@ -153,24 +192,38 @@ func decodeBytes(a *Array) int64 {
 // so the sweeps run unchecked like Array.decode; debugchecks builds
 // re-assert the invariants.
 func (d *Decode) From(a *Array) bool {
+	return d.fromLayout(a, layoutOf(a))
+}
+
+// fromLayout is From in layout l, which must fit a (layoutFits). Tests
+// use it to decode one array in every layout that fits it.
+func (d *Decode) fromLayout(a *Array, l walkLayout) bool {
 	n := a.NumNodes()
 	numItems := a.NumItems()
 	if n > math.MaxInt32 || a.DataBytes() > math.MaxUint32 {
 		return false
 	}
-	d.layout = layoutOf(a)
+	if debugChecks {
+		assertf(layoutFits(a, l), "core: walk layout %d does not fit the array", l)
+	}
+	d.layout = l
 	d.start = resize(d.start, numItems+1)
 	d.cur = resize(d.cur, numItems)
 	clear(d.cur)
-	if d.layout == layoutLocal8 {
+	d.walk, d.walk3, d.walkW = d.walk[:0], d.walk3[:0], d.walkW[:0]
+	var s walkSlots
+	switch l {
+	case layoutLocal3:
+		d.walk3 = resize(d.walk3, 3*n+1)
+		s.w3 = d.walk3
+	case layoutLocal8:
 		d.walkW = resize(d.walkW, n)
-		d.walk = d.walk[:0]
-		decodeFlat(a, d.walkW, d.start, d.cur, false)
-		return true
+		s.w8 = d.walkW
+	default:
+		d.walk = resize(d.walk, n)
+		s.w4 = d.walk
 	}
-	d.walk = resize(d.walk, n)
-	d.walkW = d.walkW[:0]
-	decodeFlat(a, d.walk, d.start, d.cur, d.layout == layoutSmall)
+	decodeFlat(a, &s, d.start, d.cur, l)
 	return true
 }
 
@@ -183,17 +236,56 @@ func resize[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
+// walkSlots is decodeFlat's view of the walk it writes: the 4-byte,
+// 3-byte or 8-byte slots of the decode's layout, exactly one of w4, w3
+// and w8 in use. A slot holds an element's local byte offset until its
+// walk word replaces it; get returns either, set stores the low bytes
+// of v that the slot holds. The 4-byte slots, those of the small and
+// the 4-byte rank-local layout, are tested first, so those layouts pay
+// one test in front of each typed load.
+type walkSlots struct {
+	w4 []uint32
+	w3 []byte
+	w8 []uint64
+}
+
+func (s *walkSlots) get(i int32) uint64 {
+	if s.w4 != nil {
+		return uint64(s.w4[i])
+	}
+	if s.w3 != nil {
+		return uint64(word3(s.w3, i))
+	}
+	return s.w8[i]
+}
+
+func (s *walkSlots) set(i int32, v uint64) {
+	if s.w4 != nil {
+		s.w4[i] = uint32(v)
+		return
+	}
+	if s.w3 != nil {
+		j := 3 * int(i)
+		b := s.w3[j : j+3 : j+3]
+		b[0], b[1], b[2] = byte(v), byte(v>>8), byte(v>>16)
+		return
+	}
+	s.w8[i] = v
+}
+
 // decodeFlat is From's body, in two sweeps for every layout. Each
 // element's parent is found among the local byte offsets of the
 // parent's rank, which the walk slots hold until their final words
 // replace them, so no offset array is allocated. A parent's rank is
 // always lower than its child's (Δitem ≥ 1). Pass 1, ascending ranks,
 // writes each element's offset into its slot; pass 2, descending ranks,
-// resolves parents and overwrites the slots with their words (small
-// selects layoutSmall's word, the rank-local one otherwise), so a
+// resolves parents and overwrites the slots with layout l's words, so a
 // rank's offsets stay in place until every rank that can point into it
-// is done. cur holds the findParent cursors and must arrive zeroed.
-func decodeFlat[W walkWord](a *Array, walk []W, start, cur []int32, small bool) {
+// is done. Every offset fits its slot: layoutLocal3's runs hold under
+// 4,096 triples of at most three 10-byte varints, so their offsets stay
+// below 2^24, and From caps every subarray at 2^32 bytes. cur holds the
+// findParent cursors and must arrive zeroed.
+func decodeFlat(a *Array, s *walkSlots, start, cur []int32, l walkLayout) {
 	numItems := int64(len(start) - 1)
 	idx := int32(0)
 	for rk := int64(0); rk < numItems; rk++ {
@@ -207,7 +299,10 @@ func decodeFlat[W walkWord](a *Array, walk []W, start, cur []int32, small bool) 
 				continue
 			}
 			if ends++; ends == 3 {
-				walk[idx] = W(pos)
+				if debugChecks && s.w3 != nil {
+					assertf(pos < 1<<24, "core: triple offset %d overflows a 3-byte slot at rank %d", pos, rk)
+				}
+				s.set(idx, uint64(pos))
 				idx++
 				pos, ends = i+1, 0
 			}
@@ -218,16 +313,17 @@ func decodeFlat[W walkWord](a *Array, walk []W, start, cur []int32, small bool) 
 	}
 	start[numItems] = idx
 	for rk := numItems - 1; rk >= 0; rk-- {
-		resolveRun(a, walk, start, cur, uint32(rk), small)
+		resolveRun(a, s, start, cur, uint32(rk), l)
 	}
 }
 
 // resolveRun decodes rank rk's triples, finds each one's parent, and
-// overwrites each element's slot with its walk word: parent index above
-// the rank when small, the parent's rank above its index in that rank's
-// run otherwise.
-func resolveRun[W walkWord](a *Array, walk []W, start, cur []int32, rk uint32, small bool) {
-	shift := localShift[W]()
+// overwrites each element's slot with its layout-l walk word: parent
+// index above the rank in layoutSmall, the parent's rank above its
+// index in that rank's run otherwise.
+func resolveRun(a *Array, s *walkSlots, start, cur []int32, rk uint32, l walkLayout) {
+	small := l == layoutSmall
+	shift := localShift(l)
 	b := a.data[a.starts[rk]:a.starts[rk+1]]
 	idx := start[rk]
 	pos := 0
@@ -248,9 +344,11 @@ func resolveRun[W walkWord](a *Array, walk []W, start, cur []int32, rk uint32, s
 			assertf(c <= math.MaxUint32, "core: count %d overflows uint32 at rank %d offset %d", c, rk, pos)
 			assertf(int64(pos) <= math.MaxUint32, "core: triple offset overflows 32 bits at rank %d", rk)
 		}
-		w := ^W(0)
+		// The rank-local root is the all-ones word; set keeps the
+		// slot's width of it.
+		w := uint64(math.MaxUint64)
 		if small {
-			w = smallRoot<<8 | W(rk)
+			w = smallRoot<<8 | uint64(rk)
 		}
 		if delta <= uint64(rk) {
 			pr := rk - uint32(delta)
@@ -258,69 +356,93 @@ func resolveRun[W walkWord](a *Array, walk []W, start, cur []int32, rk uint32, s
 			if debugChecks {
 				assertf(pl >= 0 && pl <= math.MaxUint32, "core: parent local offset out of range at rank %d offset %d", rk, pos)
 			}
-			j := findParent(walk, start, cur, pr, uint32(pl))
+			j := findParent(s, start, cur, pr, uint64(pl))
 			if debugChecks {
 				assertf(j >= 0, "core: unresolved parent (rank %d local %d) of rank %d offset %d", pr, pl, rk, pos)
 			}
 			switch {
 			case j < 0:
 			case small:
-				w = W(j)<<8 | W(rk)
+				w = uint64(j)<<8 | uint64(rk)
 			default:
-				w = W(pr)<<shift | W(j-start[pr])
+				w = uint64(pr)<<shift | uint64(j-start[pr])
 			}
 		}
-		walk[idx] = w
+		s.set(idx, w)
 		idx++
 		pos += n1 + n2 + n3
 	}
 }
 
 // findParent resolves a parent's (rank, local byte offset) pair to its
-// element index by searching rank pr's segment of walk while its slots
+// element index by searching rank pr's segment of the slots while they
 // still hold their strictly increasing offsets. Convert writes triples
 // depth-first, so the children of one rank meet their parents of one
-// rank in ascending order: the lookup gallops forward from the last
-// hit cur[pr] and narrows the binary search to the bracket it finds.
-// Any other order (ReadArray accepts every order in which parents
-// resolve) takes the binary search below the hint.
-func findParent[W walkWord](walk []W, start, cur []int32, pr uint32, local uint32) int32 {
+// rank in ascending order, though rarely the next parent: on the
+// quest-mine top level a gallop from the last hit cur[pr] took 10.7
+// probes per lookup, the guess below 5.75. The lookup guesses by
+// interpolation: above the last hit at the run's mean triple size,
+// below it between the run's start and the hit. It then gallops out
+// from the guess (g±1, g±3, g±7, …) and binary-searches the bracket it
+// finds. Any order resolves (ReadArray accepts every order in which
+// parents resolve); the order only moves the guess.
+func findParent(s *walkSlots, start, cur []int32, pr uint32, local uint64) int32 {
 	lo, hi := start[pr], start[pr+1]
-	if c := cur[pr]; c >= lo && c < hi {
-		switch v := uint32(walk[c]); {
-		case v == local:
-			return c
-		case v > local:
-			hi = c
-		default:
-			// Gallop: probe c+1, c+3, c+7, … until a probe reaches
-			// local, then search the bracket after the last probe
-			// below it.
-			lo = c + 1
-			end, step := int64(hi), int64(1)
-			for p := int64(lo); p < end; p += step {
-				if uint32(walk[p]) >= local {
-					hi = int32(p + 1)
-					break
-				}
-				lo = int32(p + 1)
-				if step < 1<<30 {
-					step += step
-				}
+	if lo >= hi {
+		return -1
+	}
+	c := cur[pr]
+	if c < lo || c >= hi {
+		c = lo
+	}
+	v := s.get(c)
+	if v == local {
+		return c
+	}
+	g := int64(c)
+	if v < local {
+		if last := s.get(hi - 1); last > v {
+			g += int64(local-v) * int64(hi-1-c) / int64(last-v)
+		}
+	} else if first := s.get(lo); v > first {
+		g = int64(lo) + (int64(local)-int64(first))*int64(c-lo)/int64(v-first)
+	}
+	g = min(max(g, int64(lo)), int64(hi)-1)
+	// The bracket [blo, bhi) holds local's index if local is there.
+	blo, bhi := int64(lo), int64(hi)
+	if w := s.get(int32(g)); w == local {
+		cur[pr] = int32(g)
+		return int32(g)
+	} else if w < local {
+		blo = g + 1
+		for step := int64(1); g+step < bhi; step += step {
+			if s.get(int32(g+step)) >= local {
+				bhi = g + step + 1
+				break
 			}
+			blo = g + step + 1
+		}
+	} else {
+		bhi = g
+		for step := int64(1); g-step >= blo; step += step {
+			if s.get(int32(g-step)) <= local {
+				blo = g - step
+				break
+			}
+			bhi = g - step
 		}
 	}
-	for lo < hi {
-		mid := int32(uint32(lo+hi) >> 1)
-		if uint32(walk[mid]) < local {
-			lo = mid + 1
+	for blo < bhi {
+		mid := (blo + bhi) >> 1
+		if s.get(int32(mid)) < local {
+			blo = mid + 1
 		} else {
-			hi = mid
+			bhi = mid
 		}
 	}
-	if lo < start[pr+1] && uint32(walk[lo]) == local {
-		cur[pr] = lo
-		return lo
+	if blo < int64(hi) && s.get(int32(blo)) == local {
+		cur[pr] = int32(blo)
+		return int32(blo)
 	}
 	return -1
 }

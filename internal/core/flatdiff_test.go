@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -62,16 +63,17 @@ type questFixture struct {
 	layout  walkLayout
 }
 
-// questFixtures are laptop-scale Quest workloads: the plain generator
-// configuration plus deliberately hostile variants — near-total
-// pattern corruption (long sparse noise paths), and heavy correlation
-// with long patterns (deep shared prefixes that stress the chain and
-// embed machinery the decoder flattens) — one with more than 256
-// frequent items, whose decodings take the 4-byte rank-local word, and
-// one with more than 4,095, whose decodings take the 8-byte one.
-// Support 2, the deep-recursion regime with dense result sets that
-// reach every branch of the conditional machinery, is skipped under
-// -short.
+// questFixtures are laptop-scale Quest workloads, one or more per walk
+// layout: the plain generator configuration plus deliberately hostile
+// variants — near-total pattern corruption (long sparse noise paths),
+// and heavy correlation with long patterns (deep shared prefixes that
+// stress the chain and embed machinery the decoder flattens) — one
+// with more than 256 frequent items, whose decodings take the 3-byte
+// rank-local word, one that adds a run of more than 4,095 elements
+// (longRun), which takes the 4-byte word, and one with more than 4,095
+// items, which takes the 8-byte one. Support 2, the deep-recursion
+// regime with dense result sets that reach every branch of the
+// conditional machinery, is skipped under -short.
 func questFixtures() []questFixture {
 	wide := quest.Generate(quest.Config{
 		NumTx: 1500, AvgTxLen: 10, NumItems: 400, Seed: 17,
@@ -88,12 +90,51 @@ func questFixtures() []questFixture {
 			NumTx: 800, AvgTxLen: 12, NumItems: 120,
 			AvgPatternLen: 9, Correlation: 0.9, Seed: 13,
 		}), []uint64{2, 5, 24}, layoutSmall},
-		{"quest-wide", wide, []uint64{2, 5, 24}, layoutLocal4},
+		{"quest-wide", wide, []uint64{2, 5, 24}, layoutLocal3},
+		{"long-run", longRun(), []uint64{5, 10}, layoutLocal4},
 		// At support 2 the tail's pairs make the mine ~10x slower, so
 		// this fixture stops at 5; the chases are the ones quest-wide
 		// runs at 2, over 8-byte words.
 		{"quest-wide-tail", withTail(wide, 4200, 6), []uint64{5, 6}, layoutLocal8},
 	}
+}
+
+// longRun is a database of more than 256 frequent items whose
+// least frequent heavy item, x, has a run of 4,200 elements: x sits
+// below a distinct subset of 13 heavier items in each of 4,200
+// transactions (the bits of the transaction's index), single-item
+// transactions make the 13 more frequent than x, and 300 light items,
+// three to a transaction in 2,000 more, push the item count past 256.
+// The light items are frequent at supports up to about 10.
+func longRun() dataset.Slice {
+	const heavy, xTx, light = 13, 4200, 300
+	const x = dataset.Item(1 << 12)
+	var db dataset.Slice
+	var sup [heavy]int
+	for i := 0; i < xTx; i++ {
+		tx := []dataset.Item{x}
+		for b := 0; b < heavy; b++ {
+			if i>>b&1 == 1 {
+				tx = append(tx, dataset.Item(b))
+				sup[b]++
+			}
+		}
+		db = append(db, tx)
+	}
+	for b := range sup {
+		for ; sup[b] <= xTx; sup[b]++ {
+			db = append(db, []dataset.Item{dataset.Item(b)})
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		var tx []dataset.Item
+		for _, j := range rng.Perm(light)[:3] {
+			tx = append(tx, dataset.Item(heavy+j))
+		}
+		db = append(db, tx)
+	}
+	return db
 }
 
 // withTail returns db with numTail extra items, each added to per
@@ -306,31 +347,37 @@ func buildArrayAt(t *testing.T, db dataset.Slice, minSup uint64) *Array {
 
 // TestDecodeBytes pins the modeled footprint of a flat decoding, in
 // every layout, to the structure From builds: one walk word per element,
-// 4 bytes in the small and 4-byte rank-local layouts and 8 in the
-// 8-byte one, plus the 4-byte start table over NumItems+1 ranks; no
-// per-element support or offset array. decodeBytes, the admission
-// charge known before From, must equal it.
+// 4 bytes in the small and 4-byte rank-local layouts, 3 bytes and one
+// pad byte in the 3-byte one and 8 in the 8-byte one, plus the 4-byte
+// start table over NumItems+1 ranks; no per-element support or offset
+// array. decodeBytes, the admission charge known before From, must
+// equal it.
 func TestDecodeBytes(t *testing.T) {
-	for _, fx := range []int{0, 3, 4} {
-		f := questFixtures()[fx]
+	fixtures := questFixtures()
+	for _, fx := range []int{0, 3, 4, 5} {
+		f := fixtures[fx]
 		a := buildArrayAt(t, f.db, 5)
 		var d Decode
 		if !d.From(a) {
 			t.Fatalf("%s: From failed", f.name)
 		}
 		n, items := int64(a.NumNodes()), int64(a.NumItems())
-		word := int64(4)
-		if f.layout == layoutLocal8 {
+		word, pad := int64(4), int64(0)
+		switch f.layout {
+		case layoutLocal3:
+			word, pad = 3, 1
+		case layoutLocal8:
 			word = 8
 		}
 		if d.layout != f.layout || d.NumElems() != a.NumNodes() {
 			t.Fatalf("%s: layout %d with %d elements, want layout %d with %d", f.name, d.layout, d.NumElems(), f.layout, n)
 		}
 		held := int64(len(d.walk))*int64(unsafe.Sizeof(d.walk[0])) +
+			int64(len(d.walk3)) +
 			int64(len(d.walkW))*int64(unsafe.Sizeof(d.walkW[0])) +
 			int64(len(d.start))*int64(unsafe.Sizeof(d.start[0]))
-		if got, want := d.Bytes(), word*n+4*(items+1); got != want || got != held {
-			t.Errorf("%s: Bytes() = %d, want %d·%d + 4·(%d+1) = %d, the held slices %d", f.name, got, word, n, items, want, held)
+		if got, want := d.Bytes(), word*n+pad+4*(items+1); got != want || got != held {
+			t.Errorf("%s: Bytes() = %d, want %d·%d + %d + 4·(%d+1) = %d, the held slices %d", f.name, got, word, n, pad, items, want, held)
 		}
 		if got := decodeBytes(a); got != d.Bytes() {
 			t.Errorf("%s: decodeBytes = %d, Bytes() after From = %d", f.name, got, d.Bytes())
@@ -343,8 +390,9 @@ func TestDecodeBytes(t *testing.T) {
 }
 
 // TestWalkLayoutLimits checks layoutOf at the edges of each walk word:
-// the small word's 256 items and 2^24-2 elements, and the 4-byte
-// rank-local word's 4,095 items and runs of 2^20-1 elements.
+// the small word's 256 items and 2^24-2 elements, the rank-local words'
+// 4,095 items, and the 3-byte word's runs of 4,095 elements and the
+// 4-byte word's of 2^20-1.
 func TestWalkLayoutLimits(t *testing.T) {
 	arr := func(runs ...int) *Array {
 		a := &Array{nodes: runs, itemName: make([]uint32, len(runs))}
@@ -364,12 +412,17 @@ func TestWalkLayoutLimits(t *testing.T) {
 		want walkLayout
 	}{
 		{"256 items", items(256), layoutSmall},
-		{"257 items", items(257), layoutLocal4},
-		{"4095 items", items(4095), layoutLocal4},
+		{"256 items, a run of 4096", arr(append([]int{1 << 12}, make([]int, 255)...)...), layoutSmall},
+		{"257 items", items(257), layoutLocal3},
+		{"4095 items", items(4095), layoutLocal3},
 		{"4096 items", items(4096), layoutLocal8},
 		{"2^24-2 elements", arr(smallRoot - 1), layoutSmall},
 		{"2^24-1 elements", arr(smallRoot), layoutLocal8},
 		{"2^24-1 elements in short runs", arr(short...), layoutLocal4},
+		{"257 items, a run of 4095", arr(append([]int{1<<12 - 1}, make([]int, 256)...)...), layoutLocal3},
+		{"257 items, a run of 4096", arr(append([]int{1 << 12}, make([]int, 256)...)...), layoutLocal4},
+		{"4095 items, a run of 4095", arr(append([]int{1<<12 - 1}, make([]int, 4094)...)...), layoutLocal3},
+		{"4095 items, a run of 4096", arr(append([]int{1 << 12}, make([]int, 4094)...)...), layoutLocal4},
 		{"257 items, a run of 2^20-1", arr(append([]int{1<<20 - 1}, make([]int, 256)...)...), layoutLocal4},
 		{"257 items, a run of 2^20", arr(append([]int{1 << 20}, make([]int, 256)...)...), layoutLocal8},
 	} {
@@ -487,8 +540,9 @@ func (d *treeDump) Leave() { *d = append(*d, -1) }
 // original array's.
 func TestFlatDecodeOutOfOrderParents(t *testing.T) {
 	const minSup = 5
-	for _, fx := range []int{0, 3, 4} {
-		f := questFixtures()[fx]
+	fixtures := questFixtures()
+	for _, fx := range []int{0, 3, 4, 5} {
+		f := fixtures[fx]
 		orig := buildArrayAt(t, f.db, minSup)
 		a := shuffledArray(t, orig)
 		if parentDescents(a) == 0 {
@@ -544,5 +598,98 @@ func sortRanks(r []uint32) {
 		for j := i; j > 0 && r[j] < r[j-1]; j-- {
 			r[j], r[j-1] = r[j-1], r[j]
 		}
+	}
+}
+
+// walkPath appends the ranks of element i's ancestors, nearest first,
+// chased through d's walk words one word at a time: the reference
+// reading of every layout, which decodes layoutLocal3's words byte by
+// byte.
+func walkPath(d *Decode, i int32, buf []uint32) []uint32 {
+	if d.layout == layoutSmall {
+		for p := d.walk[i] >> 8; p != smallRoot; p = d.walk[p] >> 8 {
+			buf = append(buf, d.walk[p]&0xff)
+		}
+		return buf
+	}
+	word := func(j int32) uint64 {
+		switch d.layout {
+		case layoutLocal3:
+			b := d.walk3[3*j : 3*j+3]
+			return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16
+		case layoutLocal4:
+			return uint64(d.walk[j])
+		}
+		return d.walkW[j]
+	}
+	// The root is the all-ones word of the layout's width.
+	shift, root := uint(12), uint64(1<<12-1)
+	switch d.layout {
+	case layoutLocal4:
+		shift = 20
+	case layoutLocal8:
+		shift, root = 32, 1<<32-1
+	}
+	for w := word(i); w>>shift != root; w = word(d.start[w>>shift] + int32(w&(1<<shift-1))) {
+		buf = append(buf, uint32(w>>shift))
+	}
+	return buf
+}
+
+// TestPathChaseTrim checks the path chase's trim: a lane ends once its
+// walk passes below the lowest conditionally frequent rank, so for
+// every random pattern base, in every layout that fits its array, the
+// multiset of (filtered path, count) the chase hands over must be the
+// same with the trim as without it (floor 0). The trim must be taken,
+// and some path must be cut short by it.
+func TestPathChaseTrim(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	handed := func(d *Decode, m *cfpGrower, a *Array, top uint32, condCount []uint64, floor uint32) map[string]int {
+		out := map[string]int{}
+		lo, hi := d.Run(top)
+		d.pathsRun(m, a.runCounts(top, nil), lo, hi, condCount, floor, func(path []uint32, c uint64) bool {
+			out[fmt.Sprint(path, c)]++
+			return false
+		})
+		return out
+	}
+	var trimmed, cut int
+	for trial := 0; trial < 300; trial++ {
+		pb := randomPatternBase(rng)
+		a := pb.array()
+		m := &cfpGrower{minSup: uint64(1 + rng.Intn(8))}
+		for l := layoutSmall; l <= layoutLocal8; l++ {
+			if !layoutFits(a, l) {
+				continue
+			}
+			var d Decode
+			if !d.fromLayout(a, l) {
+				t.Fatalf("trial %d layout %d: From = false", trial, l)
+			}
+			condCount := make([]uint64, pb.top)
+			lo, hi := d.Run(pb.top)
+			d.countRun(a.runCounts(pb.top, nil), lo, hi, condCount)
+			floor := m.frequentFloor(condCount)
+			if floor == pb.top {
+				continue
+			}
+			want := handed(&d, m, a, pb.top, condCount, 0)
+			got := handed(&d, m, a, pb.top, condCount, floor)
+			if !maps.Equal(got, want) {
+				t.Fatalf("trial %d layout %d floor %d: trimmed chase handed %v, untrimmed %v", trial, l, floor, got, want)
+			}
+			if floor > 0 {
+				trimmed++
+				for i := lo; i < hi; i++ {
+					if p := walkPath(&d, i, nil); len(p) > 0 && p[len(p)-1] < floor {
+						cut++
+						break
+					}
+				}
+			}
+		}
+	}
+	if trimmed == 0 || cut == 0 {
+		t.Fatalf("trim not exercised: %d chases with a floor, %d with a path below it", trimmed, cut)
 	}
 }

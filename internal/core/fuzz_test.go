@@ -143,3 +143,71 @@ func txToItems(tx []uint32) []dataset.Item {
 	copy(out, tx)
 	return out
 }
+
+// FuzzFlatDecode decodes the CFP-array of a fuzzer-shaped database in
+// every walk layout that fits it (layoutFits), and requires each
+// element's ancestor chain, read from its walk words (walkPath), to
+// equal Array.PathTo's. From must take layoutOf's layout, with Bytes()
+// equal to decodeBytes. Bytes are ranks and 0xFF separates
+// transactions; each transaction is sorted and deduplicated. mode's low
+// two bits spread the ranks 1, 3 or 17 apart, so arrays span fewer than
+// 256 ranks, more, and more than 4,095, and the upper six bits weigh
+// every transaction by 1 + mode>>2.
+func FuzzFlatDecode(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0xFF, 1, 2, 0xFF, 2}, uint8(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 0xFF, 0, 1, 2, 0xFF, 0, 1, 7, 0xFF, 3, 5}, uint8(1))
+	f.Add([]byte{3, 1, 3, 0xFF, 200, 0xFF, 1, 200, 254, 0xFF, 254}, uint8(2|4))
+	f.Add([]byte{}, uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		if len(data) > 1024 {
+			data = data[:1024]
+		}
+		stride := []uint32{1, 3, 17, 1}[mode&3]
+		var txs [][]uint32
+		var tx []uint32
+		numItems := 1
+		for i := 0; i <= len(data); i++ {
+			if i < len(data) && data[i] != 0xFF {
+				r := uint32(data[i]) * stride
+				tx = append(tx, r)
+				numItems = max(numItems, int(r)+1)
+				continue
+			}
+			if len(tx) > 0 {
+				slices.Sort(tx)
+				txs = append(txs, slices.Compact(tx))
+				tx = nil
+			}
+		}
+		tree := newTestTree(Config{}, numItems)
+		for _, tx := range txs {
+			tree.Insert(tx, 1+uint32(mode>>2))
+		}
+		a := Convert(tree)
+		var d Decode
+		if !d.From(a) || d.layout != layoutOf(a) || d.Bytes() != decodeBytes(a) {
+			t.Fatalf("From: layout %d, want %d; Bytes() %d, decodeBytes %d", d.layout, layoutOf(a), d.Bytes(), decodeBytes(a))
+		}
+		var want, got []uint32
+		for l := layoutSmall; l <= layoutLocal8; l++ {
+			if !layoutFits(a, l) {
+				continue
+			}
+			if !d.fromLayout(a, l) || d.NumElems() != a.NumNodes() {
+				t.Fatalf("layout %d: %d of %d elements decoded", l, d.NumElems(), a.NumNodes())
+			}
+			for rk := uint32(0); rk < uint32(a.NumItems()); rk++ {
+				i, _ := d.Run(rk)
+				a.ScanItem(rk, func(e Element) bool {
+					want = a.PathTo(e, want[:0])
+					got = walkPath(&d, i, got[:0])
+					if !slices.Equal(got, want) {
+						t.Fatalf("layout %d rank %d element %d: walk path %v, PathTo %v", l, rk, i, got, want)
+					}
+					i++
+					return true
+				})
+			}
+		}
+	})
+}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"slices"
 	"time"
+	"unsafe"
 
 	"cfpgrowth/internal/arena"
 	"cfpgrowth/internal/dataset"
@@ -15,8 +17,9 @@ import (
 // Growth is the CFP-growth miner: FP-growth running on the CFP-tree in
 // every build phase and the CFP-array in every mine phase. There is
 // exactly one CFP-tree alive at any moment (it is discarded right after
-// conversion, and its arena is recycled, §3.5/§4.1), while CFP-arrays
-// stack up along the recursion.
+// conversion, §3.5/§4.1), while CFP-arrays stack up along the
+// recursion. The build tree's arena is dropped with it; the conditional
+// trees of a serial mine, or of one pool worker, recycle one arena.
 //
 // With Workers set, the mine phase is sharded across the initial
 // CFP-array's top-level items, the natural task decomposition of
@@ -30,7 +33,7 @@ type Growth struct {
 	// Config tunes the CFP-tree compression features (ablations).
 	Config Config
 	// Workers is the number of mining goroutines. Zero mines on the
-	// calling goroutine, reusing the build tree's arena, with no pool.
+	// calling goroutine, with no pool.
 	Workers int
 	// Track, when non-nil, is charged the modeled memory consumption
 	// instead of Ctl (mine.Ledger); under Workers it must be safe for
@@ -94,10 +97,11 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 	}
 	// One mine span covers the whole run, pool included: per-item spans
 	// would swamp the aggregates, and the mine wall time is the phase
-	// the paper plots. The serial mine recycles the build tree's arena
-	// (reset by Convert), so one CFP-tree arena serves the whole run.
+	// the paper plots. The serial mine's conditional trees get a fresh
+	// arena: Reset keeps a buffer sized for the build tree, many times
+	// the largest conditional's, and the mine would hold it to the end.
 	sp := g.Rec.Start(obs.PhaseMine)
-	err = g.mineArray(arr, minSupport, AllRanks(arr), sink, sp, tree.arena)
+	err = g.mineArray(arr, minSupport, AllRanks(arr), sink, sp, arena.New())
 	track.Free(arr.Bytes())
 	sp.End()
 	return err
@@ -721,23 +725,9 @@ func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32, sup uint64
 	defer m.track.Free(supBytes)
 	condCount := m.condCounts(rank)
 	lo, hi := d.Run(rank)
-	switch d.layout {
-	case layoutSmall:
-		countSmall(d.walk, m.runSup, lo, hi, condCount)
-	case layoutLocal4:
-		countLocal(d.walk, d.start, m.runSup, lo, hi, condCount)
-	default:
-		countLocal(d.walkW, d.start, m.runSup, lo, hi, condCount)
-	}
+	d.countRun(m.runSup, lo, hi, condCount)
 	paths := func(visit func(path []uint32, c uint64) bool) bool {
-		switch d.layout {
-		case layoutSmall:
-			return pathsSmall(m, d.walk, m.runSup, lo, hi, condCount, visit)
-		case layoutLocal4:
-			return pathsLocal(m, d.walk, d.start, m.runSup, lo, hi, condCount, visit)
-		default:
-			return pathsLocal(m, d.walkW, d.start, m.runSup, lo, hi, condCount, visit)
-		}
+		return d.pathsRun(m, m.runSup, lo, hi, condCount, m.frequentFloor(condCount), visit)
 	}
 	if v := m.leafVerdict(condCount, sup, boundary, paths); v != condTree {
 		return nil, v == condLeaf
@@ -764,8 +754,62 @@ func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32, sup uint64
 // walkWord is a packed walk element of a Decode (walkLayout): uint32
 // for the small and 4-byte rank-local words, uint64 for the 8-byte
 // rank-local one. The rank-local chases derive the field split from W's
-// size, so it folds to a constant in each instantiation.
+// size (wordShift), so it folds to a constant in each instantiation.
 type walkWord interface{ uint32 | uint64 }
+
+// wordShift is the parent-local field width of the rank-local layout
+// whose words are of type W.
+func wordShift[W walkWord]() uint {
+	if unsafe.Sizeof(W(0)) == 8 {
+		return localShift(layoutLocal8)
+	}
+	return localShift(layoutLocal4)
+}
+
+// countRun runs the count chase of d's layout over the pattern base in
+// run [lo, hi): every ancestor's rank receives the element's count
+// sup[i-lo].
+func (d *Decode) countRun(sup []uint32, lo, hi int32, condCount []uint64) {
+	switch d.layout {
+	case layoutSmall:
+		countSmall(d.walk, sup, lo, hi, condCount)
+	case layoutLocal3:
+		countLocal3(d.walk3, d.start, sup, lo, hi, condCount)
+	case layoutLocal4:
+		countLocal(d.walk, d.start, sup, lo, hi, condCount)
+	default:
+		countLocal(d.walkW, d.start, sup, lo, hi, condCount)
+	}
+}
+
+// pathsRun runs the path chase of d's layout over the pattern base in
+// run [lo, hi), handing each element's filtered path to visit; ranks
+// below floor, a rank, are never frequent, so a lane's path ends there.
+func (d *Decode) pathsRun(m *cfpGrower, sup []uint32, lo, hi int32, condCount []uint64, floor uint32, visit func(path []uint32, c uint64) bool) bool {
+	switch d.layout {
+	case layoutSmall:
+		return pathsSmall(m, d.walk, sup, lo, hi, condCount, uint32(d.start[floor]), visit)
+	case layoutLocal3:
+		return pathsLocal3(m, d.walk3, d.start, sup, lo, hi, condCount, floor, visit)
+	case layoutLocal4:
+		return pathsLocal(m, d.walk, d.start, sup, lo, hi, condCount, floor, visit)
+	default:
+		return pathsLocal(m, d.walkW, d.start, sup, lo, hi, condCount, floor, visit)
+	}
+}
+
+// frequentFloor returns the lowest conditionally frequent rank of
+// condCount, or len(condCount) when no rank is. Ranks fall strictly
+// along a walk toward the root, so once a path chase passes below it,
+// the rest of the path filters away.
+func (m *cfpGrower) frequentFloor(condCount []uint64) uint32 {
+	for r, c := range condCount {
+		if c >= m.minSup {
+			return uint32(r)
+		}
+	}
+	return uint32(len(condCount))
+}
 
 // countSmall accumulates the conditional item supports of the pattern
 // base in run [lo, hi) of a layoutSmall walk: for every element i of
@@ -825,7 +869,7 @@ func countSmall(walk []uint32, sup []uint32, lo, hi int32, condCount []uint64) {
 // parent's word from start[r] + local. A lane at the root takes the
 // next element, and idles there once the run is exhausted.
 func countLocal[W walkWord](walk []W, start []int32, sup []uint32, lo, hi int32, condCount []uint64) {
-	shift := localShift[W]()
+	shift := wordShift[W]()
 	root := ^W(0) >> shift
 	mask := W(1)<<shift - 1
 	var cur [walkLanes]W
@@ -855,16 +899,58 @@ func countLocal[W walkWord](walk []W, start []int32, sup []uint32, lo, hi int32,
 	}
 }
 
+// countLocal3 is countLocal over layoutLocal3's 3-byte words (word3),
+// with the field split fixed at 12/12.
+func countLocal3(walk []byte, start []int32, sup []uint32, lo, hi int32, condCount []uint64) {
+	var cur [walkLanes]uint32
+	var cnt [walkLanes]uint64
+	for l := range cur {
+		cur[l] = local3Root
+	}
+	i := lo
+	for {
+		alive := false
+		for l := 0; l < walkLanes; l++ {
+			w := cur[l]
+			if r := w >> local3Shift; r != local3Root>>local3Shift {
+				condCount[r] += cnt[l]
+				cur[l] = word3(walk, start[r]+int32(w&(1<<local3Shift-1)))
+				alive = true
+			} else if i < hi {
+				cur[l] = word3(walk, i)
+				cnt[l] = uint64(sup[i-lo])
+				i++
+				alive = true
+			}
+		}
+		if !alive {
+			break
+		}
+	}
+}
+
+// word3 loads element i's layoutLocal3 word with one unaligned 4-byte
+// load masked to 24 bits; the pad byte that ends walk keeps the last
+// word's load in bounds.
+func word3(walk []byte, i int32) uint32 {
+	j := 3 * int(i)
+	return binary.LittleEndian.Uint32(walk[j:j+4]) & local3Root
+}
+
 // pathsSmall re-walks the pattern base in run [lo, hi) of a
 // layoutSmall walk and hands every element's non-empty
 // conditionally-frequent path to visit, nearest-first, with its count
 // from sup indexed from lo as in countSmall. Lanes accumulate
-// already-filtered ancestor ranks nearest-first; a completed lane hands
-// its path over (visitLane), then takes the next element. The order is
-// the deterministic lane-completion order, which is a pure function of
-// the decoding (tree content is insertion-order independent). A visit
-// that returns true stops the walk, and pathsSmall reports it.
-func pathsSmall(m *cfpGrower, walk []uint32, sup []uint32, lo, hi int32, condCount []uint64, visit func(path []uint32, c uint64) bool) bool {
+// already-filtered ancestor ranks nearest-first; a lane whose walk
+// reaches the root, or an ancestor stored below element floor (the
+// first element of the lowest frequent rank, frequentFloor: ranks are
+// stored ascending), hands its path over (visitLane), then takes the
+// next element. One unsigned compare tests both, before the load. The
+// order is the deterministic lane-completion order, which is a pure
+// function of the decoding and floor (tree content is insertion-order
+// independent). A visit that returns true stops the walk, and
+// pathsSmall reports it.
+func pathsSmall(m *cfpGrower, walk []uint32, sup []uint32, lo, hi int32, condCount []uint64, floor uint32, visit func(path []uint32, c uint64) bool) bool {
 	minSup := m.minSup
 	var cur [walkLanes]uint32
 	var own [walkLanes]int32
@@ -877,7 +963,7 @@ func pathsSmall(m *cfpGrower, walk []uint32, sup []uint32, lo, hi int32, condCou
 		alive := false
 		for l := 0; l < walkLanes; l++ {
 			p := cur[l]
-			if p >= smallRoot {
+			if p-floor >= smallRoot-floor {
 				if p > smallRoot {
 					continue // lane retired, run exhausted
 				}
@@ -909,9 +995,10 @@ func pathsSmall(m *cfpGrower, walk []uint32, sup []uint32, lo, hi int32, condCou
 }
 
 // pathsLocal is pathsSmall over a rank-local walk, with the lane
-// states of countLocal.
-func pathsLocal[W walkWord](m *cfpGrower, walk []W, start []int32, sup []uint32, lo, hi int32, condCount []uint64, visit func(path []uint32, c uint64) bool) bool {
-	shift := localShift[W]()
+// states of countLocal. A lane's word names the next ancestor's rank,
+// so floor is a rank here, and a lane ends at it without the load.
+func pathsLocal[W walkWord](m *cfpGrower, walk []W, start []int32, sup []uint32, lo, hi int32, condCount []uint64, floor uint32, visit func(path []uint32, c uint64) bool) bool {
+	shift := wordShift[W]()
 	root := ^W(0) >> shift
 	mask := W(1)<<shift - 1
 	minSup := m.minSup
@@ -926,7 +1013,7 @@ func pathsLocal[W walkWord](m *cfpGrower, walk []W, start []int32, sup []uint32,
 		alive := false
 		for l := 0; l < walkLanes; l++ {
 			w := cur[l]
-			if r := w >> shift; r != root {
+			if r := w >> shift; r != root && r >= W(floor) {
 				if condCount[r] >= minSup {
 					m.laneBufs[l] = append(m.laneBufs[l], uint32(r))
 				}
@@ -942,6 +1029,47 @@ func pathsLocal[W walkWord](m *cfpGrower, walk []W, start []int32, sup []uint32,
 			}
 			if i < hi {
 				cur[l] = walk[i]
+				own[l] = i
+				i++
+				alive = true
+			}
+		}
+		if !alive {
+			return false
+		}
+	}
+}
+
+// pathsLocal3 is pathsLocal over layoutLocal3's 3-byte words.
+func pathsLocal3(m *cfpGrower, walk []byte, start []int32, sup []uint32, lo, hi int32, condCount []uint64, floor uint32, visit func(path []uint32, c uint64) bool) bool {
+	minSup := m.minSup
+	var cur [walkLanes]uint32
+	var own [walkLanes]int32
+	for l := range cur {
+		cur[l] = local3Root
+		own[l] = -1
+	}
+	i := lo
+	for {
+		alive := false
+		for l := 0; l < walkLanes; l++ {
+			w := cur[l]
+			if r := w >> local3Shift; r != local3Root>>local3Shift && r >= floor {
+				if condCount[r] >= minSup {
+					m.laneBufs[l] = append(m.laneBufs[l], r)
+				}
+				cur[l] = word3(walk, start[r]+int32(w&(1<<local3Shift-1)))
+				alive = true
+				continue
+			}
+			if own[l] >= 0 {
+				if m.visitLane(l, sup[own[l]-lo], visit) {
+					return true
+				}
+				own[l] = -1
+			}
+			if i < hi {
+				cur[l] = word3(walk, i)
 				own[l] = i
 				i++
 				alive = true

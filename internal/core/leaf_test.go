@@ -480,13 +480,14 @@ func TestPairBatchEdges(t *testing.T) {
 			}
 		}
 	}
-	if !layouts[layoutSmall] || !layouts[layoutLocal4] {
-		t.Errorf("the flat chases decoded to layouts %v; want both the small and the rank-local one", layouts)
+	if !layouts[layoutSmall] || !layouts[layoutLocal3] {
+		t.Errorf("the flat chases decoded to layouts %v; want both the small and the 3-byte rank-local one", layouts)
 	}
 }
 
-// checkBatchEdge runs one TestPairBatchEdges case and returns the walk
-// layout of its flat decoding.
+// checkBatchEdge runs one TestPairBatchEdges case, the flat builder
+// over a decoding in every layout that fits the array, and returns the
+// layout From picks.
 func checkBatchEdge(t *testing.T, b batchEdgeBase, k, stop int) walkLayout {
 	var frequent int
 	for _, c := range b.cond {
@@ -521,11 +522,19 @@ func checkBatchEdge(t *testing.T, b batchEdgeBase, k, stop int) walkLayout {
 	if a.Support(b.pb.top) != b.sup {
 		t.Fatalf("support %d, want %d", a.Support(b.pb.top), b.sup)
 	}
-	var d Decode
-	if !d.From(a) {
-		t.Fatal("From = false")
+	builds := []string{"scan"}
+	var decodes []Decode
+	for l := layoutSmall; l <= layoutLocal8; l++ {
+		if layoutFits(a, l) {
+			var d Decode
+			if !d.fromLayout(a, l) {
+				t.Fatalf("layout %d: From = false", l)
+			}
+			builds = append(builds, fmt.Sprintf("flat/layout%d", l))
+			decodes = append(decodes, d)
+		}
 	}
-	for _, build := range []string{"flat", "scan"} {
+	for bi, build := range builds {
 		track := &mine.Control{}
 		m := &cfpGrower{minSup: b.minSup, track: track, treeArena: arena.New()}
 		// Record the paths the builder's chase hands to the visitor.
@@ -538,8 +547,8 @@ func checkBatchEdge(t *testing.T, b batchEdgeBase, k, stop int) walkLayout {
 		}
 		var tree *Tree
 		var leaf bool
-		if build == "flat" {
-			tree, leaf = m.conditionalFlat(a, &d, b.pb.top, b.sup, false)
+		if bi > 0 {
+			tree, leaf = m.conditionalFlat(a, &decodes[bi-1], b.pb.top, b.sup, false)
 		} else {
 			tree, leaf = m.conditionalScan(a, b.pb.top, b.sup, false)
 		}
@@ -560,5 +569,5 @@ func checkBatchEdge(t *testing.T, b batchEdgeBase, k, stop int) walkLayout {
 			t.Fatalf("%s: %d bytes left charged", build, track.Bytes())
 		}
 	}
-	return d.layout
+	return layoutOf(a)
 }
