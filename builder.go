@@ -78,7 +78,7 @@ func (b *Builder) Finish() (*Index, error) {
 	// Pass 1 ran in Add; the spool replay is pass 2.
 	arr, err := b.opts.buildArray(func(ctl *mine.Control) (*core.Tree, error) {
 		rec := dataset.NewRecoder(counts, minSup)
-		return core.BuildRecoded(spool{f: b.f, numTx: counts.NumTx}, rec, b.opts.Tree.config(), ctl, ctl, b.opts.Observe)
+		return core.BuildRecoded(spool{f: b.f, numTx: counts.NumTx}, rec, b.opts.Tree.config(), ctl, b.opts.Observe)
 	})
 	if err != nil {
 		return nil, err

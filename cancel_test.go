@@ -88,6 +88,51 @@ func TestMineCancelMidRun(t *testing.T) {
 	}
 }
 
+// cancelingScan cancels its run's Context at transaction k of the
+// build scan (its second), then waits long enough for the Control's
+// watcher to see it, and counts the transactions the scan delivers
+// past that point.
+type cancelingScan struct {
+	db           Transactions
+	k            int
+	cancel       func()
+	scans, after int
+	canceled     bool
+}
+
+func (s *cancelingScan) Scan(fn func(tx []Item) error) error {
+	s.scans++
+	for i, tx := range s.db {
+		if s.scans == 2 && i == s.k {
+			s.cancel()
+			time.Sleep(100 * time.Millisecond)
+			s.canceled = true
+		}
+		if err := fn(tx); err != nil {
+			return err
+		}
+		if s.canceled {
+			s.after++
+		}
+	}
+	return nil
+}
+
+// TestMineCancelDuringBuildScan: a run canceled during its build scan
+// stops the scan at its next transaction, before the scan ends.
+func TestMineCancelDuringBuildScan(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelingScan{db: randomDB(6, 2000, 20), k: 100, cancel: cancel}
+	err := Mine(src, Options{MinSupport: 2, Algorithm: "afopt", Context: ctx}, func([]Item, uint64) error { return nil })
+	if !errors.Is(err, ErrCanceled) {
+		t.Errorf("err = %v, want ErrCanceled", err)
+	}
+	if src.after != 0 {
+		t.Errorf("the build scan took %d transactions after the cancel", src.after)
+	}
+}
+
 func TestMineDeadline(t *testing.T) {
 	// A deadline that has already passed behaves like a canceled context.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -334,6 +379,14 @@ func TestRunContract(t *testing.T) {
 		}
 		if err := run(Options{MinSupport: 2, MaxBytes: 1}); !errors.Is(err, ErrBudgetExceeded) {
 			t.Errorf("%s with MaxBytes 1: err = %v, want ErrBudgetExceeded", name, err)
+		}
+	}
+	for _, algo := range Algorithms() {
+		if err := runs["Mine"](Options{MinSupport: 2, Algorithm: algo, Context: canceled}); !errors.Is(err, ErrCanceled) {
+			t.Errorf("Mine %s with a canceled Context: err = %v, want ErrCanceled", algo, err)
+		}
+		if err := runs["Mine"](Options{MinSupport: 2, Algorithm: algo, MaxBytes: 1}); !errors.Is(err, ErrBudgetExceeded) {
+			t.Errorf("Mine %s with MaxBytes 1: err = %v, want ErrBudgetExceeded", algo, err)
 		}
 	}
 	// A pooled, observed run under a generous budget reports one peak:

@@ -224,7 +224,7 @@ func (o Options) miner(ctl *mine.Control) (mine.Miner, error) {
 	case "fpgrowth":
 		return fptree.Growth{MaxLen: o.MaxLen, Ctl: ctl, Rec: o.Observe}, nil
 	}
-	return algo.NewObserved(name, nil, ctl, o.Observe)
+	return algo.NewObserved(name, ctl, o.Observe)
 }
 
 // growth is the CFP-growth miner the options configure, on the run's
@@ -381,7 +381,7 @@ func AnalyzeCompression(src Source, opts Options) (CompressionStats, error) {
 	}
 	var ts core.TreeStats
 	arr, err := opts.buildArray(func(ctl *mine.Control) (*core.Tree, error) {
-		tree, _, err := core.Build(src, minSup, opts.Tree.config(), ctl, ctl, opts.Observe)
+		tree, _, err := core.Build(src, minSup, opts.Tree.config(), ctl, opts.Observe)
 		if err == nil {
 			// Taken before the convert stage recycles the tree's arena.
 			ts = tree.Stats()

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"cfpgrowth/internal/experiments"
-	"cfpgrowth/internal/mine"
 )
 
 func main() {
@@ -40,16 +39,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, usage)
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Scale: *scale, MemBudget: *budget << 20, Quick: *quick}.WithDefaults()
-	if *timeout > 0 || *maxBytes > 0 {
-		ctl := &mine.Control{MaxBytes: *maxBytes}
-		if *timeout > 0 {
-			ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-			defer cancel()
-			release := ctl.Watch(ctx)
-			defer release()
-		}
-		cfg.Ctl = ctl
+	cfg := experiments.Config{Scale: *scale, MemBudget: *budget << 20, Quick: *quick, MaxBytes: *maxBytes}.WithDefaults()
+	if *timeout > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		defer cancel()
+		cfg.Context = ctx
 	}
 	run := func(name string, f func() error) {
 		if !want[name] {

@@ -59,7 +59,7 @@ func BuildIndex(src Source, opts Options) (*Index, error) {
 	}
 	var numTx uint64
 	arr, err := opts.buildArray(func(ctl *mine.Control) (tree *core.Tree, err error) {
-		tree, numTx, err = core.Build(src, minSup, opts.Tree.config(), ctl, ctl, opts.Observe)
+		tree, numTx, err = core.Build(src, minSup, opts.Tree.config(), ctl, opts.Observe)
 		return tree, err
 	})
 	if err != nil {

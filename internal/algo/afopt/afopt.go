@@ -16,11 +16,10 @@ import (
 
 // Miner is the AFOPT-style miner.
 type Miner struct {
-	// Track observes modeled memory at NodeBytes per tree node.
-	Track mine.MemTracker
 	// Ctl, when non-nil, is polled during the build scan and at every
 	// emission of the shared FP-growth recursion, so a stopped run
-	// emits nothing further and aborts with its cause.
+	// emits nothing further and aborts with its cause. It is also the
+	// run's byte ledger, charged NodeBytes per tree node.
 	Ctl *mine.Control
 }
 
@@ -73,5 +72,5 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	if err != nil {
 		return err
 	}
-	return fptree.MineTree(tree, minSupport, sink, m.Track, NodeBytes, m.Ctl)
+	return fptree.MineTree(tree, minSupport, sink, NodeBytes, m.Ctl)
 }

@@ -33,7 +33,7 @@ func TestAscendingOrderGrowsTree(t *testing.T) {
 		{1, 2, 3, 4}, {1, 2, 3}, {1, 2}, {1}, {1, 2, 3, 4}, {1, 2, 3}, {1, 2}, {1},
 	}
 	var tr mine.Control
-	if err := (Miner{Track: &tr}).Mine(db, 2, &mine.CountSink{}); err != nil {
+	if err := (Miner{Ctl: &tr}).Mine(db, 2, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
 	// Descending order shares everything: 4 nodes. Ascending order

@@ -22,56 +22,44 @@ import (
 	"cfpgrowth/internal/pfp"
 )
 
-// factories maps algorithm names to constructors taking a memory
-// tracker, a cancellation control, and an observability recorder.
-// Miners without native control support ignore ctl; their runs are
-// still stopped at the next emission by the mine.ControlSink the
-// callers wrap around the sink, and charge ctl's byte ledger through
-// the tracker NewObserved hands them. Miners without native
-// instrumentation ignore rec.
-var factories = map[string]func(mine.MemTracker, *mine.Control, *obs.Recorder) mine.Miner{
-	"cfpgrowth": func(t mine.MemTracker, c *mine.Control, r *obs.Recorder) mine.Miner {
-		return core.Growth{Track: t, Ctl: c, Rec: r}
+// factories maps algorithm names to constructors taking the run's
+// Control and an observability recorder. Every miner charges its
+// modeled bytes to the Control's ledger and polls it for a stop; the
+// mine.ControlSink the callers wrap around the sink also stops a run
+// at its next emission. Miners without native instrumentation ignore
+// rec.
+var factories = map[string]func(*mine.Control, *obs.Recorder) mine.Miner{
+	"cfpgrowth": func(c *mine.Control, r *obs.Recorder) mine.Miner { return core.Growth{Ctl: c, Rec: r} },
+	"cfpgrowth-par": func(c *mine.Control, r *obs.Recorder) mine.Miner {
+		return core.Growth{Workers: runtime.GOMAXPROCS(0), Ctl: c, Rec: r}
 	},
-	"cfpgrowth-par": func(t mine.MemTracker, c *mine.Control, r *obs.Recorder) mine.Miner {
-		return core.Growth{Workers: runtime.GOMAXPROCS(0), Track: t, Ctl: c, Rec: r}
-	},
-	"pfp": func(t mine.MemTracker, c *mine.Control, r *obs.Recorder) mine.Miner {
-		return pfp.Miner{Track: t, Ctl: c, Rec: r}
-	},
-	"fpgrowth": func(t mine.MemTracker, c *mine.Control, r *obs.Recorder) mine.Miner {
-		return fptree.Growth{Track: t, Ctl: c, Rec: r}
-	},
-	"apriori": func(t mine.MemTracker, c *mine.Control, _ *obs.Recorder) mine.Miner {
-		return apriori.Miner{Track: t, Ctl: c}
-	},
-	"eclat": func(t mine.MemTracker, c *mine.Control, _ *obs.Recorder) mine.Miner {
-		return eclat.Miner{Track: t, Ctl: c}
-	},
-	"nonordfp": func(t mine.MemTracker, _ *mine.Control, _ *obs.Recorder) mine.Miner { return nonordfp.Miner{Track: t} },
-	"fparray":  func(t mine.MemTracker, _ *mine.Control, _ *obs.Recorder) mine.Miner { return fparray.Miner{Track: t} },
-	"tiny":     func(t mine.MemTracker, _ *mine.Control, _ *obs.Recorder) mine.Miner { return tiny.Miner{Track: t} },
-	"afopt":    func(t mine.MemTracker, _ *mine.Control, _ *obs.Recorder) mine.Miner { return afopt.Miner{Track: t} },
-	"ctpro":    func(t mine.MemTracker, _ *mine.Control, _ *obs.Recorder) mine.Miner { return ctpro.Miner{Track: t} },
+	"pfp":      func(c *mine.Control, r *obs.Recorder) mine.Miner { return pfp.Miner{Ctl: c, Rec: r} },
+	"fpgrowth": func(c *mine.Control, r *obs.Recorder) mine.Miner { return fptree.Growth{Ctl: c, Rec: r} },
+	"apriori":  func(c *mine.Control, _ *obs.Recorder) mine.Miner { return apriori.Miner{Ctl: c} },
+	"eclat":    func(c *mine.Control, _ *obs.Recorder) mine.Miner { return eclat.Miner{Ctl: c} },
+	"nonordfp": func(c *mine.Control, _ *obs.Recorder) mine.Miner { return nonordfp.Miner{Ctl: c} },
+	"fparray":  func(c *mine.Control, _ *obs.Recorder) mine.Miner { return fparray.Miner{Ctl: c} },
+	"tiny":     func(c *mine.Control, _ *obs.Recorder) mine.Miner { return tiny.Miner{Ctl: c} },
+	"afopt":    func(c *mine.Control, _ *obs.Recorder) mine.Miner { return afopt.Miner{Ctl: c} },
+	"ctpro":    func(c *mine.Control, _ *obs.Recorder) mine.Miner { return ctpro.Miner{Ctl: c} },
 }
 
-// New returns the miner registered under name, reporting memory to
-// track, or to ctl's ledger when track is nil, and honoring ctl (both
-// may be nil).
-func New(name string, track mine.MemTracker, ctl *mine.Control) (mine.Miner, error) {
-	return NewObserved(name, track, ctl, nil)
+// New returns the miner registered under name, charging and honoring
+// ctl (nil: never stopped, nothing counted).
+func New(name string, ctl *mine.Control) (mine.Miner, error) {
+	return NewObserved(name, ctl, nil)
 }
 
 // NewObserved is New with an observability recorder attached; the
 // natively instrumented miners (cfpgrowth, cfpgrowth-par, pfp,
 // fpgrowth) record phase spans and structure counters into it, the
 // rest ignore it. A nil rec disables instrumentation.
-func NewObserved(name string, track mine.MemTracker, ctl *mine.Control, rec *obs.Recorder) (mine.Miner, error) {
+func NewObserved(name string, ctl *mine.Control, rec *obs.Recorder) (mine.Miner, error) {
 	f, ok := factories[name]
 	if !ok {
 		return nil, fmt.Errorf("algo: unknown algorithm %q (have %v)", name, Names())
 	}
-	return f(mine.Ledger(track, ctl), ctl, rec), nil
+	return f(ctl, rec), nil
 }
 
 // Names lists the registered algorithms, sorted.

@@ -9,7 +9,7 @@ import (
 )
 
 func TestNewUnknown(t *testing.T) {
-	if _, err := New("nope", nil, nil); err == nil {
+	if _, err := New("nope", nil); err == nil {
 		t.Error("New accepted an unknown algorithm")
 	}
 }
@@ -20,7 +20,7 @@ func TestNamesComplete(t *testing.T) {
 		t.Errorf("registered %d algorithms, want 11: %v", len(names), names)
 	}
 	for _, n := range names {
-		m, err := New(n, nil, nil)
+		m, err := New(n, nil)
 		if err != nil {
 			t.Fatalf("New(%q): %v", n, err)
 		}
@@ -54,7 +54,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 			}
 			for _, name := range Names() {
 				var tr mine.Control
-				m, err := New(name, &tr, nil)
+				m, err := New(name, &tr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,7 +99,7 @@ func TestAlgorithmsOnDenseData(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range Names() {
-		m, _ := New(name, nil, nil)
+		m, _ := New(name, nil)
 		got, err := mine.Run(m, db, 20)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -126,7 +126,7 @@ func TestAlgorithmsEmptyAndDegenerate(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, name := range Names() {
-			m, _ := New(name, nil, nil)
+			m, _ := New(name, nil)
 			got, err := mine.Run(m, c.db, c.minSup)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", c.name, name, err)
@@ -150,7 +150,7 @@ func BenchmarkAlgorithms(b *testing.B) {
 	}
 	for _, name := range Names() {
 		b.Run(name, func(b *testing.B) {
-			m, _ := New(name, nil, nil)
+			m, _ := New(name, nil)
 			for i := 0; i < b.N; i++ {
 				var sink mine.CountSink
 				if err := m.Mine(db, 16, &sink); err != nil {

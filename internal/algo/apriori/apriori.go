@@ -17,11 +17,10 @@ import (
 // Miner is the Apriori miner. Candidates are kept in a prefix trie;
 // counting walks the trie against each (recoded, sorted) transaction.
 type Miner struct {
-	// Track observes modeled memory consumption (candidate trie).
-	Track mine.MemTracker
 	// Ctl, when non-nil, is polled during each counting scan and before
 	// every emission, so a stopped run aborts promptly mid-level and
-	// emits nothing further.
+	// emits nothing further. It is also the run's byte ledger, charged
+	// the candidate trie.
 	Ctl *mine.Control
 }
 
@@ -55,10 +54,6 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	if n == 0 {
 		return nil
 	}
-	track := m.Track
-	if track == nil {
-		track = mine.NullTracker{}
-	}
 	// L1 and its emission.
 	lk := make([][]uint32, 0, n)
 	for rk := 0; rk < n; rk++ {
@@ -77,7 +72,7 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 			return nil
 		}
 		root, nodes := buildTrie(cands)
-		track.Alloc(int64(nodes) * trieNodeBytes)
+		m.Ctl.Alloc(int64(nodes) * trieNodeBytes)
 		var buf []uint32
 		err := src.Scan(func(tx []uint32) error {
 			if err := m.Ctl.Err(); err != nil {
@@ -90,7 +85,7 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 			return nil
 		})
 		if err != nil {
-			track.Free(int64(nodes) * trieNodeBytes)
+			m.Ctl.Free(int64(nodes) * trieNodeBytes)
 			return err
 		}
 		next := lk[:0]
@@ -102,13 +97,13 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 					err = sink.Emit(rec.DecodeSet(c), sup)
 				}
 				if err != nil {
-					track.Free(int64(nodes) * trieNodeBytes)
+					m.Ctl.Free(int64(nodes) * trieNodeBytes)
 					return err
 				}
 				next = append(next, c)
 			}
 		}
-		track.Free(int64(nodes) * trieNodeBytes)
+		m.Ctl.Free(int64(nodes) * trieNodeBytes)
 		lk = next
 		sortSets(lk)
 	}

@@ -84,7 +84,7 @@ func TestMinerEndToEnd(t *testing.T) {
 func TestMinerTracksCandidateMemory(t *testing.T) {
 	var tr mine.Control
 	db := dataset.Slice{{1, 2, 3}, {1, 2, 3}, {1, 2, 3}}
-	if err := (Miner{Track: &tr}).Mine(db, 2, &mine.CountSink{}); err != nil {
+	if err := (Miner{Ctl: &tr}).Mine(db, 2, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.PeakBytes() <= 0 {

@@ -16,12 +16,11 @@ import (
 
 // Miner is the CT-PRO-style miner.
 type Miner struct {
-	// Track observes modeled memory at NodeBytes per trie node plus 4
-	// bytes per item-index entry.
-	Track mine.MemTracker
 	// Ctl, when non-nil, is polled at every emission, so a stopped run
 	// (cancellation, deadline, budget, failing sink) emits nothing
-	// further and aborts with its cause.
+	// further and aborts with its cause. It is also the run's byte
+	// ledger, charged NodeBytes per trie node plus 4 bytes per
+	// item-index entry.
 	Ctl *mine.Control
 }
 
@@ -100,10 +99,6 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	if n == 0 {
 		return nil
 	}
-	track := m.Track
-	if track == nil {
-		track = mine.NullTracker{}
-	}
 	itemName, itemCount := rec.Frequent()
 	tr := newTree(itemName, itemCount)
 	var buf []uint32
@@ -115,14 +110,13 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	if err != nil {
 		return err
 	}
-	g := &grower{minSup: minSupport, sink: sink, track: track, ctl: m.Ctl}
+	g := &grower{minSup: minSupport, sink: sink, ctl: m.Ctl}
 	return g.mine(tr, nil)
 }
 
 type grower struct {
 	minSup  uint64
 	sink    mine.Sink
-	track   mine.MemTracker
 	ctl     *mine.Control // nil = never canceled
 	emitBuf []uint32
 }
@@ -137,8 +131,8 @@ func (g *grower) emit(prefix []uint32, support uint64) error {
 }
 
 func (g *grower) mine(t *tree, prefix []uint32) error {
-	g.track.Alloc(t.bytes())
-	defer g.track.Free(t.bytes())
+	g.ctl.Alloc(t.bytes())
+	defer g.ctl.Free(t.bytes())
 	for rk := len(t.itemNodes) - 1; rk >= 0; rk-- {
 		if len(t.itemNodes[rk]) == 0 {
 			continue

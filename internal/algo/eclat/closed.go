@@ -15,11 +15,10 @@ import (
 // FIMI'04 winner and is the natural companion to the tidlist miner in
 // this package.
 type ClosedMiner struct {
-	// Track observes modeled memory (tidlists).
-	Track mine.MemTracker
 	// Ctl, when non-nil, is polled during the vertical build and at
 	// every closure expansion, so a stopped run emits nothing further
-	// and aborts with its cause.
+	// and aborts with its cause. It is also the run's byte ledger,
+	// charged the tidlists.
 	Ctl *mine.Control
 }
 
@@ -41,10 +40,6 @@ func (m ClosedMiner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink)
 	n := rec.NumFrequent()
 	if n == 0 {
 		return nil
-	}
-	track := m.Track
-	if track == nil {
-		track = mine.NullTracker{}
 	}
 	tids := make([][]uint32, n)
 	for rk := 0; rk < n; rk++ {
@@ -70,13 +65,12 @@ func (m ClosedMiner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink)
 	for _, l := range tids {
 		vert += int64(len(l)) * 4
 	}
-	track.Alloc(vert)
-	defer track.Free(vert)
+	m.Ctl.Alloc(vert)
+	defer m.Ctl.Free(vert)
 
 	c := &closedMiner{
 		minSup: minSupport,
 		sink:   sink,
-		track:  track,
 		ctl:    m.Ctl,
 		rec:    rec,
 		tids:   tids,
@@ -95,7 +89,6 @@ func (m ClosedMiner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink)
 type closedMiner struct {
 	minSup uint64
 	sink   mine.Sink
-	track  mine.MemTracker
 	ctl    *mine.Control // nil = never canceled
 	rec    *dataset.Recoder
 	tids   [][]uint32
@@ -165,9 +158,9 @@ func (c *closedMiner) expand(T []uint32, prevClosure []uint32, core int) error {
 		if uint64(len(T2)) < c.minSup {
 			continue
 		}
-		c.track.Alloc(int64(len(T2)) * 4)
+		c.ctl.Alloc(int64(len(T2)) * 4)
 		err := c.expand(T2, clo, rk)
-		c.track.Free(int64(len(T2)) * 4)
+		c.ctl.Free(int64(len(T2)) * 4)
 		if err != nil {
 			return err
 		}

@@ -14,13 +14,12 @@ import (
 
 // Miner is the Eclat miner.
 type Miner struct {
-	// Track observes modeled memory consumption: the resident database
-	// (LCM-family implementations keep the transactions in memory,
-	// which is why the paper finds LCM's footprint proportional to the
-	// number of transactions, §4.5) plus 4 bytes per tidlist entry.
-	Track mine.MemTracker
 	// Ctl, when non-nil, is polled during the vertical build and the
-	// depth-first search so a stopped run aborts promptly.
+	// depth-first search so a stopped run aborts promptly. It is also
+	// the run's byte ledger: the resident database (LCM-family
+	// implementations keep the transactions in memory, which is why
+	// the paper finds LCM's footprint proportional to the number of
+	// transactions, §4.5) plus 4 bytes per tidlist entry.
 	Ctl *mine.Control
 }
 
@@ -47,10 +46,6 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	n := rec.NumFrequent()
 	if n == 0 {
 		return nil
-	}
-	track := m.Track
-	if track == nil {
-		track = mine.NullTracker{}
 	}
 	// Vertical representation: one tidlist per frequent item.
 	tids := make([][]uint32, n)
@@ -79,10 +74,10 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	for _, l := range tids {
 		resident += int64(len(l)) * 4
 	}
-	track.Alloc(resident)
-	defer track.Free(resident)
+	m.Ctl.Alloc(resident)
+	defer m.Ctl.Free(resident)
 
-	e := &eclat{minSup: minSupport, sink: sink, track: track, rec: rec, ctl: m.Ctl}
+	e := &eclat{minSup: minSupport, sink: sink, rec: rec, ctl: m.Ctl}
 	// Depth-first over extensions in ascending rank order.
 	items := make([]uint32, n)
 	for i := range items {
@@ -94,7 +89,6 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 type eclat struct {
 	minSup uint64
 	sink   mine.Sink
-	track  mine.MemTracker
 	rec    *dataset.Recoder
 	ctl    *mine.Control // nil = never canceled
 	setBuf []uint32
@@ -130,9 +124,9 @@ func (e *eclat) grow(prefix []uint32, items []uint32, tids [][]uint32) error {
 			}
 		}
 		if len(condItems) > 0 {
-			e.track.Alloc(condBytes)
+			e.ctl.Alloc(condBytes)
 			err := e.grow(prefix, condItems, condTids)
-			e.track.Free(condBytes)
+			e.ctl.Free(condBytes)
 			if err != nil {
 				return err
 			}

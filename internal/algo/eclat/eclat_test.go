@@ -74,10 +74,10 @@ func TestMemoryIncludesResidentDatabase(t *testing.T) {
 		big = append(big, small...)
 	}
 	var trSmall, trBig mine.Control
-	if err := (Miner{Track: &trSmall}).Mine(small, 3, &mine.CountSink{}); err != nil {
+	if err := (Miner{Ctl: &trSmall}).Mine(small, 3, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Miner{Track: &trBig}).Mine(big, 30, &mine.CountSink{}); err != nil {
+	if err := (Miner{Ctl: &trBig}).Mine(big, 30, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
 	if trBig.PeakBytes() <= trSmall.PeakBytes() {

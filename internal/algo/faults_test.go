@@ -44,7 +44,7 @@ func TestScanErrorsPropagate(t *testing.T) {
 	for _, name := range Names() {
 		for _, failPass := range []int{1, 2} {
 			src := &faultySource{db: db, failPass: failPass, failTx: 2}
-			m, err := New(name, nil, nil)
+			m, err := New(name, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestScanErrorOnLaterPass(t *testing.T) {
 	db := dataset.Slice{{1, 2, 3}, {1, 2, 3}, {1, 2, 3}}
 	for _, name := range []string{"apriori", "fparray"} {
 		src := &faultySource{db: db, failPass: 3, failTx: 1}
-		m, err := New(name, nil, nil)
+		m, err := New(name, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestTrackerBalancedOnError(t *testing.T) {
 	for _, name := range Names() {
 		for _, failPass := range []int{1, 2, 3} {
 			var tr mine.Control
-			m, err := New(name, &tr, nil)
+			m, err := New(name, &tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,9 +145,9 @@ func TestNoEmissionAfterStop(t *testing.T) {
 			return core.Growth{Config: core.Config{DisableFlatDecode: true}, Ctl: ctl}
 		},
 	}
-	for _, name := range []string{"cfpgrowth", "cfpgrowth-par", "pfp", "fpgrowth", "apriori", "eclat"} {
+	for _, name := range Names() {
 		miners[name] = func(ctl *mine.Control) mine.Miner {
-			m, err := New(name, nil, ctl)
+			m, err := New(name, ctl)
 			if err != nil {
 				t.Fatal(err)
 			}

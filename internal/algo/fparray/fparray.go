@@ -18,13 +18,12 @@ import (
 
 // Miner is the FP-array-style miner.
 type Miner struct {
-	// Track observes modeled memory: the resident raw dataset during
-	// the initial build (6 bytes per item occurrence, the paper's
-	// storage estimate in §4.1), plus NodeEntrySize per array node.
-	Track mine.MemTracker
 	// Ctl, when non-nil, is polled at every emission, so a stopped run
 	// (cancellation, deadline, budget, failing sink) emits nothing
-	// further and aborts with its cause.
+	// further and aborts with its cause. It is also the run's byte
+	// ledger: the resident raw dataset during the initial build (6
+	// bytes per item occurrence, the paper's storage estimate in
+	// §4.1), plus NodeEntrySize per array node.
 	Ctl *mine.Control
 }
 
@@ -69,10 +68,6 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	if n == 0 {
 		return nil
 	}
-	track := m.Track
-	if track == nil {
-		track = mine.NullTracker{}
-	}
 	// Model the dataset being resident during the first scan: the
 	// implementation the paper measured keeps the raw transactions in
 	// memory and builds the tree from them in a second, in-memory pass.
@@ -85,7 +80,7 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 		return err
 	}
 	dataBytes := occurrences * DatasetBytesPerOccurrence
-	track.Alloc(dataBytes)
+	m.Ctl.Alloc(dataBytes)
 
 	itemName, itemCount := rec.Frequent()
 	tree := fptree.New(itemName, itemCount)
@@ -96,19 +91,18 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 		return nil
 	})
 	if err != nil {
-		track.Free(dataBytes)
+		m.Ctl.Free(dataBytes)
 		return err
 	}
-	g := &grower{minSup: minSupport, sink: sink, track: track, ctl: m.Ctl}
+	g := &grower{minSup: minSupport, sink: sink, ctl: m.Ctl}
 	err = g.mineTree(tree, nil)
-	track.Free(dataBytes)
+	m.Ctl.Free(dataBytes)
 	return err
 }
 
 type grower struct {
 	minSup  uint64
 	sink    mine.Sink
-	track   mine.MemTracker
 	ctl     *mine.Control // nil = never canceled
 	emitBuf []uint32
 }
@@ -124,12 +118,12 @@ func (g *grower) emit(prefix []uint32, support uint64) error {
 
 func (g *grower) mineTree(t *fptree.Tree, prefix []uint32) error {
 	treeBytes := t.BaselineBytes()
-	g.track.Alloc(treeBytes)
+	g.ctl.Alloc(treeBytes)
 	a := unroll(t)
-	g.track.Free(treeBytes)
-	g.track.Alloc(a.bytes())
+	g.ctl.Free(treeBytes)
+	g.ctl.Alloc(a.bytes())
 	err := g.mineArray(a, prefix)
-	g.track.Free(a.bytes())
+	g.ctl.Free(a.bytes())
 	return err
 }
 

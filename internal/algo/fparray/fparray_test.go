@@ -76,7 +76,7 @@ func TestDatasetResidentDuringBuild(t *testing.T) {
 		db = append(db, db[0])
 	}
 	var tr mine.Control
-	if err := (Miner{Track: &tr}).Mine(db, 10, &mine.CountSink{}); err != nil {
+	if err := (Miner{Ctl: &tr}).Mine(db, 10, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
 	wantMin := int64(10 * 10 * DatasetBytesPerOccurrence)

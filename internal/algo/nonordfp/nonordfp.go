@@ -19,12 +19,11 @@ import (
 
 // Miner is the nonordfp-style miner.
 type Miner struct {
-	// Track observes modeled memory consumption: BaselineNodeSize per
-	// node while a build tree is alive, EntrySize per node per array.
-	Track mine.MemTracker
 	// Ctl, when non-nil, is polled at every emission, so a stopped run
 	// (cancellation, deadline, budget, failing sink) emits nothing
-	// further and aborts with its cause.
+	// further and aborts with its cause. It is also the run's byte
+	// ledger: BaselineNodeSize per node while a build tree is alive,
+	// EntrySize per node per array.
 	Ctl *mine.Control
 }
 
@@ -80,10 +79,6 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	if n == 0 {
 		return nil
 	}
-	track := m.Track
-	if track == nil {
-		track = mine.NullTracker{}
-	}
 	itemName, itemCount := rec.Frequent()
 	tree := fptree.New(itemName, itemCount)
 	var buf []uint32
@@ -95,14 +90,13 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	if err != nil {
 		return err
 	}
-	g := &grower{minSup: minSupport, sink: sink, track: track, ctl: m.Ctl}
+	g := &grower{minSup: minSupport, sink: sink, ctl: m.Ctl}
 	return g.mineTree(tree, nil)
 }
 
 type grower struct {
 	minSup  uint64
 	sink    mine.Sink
-	track   mine.MemTracker
 	ctl     *mine.Control // nil = never canceled
 	emitBuf []uint32
 }
@@ -121,12 +115,12 @@ func (g *grower) emit(prefix []uint32, support uint64) error {
 // defining memory weakness of this algorithm family.
 func (g *grower) mineTree(t *fptree.Tree, prefix []uint32) error {
 	buildBytes := t.BaselineBytes()
-	g.track.Alloc(buildBytes)
+	g.ctl.Alloc(buildBytes)
 	tab := flatten(t)
-	g.track.Free(buildBytes) // build tree discarded after flattening
-	g.track.Alloc(tab.bytes())
+	g.ctl.Free(buildBytes) // build tree discarded after flattening
+	g.ctl.Alloc(tab.bytes())
 	err := g.mineTable(tab, prefix)
-	g.track.Free(tab.bytes())
+	g.ctl.Free(tab.bytes())
 	return err
 }
 

@@ -86,7 +86,7 @@ func TestBuildPhaseMemoryAtBaseline(t *testing.T) {
 	// point that it "does not reduce memory in the build phase".
 	db := dataset.Slice{{1, 2, 3}, {1, 2, 3}, {1, 2, 3}}
 	var tr mine.Control
-	if err := (Miner{Track: &tr}).Mine(db, 3, &mine.CountSink{}); err != nil {
+	if err := (Miner{Ctl: &tr}).Mine(db, 3, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.PeakBytes() < 3*fptree.BaselineNodeSize {

@@ -30,11 +30,10 @@ type Miner struct {
 	Slack float64
 	// Seed makes the sample deterministic.
 	Seed int64
-	// Track observes modeled memory of the sample-mining phase.
-	Track mine.MemTracker
 	// Ctl, when non-nil, is polled by both scans, the sample mine and
 	// every emission, so a stopped run (cancellation, deadline, budget,
 	// failing sink) emits nothing further and aborts with its cause.
+	// It is also the run's byte ledger, charged by the sample mine.
 	Ctl *mine.Control
 }
 
@@ -103,7 +102,7 @@ func (m Miner) mine(src dataset.Source, minSupport uint64, sink mine.Sink, certi
 	}
 	var cands mine.CollectSink
 	if len(sampleDB) > 0 {
-		if err := (core.Growth{Track: m.Track, Ctl: m.Ctl}).Mine(sampleDB, sampleSup, &cands); err != nil {
+		if err := (core.Growth{Ctl: m.Ctl}).Mine(sampleDB, sampleSup, &cands); err != nil {
 			return false, err
 		}
 	}

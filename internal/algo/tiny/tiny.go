@@ -18,13 +18,11 @@ import (
 
 // Miner is the FP-growth-Tiny-style miner.
 type Miner struct {
-	// Track observes modeled memory: the big tree at the 40-byte
-	// baseline node size for the whole run, plus 8 bytes per live
-	// occurrence entry.
-	Track mine.MemTracker
 	// Ctl, when non-nil, is polled at every emission, so a stopped run
 	// (cancellation, deadline, budget, failing sink) emits nothing
-	// further and aborts with its cause.
+	// further and aborts with its cause. It is also the run's byte
+	// ledger: the big tree at the 40-byte baseline node size for the
+	// whole run, plus 8 bytes per live occurrence entry.
 	Ctl *mine.Control
 }
 
@@ -56,10 +54,6 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	if n == 0 {
 		return nil
 	}
-	track := m.Track
-	if track == nil {
-		track = mine.NullTracker{}
-	}
 	itemName, itemCount := rec.Frequent()
 	tree := fptree.New(itemName, itemCount)
 	var buf []uint32
@@ -72,9 +66,9 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 		return err
 	}
 	treeBytes := tree.BaselineBytes()
-	track.Alloc(treeBytes)
-	defer track.Free(treeBytes)
-	g := &grower{t: tree, minSup: minSupport, sink: sink, track: track, ctl: m.Ctl}
+	m.Ctl.Alloc(treeBytes)
+	defer m.Ctl.Free(treeBytes)
+	g := &grower{t: tree, minSup: minSupport, sink: sink, ctl: m.Ctl}
 	// Top level: each item's occurrences are its nodelink chain.
 	for rk := n - 1; rk >= 0; rk-- {
 		sup := tree.ItemCount[rk]
@@ -99,7 +93,6 @@ type grower struct {
 	t       *fptree.Tree
 	minSup  uint64
 	sink    mine.Sink
-	track   mine.MemTracker
 	ctl     *mine.Control // nil = never canceled
 	emitBuf []uint32
 }
@@ -152,9 +145,9 @@ func (g *grower) mine(prefix []uint32, bound uint32, occ []occurrence) error {
 			next = append(next, occurrence{node: nd, weight: w})
 		}
 		bytes := int64(len(next)) * OccEntrySize
-		g.track.Alloc(bytes)
+		g.ctl.Alloc(bytes)
 		err := g.mine(prefix, uint32(rk), next)
-		g.track.Free(bytes)
+		g.ctl.Free(bytes)
 		if err != nil {
 			return err
 		}

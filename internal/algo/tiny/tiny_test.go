@@ -59,7 +59,7 @@ func TestTreeresidentWholeRun(t *testing.T) {
 	// run — the paper's reason it breaks on large data.
 	db := dataset.Slice{{1, 2, 3}, {1, 2, 3}}
 	var tr mine.Control
-	if err := (Miner{Track: &tr}).Mine(db, 2, &mine.CountSink{}); err != nil {
+	if err := (Miner{Ctl: &tr}).Mine(db, 2, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.PeakBytes() < 3*fptree.BaselineNodeSize {

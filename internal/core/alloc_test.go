@@ -42,7 +42,7 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	// A single-path tree, and a conditional of three items that the
 	// pair chase proves a leaf: 70 chased paths, past one full pair
 	// batch, make every pair 70 < 100, so a flush runs in the call.
-	pathTree, _, err := Build(dataset.Slice{{1, 2, 3}, {1, 2}, {1}}, 1, Config{}, nil, mine.NullTracker{}, nil)
+	pathTree, _, err := Build(dataset.Slice{{1, 2, 3}, {1, 2}, {1}}, 1, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	if !ok {
 		t.Fatal("fixture is not a single path")
 	}
-	leaf := &cfpGrower{minSup: 100, track: &mine.Control{}}
+	leaf := &cfpGrower{minSup: 100, ctl: &mine.Control{}}
 	leafCounts, leafPath := []uint64{100, 100, 100}, []uint32{2, 1, 0}
 	chase := func(visit func(path []uint32, c uint64) bool) bool {
 		for i := 0; i < batchPaths+6; i++ {

@@ -19,10 +19,10 @@ import (
 // transactions counted.
 //
 // Build owns the stage's run contract. The count table is charged to
-// track inside the pass1 span and released once recoded; track must be
-// non-nil. ctl (nil = never stopped) and rec (nil = unobserved) are
+// ctl's ledger inside the pass1 span and released once recoded. ctl
+// (nil = never stopped, nothing counted) and rec (nil = unobserved) are
 // threaded through pass 2 as BuildRecoded documents.
-func Build(src dataset.Source, minSupport uint64, cfg Config, ctl *mine.Control, track mine.MemTracker, rec *obs.Recorder) (*Tree, uint64, error) {
+func Build(src dataset.Source, minSupport uint64, cfg Config, ctl *mine.Control, rec *obs.Recorder) (*Tree, uint64, error) {
 	sp := rec.Start(obs.PhasePass1)
 	counts, err := dataset.CountItems(src)
 	if err != nil {
@@ -32,12 +32,12 @@ func Build(src dataset.Source, minSupport uint64, cfg Config, ctl *mine.Control,
 	// The count table is the pass's output structure; charging it
 	// inside the span makes pass1's bytes_delta its footprint.
 	countBytes := counts.ModelBytes()
-	track.Alloc(countBytes)
+	ctl.Alloc(countBytes)
 	sp.End()
 	r := dataset.NewRecoder(counts, minSupport)
 	// The count table is consumed by the recoder; it is dead from here.
-	track.Free(countBytes)
-	t, err := BuildRecoded(src, r, cfg, ctl, track, rec)
+	ctl.Free(countBytes)
+	t, err := BuildRecoded(src, r, cfg, ctl, rec)
 	return t, r.NumTx(), err
 }
 
@@ -46,10 +46,10 @@ func Build(src dataset.Source, minSupport uint64, cfg Config, ctl *mine.Control,
 // a fresh CFP-tree over r's frequent items. Inside the pass2-build span
 // it polls ctl per transaction and probes the growing tree's extent
 // against ctl's byte budget every 1024 transactions. The returned tree's
-// extent is charged to track inside that span; the caller releases it
-// (Free of t.Extent()) when it retires the tree. When nothing is
+// extent is charged to ctl's ledger inside that span; the caller
+// releases it (Free of t.Extent()) when it retires the tree. When nothing is
 // frequent the tree is empty and src is not scanned.
-func BuildRecoded(src dataset.Source, r *dataset.Recoder, cfg Config, ctl *mine.Control, track mine.MemTracker, rec *obs.Recorder) (*Tree, error) {
+func BuildRecoded(src dataset.Source, r *dataset.Recoder, cfg Config, ctl *mine.Control, rec *obs.Recorder) (*Tree, error) {
 	names, _ := r.Frequent()
 	if debugChecks {
 		assertf(int64(len(names)) <= math.MaxUint32, "core: frequent item count %d overflows rank space", len(names))
@@ -60,7 +60,7 @@ func BuildRecoded(src dataset.Source, r *dataset.Recoder, cfg Config, ctl *mine.
 	if len(names) == 0 {
 		// Nothing is frequent: every transaction would recode to the
 		// empty set, so the tree stays empty and the scan is skipped.
-		track.Alloc(t.Extent())
+		ctl.Alloc(t.Extent())
 		sp.End()
 		return t, nil
 	}
@@ -87,7 +87,7 @@ func BuildRecoded(src dataset.Source, r *dataset.Recoder, cfg Config, ctl *mine.
 	FoldTreeCounters(rec, t)
 	// Charge the finished tree inside the span: pass2-build's
 	// bytes_delta is the initial CFP-tree footprint.
-	track.Alloc(t.Extent())
+	ctl.Alloc(t.Extent())
 	sp.End()
 	return t, nil
 }

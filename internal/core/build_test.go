@@ -20,7 +20,7 @@ func TestBuildPhaseBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, numTx, err := Build(db, minSup, Config{}, nil, mine.NullTracker{}, nil)
+	tree, numTx, err := Build(db, minSup, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestBuildNothingFrequent(t *testing.T) {
 	db := dataset.Slice{{1, 2}, {3}, {4, 5}}
 	var scans int
 	src := countingSource{db: db, scans: &scans}
-	tree, numTx, err := Build(src, 2, Config{}, nil, mine.NullTracker{}, nil)
+	tree, numTx, err := Build(src, 2, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +111,23 @@ func TestBuildNothingFrequent(t *testing.T) {
 
 // TestBuildProbesBudget: the build stage probes the growing tree
 // against the byte budget, so a build that outgrows MaxBytes stops
-// during the scan even when nothing has been charged yet.
+// during the scan even when nothing has been charged yet. Pass 2 runs
+// alone, so that no charge of pass 1 can trip the budget first, and
+// the tree's one-shot charge at the end would stop the Control without
+// failing the scan.
 func TestBuildProbesBudget(t *testing.T) {
 	db := obsDB(4096, 8, 30)
+	counts, err := dataset.CountItems(db)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctl := &mine.Control{MaxBytes: 64}
-	_, _, err := Build(db, 2, Config{}, ctl, mine.NullTracker{}, nil)
+	_, err = BuildRecoded(db, dataset.NewRecoder(counts, 2), Config{}, ctl, nil)
 	if !errors.Is(err, mine.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+	if ctl.Bytes() != 0 {
+		t.Errorf("%d bytes charged by a build stopped in its scan", ctl.Bytes())
 	}
 }
 

@@ -20,13 +20,11 @@ import (
 type DirectGrowth struct {
 	// Config tunes the CFP-tree compression features.
 	Config Config
-	// Track, when non-nil, is charged the modeled memory consumption
-	// instead of Ctl (mine.Ledger).
-	Track mine.MemTracker
 	// MaxLen, when positive, prunes the search at that cardinality.
 	MaxLen int
 	// Ctl, when non-nil, is polled at every emission (and during the
-	// build scan), so a stopped run aborts promptly with its cause.
+	// build scan), so a stopped run aborts promptly with its cause. It
+	// is also the run's byte ledger, charged every tree the walk holds.
 	Ctl *mine.Control
 }
 
@@ -35,13 +33,11 @@ func (DirectGrowth) Name() string { return "cfpgrowth-direct" }
 
 // Mine implements mine.Miner.
 func (g DirectGrowth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error {
-	// The build is unobserved here: mine charges every tree it walks,
-	// the initial one included, for as long as the walk needs it.
-	tree, _, err := Build(src, minSupport, g.Config, g.Ctl, mine.NullTracker{}, nil)
+	tree, _, err := Build(src, minSupport, g.Config, g.Ctl, nil)
 	if err != nil {
 		return err
 	}
-	m := &directGrower{cfpGrower{cfg: g.Config, minSup: max(minSupport, 1), maxLen: g.MaxLen, sink: sink, track: mine.Ledger(g.Track, g.Ctl), ctl: g.Ctl}}
+	m := &directGrower{cfpGrower{cfg: g.Config, minSup: max(minSupport, 1), maxLen: g.MaxLen, sink: sink, ctl: g.Ctl}}
 	return m.mine(tree, nil)
 }
 
@@ -51,9 +47,10 @@ type directGrower struct {
 	cfpGrower
 }
 
+// mine mines t, a tree charged to the ledger (by Build, or by
+// conditionalWalk), and releases its charge when done.
 func (m *directGrower) mine(t *Tree, prefix []uint32) error {
-	m.track.Alloc(t.Extent())
-	defer m.track.Free(t.Extent())
+	defer m.ctl.Free(t.Extent())
 	if path, ok := t.SinglePath(); ok {
 		return m.minePath(t, path, prefix)
 	}
@@ -92,9 +89,9 @@ func (m *directGrower) mine(t *Tree, prefix []uint32) error {
 }
 
 // conditionalWalk gathers rank rk's pattern base by a full tree walk and
-// rebuilds it as a new CFP-tree (fresh arena: unlike Growth, the parent
-// tree must stay alive through the recursion, which is the second cost
-// this ablation exposes).
+// rebuilds it as a new CFP-tree, charged to the ledger (fresh arena:
+// unlike Growth, the parent tree must stay alive through the recursion,
+// which is the second cost this ablation exposes).
 func (m *directGrower) conditionalWalk(t *Tree, rk uint32, counts []uint64) *Tree {
 	pb := &patternBaseVisitor{target: rk, counts: counts}
 	t.Walk(pb)
@@ -117,6 +114,7 @@ func (m *directGrower) conditionalWalk(t *Tree, rk uint32, counts []uint64) *Tre
 	if cond.NumNodes() == 0 {
 		return nil
 	}
+	m.ctl.Alloc(cond.Extent())
 	return cond
 }
 

@@ -53,6 +53,23 @@ func TestDirectGrowthDegenerate(t *testing.T) {
 	}
 }
 
+// TestDirectGrowthChargesTreeOnce: the walk mines the tree Build
+// charged without charging it again, so on a single path, which has
+// no conditional trees, the run's peak is the build's.
+func TestDirectGrowthChargesTreeOnce(t *testing.T) {
+	db := dataset.Slice{{5, 7, 9}, {5, 7, 9}, {5, 7}}
+	var build, direct mine.Control
+	if _, _, err := Build(db, 1, Config{}, &build, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := (DirectGrowth{Ctl: &direct}).Mine(db, 1, &mine.CountSink{}); err != nil {
+		t.Fatal(err)
+	}
+	if direct.PeakBytes() != build.PeakBytes() || direct.Bytes() != 0 {
+		t.Errorf("direct peak %d, left %d; want the build's peak %d, 0", direct.PeakBytes(), direct.Bytes(), build.PeakBytes())
+	}
+}
+
 func TestDirectGrowthMemoryExceedsArrayGrowth(t *testing.T) {
 	// The ablation's point: without conversion, parent trees stay
 	// alive through the recursion, so the direct miner's peak is
@@ -67,10 +84,10 @@ func TestDirectGrowthMemoryExceedsArrayGrowth(t *testing.T) {
 		db[i] = tx
 	}
 	var arrTr, dirTr mine.Control
-	if err := (Growth{Track: &arrTr}).Mine(db, 6, &mine.CountSink{}); err != nil {
+	if err := (Growth{Ctl: &arrTr}).Mine(db, 6, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := (DirectGrowth{Track: &dirTr}).Mine(db, 6, &mine.CountSink{}); err != nil {
+	if err := (DirectGrowth{Ctl: &dirTr}).Mine(db, 6, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
 	if dirTr.PeakBytes() <= arrTr.PeakBytes() {

@@ -338,7 +338,7 @@ func buildArrayFor(t *testing.T, db dataset.Slice) *Array {
 // buildArrayAt builds db's CFP-array at the given minimum support.
 func buildArrayAt(t *testing.T, db dataset.Slice, minSup uint64) *Array {
 	t.Helper()
-	tree, _, err := Build(db, minSup, Config{}, nil, mine.NullTracker{}, nil)
+	tree, _, err := Build(db, minSup, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,8 +552,8 @@ func TestFlatDecodeOutOfOrderParents(t *testing.T) {
 		if !d.From(a) || d.layout != f.layout {
 			t.Fatalf("%s: From = false or layout %d, want %d", f.name, d.layout, f.layout)
 		}
-		flat := &cfpGrower{minSup: minSup, track: mine.NullTracker{}, treeArena: arena.New()}
-		scan := &cfpGrower{minSup: minSup, track: mine.NullTracker{}, treeArena: arena.New()}
+		flat := &cfpGrower{minSup: minSup, treeArena: arena.New()}
+		scan := &cfpGrower{minSup: minSup, treeArena: arena.New()}
 		for rk := uint32(0); rk < uint32(a.NumItems()); rk++ {
 			ft, fl := flat.conditionalFlat(a, &d, rk, a.Support(rk), false)
 			st, sl := scan.conditionalScan(a, rk, a.Support(rk), false)

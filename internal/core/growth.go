@@ -35,19 +35,16 @@ type Growth struct {
 	// Workers is the number of mining goroutines. Zero mines on the
 	// calling goroutine, with no pool.
 	Workers int
-	// Track, when non-nil, is charged the modeled memory consumption
-	// instead of Ctl (mine.Ledger); under Workers it must be safe for
-	// concurrent use.
-	Track mine.MemTracker
 	// MaxLen, when positive, prunes the search at itemsets of that
 	// cardinality: longer itemsets are neither emitted nor explored.
 	MaxLen int
 	// Ctl, when non-nil, is polled throughout the build, conversion and
 	// mining phases: once stopped (cancellation, deadline, budget), the
 	// run aborts promptly with the stop cause. It is also the run's byte
-	// ledger unless Track is set. Under Workers the miner uses a private
-	// Control when none is supplied, so first-error propagation between
-	// workers never depends on the caller.
+	// ledger, charged the modeled memory of every structure the run
+	// holds. Under Workers the miner uses a private Control when none is
+	// supplied, so first-error propagation between workers never depends
+	// on the caller.
 	Ctl *mine.Control
 	// Rec, when non-nil, records phase spans and structure counters for
 	// the run, and Mine binds its byte gauges to Ctl (nil disables all
@@ -81,14 +78,13 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 		defer g.Rec.ObserveSince(obs.HistQuery, time.Now())
 	}
 	defer g.Rec.Bind(g.Ctl)()
-	track := mine.Ledger(g.Track, g.Ctl)
-	tree, _, err := Build(src, minSupport, g.Config, g.Ctl, track, g.Rec)
+	tree, _, err := Build(src, minSupport, g.Config, g.Ctl, g.Rec)
 	if err != nil {
 		return err
 	}
 	if tree.NumItems() == 0 {
 		// Nothing is frequent: retire the empty tree, nothing to mine.
-		track.Free(tree.Extent())
+		g.Ctl.Free(tree.Extent())
 		return nil
 	}
 	arr, err := g.Convert(tree)
@@ -102,7 +98,7 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 	// the largest conditional's, and the mine would hold it to the end.
 	sp := g.Rec.Start(obs.PhaseMine)
 	err = g.mineArray(arr, minSupport, AllRanks(arr), sink, sp, arena.New())
-	track.Free(arr.Bytes())
+	g.Ctl.Free(arr.Bytes())
 	sp.End()
 	return err
 }
@@ -116,22 +112,22 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 func (g Growth) Convert(t *Tree) (*Array, error) {
 	sp := g.Rec.Start(obs.PhaseConvert)
 	defer sp.End()
-	return convertRetired(t, g.Ctl, mine.Ledger(g.Track, g.Ctl))
+	return convertRetired(t, g.Ctl)
 }
 
-// convertRetired converts t, charged to track, into its CFP-array and
-// retires t: its arena is reset and its charge released, and only then
-// is the array charged, so the ledger never holds both. On error
-// nothing stays charged.
-func convertRetired(t *Tree, ctl *mine.Control, track mine.MemTracker) (*Array, error) {
+// convertRetired converts t, charged to ctl's ledger, into its
+// CFP-array and retires t: its arena is reset and its charge released,
+// and only then is the array charged, so the ledger never holds both.
+// On error nothing stays charged.
+func convertRetired(t *Tree, ctl *mine.Control) (*Array, error) {
 	treeBytes := t.Extent()
 	arr, err := ConvertCtl(t, ctl)
 	t.arena.Reset()
-	track.Free(treeBytes)
+	ctl.Free(treeBytes)
 	if err != nil {
 		return nil, err
 	}
-	track.Alloc(arr.Bytes())
+	ctl.Alloc(arr.Bytes())
 	return arr, nil
 }
 
@@ -154,12 +150,11 @@ func (g Growth) MineArray(a *Array, minSupport uint64, ranks []uint32, sink mine
 // covers it), the given ranks of its array are mined with the
 // conditional trees in t's arena, and the array is released.
 func (g Growth) MineTree(t *Tree, minSupport uint64, ranks []uint32, sink mine.Sink) error {
-	track := mine.Ledger(g.Track, g.Ctl)
-	arr, err := convertRetired(t, g.Ctl, track)
+	arr, err := convertRetired(t, g.Ctl)
 	if err != nil {
 		return err
 	}
-	defer track.Free(arr.Bytes())
+	defer g.Ctl.Free(arr.Bytes())
 	return g.mineArray(arr, minSupport, ranks, sink, obs.Span{}, t.arena)
 }
 
@@ -182,7 +177,6 @@ func (g Growth) mineArray(a *Array, minSupport uint64, ranks []uint32, sink mine
 		minSup:    max(minSupport, 1),
 		maxLen:    g.MaxLen,
 		sink:      sink,
-		track:     mine.Ledger(g.Track, g.Ctl),
 		ctl:       ctl,
 		rec:       g.Rec,
 		treeArena: treeArena,
@@ -229,9 +223,11 @@ func AllRanks(a *Array) []uint32 {
 }
 
 // MineArrayItems is MineArray with the miner's settings as arguments,
-// serially.
-func MineArrayItems(a *Array, cfg Config, minSupport uint64, sink mine.Sink, track mine.MemTracker, maxLen int, ranks []uint32, ctl *mine.Control, rec *obs.Recorder) error {
-	return Growth{Config: cfg, Track: track, MaxLen: maxLen, Ctl: ctl, Rec: rec}.MineArray(a, minSupport, ranks, sink)
+// serially, charging ctl's ledger. The fifth argument is accepted and
+// ignored, so that callers of the earlier form, which took a separate
+// memory tracker there, still compile.
+func MineArrayItems(a *Array, cfg Config, minSupport uint64, sink mine.Sink, _ any, maxLen int, ranks []uint32, ctl *mine.Control, rec *obs.Recorder) error {
+	return Growth{Config: cfg, MaxLen: maxLen, Ctl: ctl, Rec: rec}.MineArray(a, minSupport, ranks, sink)
 }
 
 // cfpGrower carries the recursion state of CFP-growth.
@@ -240,8 +236,7 @@ type cfpGrower struct {
 	minSup    uint64
 	maxLen    int
 	sink      mine.Sink
-	track     mine.MemTracker
-	ctl       *mine.Control // nil = never canceled
+	ctl       *mine.Control // nil = never canceled; the byte ledger
 	rec       *obs.Recorder // nil = no observability
 	treeArena *arena.Arena  // one CFP-tree at a time (§4.1)
 	emitBuf   []uint32
@@ -321,7 +316,7 @@ func (m *cfpGrower) acquireDecode(a *Array) *Decode {
 		m.decodeFree = append(m.decodeFree, d)
 		return nil
 	}
-	m.track.Alloc(d.Bytes())
+	m.ctl.Alloc(d.Bytes())
 	return d
 }
 
@@ -331,7 +326,7 @@ func (m *cfpGrower) releaseDecode(d *Decode) {
 	if d == nil {
 		return
 	}
-	m.track.Free(d.Bytes())
+	m.ctl.Free(d.Bytes())
 	m.decodeFree = append(m.decodeFree, d)
 }
 
@@ -359,18 +354,18 @@ func (m *cfpGrower) emit(prefix []uint32, support uint64) error {
 // before recursing, so at most one tree is ever alive.
 func (m *cfpGrower) mineTree(t *Tree, prefix []uint32) error {
 	treeBytes := t.Extent()
-	m.track.Alloc(treeBytes)
+	m.ctl.Alloc(treeBytes)
 	if path, ok := t.SinglePath(); ok {
 		m.treeArena.Reset()
-		m.track.Free(treeBytes)
+		m.ctl.Free(treeBytes)
 		return m.minePath(t, path, prefix)
 	}
-	arr, err := convertRetired(t, m.ctl, m.track)
+	arr, err := convertRetired(t, m.ctl)
 	if err != nil {
 		return err
 	}
 	err = m.mineArray(arr, prefix)
-	m.track.Free(arr.Bytes())
+	m.ctl.Free(arr.Bytes())
 	return err
 }
 
@@ -455,11 +450,11 @@ func (m *cfpGrower) mineArray(a *Array, prefix []uint32) error {
 }
 
 // mineRank is the one per-item step of CFP-growth, shared by the top
-// level (Growth.mineArray) and the recursion (mineArray): emit prefix extended
-// by rank's item, then mine rank's conditional, as a leaf (mineLeaf) or
-// by building its conditional CFP-tree and recursing into it. d is the flat decoding of a (read-only, so pool workers may
-// share the top-level one), or nil to fall back to byte-at-a-time
-// traversal.
+// level (Growth.mineArray) and the recursion (mineArray): emit prefix
+// extended by rank's item, then mine rank's conditional, as a leaf
+// (mineLeaf) or by building its conditional CFP-tree and recursing into
+// it. d is the flat decoding of a (read-only, so pool workers may share
+// the top-level one), or nil to fall back to byte-at-a-time traversal.
 func (m *cfpGrower) mineRank(a *Array, d *Decode, rank uint32, prefix []uint32) error {
 	if a.Nodes(rank) == 0 {
 		return nil
@@ -614,7 +609,7 @@ func (m *cfpGrower) leafVerdict(condCount []uint64, sup uint64, boundary bool, c
 	clear(m.pairCells)
 	m.pairs = pairBatch{}
 	cellBytes := int64(len(m.pairCells)) * 8
-	m.track.Alloc(cellBytes)
+	m.ctl.Alloc(cellBytes)
 	if m.pairVisit == nil {
 		m.pairVisit = m.addPath
 	}
@@ -622,7 +617,7 @@ func (m *cfpGrower) leafVerdict(condCount []uint64, sup uint64, boundary bool, c
 	if debugChecks && !found {
 		assertf(!m.flushPairs(), "core: the last pair batch of a chase holds a frequent pair")
 	}
-	m.track.Free(cellBytes)
+	m.ctl.Free(cellBytes)
 	if found {
 		return condTree
 	}
@@ -721,8 +716,8 @@ func (m *cfpGrower) flushPairs() bool {
 func (m *cfpGrower) conditionalFlat(a *Array, d *Decode, rank uint32, sup uint64, boundary bool) (*Tree, bool) {
 	m.runSup = a.runCounts(rank, m.runSup)
 	supBytes := int64(len(m.runSup)) * 4
-	m.track.Alloc(supBytes)
-	defer m.track.Free(supBytes)
+	m.ctl.Alloc(supBytes)
+	defer m.ctl.Free(supBytes)
 	condCount := m.condCounts(rank)
 	lo, hi := d.Run(rank)
 	d.countRun(m.runSup, lo, hi, condCount)

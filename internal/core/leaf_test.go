@@ -142,8 +142,8 @@ func TestLeafVerdictMatchesPairCounts(t *testing.T) {
 				want = k >= 1
 			}
 			for _, build := range []string{"flat", "scan"} {
-				track := &mine.Control{}
-				m := &cfpGrower{minSup: minSup, track: track, treeArena: arena.New()}
+				ctl := &mine.Control{}
+				m := &cfpGrower{minSup: minSup, ctl: ctl, treeArena: arena.New()}
 				var tree *Tree
 				var leaf bool
 				if build == "flat" {
@@ -158,8 +158,8 @@ func TestLeafVerdictMatchesPairCounts(t *testing.T) {
 				if leaf && !slices.Equal(m.condBuf, cond) {
 					t.Fatalf("trial %d %s: leaf supports %v, want %v", trial, build, m.condBuf, cond)
 				}
-				if track.Bytes() != 0 {
-					t.Fatalf("trial %d %s: %d bytes left charged", trial, build, track.Bytes())
+				if ctl.Bytes() != 0 {
+					t.Fatalf("trial %d %s: %d bytes left charged", trial, build, ctl.Bytes())
 				}
 			}
 		}
@@ -168,8 +168,8 @@ func TestLeafVerdictMatchesPairCounts(t *testing.T) {
 		if k < 2 || c1+c2 >= sup+minSup || k > maxPairItems {
 			continue
 		}
-		track := &mine.Control{}
-		m := &cfpGrower{minSup: minSup, track: track}
+		ctl := &mine.Control{}
+		m := &cfpGrower{minSup: minSup, ctl: ctl}
 		fed := 0
 		v := m.leafVerdict(cond, sup, false, func(visit func([]uint32, uint64) bool) bool {
 			for i, f := range filtered {
@@ -187,8 +187,8 @@ func TestLeafVerdictMatchesPairCounts(t *testing.T) {
 		if v != wantV || fed != wantFed {
 			t.Fatalf("trial %d: verdict %d after %d paths, want %d after %d", trial, v, fed, wantV, wantFed)
 		}
-		if cells := int64(k*(k-1)/2) * 8; track.PeakBytes() != cells || track.Bytes() != 0 {
-			t.Fatalf("trial %d: matrix charge peak %d, left %d; want %d, 0", trial, track.PeakBytes(), track.Bytes(), cells)
+		if cells := int64(k*(k-1)/2) * 8; ctl.PeakBytes() != cells || ctl.Bytes() != 0 {
+			t.Fatalf("trial %d: matrix charge peak %d, left %d; want %d, 0", trial, ctl.PeakBytes(), ctl.Bytes(), cells)
 		}
 	}
 	t.Logf("k<=1 %d, shortcut %d, early stop %d, chased leaf %d, bound %d", kLeq1, shortcut, earlyStop, chasedLeaf, bound)
@@ -216,7 +216,7 @@ func TestDenseLeavesConvertNothing(t *testing.T) {
 	if err := (Growth{Rec: rec}).Mine(db, minSup, &got); err != nil {
 		t.Fatal(err)
 	}
-	tree, _, err := Build(db, minSup, Config{}, nil, mine.NullTracker{}, nil)
+	tree, _, err := Build(db, minSup, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func checkBatchEdge(t *testing.T, b batchEdgeBase, k, stop int) walkLayout {
 	if stop >= 0 {
 		wantV, wantFed = condTree, stop+1
 	}
-	m := &cfpGrower{minSup: b.minSup, track: &mine.Control{}}
+	m := &cfpGrower{minSup: b.minSup, ctl: &mine.Control{}}
 	fed := 0
 	v := m.leafVerdict(b.cond, b.sup, false, func(visit func([]uint32, uint64) bool) bool {
 		for i, f := range b.feed {
@@ -535,8 +535,8 @@ func checkBatchEdge(t *testing.T, b batchEdgeBase, k, stop int) walkLayout {
 		}
 	}
 	for bi, build := range builds {
-		track := &mine.Control{}
-		m := &cfpGrower{minSup: b.minSup, track: track, treeArena: arena.New()}
+		ctl := &mine.Control{}
+		m := &cfpGrower{minSup: b.minSup, ctl: ctl, treeArena: arena.New()}
 		// Record the paths the builder's chase hands to the visitor.
 		var paths [][]uint32
 		var pathCnt []uint64
@@ -565,8 +565,8 @@ func checkBatchEdge(t *testing.T, b batchEdgeBase, k, stop int) walkLayout {
 		if !leaf && first != len(paths)-1 {
 			t.Fatalf("%s: chase stopped after %d paths, first frequent pair at path %d", build, len(paths), first)
 		}
-		if track.Bytes() != 0 {
-			t.Fatalf("%s: %d bytes left charged", build, track.Bytes())
+		if ctl.Bytes() != 0 {
+			t.Fatalf("%s: %d bytes left charged", build, ctl.Bytes())
 		}
 	}
 	return layoutOf(a)

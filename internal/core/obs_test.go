@@ -349,7 +349,7 @@ func TestObsParallelTraceChildren(t *testing.T) {
 	}
 	// A pooled MineArray has no open mine span: its items start no
 	// children, so none can fold into the aggregates as root spans.
-	tree, _, err := Build(db, 10, Config{}, nil, mine.NullTracker{}, nil)
+	tree, _, err := Build(db, 10, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

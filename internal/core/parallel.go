@@ -52,7 +52,6 @@ func (m *cfpGrower) minePool(a *Array, d *Decode, ranks []uint32, workers int, s
 			minSup:    m.minSup,
 			maxLen:    m.maxLen,
 			sink:      ssink,
-			track:     m.track,
 			ctl:       m.ctl,
 			treeArena: arena.New(),
 		}

@@ -359,7 +359,7 @@ func TestMineDeserializedArray(t *testing.T) {
 	}
 	// Build the array with Growth's build stage, serialize, reload, and
 	// mine every rank via MineArrayItems.
-	tree, _, err := Build(db, minSup, Config{}, nil, mine.NullTracker{}, nil)
+	tree, _, err := Build(db, minSup, Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

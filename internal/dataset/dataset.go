@@ -46,7 +46,7 @@ type Counts struct {
 // ModelBytes returns the modeled footprint of the first-pass count
 // table: one (item, count) entry of 12 bytes — a 4-byte identifier and
 // an 8-byte count — per distinct item, the same C-layout modeling used
-// for the CFP structures (mine.MemTracker's convention).
+// for the CFP structures (the convention of mine.Control.Alloc).
 func (c Counts) ModelBytes() int64 { return int64(len(c.Support)) * 12 }
 
 // CountItems performs the first pass over the database: it counts, for

@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -33,12 +34,16 @@ type Config struct {
 	MemBudget int64
 	// Quick trims sweeps for smoke runs.
 	Quick bool
-	// Ctl, when non-nil, lets a harness bound the runs: the mining
-	// runs of Figures 7 and 8 and Figure 7's build benchmarks poll it
-	// and abort with its stop cause, and the mines charge their modeled
-	// bytes to it — cmd/experiments arms it from -timeout and
-	// -max-bytes.
-	Ctl *mine.Control
+	// Context, when non-nil, cancels the mining runs of Figures 7 and 8
+	// and Figure 7's build benchmarks: once it is canceled or its
+	// deadline passes, the run in flight stops promptly and the figure
+	// returns an error wrapping mine.ErrCanceled.
+	Context context.Context
+	// MaxBytes, when positive, bounds the modeled bytes of each of
+	// those runs; a run that would exceed it stops with an error
+	// wrapping mine.ErrBudgetExceeded. cmd/experiments sets Context and
+	// MaxBytes from -timeout and -max-bytes.
+	MaxBytes int64
 }
 
 // WithDefaults fills in unset fields.
@@ -60,6 +65,47 @@ func (c Config) WithDefaults() Config {
 
 // Model returns the paging model for this configuration.
 func (c Config) Model() vm.Model { return vm.Default(c.MemBudget) }
+
+// control returns a fresh Control for one run, armed from Context and
+// MaxBytes, and the release function to call when the run ends. Each
+// costed run gets its own, so its ledger's peak is the run's alone.
+func (c Config) control() (*mine.Control, func()) {
+	ctl := &mine.Control{MaxBytes: c.MaxBytes}
+	return ctl, ctl.Watch(c.Context)
+}
+
+// costed is one mining run of Figures 7 and 8.
+type costed struct {
+	ctl      *mine.Control // the run's byte ledger
+	measured time.Duration // in-core time, without modeled paging
+	itemsets uint64
+}
+
+// total is the run's time with the modeled paging penalty of its
+// ledger added.
+func (r costed) total(model vm.Model) time.Duration {
+	return r.measured + model.MinePenalty(r.ctl)
+}
+
+// mineCosted times one mine of db at minSup by the miner newMiner
+// makes on a fresh Control (control), which the run charges and polls.
+func (c Config) mineCosted(db dataset.Source, minSup uint64, newMiner func(*mine.Control) (mine.Miner, error)) (costed, error) {
+	ctl, release := c.control()
+	defer release()
+	m, err := newMiner(ctl)
+	if err == nil {
+		err = ctl.Err()
+	}
+	if err != nil {
+		return costed{}, err
+	}
+	var sink mine.CountSink
+	t0 := time.Now()
+	if err := m.Mine(db, minSup, &sink); err != nil {
+		return costed{}, err
+	}
+	return costed{ctl: ctl, measured: time.Since(t0), itemsets: sink.N}, nil
+}
 
 // SupportSweep is the relative minimum-support grid used in Figures 7
 // and 8, mirroring the paper's ξ range (4.0% down to 0.8%).

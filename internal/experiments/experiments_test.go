@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -159,7 +160,7 @@ func TestFig7ShapesHold(t *testing.T) {
 	}
 }
 
-// TestFig7HonoursCtlBudget: Figure 7 under a Config.Ctl whose MaxBytes
+// TestFig7HonoursCtlBudget: Figure 7 under a Config.MaxBytes that
 // admits every support's CFP-tree and CFP-array together, so that each
 // build benchmark's conversion probe passes, but not the FP-tree of the
 // first support stops with ErrBudgetExceeded: the stop must come from a
@@ -187,27 +188,26 @@ func TestFig7HonoursCtlBudget(t *testing.T) {
 	if budget >= fpBytes {
 		t.Fatalf("CFP build bytes %d not below the first FP-tree's %d", budget, fpBytes)
 	}
-	c.Ctl = &mine.Control{MaxBytes: budget}
+	c.MaxBytes = budget
 	if _, err := c.Fig7(); !errors.Is(err, mine.ErrBudgetExceeded) {
 		t.Errorf("err = %v, want ErrBudgetExceeded", err)
 	}
 	// The CFP-growth runs too, in both configurations.
+	c.MaxBytes = 1024
 	for _, cfg := range []core.Config{{}, {DisableFlatDecode: true}} {
-		ctl := &mine.Control{MaxBytes: 1024}
-		if _, err := runCFP(db, minSup, cfg, c.Model(), ctl); !errors.Is(err, mine.ErrBudgetExceeded) {
+		if _, err := c.runCFP(db, minSup, cfg); !errors.Is(err, mine.ErrBudgetExceeded) {
 			t.Errorf("runCFP %+v: err = %v, want ErrBudgetExceeded", cfg, err)
 		}
 	}
 }
 
-// TestFig8HonoursCtlBudget: Figure 8 under a Config.Ctl with a tiny
-// MaxBytes stops with ErrBudgetExceeded. CT-pro polls no Control, so
-// its run reaches the budget only through the cost model's tracker,
-// which charges the Control with every update.
+// TestFig8HonoursCtlBudget: Figure 8 under a tiny Config.MaxBytes
+// stops with ErrBudgetExceeded, also when its only algorithm is
+// CT-pro, which charges and polls the run's Control like the others.
 func TestFig8HonoursCtlBudget(t *testing.T) {
 	for _, algos := range [][]string{nil, {"ctpro"}} {
 		c := testConfig()
-		c.Ctl = &mine.Control{MaxBytes: 1024}
+		c.MaxBytes = 1024
 		var err error
 		if algos == nil {
 			_, err = c.Fig8a()
@@ -217,6 +217,21 @@ func TestFig8HonoursCtlBudget(t *testing.T) {
 		if !errors.Is(err, mine.ErrBudgetExceeded) {
 			t.Errorf("algorithms %v: err = %v, want ErrBudgetExceeded", algos, err)
 		}
+	}
+}
+
+// TestFigsHonourContext: Figures 7 and 8 under a canceled
+// Config.Context stop with ErrCanceled before their first run.
+func TestFigsHonourContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := testConfig()
+	c.Context = ctx
+	if _, err := c.Fig7(); !errors.Is(err, mine.ErrCanceled) {
+		t.Errorf("Fig7: err = %v, want ErrCanceled", err)
+	}
+	if _, err := c.Fig8a(); !errors.Is(err, mine.ErrCanceled) {
+		t.Errorf("Fig8a: err = %v, want ErrCanceled", err)
 	}
 }
 

@@ -58,7 +58,9 @@ func (c Config) Fig7() ([]Fig7Row, error) {
 	var rows []Fig7Row
 	for _, rel := range c.SupportSweep() {
 		minSup := dataset.AbsoluteSupport(rel, counts.NumTx)
-		br, err := buildBoth(db, minSup, c.Ctl)
+		ctl, release := c.control()
+		br, err := buildBoth(db, minSup, ctl)
+		release()
 		if err != nil {
 			return nil, err
 		}
@@ -80,62 +82,42 @@ func (c Config) Fig7() ([]Fig7Row, error) {
 			model.Penalty(br.CFPTreeBytes+br.CFPArrayBytes, br.CFPArrayBytes, vm.Sequential)
 
 		// Total runs.
-		fpTrack := vm.Tracker{Ctl: c.Ctl}
-		var sink mine.CountSink
-		t0 := time.Now()
-		if err := (fptree.Growth{Track: &fpTrack, Ctl: c.Ctl}).Mine(db, minSup, &sink); err != nil {
+		fp, err := c.mineCosted(db, minSup, func(ctl *mine.Control) (mine.Miner, error) {
+			return fptree.Growth{Ctl: ctl}, nil
+		})
+		if err != nil {
 			return nil, err
 		}
-		row.FPTotalMeasured = time.Since(t0)
-		row.FPTotal = row.FPTotalMeasured + model.MinePenalty(&fpTrack)
-		row.FPPeakBytes = fpTrack.Peak
-		row.Itemsets = sink.N
+		row.FPTotal, row.FPTotalMeasured = fp.total(model), fp.measured
+		row.FPPeakBytes = fp.ctl.PeakBytes()
+		row.Itemsets = fp.itemsets
 
-		cfp, err := runCFP(db, minSup, core.Config{}, model, c.Ctl)
+		cfp, err := c.runCFP(db, minSup, core.Config{})
 		if err != nil {
 			return nil, err
 		}
-		paper, err := runCFP(db, minSup, core.Config{DisableFlatDecode: true}, model, c.Ctl)
+		paper, err := c.runCFP(db, minSup, core.Config{DisableFlatDecode: true})
 		if err != nil {
 			return nil, err
 		}
-		if cfp.itemsets != sink.N || paper.itemsets != sink.N {
-			return nil, fmt.Errorf("fig7: ξ=%g: itemsets FP %d, CFP %d, CFP paper layout %d", rel, sink.N, cfp.itemsets, paper.itemsets)
+		if cfp.itemsets != fp.itemsets || paper.itemsets != fp.itemsets {
+			return nil, fmt.Errorf("fig7: ξ=%g: itemsets FP %d, CFP %d, CFP paper layout %d", rel, fp.itemsets, cfp.itemsets, paper.itemsets)
 		}
-		row.CFPTotal, row.CFPTotalMeasured = cfp.total, cfp.measured
-		row.CFPPeakBytes, row.CFPAvgBytes = cfp.peak, cfp.avg
-		row.PaperTotal, row.PaperTotalMeasured = paper.total, paper.measured
-		row.PaperPeakBytes, row.PaperAvgBytes = paper.peak, paper.avg
+		row.CFPTotal, row.CFPTotalMeasured = cfp.total(model), cfp.measured
+		row.CFPPeakBytes, row.CFPAvgBytes = cfp.ctl.PeakBytes(), cfp.ctl.AvgBytes()
+		row.PaperTotal, row.PaperTotalMeasured = paper.total(model), paper.measured
+		row.PaperPeakBytes, row.PaperAvgBytes = paper.ctl.PeakBytes(), paper.ctl.AvgBytes()
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// cfpRun is one overall CFP-growth execution of Figure 7 (c, d).
-type cfpRun struct {
-	total, measured time.Duration // with and without modeled paging
-	peak, avg       int64
-	itemsets        uint64
-}
-
-// runCFP mines db with CFP-growth in configuration cfg under a fresh
-// modeled-memory tracker, which also charges ctl, and stops when ctl
-// does.
-func runCFP(db dataset.Source, minSup uint64, cfg core.Config, model vm.Model, ctl *mine.Control) (cfpRun, error) {
-	track := vm.Tracker{Ctl: ctl}
-	var sink mine.CountSink
-	t0 := time.Now()
-	if err := (core.Growth{Config: cfg, Track: &track, Ctl: ctl}).Mine(db, minSup, &sink); err != nil {
-		return cfpRun{}, err
-	}
-	measured := time.Since(t0)
-	return cfpRun{
-		total:    measured + model.MinePenalty(&track),
-		measured: measured,
-		peak:     track.Peak,
-		avg:      track.Avg(),
-		itemsets: sink.N,
-	}, nil
+// runCFP is one overall CFP-growth execution of Figure 7 (c, d): it
+// mines db with CFP-growth in configuration cfg (mineCosted).
+func (c Config) runCFP(db dataset.Source, minSup uint64, cfg core.Config) (costed, error) {
+	return c.mineCosted(db, minSup, func(ctl *mine.Control) (mine.Miner, error) {
+		return core.Growth{Config: cfg, Ctl: ctl}, nil
+	})
 }
 
 // PrintFig7 writes all four panels.

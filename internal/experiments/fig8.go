@@ -8,7 +8,6 @@ import (
 	"cfpgrowth/internal/core"
 	"cfpgrowth/internal/dataset"
 	"cfpgrowth/internal/mine"
-	"cfpgrowth/internal/vm"
 )
 
 // Fig8Cell is one (algorithm, support) measurement.
@@ -63,44 +62,30 @@ func (c Config) runFig8(panel, ds string, algos []string) (Fig8Result, error) {
 	for _, rel := range c.SupportSweep() {
 		minSup := dataset.AbsoluteSupport(rel, counts.NumTx)
 		for _, name := range algos {
-			if err := c.Ctl.Err(); err != nil {
+			r, err := c.mineCosted(db, minSup, func(ctl *mine.Control) (mine.Miner, error) {
+				if name == "cfpgrowth" {
+					// Fig 8 reproduces the paper's memory claims, so
+					// CFP-growth runs in the paper's configuration:
+					// the flat-decode accelerator postdates the
+					// paper's design and deliberately trades modeled
+					// memory for speed (its scratch is charged to the
+					// ledger), which is measured by the bench harness,
+					// not this figure.
+					return core.Growth{Config: core.Config{DisableFlatDecode: true}, Ctl: ctl}, nil
+				}
+				return algo.New(name, ctl)
+			})
+			if err != nil {
 				return Fig8Result{}, err
 			}
-			track := vm.Tracker{Ctl: c.Ctl}
-			var m mine.Miner
-			if name == "cfpgrowth" {
-				// Fig 8 reproduces the paper's memory claims, so
-				// CFP-growth runs in the paper's configuration: the
-				// flat-decode accelerator postdates the paper's design
-				// and deliberately trades modeled memory for speed
-				// (its scratch is charged to the tracker), which is
-				// measured by the bench harness, not this figure.
-				m = core.Growth{
-					Config: core.Config{DisableFlatDecode: true},
-					Track:  &track,
-					Ctl:    c.Ctl,
-				}
-			} else {
-				var err error
-				m, err = algo.New(name, &track, c.Ctl)
-				if err != nil {
-					return Fig8Result{}, err
-				}
-			}
-			var sink mine.CountSink
-			t0 := time.Now()
-			if err := m.Mine(db, minSup, &sink); err != nil {
-				return Fig8Result{}, err
-			}
-			measured := time.Since(t0)
 			res.Cells = append(res.Cells, Fig8Cell{
 				Algorithm:  name,
 				RelSupport: rel,
-				Measured:   measured,
-				Total:      measured + model.MinePenalty(&track),
-				PeakBytes:  track.Peak,
-				Itemsets:   sink.N,
-				Regime:     model.Regime(track.Peak),
+				Measured:   r.measured,
+				Total:      r.total(model),
+				PeakBytes:  r.ctl.PeakBytes(),
+				Itemsets:   r.itemsets,
+				Regime:     model.Regime(r.ctl.PeakBytes()),
 			})
 		}
 	}

@@ -12,15 +12,13 @@ import (
 // ternary FP-trees. It serves as the reference point that the paper's
 // CFP-growth improves upon.
 type Growth struct {
-	// Track, when non-nil, is charged the modeled memory consumption
-	// instead of Ctl (mine.Ledger).
-	Track mine.MemTracker
 	// MaxLen, when positive, prunes the search at itemsets of that
 	// cardinality.
 	MaxLen int
 	// Ctl, when non-nil, is polled during the build scan and the
 	// recursion so a stopped run (cancellation, deadline, budget)
-	// aborts promptly with the stop cause.
+	// aborts promptly with the stop cause. It is also the run's byte
+	// ledger, charged the modeled memory of every tree the mine holds.
 	Ctl *mine.Control
 	// Rec, when non-nil, records phase spans and itemset counts, and
 	// its byte gauges read Ctl, making baseline runs comparable to
@@ -69,7 +67,7 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 	}
 	g.Rec.Add(obs.CtrLogicalNodes, int64(tree.NumNodes()))
 	sp = g.Rec.Start(obs.PhaseMine)
-	err = mineTree(tree, minSupport, sink, mine.Ledger(g.Track, g.Ctl), 0, g.MaxLen, g.Ctl, g.Rec)
+	err = mineTree(tree, minSupport, sink, 0, g.MaxLen, g.Ctl, g.Rec)
 	sp.End()
 	return err
 }
@@ -77,26 +75,23 @@ func (g Growth) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) erro
 // MineTree runs the FP-growth recursion over an already-built tree,
 // emitting every frequent itemset (in the tree's ItemName space) whose
 // support reaches minSupport. nodeBytes overrides the modeled per-node
-// memory cost reported to track (0 means BaselineNodeSize, the 40-byte
+// memory cost charged to ctl's ledger (0 means BaselineNodeSize, the 40-byte
 // node of the implementations the paper compares against); variant
 // algorithms with different physical layouts reuse the recursion with
 // their own cost model. ctl, when non-nil, is threaded through the
 // recursion: every emission sits behind a ctl stop-check, so variant
 // algorithms inherit the no-emission-after-stop invariant.
-func MineTree(tree *Tree, minSupport uint64, sink mine.Sink, track mine.MemTracker, nodeBytes int64, ctl *mine.Control) error {
-	return mineTree(tree, minSupport, sink, track, nodeBytes, 0, ctl, nil)
+func MineTree(tree *Tree, minSupport uint64, sink mine.Sink, nodeBytes int64, ctl *mine.Control) error {
+	return mineTree(tree, minSupport, sink, nodeBytes, 0, ctl, nil)
 }
 
-func mineTree(tree *Tree, minSupport uint64, sink mine.Sink, track mine.MemTracker, nodeBytes int64, maxLen int, ctl *mine.Control, rec *obs.Recorder) error {
-	if track == nil {
-		track = mine.NullTracker{}
-	}
+func mineTree(tree *Tree, minSupport uint64, sink mine.Sink, nodeBytes int64, maxLen int, ctl *mine.Control, rec *obs.Recorder) error {
 	if nodeBytes == 0 {
 		nodeBytes = BaselineNodeSize
 	}
-	m := &grower{minSup: minSupport, maxLen: maxLen, sink: sink, track: track, nodeBytes: nodeBytes, ctl: ctl, rec: rec}
-	track.Alloc(nodeBytes * int64(tree.NumNodes()))
-	defer track.Free(nodeBytes * int64(tree.NumNodes()))
+	m := &grower{minSup: minSupport, maxLen: maxLen, sink: sink, nodeBytes: nodeBytes, ctl: ctl, rec: rec}
+	ctl.Alloc(nodeBytes * int64(tree.NumNodes()))
+	defer ctl.Free(nodeBytes * int64(tree.NumNodes()))
 	return m.mine(tree, nil)
 }
 
@@ -105,9 +100,8 @@ type grower struct {
 	minSup    uint64
 	maxLen    int
 	sink      mine.Sink
-	track     mine.MemTracker
 	nodeBytes int64
-	ctl       *mine.Control // nil = never canceled
+	ctl       *mine.Control // nil = never canceled; the byte ledger
 	rec       *obs.Recorder // nil = no observability
 	emitBuf   []uint32
 }
@@ -161,9 +155,9 @@ func (m *grower) mine(t *Tree, prefix []uint32) error {
 				m.rec.ObserveDepth(len(prefix))
 			}
 			bytes := m.nodeBytes * int64(cond.NumNodes())
-			m.track.Alloc(bytes)
+			m.ctl.Alloc(bytes)
 			err := m.mine(cond, prefix)
-			m.track.Free(bytes)
+			m.ctl.Free(bytes)
 			if err != nil {
 				return err
 			}

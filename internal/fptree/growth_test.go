@@ -156,7 +156,7 @@ func TestGrowthSkewedData(t *testing.T) {
 
 func TestGrowthMemTracking(t *testing.T) {
 	var tr mine.Control
-	if err := (Growth{Track: &tr}).Mine(tinyDB, 2, &mine.CountSink{}); err != nil {
+	if err := (Growth{Ctl: &tr}).Mine(tinyDB, 2, &mine.CountSink{}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.PeakBytes() <= 0 {

@@ -20,7 +20,10 @@ var ErrBudgetExceeded = errors.New("mine: resource budget exceeded")
 // phase (build, convert, mine) and every parallel worker polls the same
 // Control, so the first stop cause — a canceled context, a blown
 // budget, or a failing sink — halts the whole run promptly, and that
-// first cause is the error the run returns. The zero value is a live,
+// first cause is the error the run returns. It is also the run's one
+// byte ledger: every miner charges its modeled structure bytes to it
+// (Alloc, Free), and the run's peak, average and allocated totals are
+// read from it. The zero value is a live,
 // unlimited control; all methods tolerate a nil receiver (treated as
 // "never stopped"), so plumbing is optional at every layer.
 type Control struct {
@@ -32,6 +35,7 @@ type Control struct {
 	stopped atomic.Bool  // fast-path flag; cause below is authoritative
 	bytes   atomic.Int64 // modeled bytes currently charged
 	peak    atomic.Int64 // high-water mark of bytes; monotone
+	alloc   atomic.Int64 // bytes passed to Alloc, summed; monotone
 	updates atomic.Int64 // Alloc and Free calls
 	sum     atomic.Int64 // bytes after each update, summed (AvgBytes)
 	mu      sync.Mutex
@@ -56,6 +60,17 @@ func (c *Control) PeakBytes() int64 {
 		return 0
 	}
 	return c.peak.Load()
+}
+
+// TotalAlloc returns the bytes ever passed to Alloc, however many of
+// them were freed since: the structure bytes the run built, which the
+// paging model of Figures 7 and 8 takes for the bytes a mine touched.
+// It never decreases.
+func (c *Control) TotalAlloc() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.alloc.Load()
 }
 
 // AvgBytes returns the ledger's footprint averaged over its updates:
@@ -104,15 +119,22 @@ func (c *Control) Stop(cause error) bool {
 	return true
 }
 
-// Alloc implements MemTracker: it adds n modeled bytes to the ledger,
-// advances the peak high-water mark, and stops the run with
-// ErrBudgetExceeded when the total passes MaxBytes (the stop only
-// applies when a budget is set; the ledger and peak are always
-// maintained).
+// Alloc records that n bytes of modeled structure memory came into
+// use: it adds them to the ledger and to TotalAlloc, advances the peak
+// high-water mark, and stops the run with ErrBudgetExceeded when the
+// total passes MaxBytes (the stop only applies when a budget is set;
+// the ledger and peak are always maintained).
+//
+// The bytes are the modeled footprints of the paper's C layouts (40
+// bytes per baseline FP-tree node, the exact compressed byte counts of
+// the CFP structures), not Go heap sizes, so the ledger stays
+// comparable to the paper's measurements and independent of the Go
+// runtime.
 func (c *Control) Alloc(n int64) {
 	if c == nil {
 		return
 	}
+	c.alloc.Add(n)
 	cur := c.bytes.Add(n)
 	c.sample(cur)
 	for {
@@ -126,7 +148,7 @@ func (c *Control) Alloc(n int64) {
 	}
 }
 
-// Free implements MemTracker: it subtracts n previously charged bytes.
+// Free records that n previously charged bytes were released.
 func (c *Control) Free(n int64) {
 	if c != nil {
 		c.sample(c.bytes.Add(-n))

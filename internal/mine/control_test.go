@@ -198,3 +198,163 @@ func TestControlSinkMaxItemsets(t *testing.T) {
 type failSink struct{ err error }
 
 func (s failSink) Emit([]uint32, uint64) error { return s.err }
+
+// TestControlPeakBytes checks the Alloc/Free ledger's high-water
+// mark: it follows the maximum, not the balance, and never decreases.
+func TestControlPeakBytes(t *testing.T) {
+	var c Control
+	if c.PeakBytes() != 0 {
+		t.Errorf("initial peak = %d, want 0", c.PeakBytes())
+	}
+	c.Alloc(100)
+	c.Alloc(200)
+	if got := c.PeakBytes(); got != 300 {
+		t.Errorf("peak = %d, want 300", got)
+	}
+	c.Free(250)
+	if got := c.Bytes(); got != 50 {
+		t.Errorf("balance = %d, want 50", got)
+	}
+	if got := c.PeakBytes(); got != 300 {
+		t.Errorf("peak after release = %d, want 300 (monotone)", got)
+	}
+	c.Alloc(100) // balance 150, still below peak
+	if got := c.PeakBytes(); got != 300 {
+		t.Errorf("peak after sub-peak charge = %d, want 300", got)
+	}
+}
+
+// TestControlPeakBytesNil: the ledger methods are nil-safe like every
+// other Control method.
+func TestControlPeakBytesNil(t *testing.T) {
+	var c *Control
+	c.Alloc(10)
+	c.Free(10)
+	if c.Bytes() != 0 || c.PeakBytes() != 0 || c.TotalAlloc() != 0 {
+		t.Errorf("nil ledger = %d/%d/%d, want 0/0/0", c.Bytes(), c.PeakBytes(), c.TotalAlloc())
+	}
+}
+
+// TestControlPeakMonotoneConcurrent: under
+// parallel Alloc/Free the peak observed by any goroutine never
+// regresses, and the final peak is bounded by the maximum possible
+// simultaneous footprint.
+func TestControlPeakMonotoneConcurrent(t *testing.T) {
+	var c Control
+	const goroutines, rounds, chunk = 8, 1000, 512
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prev := int64(0)
+			for i := 0; i < rounds; i++ {
+				c.Alloc(chunk)
+				p := c.PeakBytes()
+				if p < prev {
+					t.Errorf("peak regressed: %d after %d", p, prev)
+					return
+				}
+				prev = p
+				c.Free(chunk)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Bytes(); got != 0 {
+		t.Errorf("balance after balanced run = %d, want 0", got)
+	}
+	peak := c.PeakBytes()
+	if peak < chunk || peak > goroutines*chunk {
+		t.Errorf("peak = %d, want within [%d, %d]", peak, chunk, goroutines*chunk)
+	}
+}
+
+// TestControlAvgBytes: the ledger's average is the mean footprint
+// after each update, and a Control without a MaxBytes budget maintains
+// its peak and balance and never stops.
+func TestControlAvgBytes(t *testing.T) {
+	var c Control
+	if c.AvgBytes() != 0 {
+		t.Errorf("initial average = %d, want 0", c.AvgBytes())
+	}
+	c.Alloc(1000) // 1000
+	c.Free(400)   // 600
+	c.Alloc(100)  // 700
+	if got := c.PeakBytes(); got != 1000 {
+		t.Errorf("peak = %d, want 1000", got)
+	}
+	if got := c.Bytes(); got != 700 {
+		t.Errorf("balance = %d, want 700", got)
+	}
+	if got := c.AvgBytes(); got != (1000+600+700)/3 {
+		t.Errorf("average = %d, want %d", got, (1000+600+700)/3)
+	}
+	if c.Err() != nil {
+		t.Errorf("no budget set, but control stopped: %v", c.Err())
+	}
+	var nilCtl *Control
+	if nilCtl.AvgBytes() != 0 {
+		t.Error("nil control reports an average")
+	}
+}
+
+// TestControlTotalAlloc: the allocated total sums every Alloc and
+// ignores Free, so it never decreases while the balance falls.
+func TestControlTotalAlloc(t *testing.T) {
+	var c Control
+	prev := c.TotalAlloc()
+	for i, step := range []struct {
+		alloc bool
+		n     int64
+	}{{true, 100}, {false, 60}, {true, 30}, {false, 70}, {true, 5}} {
+		if step.alloc {
+			c.Alloc(step.n)
+		} else {
+			c.Free(step.n)
+		}
+		if got := c.TotalAlloc(); got < prev {
+			t.Fatalf("step %d: total %d fell below %d", i, got, prev)
+		}
+		prev = c.TotalAlloc()
+	}
+	if prev != 135 {
+		t.Errorf("total = %d, want 135", prev)
+	}
+	if got := c.Bytes(); got != 5 {
+		t.Errorf("balance = %d, want 5", got)
+	}
+}
+
+// TestControlTotalAllocConcurrent: under parallel Alloc/Free the
+// allocated total is exact, every goroutine reads it rising, and the
+// balance returns to zero.
+func TestControlTotalAllocConcurrent(t *testing.T) {
+	var c Control
+	const goroutines, rounds, chunk = 8, 1000, 512
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prev := int64(0)
+			for i := 0; i < rounds; i++ {
+				c.Alloc(chunk)
+				c.Free(chunk)
+				got := c.TotalAlloc()
+				if got < prev+chunk {
+					t.Errorf("total %d after %d and one more Alloc of %d", got, prev, chunk)
+					return
+				}
+				prev = got
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := c.TotalAlloc(), int64(goroutines*rounds*chunk); got != want {
+		t.Errorf("total = %d, want %d", got, want)
+	}
+	if got := c.Bytes(); got != 0 {
+		t.Errorf("balance = %d, want 0", got)
+	}
+}

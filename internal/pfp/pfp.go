@@ -42,10 +42,6 @@ type Miner struct {
 	TempDir string
 	// Config tunes the per-shard CFP-trees.
 	Config core.Config
-	// Track, when non-nil, is charged the modeled memory instead of Ctl
-	// (mine.Ledger); under Workers > 1 it must be safe for concurrent
-	// use.
-	Track mine.MemTracker
 	// Ctl, when non-nil, is the run's cancellation/budget point and byte
 	// ledger; a private one is used otherwise so first-error propagation
 	// between workers never depends on the caller wiring one up.
@@ -133,7 +129,6 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	// space, convert, and mine only the group's ranks.
 	itemName, _ := rec.Frequent()
 	workers := min(max(m.Workers, 1), groups)
-	track := mine.Ledger(m.Track, ctl)
 	// ControlSink inside SyncSink: the stopped check and the emission
 	// are atomic under the sink mutex, so nothing is emitted after the
 	// first failure even with several workers in flight.
@@ -173,7 +168,7 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	sp = m.Rec.Start(obs.PhaseMine)
 	defer sp.End()
 	err = mine.RunSharded(workers, jobs, ctl, pool, func(worker, _, g int) error {
-		shard := core.Growth{Config: m.Config, Track: track, Ctl: ctl}
+		shard := core.Growth{Config: m.Config, Ctl: ctl}
 		if groupRecs != nil {
 			shard.Rec = groupRecs[g]
 		}
@@ -209,7 +204,7 @@ func (m Miner) mineShard(path string, group, groups, numItems int, itemName []ui
 		return nil
 	}
 	core.FoldTreeCounters(g.Rec, tree)
-	g.Track.Alloc(tree.Extent())
+	g.Ctl.Alloc(tree.Extent())
 	var ranks []uint32
 	for rk := numItems - 1; rk >= 0; rk-- {
 		if rk%groups == group {

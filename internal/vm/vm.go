@@ -6,9 +6,9 @@
 //
 // The paper ran on a 6 GB machine and let real swapping happen. We
 // cannot (and should not) thrash the build machine, so the harness runs
-// every algorithm fully in core, records its modeled footprint through
-// mine.MemTracker, and charges a modeled paging penalty on top of the
-// measured CPU time. The penalty model is deliberately simple and
+// every algorithm fully in core, records its modeled footprint in the
+// run's byte ledger (mine.Control), and charges a modeled paging penalty
+// on top of the measured CPU time. The penalty model is deliberately simple and
 // documented; the crossover *shapes* it produces are governed by the
 // same byte footprints the paper measures (DESIGN.md §2, substitution 3).
 package vm
@@ -104,53 +104,11 @@ func (m Model) Penalty(peakBytes, touchedBytes int64, p Pattern) time.Duration {
 	}
 }
 
-// Tracker is a mine.MemTracker that records everything the penalty
-// model needs: current and peak footprint, the per-update average, and
-// total bytes allocated (the proxy for bytes touched). It is not safe
-// for concurrent use.
-type Tracker struct {
-	Cur, Peak, TotalAlloc int64
-	// Ctl, when non-nil, is charged every update too, so a run costed
-	// by the tracker still honours its Control's byte budget.
-	Ctl     *mine.Control
-	updates int64
-	sum     int64
-}
-
-// Alloc implements mine.MemTracker.
-func (t *Tracker) Alloc(n int64) {
-	t.TotalAlloc += n
-	t.Cur += n
-	t.Peak = max(t.Peak, t.Cur)
-	t.sample()
-	t.Ctl.Alloc(n)
-}
-
-// Free implements mine.MemTracker.
-func (t *Tracker) Free(n int64) {
-	t.Cur -= n
-	t.sample()
-	t.Ctl.Free(n)
-}
-
-func (t *Tracker) sample() {
-	t.updates++
-	t.sum += t.Cur
-}
-
-// Avg returns the average footprint across updates.
-func (t *Tracker) Avg() int64 {
-	if t.updates == 0 {
-		return 0
-	}
-	return t.sum / t.updates
-}
-
-// MinePenalty charges the mining workload recorded by the tracker:
-// pointer-chasing (random) over everything it touched at its peak
-// working set.
-func (m Model) MinePenalty(t *Tracker) time.Duration {
-	return m.Penalty(t.Peak, t.TotalAlloc, Random)
+// MinePenalty charges the mining workload recorded by a run's ledger:
+// pointer-chasing (random) over everything it allocated (the proxy for
+// bytes touched) at its peak working set.
+func (m Model) MinePenalty(ctl *mine.Control) time.Duration {
+	return m.Penalty(ctl.PeakBytes(), ctl.TotalAlloc(), Random)
 }
 
 // Regime classifies a peak footprint against the budget into the

@@ -3,6 +3,8 @@ package vm
 import (
 	"testing"
 	"time"
+
+	"cfpgrowth/internal/mine"
 )
 
 func TestPenaltyZeroWithinBudget(t *testing.T) {
@@ -66,33 +68,27 @@ func TestRegime(t *testing.T) {
 	}
 }
 
-func TestTrackerRecordsTotals(t *testing.T) {
-	var tr Tracker
-	tr.Alloc(100)
-	tr.Alloc(50)
-	tr.Free(100)
-	tr.Alloc(25)
-	if tr.TotalAlloc != 175 {
-		t.Errorf("TotalAlloc = %d, want 175", tr.TotalAlloc)
-	}
-	if tr.Peak != 150 {
-		t.Errorf("Peak = %d, want 150", tr.Peak)
-	}
-	if tr.Cur != 75 {
-		t.Errorf("Cur = %d, want 75", tr.Cur)
-	}
-}
-
-func TestMinePenaltyUsesTracker(t *testing.T) {
+// TestMinePenaltyReadsLedger: the mine penalty is zero while the
+// ledger's peak fits the budget, and past it grows with the bytes the
+// run allocated, not with the bytes still charged.
+func TestMinePenaltyReadsLedger(t *testing.T) {
 	m := Default(1 << 12)
-	var tr Tracker
-	tr.Alloc(1 << 14)
-	if p := m.MinePenalty(&tr); p == 0 {
+	var under mine.Control
+	under.Alloc(1 << 10)
+	if p := m.MinePenalty(&under); p != 0 {
+		t.Errorf("unexpected penalty under budget: %v", p)
+	}
+	var once, twice mine.Control
+	once.Alloc(1 << 14)
+	for i := 0; i < 2; i++ {
+		twice.Alloc(1 << 14)
+		twice.Free(1 << 14)
+	}
+	p1, p2 := m.MinePenalty(&once), m.MinePenalty(&twice)
+	if p1 == 0 {
 		t.Error("expected nonzero mine penalty over budget")
 	}
-	tr2 := Tracker{}
-	tr2.Alloc(1 << 10)
-	if p := m.MinePenalty(&tr2); p != 0 {
-		t.Errorf("unexpected penalty under budget: %v", p)
+	if p2 != 2*p1 {
+		t.Errorf("penalty after two allocations of the peak = %v, want twice %v", p2, p1)
 	}
 }
