@@ -54,9 +54,10 @@ bench-pairs:
 # CFP-tree to CFP-array conversion against its three-walk reference
 # (FuzzConvert draws the tree configuration from its input), over the
 # flat decode in every walk layout that fits against PathTo
-# (FuzzFlatDecode), and over CFP-growth against FP-growth
+# (FuzzFlatDecode), over CFP-growth against FP-growth
 # (FuzzInsertMine draws MaxLen and the conditional builder from its
-# input).
+# input), and over Index.SupportOf against tid-set counts
+# (FuzzSupportOf).
 fuzz:
 	$(GO) test ./internal/dataset/ -fuzz FuzzReadAll -fuzztime 30s
 	$(GO) test ./internal/dataset/ -fuzz FuzzFileScan -fuzztime 30s
@@ -64,6 +65,7 @@ fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzReadArray -fuzztime 30s
 	$(GO) test . -fuzz FuzzReadIndex -fuzztime 30s -run '^$$'
 	$(GO) test . -fuzz FuzzUpdatableSnapshot -fuzztime 30s -run '^$$'
+	$(GO) test . -fuzz FuzzSupportOf -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/core/ -fuzz FuzzConvert -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/core/ -fuzz FuzzFlatDecode -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/core/ -fuzz FuzzInsertMine -fuzztime 60s -run '^$$'

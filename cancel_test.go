@@ -119,17 +119,20 @@ func (s *cancelingScan) Scan(fn func(tx []Item) error) error {
 }
 
 // TestMineCancelDuringBuildScan: a run canceled during its build scan
-// stops the scan at its next transaction, before the scan ends.
+// stops the scan at its next transaction, before the scan ends, with
+// every algorithm.
 func TestMineCancelDuringBuildScan(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	src := &cancelingScan{db: randomDB(6, 2000, 20), k: 100, cancel: cancel}
-	err := Mine(src, Options{MinSupport: 2, Algorithm: "afopt", Context: ctx}, func([]Item, uint64) error { return nil })
-	if !errors.Is(err, ErrCanceled) {
-		t.Errorf("err = %v, want ErrCanceled", err)
-	}
-	if src.after != 0 {
-		t.Errorf("the build scan took %d transactions after the cancel", src.after)
+	for _, name := range Algorithms() {
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &cancelingScan{db: randomDB(6, 2000, 20), k: 100, cancel: cancel}
+		err := Mine(src, Options{MinSupport: 2, Algorithm: name, Parallel: 2, Context: ctx}, func([]Item, uint64) error { return nil })
+		cancel()
+		if !errors.Is(err, ErrCanceled) {
+			t.Errorf("%s: err = %v, want ErrCanceled", name, err)
+		}
+		if src.after != 0 {
+			t.Errorf("%s: the build scan took %d transactions after the cancel", name, src.after)
+		}
 	}
 }
 

@@ -144,6 +144,84 @@ func FuzzReadIndex(f *testing.F) {
 	})
 }
 
+// FuzzSupportOf builds an Index from a fuzzer-shaped database and
+// checks Index.SupportOf against a tid-set count: the transactions that
+// hold every item of the query, or 0 when an item is below the index's
+// base support or the query repeats one. In data, bytes are items and
+// 0xFF separates transactions; in queries, likewise for extra queries.
+// Every prefix of every transaction is queried too, so most queries
+// have support. minSup%4+1 is the base support.
+func FuzzSupportOf(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 0xFF, 1, 2, 0xFF, 2, 3, 0xFF, 1, 2, 3, 4}, []byte{1, 3, 0xFF, 2, 2}, uint8(1))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 0xFF, 1, 2, 3, 4, 7, 0xFF, 1, 2, 3, 8, 0xFF, 1, 2, 6, 7}, []byte{1, 6, 0xFF, 3, 7, 8}, uint8(0))
+	f.Add([]byte{9, 0xFF, 9, 0xFF, 4, 9}, []byte{}, uint8(2))
+	// Item 99 hangs below every prefix of a frequent chain 1..20, so
+	// the walks from its elements share the chain's top.
+	var chain []byte
+	for i := byte(1); i <= 20; i++ {
+		chain = append(chain, i)
+	}
+	var hung []byte
+	for i := 0; i < 8; i++ {
+		hung = append(append(hung, chain...), 0xFF)
+	}
+	for j := 1; j < 20; j++ {
+		hung = append(append(append(hung, chain[:j]...), 99), 0xFF)
+	}
+	f.Add(hung, []byte{1, 99, 0xFF, 5, 10, 99, 0xFF, 19, 99}, uint8(0))
+	f.Fuzz(func(t *testing.T, data, queries []byte, minSup uint8) {
+		split := func(b []byte) [][]Item {
+			out := [][]Item{{}}
+			for _, c := range b {
+				if c == 0xFF {
+					out = append(out, []Item{})
+				} else {
+					out[len(out)-1] = append(out[len(out)-1], Item(c))
+				}
+			}
+			return out
+		}
+		db := split(data[:min(len(data), 512)])
+		qs := split(queries[:min(len(queries), 256)])
+		for _, tx := range db {
+			for k := 1; k <= len(tx); k++ {
+				qs = append(qs, tx[:k])
+			}
+		}
+		base := uint64(minSup%4 + 1)
+		ix, err := BuildIndex(Transactions(db), Options{MinSupport: base})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range qs {
+			var want uint64
+			set := slices.Clone(q)
+			slices.Sort(set)
+			if len(q) > 0 && len(slices.Compact(set)) == len(q) {
+				for _, tx := range db {
+					if !slices.ContainsFunc(q, func(it Item) bool { return !slices.Contains(tx, it) }) {
+						want++
+					}
+				}
+				for _, it := range q {
+					var sup uint64
+					for _, tx := range db {
+						if slices.Contains(tx, it) {
+							sup++
+						}
+					}
+					if sup < base {
+						want = 0
+					}
+				}
+			}
+			if got := ix.SupportOf(q); got != want {
+				t.Fatalf("SupportOf(%v) = %d, want %d (base support %d)", q, got, want, base)
+			}
+		}
+	})
+}
+
 func TestIndexSaveLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.cfpa")
 	ix, err := BuildIndex(exampleDB, Options{MinSupport: 2})

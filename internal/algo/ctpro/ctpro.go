@@ -103,6 +103,9 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	tr := newTree(itemName, itemCount)
 	var buf []uint32
 	err = src.Scan(func(tx []uint32) error {
+		if err := m.Ctl.Err(); err != nil {
+			return err
+		}
 		buf = rec.Encode(tx, buf[:0])
 		tr.insert(buf, 1)
 		return nil

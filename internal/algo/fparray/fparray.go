@@ -73,6 +73,9 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	// memory and builds the tree from them in a second, in-memory pass.
 	var occurrences int64
 	err = src.Scan(func(tx []uint32) error {
+		if err := m.Ctl.Err(); err != nil {
+			return err
+		}
 		occurrences += int64(len(tx))
 		return nil
 	})
@@ -86,6 +89,9 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	tree := fptree.New(itemName, itemCount)
 	var buf []uint32
 	err = src.Scan(func(tx []uint32) error {
+		if err := m.Ctl.Err(); err != nil {
+			return err
+		}
 		buf = rec.Encode(tx, buf[:0])
 		tree.Insert(buf, 1)
 		return nil

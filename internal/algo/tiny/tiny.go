@@ -58,6 +58,9 @@ func (m Miner) Mine(src dataset.Source, minSupport uint64, sink mine.Sink) error
 	tree := fptree.New(itemName, itemCount)
 	var buf []uint32
 	err = src.Scan(func(tx []uint32) error {
+		if err := m.Ctl.Err(); err != nil {
+			return err
+		}
 		buf = rec.Encode(tx, buf[:0])
 		tree.Insert(buf, 1)
 		return nil
