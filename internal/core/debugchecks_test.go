@@ -79,7 +79,8 @@ func TestParentFieldsAssertOnCorruption(t *testing.T) {
 	a := debugTestArray()
 	// ParentFields reads from the element to the end of the data, so a
 	// resynchronizing corruption can slip past it; an all-continuation
-	// buffer cannot (the varint overflows 64 bits and reports failure).
+	// buffer cannot (the varint runs to the end of the data and reports
+	// truncation).
 	for i := range a.data {
 		a.data[i] = 0x80
 	}
@@ -90,24 +91,25 @@ func TestParentFieldsAssertOnCorruption(t *testing.T) {
 
 // TestSupportOfStopsOnTruncatedRun: a run of one continuation byte
 // decodes with length 0, so without the assertions SupportOf's sweep
-// never advances and spins forever. The call runs in a goroutine
-// that must panic within the deadline. A spinning goroutine cannot be
-// stopped, so a missed deadline, or a heap that grows past 256 MiB
-// while waiting, aborts the whole test binary rather than leaving it
-// eating memory.
+// never advances and spins forever. The query has two items, as a
+// one-item query is answered from the support without a sweep. The
+// call runs in a goroutine that must panic within the deadline. A
+// spinning goroutine cannot be stopped, so a missed deadline, or a heap
+// that grows past 256 MiB while waiting, aborts the whole test binary
+// rather than leaving it eating memory.
 func TestSupportOfStopsOnTruncatedRun(t *testing.T) {
 	a := &Array{
-		data:     []byte{0x80},
-		starts:   []uint64{0, 1},
-		support:  []uint64{1},
-		nodes:    []int{1},
-		itemName: []uint32{0},
-		numNodes: 1,
+		data:     []byte{1, 0, 1, 0x80},
+		starts:   []uint64{0, 3, 4},
+		support:  []uint64{1, 1},
+		nodes:    []int{1, 1},
+		itemName: []uint32{0, 1},
+		numNodes: 2,
 	}
 	done := make(chan any)
 	go func() {
 		defer func() { done <- recover() }()
-		a.SupportOf([]uint32{0})
+		a.SupportOf([]uint32{0, 1})
 	}()
 	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	metrics.Read(sample)
